@@ -41,15 +41,15 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Hot-path regression guard: repeat BenchmarkDispatchLanes{1,4,8},
-# BenchmarkFanout{1,8,64} (+ the FanoutAsync/Egress variants), with
-# allocation reporting and summarize with benchstat when it is installed
-# (raw output otherwise). Acceptance bars: ≥2x ns/op at 8 lanes vs 1 on a
-# multi-core runner, and 0 allocs/op on the dispatch, fan-out, and egress
-# paths — benchstat's B/op and allocs/op columns are the alloc-regression
-# signal.
+# BenchmarkFanout{1,8,64} (+ the FanoutAsync/Egress variants) and
+# BenchmarkDurablePublishAck, with allocation reporting and summarize with
+# benchstat when it is installed (raw output otherwise). Acceptance bars:
+# ≥2x ns/op at 8 lanes vs 1 on a multi-core runner, and 0 allocs/op on the
+# dispatch, fan-out, egress and durable publish→ack paths — benchstat's
+# B/op and allocs/op columns are the alloc-regression signal.
 BENCH_COUNT ?= 6
 bench-compare:
-	$(GO) test -run '^$$' -bench 'BenchmarkDispatchLanes|BenchmarkFanout|BenchmarkEgress' -benchmem -count $(BENCH_COUNT) . | tee dispatch_lanes.bench
+	$(GO) test -run '^$$' -bench 'BenchmarkDispatchLanes|BenchmarkFanout|BenchmarkEgress|BenchmarkDurablePublishAck' -benchmem -count $(BENCH_COUNT) . | tee dispatch_lanes.bench
 	@if command -v benchstat >/dev/null 2>&1; then \
 		benchstat dispatch_lanes.bench; \
 	else \
@@ -150,16 +150,19 @@ gateway-churn:
 # the crashed log's ground truth (no acked publish lost, no on-disk
 # prune re-dispatched, orphan backlog recovered exactly once).
 # chaos-durable is the nightly -race form; durable-smoke is the PR gate:
-# the acceptance scenario through the real CLI, the diskstore package
-# (segment replay, crash tables, committer hammer) under -race, and the
-# broker's durable-mode tests under -race.
+# the acceptance scenario through the real CLI, then — under -race, three
+# times over, because the pipeline's interesting interleavings are between
+# the session, committer and flusher goroutines — the diskstore package
+# (segment replay, crash tables, committer hammer and pipeline tests), the
+# broker's durable-mode tests and the client package (pooled ack waiters,
+# release on Close and on a dead link, the delivery log).
 chaos-durable:
 	$(GO) test -race -count=1 -v -run 'TestDurableChaosScenarios|TestDurableScenarioRegistry' ./internal/chaos/
 
 durable-smoke:
 	$(GO) run ./cmd/frame-chaos -scenario kill-both-brokers
-	$(GO) test -race -count=1 ./internal/diskstore/
-	$(GO) test -race -count=1 -run 'TestDurable' ./internal/broker/
+	$(GO) test -race -count=3 ./internal/diskstore/ ./internal/client/
+	$(GO) test -race -count=3 -run 'TestDurable' ./internal/broker/
 
 chaos-smoke:
 	$(GO) test -short -count=1 ./internal/chaos/ ./internal/faultinject/

@@ -17,6 +17,7 @@ package frame
 import (
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"os"
 	"sort"
@@ -26,6 +27,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/broker"
 	"repro/internal/core"
 	"repro/internal/diskstore"
 	"repro/internal/experiments"
@@ -620,6 +622,76 @@ func BenchmarkEgressWritev(b *testing.B) {
 	}
 	if meter.Batches.Load() == 0 {
 		b.Fatal("writer never flushed a batch")
+	}
+}
+
+// BenchmarkDurablePublishAck drives the whole ACK = durable pipeline of a
+// live broker over one connection with sixteen publishes in flight: session
+// read, staging copy, intake, dispatch, prune marker, group commit, PubAck
+// encode and the flusher's vectored ack write. ns/op is one commit round
+// shared by sixteen publishes (the fsync window dominates it); the guarded
+// numbers are allocs/op and B/op, which must stay 0 — the path runs per
+// message at ten thousand messages a second between collections.
+func BenchmarkDurablePublishAck(b *testing.B) {
+	const inFlight = 16
+	mem := transport.NewMem()
+	start := time.Now()
+	clock := func() time.Duration { return time.Since(start) }
+	cfg := core.FRAMEConfig(timing.Params{
+		DeltaBSEdge: time.Millisecond, DeltaBSCloud: time.Millisecond,
+		DeltaBB: time.Millisecond, Failover: 50 * time.Millisecond,
+	})
+	// Few slots, so the warm-up laps every ring and each slot owns its
+	// payload storage before the timer starts.
+	cfg.MessageBufferCap = 64
+	bk, err := broker.New(broker.Options{
+		Engine: cfg, Role: broker.RolePrimary, ListenAddr: "durable-bench",
+		Network: mem, Clock: clock, IntakeDepth: 64,
+		Topics: []spec.Topic{{
+			ID: 1, Category: -1, Period: 20 * time.Millisecond, Deadline: time.Second,
+			LossTolerance: spec.LossUnbounded, Retention: 8, Destination: spec.DestEdge, PayloadSize: 256,
+		}},
+		Logger:  slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelError})),
+		Durable: true, LogDir: b.TempDir(), FsyncInterval: 100 * time.Microsecond,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	bk.Start()
+	defer bk.Stop()
+	nc, err := mem.Dial(bk.Addr())
+	if err != nil {
+		b.Fatal(err)
+	}
+	conn := transport.NewConn(nc)
+	defer conn.Close()
+	out := &wire.Frame{Type: wire.TypePublish, Msg: wire.Message{Topic: 1, Payload: make([]byte, 256)}}
+	in := transport.GetFrame()
+	defer transport.PutFrame(in)
+	round := func(n int) {
+		// All n go out before the first ack is read; over the synchronous
+		// Mem pipe that only works because the session never waits for the
+		// disk or for the ack write.
+		for i := 0; i < n; i++ {
+			out.Msg.Seq++
+			out.Msg.Created = clock()
+			if err := conn.Send(out); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for i := 0; i < n; i++ {
+			if err := conn.RecvInto(in); err != nil || in.Type != wire.TypePubAck {
+				b.Fatalf("ack: %v %v", in.Type, err)
+			}
+		}
+	}
+	for i := 0; i < 32; i++ {
+		round(inFlight)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for left := b.N; left > 0; left -= inFlight {
+		round(min(left, inFlight))
 	}
 }
 

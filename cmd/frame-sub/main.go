@@ -42,6 +42,7 @@ import (
 // subscriber is the part of the API the report loop needs; satisfied by
 // both the per-pair frame.Subscriber and the sharded cluster.Subscriber.
 type subscriber interface {
+	Received(topic frame.TopicID) uint64
 	Latencies(topic frame.TopicID) []time.Duration
 	Duplicates() uint64
 	Close()
@@ -183,8 +184,10 @@ func run() error {
 				met++
 			}
 		}
+		// Latency figures cover the most recent samples the subscriber
+		// keeps (client.LatencyKeep per topic); received is the full count.
 		line := fmt.Sprintf("topic %d: received=%d mean=%v p99=%v max=%v",
-			id, len(lats),
+			id, sub.Received(id),
 			(sum / time.Duration(len(lats))).Round(time.Microsecond),
 			lats[len(lats)*99/100].Round(time.Microsecond),
 			lats[len(lats)-1].Round(time.Microsecond))

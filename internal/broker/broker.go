@@ -309,15 +309,30 @@ type Broker struct {
 	disk   *diskstore.Log // optional durable replica log (Backup role)
 
 	// committer owns the durable mode's segmented log (nil without
-	// Options.Durable): sessions enqueue publish records and park on the
-	// group-commit waiter; dispatch workers enqueue fire-and-forget prune
-	// markers. recoveredMsgs/recoveredPrunes count what the log replayed
-	// at startup; recoverOnce gates the one-shot backlog dispatch.
+	// Options.Durable): sessions stage publish records and return to their
+	// sockets, dispatch workers stage fire-and-forget prune markers, and
+	// every committed batch comes back through onDurable (durable.go).
+	// durableAcks counts publishes whose fsync returned; commitFailures
+	// those whose ack is withheld because the log failed (commitDown marks
+	// the transition, logged once). recoveredMsgs/recoveredPrunes count
+	// what the log replayed at startup; recoverOnce gates the one-shot
+	// backlog dispatch.
 	committer       *diskstore.Committer
 	durableAcks     atomic.Uint64
+	commitFailures  atomic.Uint64
+	commitDown      atomic.Bool
 	recoverOnce     sync.Once
 	recoveredMsgs   int
 	recoveredPrunes int
+
+	// ackRings are the sessions that own a PubAck ring, for shutdown's
+	// sweep; ackMeter aggregates those rings apart from the subscribers'
+	// (they are not subscribers: Health().EgressSubs and the eviction
+	// counts stay about fan-out). ackTouched is onDurable's scratch.
+	ackMu      sync.Mutex
+	ackRings   map[*session]struct{}
+	ackMeter   transport.EgressMeter
+	ackTouched []*session
 }
 
 // subscriber is one fan-out target: the session connection plus (when the
@@ -483,6 +498,7 @@ func New(opts Options) (*Broker, error) {
 		promoted:   make(chan struct{}),
 		subs:       make(map[spec.TopicID][]*subscriber),
 		subsByConn: make(map[*transport.Conn]*subscriber),
+		ackRings:   make(map[*session]struct{}),
 	}
 	b.lanes = make([]*dispatchLane, engine.Lanes())
 	intakeDepth := opts.IntakeDepth
@@ -553,7 +569,7 @@ func New(opts Options) (*Broker, error) {
 		if interval == 0 {
 			interval = DefaultFsyncInterval
 		}
-		b.committer = diskstore.NewCommitter(seg, interval)
+		b.committer = diskstore.NewCommitterNotify(seg, interval, b.onDurable)
 		// Replay in log order: messages land in the Backup Buffers (the
 		// same rings §IV-A promotion drains), prune records mark the ones
 		// a previous life already dispatched. The backlog is scheduled by
@@ -807,7 +823,22 @@ func (b *Broker) scrapeGauges() []obsv.Sample {
 			obsv.Sample{Name: "frame_durable_log_bytes", Value: float64(cs.Bytes),
 				Help: "Total bytes across live durable log segments."},
 			obsv.Sample{Name: "frame_durable_acks_total", Counter: true,
-				Value: float64(b.durableAcks.Load()), Help: "PubAcks sent after a publish reached stable storage."},
+				Value: float64(b.durableAcks.Load()), Help: "Publishes whose record reached stable storage (a PubAck is issued for each)."},
+			obsv.Sample{Name: "frame_durable_commit_failures_total", Counter: true,
+				Value: float64(b.commitFailures.Load()), Help: "Publishes whose durability ack was withheld because the log failed."},
+		)
+		as := b.ackMeter.Snapshot()
+		samples = append(samples,
+			obsv.Sample{Name: "frame_durable_ack_enqueued_total", Counter: true,
+				Value: float64(as.Enqueued), Help: "PubAcks handed to publisher ack rings."},
+			obsv.Sample{Name: "frame_durable_ack_flushed_total", Counter: true,
+				Value: float64(as.Flushed), Help: "PubAcks written to publisher sockets."},
+			obsv.Sample{Name: "frame_durable_ack_batches_total", Counter: true,
+				Value: float64(as.Batches), Help: "Vectored writes that carried PubAcks (acks coalesced per write = flushed/batches)."},
+			obsv.Sample{Name: "frame_durable_ack_evictions_total", Counter: true,
+				Value: float64(as.Evictions), Help: "Publishers evicted because they stopped reading their PubAcks."},
+			obsv.Sample{Name: "frame_durable_ack_write_errors_total", Counter: true,
+				Value: float64(as.WriteErrs), Help: "Failed PubAck writes (stalls included)."},
 		)
 	}
 	if b.opts.ExtraGauges != nil {
@@ -938,10 +969,11 @@ func (b *Broker) shutdown(drain bool) {
 	}
 	b.peerMu.Unlock()
 	b.closeSubscribers()
+	b.closeAckRings()
 	if b.pool != nil {
 		// Every registered egress was closed and waited above (addSubscriber
-		// refuses registrations once stopping is set), so the pool drains
-		// clean.
+		// and openAckRing refuse registrations once stopping is set), so the
+		// pool drains clean.
 		b.pool.Close()
 	}
 	b.wg.Wait()
@@ -1017,17 +1049,22 @@ func (b *Broker) acceptLoop(ctx context.Context) {
 // fully (anything retained — ring-buffer entries, disk log records — is
 // copied by its owner) before the next RecvInto overwrites it.
 func (b *Broker) serveConn(ctx context.Context, conn *transport.Conn) {
+	s := &session{conn: conn}
 	defer func() {
 		// Unregister before closing so no new frames enqueue, then close the
-		// conn (failing any in-flight write) and wait for the egress writer —
+		// conn (failing any in-flight write) and wait for the egress writers —
 		// the broker's WaitGroup thus transitively waits for every writer.
 		eg := b.removeSubscriber(conn)
 		if eg != nil {
 			eg.Close()
 		}
+		acks := b.closeAckRing(s)
 		conn.Close()
 		if eg != nil {
 			eg.Wait()
+		}
+		if acks != nil {
+			acks.Wait()
 		}
 	}()
 	// Ensure blocked reads unstick on shutdown.
@@ -1039,19 +1076,20 @@ func (b *Broker) serveConn(ctx context.Context, conn *transport.Conn) {
 		if err := conn.RecvInto(f); err != nil {
 			return
 		}
-		if err := b.handleFrame(conn, f); err != nil {
+		if err := b.handleFrame(s, f); err != nil {
 			b.log.Warn("session error", "err", err, "type", f.Type.String())
 			return
 		}
 	}
 }
 
-func (b *Broker) handleFrame(conn *transport.Conn, f *wire.Frame) error {
+func (b *Broker) handleFrame(s *session, f *wire.Frame) error {
+	conn := s.conn
 	switch f.Type {
 	case wire.TypeHello:
 		return nil // roles are implicit in subsequent traffic
 	case wire.TypePublish, wire.TypeResend:
-		if err := b.onPublish(conn, f.Msg); err != nil {
+		if err := b.onPublish(s, f.Msg); err != nil {
 			// In a cluster, an unknown topic means the publisher routed on a
 			// stale table: answer with a WrongShard redirect so it refreshes
 			// and re-homes the topic. Outside a cluster it is the sender's
@@ -1102,13 +1140,12 @@ func (b *Broker) handleFrame(conn *transport.Conn, f *wire.Frame) error {
 // hold. The engine therefore observes the publish (Stats().Published, queue
 // depth) slightly after onPublish returns.
 //
-// In durable mode the message is also handed to the group-commit writer
-// after validation, and the session goroutine parks on the commit waiter
-// before acking: the fsync, not arrival, is what the PubAck certifies.
-// Parking here is also what keeps the zero-copy enqueue sound — m.Payload
-// aliases the session's receive buffer, which cannot be overwritten while
-// this frame's handler is still on the stack.
-func (b *Broker) onPublish(conn *transport.Conn, m wire.Message) error {
+// In durable mode the message is also staged with the group-commit writer
+// after validation (stageDurable): the committer copies it under its own
+// mutex, so the session is back at its socket before the fsync, and the
+// PubAck — which certifies the fsync, not arrival — leaves from the
+// committer's completion callback.
+func (b *Broker) onPublish(s *session, m wire.Message) error {
 	now := b.opts.Clock()
 	lane := b.lane(m.Topic)
 	if lane.intake == nil {
@@ -1120,18 +1157,14 @@ func (b *Broker) onPublish(conn *transport.Conn, m wire.Message) error {
 			b.obs.PublishRejected.Inc()
 			return err
 		}
-		var commit *diskstore.Commit
 		if b.committer != nil {
-			commit = b.committer.Enqueue(m)
+			b.stageDurable(s, m, now)
 		}
 		lane.parker.Unpark()
 		b.obs.Publishes.Inc()
 		b.obs.StageProxy.Observe(b.opts.Clock() - now)
 		b.obs.Trace(obsv.TraceEvent{Stage: obsv.StagePublish, Topic: uint64(m.Topic), Seq: m.Seq, At: now})
 		b.obs.Trace(obsv.TraceEvent{Stage: obsv.StageEnqueue, Topic: uint64(m.Topic), Seq: m.Seq, At: now})
-		if commit != nil {
-			return b.finishDurable(conn, m, commit, now)
-		}
 		return nil
 	}
 	if err := b.engine.CheckTopic(m.Topic); err != nil {
@@ -1141,9 +1174,10 @@ func (b *Broker) onPublish(conn *transport.Conn, m wire.Message) error {
 		b.obs.PublishRejected.Inc()
 		return err
 	}
-	var commit *diskstore.Commit
 	if b.committer != nil {
-		commit = b.committer.Enqueue(m)
+		// Before the intake push: the message's prune marker can only be
+		// staged once a worker has seen it, so the record precedes it.
+		b.stageDurable(s, m, now)
 	}
 	fill := func(im *intakeMsg) {
 		buf := im.payload
@@ -1173,29 +1207,7 @@ func (b *Broker) onPublish(conn *transport.Conn, m wire.Message) error {
 	b.obs.StageProxy.Observe(b.opts.Clock() - now)
 	b.obs.Trace(obsv.TraceEvent{Stage: obsv.StagePublish, Topic: uint64(m.Topic), Seq: m.Seq, At: now})
 	b.obs.Trace(obsv.TraceEvent{Stage: obsv.StageEnqueue, Topic: uint64(m.Topic), Seq: m.Seq, At: now})
-	if commit != nil {
-		return b.finishDurable(conn, m, commit, now)
-	}
 	return nil
-}
-
-// finishDurable parks the session goroutine until the group-commit writer
-// has fsynced m, then acks the publisher with a PubAck. A log failure is
-// deliberately not a session error: the message is already in flight
-// through the in-memory plane (Table 3 replication still covers it), the
-// broker just withholds the durability ack and logs the degradation.
-func (b *Broker) finishDurable(conn *transport.Conn, m wire.Message, commit *diskstore.Commit, start time.Duration) error {
-	if err := commit.Wait(); err != nil {
-		b.log.Warn("durable commit failed", "topic", m.Topic, "seq", m.Seq, "err", err)
-		return nil
-	}
-	b.durableAcks.Add(1)
-	b.obs.StageDurable.Observe(b.opts.Clock() - start)
-	b.obs.Trace(obsv.TraceEvent{Stage: obsv.StageDurable, Topic: uint64(m.Topic), Seq: m.Seq, At: b.opts.Clock()})
-	if conn == nil {
-		return nil
-	}
-	return conn.Send(&wire.Frame{Type: wire.TypePubAck, Topic: m.Topic, Seq: m.Seq})
 }
 
 // drainIntakeLocked folds queued publishes into the engine. Caller holds

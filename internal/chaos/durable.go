@@ -43,6 +43,13 @@ type DurableScenario struct {
 	// SegmentBytes forces small segments so the kill window spans several
 	// rolls (0 = broker default).
 	SegmentBytes int64
+	// Conns and InFlight shape the publishing side: Conns publisher
+	// connections share the topics round-robin, and on each of them
+	// InFlight goroutines publish concurrently, every one waiting for its
+	// own PubAck — so a connection has up to InFlight publishes riding one
+	// group commit and acknowledged in one batch (0 = 1 for either).
+	Conns    int
+	InFlight int
 	// Orphans grafts this many records onto the crashed log before the
 	// second life opens it, on a dedicated topic the pump never publishes.
 	// They model the one crash shape an in-process kill cannot produce:
@@ -180,17 +187,33 @@ func RunDurable(sc DurableScenario, opts RunOptions) (*Result, error) {
 		backup.Stop()
 		return nil, fmt.Errorf("chaos: subscriber: %w", err)
 	}
-	pub, err := client.NewPublisher(client.PublisherOptions{
-		Name: NodePub, Topics: sc.Topics,
-		PrimaryAddr: primary.Addr(), BackupAddr: backup.Addr(),
-		Network: net.Node(NodePub), Clock: clock, Detector: defaultDetector(), Logger: log,
-		DurableAcks: true, AckTimeout: time.Second,
-	})
-	if err != nil {
-		sub1.Close()
-		primary.Stop()
-		backup.Stop()
-		return nil, fmt.Errorf("chaos: publisher: %w", err)
+	conns, inFlight := max(sc.Conns, 1), max(sc.InFlight, 1)
+	pubs := make([]*client.Publisher, conns)
+	owned := make([][]spec.Topic, conns) // topic i rides connection i mod conns
+	for i, tp := range sc.Topics {
+		owned[i%conns] = append(owned[i%conns], tp)
+	}
+	closePubs := func() {
+		for _, p := range pubs {
+			if p != nil {
+				p.Close()
+			}
+		}
+	}
+	for c := range pubs {
+		pubs[c], err = client.NewPublisher(client.PublisherOptions{
+			Name: NodePub, Topics: owned[c],
+			PrimaryAddr: primary.Addr(), BackupAddr: backup.Addr(),
+			Network: net.Node(NodePub), Clock: clock, Detector: defaultDetector(), Logger: log,
+			DurableAcks: true, AckTimeout: time.Second,
+		})
+		if err != nil {
+			closePubs()
+			sub1.Close()
+			primary.Stop()
+			backup.Stop()
+			return nil, fmt.Errorf("chaos: publisher: %w", err)
+		}
 	}
 	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); {
 		if primary.Health().EgressSubs >= 1 {
@@ -200,59 +223,64 @@ func RunDurable(sc DurableScenario, opts RunOptions) (*Result, error) {
 	}
 
 	// Pump with ack accounting: acked[topic] is the highest sequence the
-	// broker confirmed durable — the set the dual crash must not lose.
+	// broker confirmed durable. A connection sends a topic's publishes in
+	// sequence order and the broker stages them in arrival order, so an ack
+	// for seq n certifies every lower seq of that topic as well, even one
+	// whose own ack a sibling goroutine had not yet received at the kill.
 	var ackMu sync.Mutex
 	acked := make(map[spec.TopicID]uint64)
 	publishErrs := 0
-	pumpDone := make(chan struct{})
+	var pumps sync.WaitGroup
 	pumpStop := make(chan struct{})
-	go func() {
-		defer close(pumpDone)
-		payload := make([]byte, sc.Load.PayloadSize)
-		ticker := time.NewTicker(sc.Load.Interval)
-		defer ticker.Stop()
-		for i := 0; i < sc.Load.Count; i++ {
-			for _, id := range topicIDs {
-				seq, err := pub.Publish(id, payload)
-				ackMu.Lock()
-				if err != nil {
-					publishErrs++
-				} else if seq > acked[id] {
-					acked[id] = seq
+	for c := range pubs {
+		for g := 0; g < inFlight; g++ {
+			pub, topics := pubs[c], owned[c]
+			pumps.Add(1)
+			go func() {
+				defer pumps.Done()
+				payload := make([]byte, sc.Load.PayloadSize)
+				ticker := time.NewTicker(sc.Load.Interval)
+				defer ticker.Stop()
+				for i := 0; i < sc.Load.Count; i++ {
+					for _, tp := range topics {
+						seq, err := pub.Publish(tp.ID, payload)
+						ackMu.Lock()
+						if err != nil {
+							publishErrs++
+						} else if seq > acked[tp.ID] {
+							acked[tp.ID] = seq
+						}
+						ackMu.Unlock()
+					}
+					select {
+					case <-ticker.C:
+					case <-pumpStop:
+						return
+					}
 				}
-				ackMu.Unlock()
-			}
-			select {
-			case <-ticker.C:
-			case <-pumpStop:
-				return
-			}
+			}()
 		}
-	}()
+	}
 
 	if wait := sc.KillAt - clock(); wait > 0 {
 		time.Sleep(wait)
 	}
-	close(pumpStop)
-	<-pumpDone
-	ackMu.Lock()
-	ackedAtKill := make(map[spec.TopicID]uint64, len(acked))
-	for id, s := range acked {
-		ackedAtKill[id] = s
-	}
-	errsAtKill := publishErrs
-	ackMu.Unlock()
-
-	// The dual crash: reset every connection touching either broker, then
-	// fail-stop both. Backup first, so it cannot promote and start a
-	// recovery dispatch run of its own mid-teardown.
+	// The dual crash, with the pumps still publishing — so it lands on
+	// staged records, half-written batches and acks in flight: reset every
+	// connection touching either broker, then fail-stop both. Backup first,
+	// so it cannot promote and start a recovery dispatch run of its own
+	// mid-teardown. Publishes cut off by the kill return errors and count
+	// as such; only what was acknowledged is judged.
 	tr.Logf(clock(), "kill: fail-stopping the entire pair")
 	net.ResetNode(NodeBackup)
 	net.ResetNode(NodePrimary)
 	backup.Kill()
 	primary.Kill()
-	pub.Close()
+	close(pumpStop)
+	closePubs() // releases the publishes still parked on an ack
+	pumps.Wait()
 	sub1.Close()
+	ackedAtKill, errsAtKill := acked, publishErrs
 	tr.Logf(clock(), "kill done: acked=%v publishErrs=%d delivered(life1)=%v",
 		ackedAtKill, errsAtKill, countAll(life1, topicIDs))
 

@@ -56,19 +56,25 @@ func killBothBrokers() DurableScenario {
 }
 
 // killBothGroupCommitStorm stresses the same dual crash at the group
-// commit's worst operating point: a long fsync window with tiny segments,
-// so the kill lands with commits pending and the log mid-roll across many
-// segment files. Acked publishes must still all be covered — the window
-// only delays acks, never falsifies them.
+// commit's worst operating point, in the shape the pipelined ack path
+// serves: two publisher connections with sixteen publishes in flight on
+// each, a long fsync window and tiny segments — so the kill lands with
+// dozens of records staged, whole batches of acks in the ack rings, and
+// the log mid-roll across many segment files. Acked publishes must still
+// all be covered — the window and the batching only delay acks, never
+// falsify them.
 func killBothGroupCommitStorm() DurableScenario {
 	return DurableScenario{
 		Name:        "kill-both-groupcommit-storm",
-		Description: "dual crash under a 5ms fsync window and 4KiB segments; acks stay truthful mid-roll",
-		Topics:      durableTopics(3),
+		Description: "dual crash, 2 connections x 16 in flight, 5ms fsync window, 4KiB segments; batched acks stay truthful mid-roll",
+		Topics:      durableTopics(4),
 		Load:        Load{Count: 400, Interval: time.Millisecond, PayloadSize: 64},
 		KillAt:      300 * time.Millisecond,
+		Conns:       2,
+		InFlight:    16,
 		// A wide window keeps commits pending at the kill; tiny segments
-		// force rolls throughout, so replay crosses many boundaries.
+		// force rolls throughout, so batches straddle rolls and replay
+		// crosses many boundaries.
 		FsyncInterval: 5 * time.Millisecond,
 		SegmentBytes:  4 << 10,
 		// The orphan segment lands amid dozens of tiny sealed segments, so

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"net"
 	"sync"
 	"time"
 
@@ -80,13 +81,16 @@ type Publisher struct {
 	retained   map[spec.TopicID]*ringbuf.Ring[wire.Message]
 	topics     map[spec.TopicID]spec.Topic
 	// acks holds durable Publish calls parked on their PubAck, keyed by
-	// (topic, seq); the receive loops close the channel on arrival. Nil
-	// unless DurableAcks. Guarded by ackMu, NOT mu: the receive loop must
-	// be able to consume PubAcks while a Publish holds mu across a
-	// blocking send, or the two directions of the broker link deadlock
-	// against each other.
-	ackMu sync.Mutex
-	acks  map[ackKey]chan struct{}
+	// (topic, seq); whoever removes an entry owes its waiter exactly one
+	// outcome. Nil unless DurableAcks. ackGone, once set, is the error every
+	// parked and future durable Publish gets: the publisher is closed or
+	// its last broker link is dead. Both guarded by ackMu, NOT mu: the
+	// receive loop must be able to consume PubAcks while a Publish holds mu
+	// across a blocking send, or the two directions of the broker link
+	// deadlock against each other.
+	ackMu   sync.Mutex
+	acks    map[ackKey]*ackWaiter
+	ackGone error
 
 	failedOverCh chan struct{}
 }
@@ -96,6 +100,20 @@ type ackKey struct {
 	topic spec.TopicID
 	seq   uint64
 }
+
+// ackWaiter is what one durable Publish parks on. Waiters are pooled: the
+// outcome channel (capacity 1, so delivering never blocks) and the timeout
+// timer are reused from publish to publish.
+type ackWaiter struct {
+	outcome chan error
+	timer   *time.Timer
+}
+
+var ackWaiterPool = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return &ackWaiter{outcome: make(chan error, 1), timer: t}
+}}
 
 // NewPublisher dials the brokers and returns a running publisher.
 func NewPublisher(opts PublisherOptions) (*Publisher, error) {
@@ -119,7 +137,7 @@ func NewPublisher(opts PublisherOptions) (*Publisher, error) {
 		failedOverCh: make(chan struct{}),
 	}
 	if opts.DurableAcks {
-		p.acks = make(map[ackKey]chan struct{})
+		p.acks = make(map[ackKey]*ackWaiter)
 		if p.opts.AckTimeout <= 0 {
 			p.opts.AckTimeout = DefaultAckTimeout
 		}
@@ -174,6 +192,7 @@ func (p *Publisher) startRecvLoop(ctx context.Context, conn *transport.Conn) {
 		defer transport.PutFrame(f)
 		for {
 			if err := conn.RecvInto(f); err != nil {
+				p.linkLost(conn)
 				return
 			}
 			if f.Type == wire.TypeWrongShard && p.opts.OnWrongShard != nil {
@@ -206,9 +225,10 @@ func dialHello(n transport.Network, addr, name string, role wire.Role) (*transpo
 // With DurableAcks set, Publish additionally blocks — outside the
 // publisher's lock, so concurrent publishes keep flowing — until the broker
 // answers with a PubAck certifying the message is on stable storage, or
-// AckTimeout passes. A timeout returns an error with the sequence number
-// still valid: the message may well be durable and in flight; only the
-// confirmation is missing.
+// AckTimeout passes, or the publisher is closed or loses its last broker
+// link (an error wrapping net.ErrClosed). An error after the send leaves
+// the sequence number valid: the message may well be durable and in
+// flight; only the confirmation is missing.
 func (p *Publisher) Publish(topic spec.TopicID, payload []byte) (uint64, error) {
 	p.mu.Lock()
 	if _, ok := p.topics[topic]; !ok {
@@ -225,33 +245,52 @@ func (p *Publisher) Publish(topic spec.TopicID, payload []byte) (uint64, error) 
 	if ring := p.retained[topic]; ring != nil {
 		ring.Push(m)
 	}
-	var ack chan struct{}
+	var ack *ackWaiter
 	if p.acks != nil {
 		// Register before the send so the receive loop cannot see the
 		// PubAck before the waiter exists.
-		ack = make(chan struct{})
 		p.ackMu.Lock()
+		if err := p.ackGone; err != nil {
+			p.ackMu.Unlock()
+			p.mu.Unlock()
+			return m.Seq, err
+		}
+		ack = ackWaiterPool.Get().(*ackWaiter)
 		p.acks[ackKey{topic, m.Seq}] = ack
 		p.ackMu.Unlock()
 	}
 	err := p.conn.Send(&wire.Frame{Type: wire.TypePublish, Msg: m})
 	p.mu.Unlock()
 	if err != nil {
-		p.dropAck(topic, m.Seq)
+		if ack != nil {
+			if !p.dropAck(topic, m.Seq) {
+				<-ack.outcome // a release raced the failed send; take its token
+			}
+			ackWaiterPool.Put(ack)
+		}
 		return m.Seq, fmt.Errorf("client: publish: %w", err)
 	}
 	if ack == nil {
 		return m.Seq, nil
 	}
-	t := time.NewTimer(p.opts.AckTimeout)
-	defer t.Stop()
+	ack.timer.Reset(p.opts.AckTimeout)
 	select {
-	case <-ack:
-		return m.Seq, nil
-	case <-t.C:
-		p.dropAck(topic, m.Seq)
-		return m.Seq, fmt.Errorf("client: no durable ack for topic %d seq %d within %v", topic, m.Seq, p.opts.AckTimeout)
+	case err = <-ack.outcome:
+		if !ack.timer.Stop() {
+			select { // the timer fired meanwhile: leave its channel empty
+			case <-ack.timer.C:
+			default:
+			}
+		}
+	case <-ack.timer.C:
+		if p.dropAck(topic, m.Seq) {
+			err = fmt.Errorf("client: no durable ack for topic %d seq %d within %v", topic, m.Seq, p.opts.AckTimeout)
+		} else {
+			err = <-ack.outcome // decided at the very moment of the timeout
+		}
 	}
+	ackWaiterPool.Put(ack)
+	return m.Seq, err
 }
 
 // ackDurable releases the Publish call parked on (topic, seq), if any.
@@ -264,18 +303,51 @@ func (p *Publisher) ackDurable(topic spec.TopicID, seq uint64) {
 	delete(p.acks, ackKey{topic, seq})
 	p.ackMu.Unlock()
 	if ack != nil {
-		close(ack)
+		ack.outcome <- nil
 	}
 }
 
-// dropAck deregisters an ack waiter that will never be satisfied.
-func (p *Publisher) dropAck(topic spec.TopicID, seq uint64) {
-	if p.acks == nil {
-		return
-	}
+// dropAck deregisters the caller's own waiter and reports whether it was
+// still registered; false means someone else removed it and an outcome is
+// already on its way.
+func (p *Publisher) dropAck(topic spec.TopicID, seq uint64) bool {
 	p.ackMu.Lock()
+	_, mine := p.acks[ackKey{topic, seq}]
 	delete(p.acks, ackKey{topic, seq})
 	p.ackMu.Unlock()
+	return mine
+}
+
+// releaseAcks fails every parked durable Publish, and every later one,
+// with err: no PubAck can reach this publisher any more.
+func (p *Publisher) releaseAcks(err error) {
+	p.ackMu.Lock()
+	if p.acks == nil || p.ackGone != nil {
+		p.ackMu.Unlock()
+		return
+	}
+	p.ackGone = err
+	parked := p.acks
+	p.acks = make(map[ackKey]*ackWaiter)
+	p.ackMu.Unlock()
+	for _, ack := range parked {
+		ack.outcome <- err
+	}
+}
+
+// linkLost runs when conn's receive loop ends. If conn was the link in use
+// and no standby can take over — there is no Backup, or the Backup is what
+// just died — nothing can acknowledge the parked durable publishes, so they
+// are released at once instead of waiting out AckTimeout. With a Backup
+// still standing they stay parked: fail-over re-sends the retained messages
+// and a durable Backup acknowledges them.
+func (p *Publisher) linkLost(conn *transport.Conn) {
+	p.mu.Lock()
+	last := conn == p.conn && (p.backup == nil || p.failedOver)
+	p.mu.Unlock()
+	if last {
+		p.releaseAcks(fmt.Errorf("client: broker link lost with no standby: %w", net.ErrClosed))
+	}
 }
 
 // LastSeq returns the highest sequence number created for the topic.
@@ -394,8 +466,10 @@ func (p *Publisher) failOver() {
 	p.log.Info("failed over to backup", "resent", resent)
 }
 
-// Close shuts the publisher down.
+// Close shuts the publisher down. Durable Publish calls still parked on a
+// PubAck return at once with an error wrapping net.ErrClosed.
 func (p *Publisher) Close() {
+	p.releaseAcks(fmt.Errorf("client: publisher closed: %w", net.ErrClosed))
 	p.cancel()
 	p.wg.Wait()
 	p.mu.Lock()
@@ -447,7 +521,8 @@ type SubscriberOptions struct {
 }
 
 // Subscriber receives dispatches from all configured brokers, discarding
-// duplicate sequence numbers (§VI-C), and keeps per-topic delivery records.
+// duplicate sequence numbers (§VI-C), and keeps per-topic delivery records
+// in a DeliveryLog — constant memory per topic; see its window semantics.
 type Subscriber struct {
 	opts SubscriberOptions
 	log  *slog.Logger
@@ -455,11 +530,7 @@ type Subscriber struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
-	mu        sync.Mutex
-	seen      map[spec.TopicID]map[uint64]bool
-	latencies map[spec.TopicID][]time.Duration
-	received  map[spec.TopicID]uint64
-	dups      uint64
+	delivered *DeliveryLog
 }
 
 // NewSubscriber dials every broker, subscribes, and starts receive loops.
@@ -476,9 +547,7 @@ func NewSubscriber(opts SubscriberOptions) (*Subscriber, error) {
 	s := &Subscriber{
 		opts:      opts,
 		log:       opts.Logger.With("subscriber", opts.Name),
-		seen:      make(map[spec.TopicID]map[uint64]bool),
-		latencies: make(map[spec.TopicID][]time.Duration),
-		received:  make(map[spec.TopicID]uint64),
+		delivered: NewDeliveryLog(),
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s.cancel = cancel
@@ -536,73 +605,34 @@ func (s *Subscriber) receiveLoop(conn *transport.Conn, source string) {
 func (s *Subscriber) onDispatch(f *wire.Frame, source string) {
 	now := s.opts.Clock()
 	latency := now - f.Msg.Created
-	s.mu.Lock()
-	seen := s.seen[f.Msg.Topic]
-	if seen == nil {
-		seen = make(map[uint64]bool)
-		s.seen[f.Msg.Topic] = seen
-	}
-	dup := seen[f.Msg.Seq]
-	if dup {
-		s.dups++
-	} else {
-		seen[f.Msg.Seq] = true
-		s.received[f.Msg.Topic]++
-		s.latencies[f.Msg.Topic] = append(s.latencies[f.Msg.Topic], latency)
-	}
-	cbDeliver := s.opts.OnDeliver
-	cbFrame := s.opts.OnFrame
-	s.mu.Unlock()
-	if cbFrame != nil {
-		cbFrame(Delivery{Msg: f.Msg, Latency: latency, Duplicate: dup, Source: source})
+	dup := s.delivered.Record(f.Msg.Topic, f.Msg.Seq, latency)
+	if cb := s.opts.OnFrame; cb != nil {
+		cb(Delivery{Msg: f.Msg, Latency: latency, Duplicate: dup, Source: source})
 	}
 	if dup {
 		return
 	}
-	if cbDeliver != nil {
-		cbDeliver(Delivery{Msg: f.Msg, Latency: latency, Source: source})
+	if cb := s.opts.OnDeliver; cb != nil {
+		cb(Delivery{Msg: f.Msg, Latency: latency, Source: source})
 	}
 }
 
 // Received returns how many distinct messages arrived for the topic.
-func (s *Subscriber) Received(topic spec.TopicID) uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.received[topic]
-}
+func (s *Subscriber) Received(topic spec.TopicID) uint64 { return s.delivered.Received(topic) }
 
 // Duplicates returns how many duplicate deliveries were discarded.
-func (s *Subscriber) Duplicates() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dups
-}
+func (s *Subscriber) Duplicates() uint64 { return s.delivered.Duplicates() }
 
-// Latencies returns a copy of the topic's end-to-end latency samples.
+// Latencies returns a copy of the topic's most recent end-to-end latency
+// samples (at most LatencyKeep, oldest first).
 func (s *Subscriber) Latencies(topic spec.TopicID) []time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]time.Duration(nil), s.latencies[topic]...)
+	return s.delivered.Latencies(topic)
 }
 
 // MaxConsecutiveLoss reconstructs the longest run of missing sequence
 // numbers for the topic, given the highest sequence the publisher created.
 func (s *Subscriber) MaxConsecutiveLoss(topic spec.TopicID, highestCreated uint64) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	seen := s.seen[topic]
-	maxRun, run := 0, 0
-	for q := uint64(1); q <= highestCreated; q++ {
-		if seen[q] {
-			run = 0
-			continue
-		}
-		run++
-		if run > maxRun {
-			maxRun = run
-		}
-	}
-	return maxRun
+	return s.delivered.MaxConsecutiveLoss(topic, highestCreated)
 }
 
 // Close tears down all broker connections and waits for receive loops.

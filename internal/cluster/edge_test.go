@@ -194,11 +194,7 @@ func TestDirectoryServeToleratesStrays(t *testing.T) {
 // clean), deliver each distinct message exactly once, and still
 // reconstruct loss runs correctly afterwards.
 func TestSubscriberDedupAcrossRehome(t *testing.T) {
-	s := &Subscriber{
-		seen:      make(map[spec.TopicID]map[uint64]bool),
-		received:  make(map[spec.TopicID]uint64),
-		latencies: make(map[spec.TopicID][]time.Duration),
-	}
+	s := &Subscriber{delivered: client.NewDeliveryLog()}
 	var delivered []uint64
 	var frames int
 	s.opts.OnDeliver = func(d client.Delivery) {

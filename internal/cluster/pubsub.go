@@ -411,11 +411,7 @@ type Subscriber struct {
 	opts SubscriberOptions
 	subs []*client.Subscriber
 
-	mu        sync.Mutex
-	seen      map[spec.TopicID]map[uint64]bool
-	received  map[spec.TopicID]uint64
-	latencies map[spec.TopicID][]time.Duration
-	dups      uint64
+	delivered *client.DeliveryLog
 }
 
 // NewSubscriber dials every pair in the router's current table.
@@ -435,9 +431,7 @@ func NewSubscriber(opts SubscriberOptions) (*Subscriber, error) {
 	}
 	s := &Subscriber{
 		opts:      opts,
-		seen:      make(map[spec.TopicID]map[uint64]bool),
-		received:  make(map[spec.TopicID]uint64),
-		latencies: make(map[spec.TopicID][]time.Duration),
+		delivered: client.NewDeliveryLog(),
 	}
 	for i, e := range table.Shards {
 		addrs := []string{e.Primary}
@@ -470,23 +464,8 @@ func (s *Subscriber) onFrame(d client.Delivery) {
 	if cb := s.opts.OnFrame; cb != nil {
 		cb(d)
 	}
-	s.mu.Lock()
-	seen := s.seen[d.Msg.Topic]
-	if seen == nil {
-		seen = make(map[uint64]bool)
-		s.seen[d.Msg.Topic] = seen
-	}
-	dup := seen[d.Msg.Seq]
-	if dup {
-		s.dups++
-	} else {
-		seen[d.Msg.Seq] = true
-		s.received[d.Msg.Topic]++
-		s.latencies[d.Msg.Topic] = append(s.latencies[d.Msg.Topic], d.Latency)
-	}
-	deliver := s.opts.OnDeliver
-	s.mu.Unlock()
-	if !dup && deliver != nil {
+	dup := s.delivered.Record(d.Msg.Topic, d.Msg.Seq, d.Latency)
+	if deliver := s.opts.OnDeliver; !dup && deliver != nil {
 		d.Duplicate = false
 		deliver(d)
 	}
@@ -494,45 +473,22 @@ func (s *Subscriber) onFrame(d client.Delivery) {
 
 // Received returns how many distinct messages arrived for the topic,
 // cluster-wide.
-func (s *Subscriber) Received(topic spec.TopicID) uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.received[topic]
-}
+func (s *Subscriber) Received(topic spec.TopicID) uint64 { return s.delivered.Received(topic) }
 
 // Duplicates returns how many duplicate deliveries were discarded
 // cluster-wide (per-pair duplicates included).
-func (s *Subscriber) Duplicates() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dups
-}
+func (s *Subscriber) Duplicates() uint64 { return s.delivered.Duplicates() }
 
-// Latencies returns a copy of the topic's end-to-end latency samples.
+// Latencies returns a copy of the topic's most recent end-to-end latency
+// samples (at most client.LatencyKeep, oldest first).
 func (s *Subscriber) Latencies(topic spec.TopicID) []time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]time.Duration(nil), s.latencies[topic]...)
+	return s.delivered.Latencies(topic)
 }
 
 // MaxConsecutiveLoss reconstructs the longest run of missing sequence
 // numbers for the topic, given the highest sequence the publisher created.
 func (s *Subscriber) MaxConsecutiveLoss(topic spec.TopicID, highestCreated uint64) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	seen := s.seen[topic]
-	maxRun, run := 0, 0
-	for q := uint64(1); q <= highestCreated; q++ {
-		if seen[q] {
-			run = 0
-			continue
-		}
-		run++
-		if run > maxRun {
-			maxRun = run
-		}
-	}
-	return maxRun
+	return s.delivered.MaxConsecutiveLoss(topic, highestCreated)
 }
 
 // Close tears down every pair subscription.

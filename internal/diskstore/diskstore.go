@@ -126,26 +126,16 @@ func (l *Log) scan() ([]wire.Message, int64, error) {
 // Append writes one message copy and, under SyncAlways, forces it to
 // stable storage before returning.
 func (l *Log) Append(m wire.Message) error {
-	body, err := wire.Encode(l.buf[:0], &wire.Frame{Type: wire.TypeReplicate, Msg: m})
-	if err != nil {
-		return fmt.Errorf("diskstore: encode: %w", err)
-	}
-	l.buf = body
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(body)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(body, castagnoli))
-	if _, err := l.f.Write(hdr[:]); err != nil {
-		return fmt.Errorf("diskstore: write header: %w", err)
-	}
-	if _, err := l.f.Write(body); err != nil {
-		return fmt.Errorf("diskstore: write body: %w", err)
+	l.buf = appendMessageRecord(l.buf[:0], &m)
+	if _, err := l.f.Write(l.buf); err != nil {
+		return fmt.Errorf("diskstore: write: %w", err)
 	}
 	if l.policy == SyncAlways {
 		if err := l.f.Sync(); err != nil {
 			return fmt.Errorf("diskstore: fsync: %w", err)
 		}
 	}
-	l.size += int64(8 + len(body))
+	l.size += int64(len(l.buf))
 	l.count++
 	return nil
 }

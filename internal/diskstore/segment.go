@@ -95,6 +95,9 @@ type SegLog struct {
 	count  int    // records appended since open (not incl. replayed)
 	buf    []byte
 	sealed []sealedSegment
+	// beforeSync, when set by a test, runs ahead of every fsync Sync
+	// issues — the seam that holds a group commit open.
+	beforeSync func()
 }
 
 type sealedSegment struct {
@@ -271,54 +274,93 @@ func (l *SegLog) retain() error {
 // active one is full. Under SyncAlways the record is fsynced before
 // returning; otherwise call Sync (the group-commit writer batches this).
 func (l *SegLog) Append(m wire.Message) error {
-	return l.appendFrame(&wire.Frame{Type: wire.TypeReplicate, Msg: m})
+	l.buf = appendMessageRecord(l.buf[:0], &m)
+	_, err := l.appendEncoded(l.buf, l.opts.Policy == SyncAlways)
+	return err
 }
 
 // AppendPrune records that (topic, seq) was dispatched and pruned, so
 // replay will not re-dispatch it.
 func (l *SegLog) AppendPrune(topic spec.TopicID, seq uint64) error {
-	return l.appendFrame(&wire.Frame{Type: wire.TypePrune, Topic: topic, Seq: seq})
+	l.buf = appendPruneRecord(l.buf[:0], topic, seq)
+	_, err := l.appendEncoded(l.buf, l.opts.Policy == SyncAlways)
+	return err
 }
 
-func (l *SegLog) appendFrame(f *wire.Frame) error {
+// recordHeader is the framing in front of every record: uint32 length and
+// uint32 CRC-32C of the wire frame that follows.
+const recordHeader = 8
+
+// appendMessageRecord appends the framed record of one published message
+// to dst — the bytes a TypeReplicate frame with no Primary arrival stamp
+// encodes to, behind the record header.
+func appendMessageRecord(dst []byte, m *wire.Message) []byte {
+	start := len(dst)
+	dst = append(dst, make([]byte, recordHeader)...)
+	return sealRecord(wire.AppendReplicateBody(dst, m, 0), start)
+}
+
+// appendPruneRecord appends the framed prune marker for (topic, seq).
+func appendPruneRecord(dst []byte, topic spec.TopicID, seq uint64) []byte {
+	start := len(dst)
+	dst = append(dst, make([]byte, recordHeader)...)
+	return sealRecord(wire.AppendPruneBody(dst, topic, seq), start)
+}
+
+// sealRecord fills in the header of the record that starts at dst[start]
+// and runs to the end of dst.
+func sealRecord(dst []byte, start int) []byte {
+	body := dst[start+recordHeader:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(body)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(body, castagnoli))
+	return dst
+}
+
+// appendEncoded writes a run of framed records with one write per segment
+// the run touches, and returns how many records it appended. A record is
+// admitted while the active segment is under SegmentBytes, so a run rolls
+// at exactly the record boundaries one-at-a-time appends would roll at.
+// With syncEach every record is written and fsynced on its own (SyncAlways).
+func (l *SegLog) appendEncoded(recs []byte, syncEach bool) (int, error) {
 	if l.active == nil {
-		return ErrClosed
+		return 0, ErrClosed
 	}
-	if l.size >= l.opts.SegmentBytes {
-		if err := l.roll(); err != nil {
-			return err
+	appended := 0
+	for len(recs) > 0 {
+		if l.size >= l.opts.SegmentBytes {
+			if err := l.roll(); err != nil {
+				return appended, err
+			}
 		}
-	}
-	body, err := wire.Encode(l.buf[:0], f)
-	if err != nil {
-		return fmt.Errorf("diskstore: encode: %w", err)
-	}
-	l.buf = body
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(body)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(body, castagnoli))
-	if _, err := l.active.Write(hdr[:]); err != nil {
-		return fmt.Errorf("diskstore: write header: %w", err)
-	}
-	if _, err := l.active.Write(body); err != nil {
-		return fmt.Errorf("diskstore: write body: %w", err)
-	}
-	if l.opts.Policy == SyncAlways {
-		if err := l.active.Sync(); err != nil {
-			return fmt.Errorf("diskstore: fsync: %w", err)
+		end, n := 0, 0
+		for end < len(recs) && (n == 0 || (!syncEach && l.size+int64(end) < l.opts.SegmentBytes)) {
+			end += recordHeader + int(binary.LittleEndian.Uint32(recs[end:]))
+			n++
 		}
+		if _, err := l.active.Write(recs[:end]); err != nil {
+			return appended, fmt.Errorf("diskstore: write: %w", err)
+		}
+		l.size += int64(end)
+		l.total += int64(end)
+		l.count += n
+		appended += n
+		if syncEach {
+			if err := l.Sync(); err != nil {
+				return appended, err
+			}
+		}
+		recs = recs[end:]
 	}
-	n := int64(8 + len(body))
-	l.size += n
-	l.total += n
-	l.count++
-	return nil
+	return appended, nil
 }
 
 // Sync forces buffered appends of the active segment to stable storage.
 func (l *SegLog) Sync() error {
 	if l.active == nil {
 		return ErrClosed
+	}
+	if l.beforeSync != nil {
+		l.beforeSync()
 	}
 	if err := l.active.Sync(); err != nil {
 		return fmt.Errorf("diskstore: fsync: %w", err)

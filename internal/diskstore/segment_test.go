@@ -183,46 +183,90 @@ func TestSegmentedCrashMidAppend(t *testing.T) {
 		}},
 	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			l, _ := openSeg(t, dir, SegmentOptions{SegmentBytes: 1 << 20, RetainBytes: -1})
-			for i := uint64(1); i <= 30; i++ {
-				if err := l.Append(msg(i, "0123456789abcdef")); err != nil {
+		for _, batched := range []bool{false, true} {
+			name := tc.name
+			if batched {
+				// The group-commit shape: the doomed record is the tail of
+				// a multi-record batch written with one write, so the tear
+				// lands inside a batch and its earlier records must survive.
+				name += "-in-batch"
+			}
+			t.Run(name, func(t *testing.T) {
+				dir := t.TempDir()
+				l, _ := openSeg(t, dir, SegmentOptions{SegmentBytes: 1 << 20, RetainBytes: -1})
+				doomed := msg(31, "doomed")
+				var lastStart int64 // offset of record 31 in the active segment
+				if batched {
+					appendRange(t, l, 1, 20, true)
+					batch := encodeRange(21, 30)
+					lastStart = l.size + int64(len(batch))
+					if _, err := l.appendEncoded(appendMessageRecord(batch, &doomed), false); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					appendRange(t, l, 1, 30, false)
+					lastStart = l.size
+					if err := l.Append(doomed); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := l.Close(); err != nil {
 					t.Fatal(err)
 				}
-			}
-			lastStart := l.size // offset of record 31 in the active segment
-			if err := l.Append(msg(31, "doomed")); err != nil {
-				t.Fatal(err)
-			}
-			if err := l.Close(); err != nil {
-				t.Fatal(err)
-			}
 
-			tc.corrupt(t, lastSegmentPath(t, dir), lastStart)
+				tc.corrupt(t, lastSegmentPath(t, dir), lastStart)
 
-			l2, rep := openSeg(t, dir, SegmentOptions{SegmentBytes: 1 << 20, RetainBytes: -1})
-			defer l2.Close()
-			if len(rep.Messages) != 30 {
-				t.Fatalf("recovered %d messages, want 30 (record 31 torn)", len(rep.Messages))
-			}
-			for i, m := range rep.Messages {
-				if m.Seq != uint64(i+1) {
-					t.Fatalf("recovered[%d].Seq = %d", i, m.Seq)
+				l2, rep := openSeg(t, dir, SegmentOptions{SegmentBytes: 1 << 20, RetainBytes: -1})
+				defer l2.Close()
+				if len(rep.Messages) != 30 {
+					t.Fatalf("recovered %d messages, want 30 (record 31 torn)", len(rep.Messages))
 				}
-			}
-			// The log stays writable on the recovered boundary.
-			if err := l2.Append(msg(31, "retry")); err != nil {
-				t.Fatal(err)
-			}
-			if err := l2.Close(); err != nil {
-				t.Fatal(err)
-			}
-			_, rep2 := openSeg(t, dir, SegmentOptions{SegmentBytes: 1 << 20, RetainBytes: -1})
-			if n := len(rep2.Messages); n != 31 || rep2.Messages[30].Seq != 31 {
-				t.Fatalf("after recovery append: %d messages", n)
-			}
-		})
+				for i, m := range rep.Messages {
+					if m.Seq != uint64(i+1) {
+						t.Fatalf("recovered[%d].Seq = %d", i, m.Seq)
+					}
+				}
+				// The log stays writable on the recovered boundary.
+				if err := l2.Append(msg(31, "retry")); err != nil {
+					t.Fatal(err)
+				}
+				if err := l2.Close(); err != nil {
+					t.Fatal(err)
+				}
+				_, rep2 := openSeg(t, dir, SegmentOptions{SegmentBytes: 1 << 20, RetainBytes: -1})
+				if n := len(rep2.Messages); n != 31 || rep2.Messages[30].Seq != 31 {
+					t.Fatalf("after recovery append: %d messages", n)
+				}
+			})
+		}
+	}
+}
+
+// encodeRange returns the framed records of messages from..to, as the
+// committer's staging buffer would hold them.
+func encodeRange(from, to uint64) []byte {
+	var buf []byte
+	for i := from; i <= to; i++ {
+		m := msg(i, "0123456789abcdef")
+		buf = appendMessageRecord(buf, &m)
+	}
+	return buf
+}
+
+// appendRange appends messages from..to, one Append each or — batched — as
+// a single encoded run.
+func appendRange(t *testing.T, l *SegLog, from, to uint64, batched bool) {
+	t.Helper()
+	if batched {
+		if n, err := l.appendEncoded(encodeRange(from, to), false); err != nil || n != int(to-from+1) {
+			t.Fatalf("appendEncoded = %d, %v", n, err)
+		}
+		return
+	}
+	for i := from; i <= to; i++ {
+		if err := l.Append(msg(i, "0123456789abcdef")); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -238,27 +282,39 @@ func truncateTo(t *testing.T, path string, n int64) {
 // record (empty active file), or with the new segment's first record
 // torn. Sealed segments must replay in full either way.
 func TestSegmentedCrashMidRoll(t *testing.T) {
-	build := func(t *testing.T) (string, int) {
+	build := func(t *testing.T, batched bool) (string, int) {
 		dir := t.TempDir()
 		l, _ := openSeg(t, dir, SegmentOptions{SegmentBytes: 256, RetainBytes: -1})
 		n := 0
 		// Fill until we are exactly on a fresh active segment (size 0 ⇒
 		// the previous append triggered a roll... SegLog rolls lazily on
 		// the next append, so force it: append until Segments() grows,
-		// then note the count).
+		// then note the count). Batched, every run of seven ~45-byte
+		// records is longer than a segment, so each one straddles a roll.
 		for l.Segments() < 3 {
-			n++
-			if err := l.Append(msg(uint64(n), "0123456789abcdef")); err != nil {
-				t.Fatal(err)
+			step := 1
+			if batched {
+				step = 7
 			}
+			appendRange(t, l, uint64(n+1), uint64(n+step), batched)
+			n += step
 		}
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
 		return dir, n
 	}
+	for _, batched := range []bool{false, true} {
+		suffix := ""
+		if batched {
+			suffix = "-batches-straddle-rolls"
+		}
+		crashMidRollCases(t, suffix, func(t *testing.T) (string, int) { return build(t, batched) })
+	}
+}
 
-	t.Run("empty-new-segment", func(t *testing.T) {
+func crashMidRollCases(t *testing.T, suffix string, build func(*testing.T) (string, int)) {
+	t.Run("empty-new-segment"+suffix, func(t *testing.T) {
 		dir, n := build(t)
 		// Crash right after roll: the new active segment exists but holds
 		// nothing. (The roll creates it empty; kill before first append.)
@@ -276,7 +332,7 @@ func TestSegmentedCrashMidRoll(t *testing.T) {
 		}
 	})
 
-	t.Run("torn-first-record-after-roll", func(t *testing.T) {
+	t.Run("torn-first-record-after-roll"+suffix, func(t *testing.T) {
 		dir, n := build(t)
 		// The newest segment's first record is torn mid-write: chop it to
 		// 5 bytes. Older (sealed) segments must still replay completely.

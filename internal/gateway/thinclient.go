@@ -61,12 +61,10 @@ type ThinSubscriber struct {
 
 	reconnects atomic.Uint64
 
-	mu        sync.Mutex
-	conn      *transport.Conn
-	seen      map[spec.TopicID]map[uint64]bool
-	latencies map[spec.TopicID][]time.Duration
-	received  map[spec.TopicID]uint64
-	dups      uint64
+	mu   sync.Mutex
+	conn *transport.Conn
+
+	delivered *client.DeliveryLog
 }
 
 // NewThinSubscriber dials the gateway, subscribes, and starts the receive
@@ -88,9 +86,7 @@ func NewThinSubscriber(opts ThinSubscriberOptions) (*ThinSubscriber, error) {
 	t := &ThinSubscriber{
 		opts:      opts,
 		log:       opts.Logger.With("thin-subscriber", opts.Name),
-		seen:      make(map[spec.TopicID]map[uint64]bool),
-		latencies: make(map[spec.TopicID][]time.Duration),
-		received:  make(map[spec.TopicID]uint64),
+		delivered: client.NewDeliveryLog(),
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	t.cancel = cancel
@@ -134,7 +130,7 @@ func (t *ThinSubscriber) setConn(conn *transport.Conn) {
 
 // run drives the session lifecycle: read until the session dies, then —
 // under the Reconnect policy — redial with backoff until Close. The
-// per-topic seen maps carry across sessions, so a dispatch replayed
+// delivery log carries across sessions, so a dispatch replayed
 // around a gateway restart dedups exactly as it would on one unbroken
 // session.
 func (t *ThinSubscriber) run(ctx context.Context, conn *transport.Conn) {
@@ -179,25 +175,11 @@ func (t *ThinSubscriber) readLoop(conn *transport.Conn) {
 }
 
 // onDispatch mirrors client.Subscriber.onDispatch: stamp ts, dedup on the
-// per-topic seen map, record, and run the callbacks outside the lock.
+// delivery log, and run the callbacks.
 func (t *ThinSubscriber) onDispatch(f *wire.Frame) {
 	now := t.opts.Clock()
 	latency := now - f.Msg.Created
-	t.mu.Lock()
-	seen := t.seen[f.Msg.Topic]
-	if seen == nil {
-		seen = make(map[uint64]bool)
-		t.seen[f.Msg.Topic] = seen
-	}
-	dup := seen[f.Msg.Seq]
-	if dup {
-		t.dups++
-	} else {
-		seen[f.Msg.Seq] = true
-		t.received[f.Msg.Topic]++
-		t.latencies[f.Msg.Topic] = append(t.latencies[f.Msg.Topic], latency)
-	}
-	t.mu.Unlock()
+	dup := t.delivered.Record(f.Msg.Topic, f.Msg.Seq, latency)
 	d := client.Delivery{Msg: f.Msg, Latency: latency, Duplicate: dup, Source: t.opts.GatewayAddr}
 	if t.opts.OnFrame != nil {
 		t.opts.OnFrame(d)
@@ -215,44 +197,21 @@ func (t *ThinSubscriber) onDispatch(f *wire.Frame) {
 func (t *ThinSubscriber) Reconnects() uint64 { return t.reconnects.Load() }
 
 // Received returns how many distinct messages arrived for the topic.
-func (t *ThinSubscriber) Received(topic spec.TopicID) uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.received[topic]
-}
+func (t *ThinSubscriber) Received(topic spec.TopicID) uint64 { return t.delivered.Received(topic) }
 
 // Duplicates returns how many duplicate deliveries were discarded.
-func (t *ThinSubscriber) Duplicates() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dups
-}
+func (t *ThinSubscriber) Duplicates() uint64 { return t.delivered.Duplicates() }
 
-// Latencies returns a copy of the topic's end-to-end latency samples.
+// Latencies returns a copy of the topic's most recent end-to-end latency
+// samples (at most client.LatencyKeep, oldest first).
 func (t *ThinSubscriber) Latencies(topic spec.TopicID) []time.Duration {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]time.Duration(nil), t.latencies[topic]...)
+	return t.delivered.Latencies(topic)
 }
 
 // MaxConsecutiveLoss reconstructs the longest run of missing sequence
 // numbers for the topic, given the highest sequence the publisher created.
 func (t *ThinSubscriber) MaxConsecutiveLoss(topic spec.TopicID, highestCreated uint64) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	seen := t.seen[topic]
-	maxRun, run := 0, 0
-	for q := uint64(1); q <= highestCreated; q++ {
-		if seen[q] {
-			run = 0
-			continue
-		}
-		run++
-		if run > maxRun {
-			maxRun = run
-		}
-	}
-	return maxRun
+	return t.delivered.MaxConsecutiveLoss(topic, highestCreated)
 }
 
 // Close tears the session down and waits for the receive loop.

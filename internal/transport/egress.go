@@ -429,6 +429,51 @@ func (e *Egress) Enqueue(buf *FrameBuf, topic spec.TopicID, li int) EnqueueResul
 	}
 }
 
+// EnqueueBatch is Enqueue for a run of frames that share one loss tolerance
+// and whose producer never names a topic to the shed ledger (topic 0): when
+// the run fits the ring it goes in under one lock acquisition with at most
+// one flusher hand-off, so the writer sees it whole and it leaves in one
+// vectored write. A run that does not fit falls back to frame-by-frame
+// Enqueue and its full-ring policy. One reference per buffer is consumed
+// either way; the result is the worst outcome among the frames.
+func (e *Egress) EnqueueBatch(bufs []*FrameBuf, li int) EnqueueResult {
+	e.mu.Lock()
+	if e.closed || e.count+len(bufs) > len(e.ring) {
+		e.mu.Unlock()
+		result := EnqueueOK
+		for _, buf := range bufs {
+			if r := e.Enqueue(buf, 0, li); r > result {
+				result = r
+			}
+		}
+		return result
+	}
+	for _, buf := range bufs {
+		slot := e.head + e.count
+		if slot >= len(e.ring) {
+			slot -= len(e.ring)
+		}
+		e.ring[slot] = egressItem{buf: buf, li: li}
+		e.count++
+	}
+	if e.count > e.highWater {
+		e.highWater = e.count
+	}
+	e.pendEnq += uint64(len(bufs))
+	submit := false
+	if e.fl == nil {
+		e.cond.Broadcast() // wake the dedicated writer
+	} else if e.state == egIdle && len(bufs) > 0 {
+		e.state = egQueued
+		submit = true
+	}
+	e.mu.Unlock()
+	if submit {
+		e.fl.submit(e)
+	}
+	return EnqueueOK
+}
+
 // flushMeterLocked publishes the enqueue counts batched under mu to the
 // shared meter. Callers hold e.mu.
 func (e *Egress) flushMeterLocked() {
