@@ -15,6 +15,7 @@
 package frame
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"log/slog"
@@ -608,10 +609,17 @@ func BenchmarkEgressWritev(b *testing.B) {
 		eg.Enqueue(fb, 3, 0)
 	}
 	b.StopTimer()
-	for deadline := time.Now().Add(5 * time.Second); meter.Flushed.Load() < uint64(b.N); {
-		if time.Now().After(deadline) {
-			break
-		}
+	drainAndCloseEgress(b, eg, &meter)
+	if meter.Batches.Load() == 0 {
+		b.Fatal("writer never flushed a batch")
+	}
+}
+
+// drainAndCloseEgress waits for a lossless ring to write the b.N frames the
+// benchmark enqueued, retires it, and fails the benchmark if any was dropped.
+func drainAndCloseEgress(b *testing.B, eg *transport.Egress, meter *transport.EgressMeter) {
+	b.Helper()
+	for deadline := time.Now().Add(5 * time.Second); meter.Flushed.Load() < uint64(b.N) && time.Now().Before(deadline); {
 		time.Sleep(100 * time.Microsecond)
 	}
 	eg.Close()
@@ -620,10 +628,96 @@ func BenchmarkEgressWritev(b *testing.B) {
 	if got := meter.Flushed.Load(); got != uint64(b.N) {
 		b.Fatalf("flushed %d frames, want %d (blocking mode must not drop)", got, b.N)
 	}
-	if meter.Batches.Load() == 0 {
-		b.Fatal("writer never flushed a batch")
-	}
 }
+
+// BenchmarkReplicateEnqueue measures what a Replicate costs a dispatch lane
+// now that the Primary→Backup link is a ring on the shared flusher pool:
+// encode into a pooled buffer, one enqueue, backpressure when the ring is
+// full (the link never sheds). The write(2) it used to block in is the
+// flusher's, batched. allocs/op must be 0 once the pool is warm.
+func BenchmarkReplicateEnqueue(b *testing.B) {
+	pool := transport.NewFlusherPool(transport.FlusherPoolConfig{})
+	var meter transport.EgressMeter
+	ring := transport.NewEgress(transport.NewConn(&discardConn{}),
+		transport.EgressConfig{Stall: broker.DefaultPeerWriteTimeout, Meter: &meter, Pool: pool})
+	m := wire.Message{Topic: 3, Created: time.Millisecond, Payload: make([]byte, 16)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Seq++
+		fb := transport.GetFrameBuf()
+		fb.B = wire.AppendReplicateBody(fb.B[:0], &m, time.Duration(i))
+		ring.Enqueue(fb, 0, 0)
+	}
+	b.StopTimer()
+	drainAndCloseEgress(b, ring, &meter)
+	pool.Close()
+}
+
+// benchmarkRecvBatched measures the receive path per frame when one write
+// delivers a batch of frames, as the egress flushers' writev does: over
+// loopback TCP a sender writes the same 32-frame batch over and over and the
+// timed side receives b.N frames in alias mode. ns/op is per frame, read(2)
+// included; reads/frame reports how many kernel crossings that took.
+// allocs/op must be 0.
+func benchmarkRecvBatched(b *testing.B, payload int) {
+	const perWrite = 32
+	tcp := &transport.TCP{DialTimeout: time.Second}
+	ln, err := tcp.Listen("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		sender := transport.NewConn(nc)
+		defer sender.Close()
+		m := wire.Message{Topic: 3, Seq: 1, Created: time.Millisecond, Payload: make([]byte, payload)}
+		body := wire.AppendDispatchBody(nil, &m, time.Millisecond)
+		var hdr [4]byte
+		binary.LittleEndian.PutUint32(hdr[:], uint32(len(body)))
+		batch := make(net.Buffers, 0, 2*perWrite)
+		for err == nil {
+			batch = batch[:0] // the vectored write nils the entries it consumed
+			for i := 0; i < perWrite; i++ {
+				batch = append(batch, hdr[:], body)
+			}
+			err = sender.WriteBuffers(batch, perWrite, perWrite*(4+len(body)))
+		}
+	}()
+	nc, err := tcp.Dial(ln.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	recv := transport.NewConn(nc)
+	defer recv.Close()
+	recv.SetZeroCopy(true)
+	var meter transport.Meter
+	recv.SetMeter(&meter)
+	var f wire.Frame
+	for i := 0; i < 4*perWrite; i++ { // let the receive window size itself
+		if err := recv.RecvInto(&f); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reads := meter.ReadSyscalls.Load()
+	b.SetBytes(int64(payload))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := recv.RecvInto(&f); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(meter.ReadSyscalls.Load()-reads)/float64(b.N), "reads/frame")
+}
+
+func BenchmarkRecvBatched64B(b *testing.B)   { benchmarkRecvBatched(b, 64) }
+func BenchmarkRecvBatched16KiB(b *testing.B) { benchmarkRecvBatched(b, 16<<10) }
 
 // BenchmarkDurablePublishAck drives the whole ACK = durable pipeline of a
 // live broker over one connection with sixteen publishes in flight: session

@@ -39,7 +39,7 @@ func run() error {
 		peer        = flag.String("peer", "", "peer broker address (backup for a primary, primary for a backup)")
 		topicsPath  = flag.String("topics", "", "topic spec file (required)")
 		config      = flag.String("config", "frame", "scheduling configuration: frame, fcfs, or fcfs-")
-		workers     = flag.Int("workers", 0, "delivery worker threads (0 = 3×GOMAXPROCS, the paper's sizing)")
+		workers     = flag.Int("workers", 0, "deprecated and ignored: every lane runs one dispatcher; size with -lanes")
 		lanes       = flag.Int("lanes", 0, "parallel dispatch lanes; topics hash onto lanes, EDF order holds within each (0 = GOMAXPROCS for EDF, 1 for FCFS)")
 		batch       = flag.Duration("batch", 0, "write-batch window: coalesce dispatch/replicate frames up to this long per connection; keep below the minimum topic slack (0 = off)")
 		batchBytes  = flag.Int("batch-bytes", 0, "flush a write batch early at this many pending bytes (0 = default 32KiB)")
@@ -51,16 +51,16 @@ func run() error {
 		diskSync    = flag.Bool("disk-sync", false, "fsync every persisted replica (durable, slow)")
 		adminAddr   = flag.String("admin-addr", "", "bind an HTTP admin endpoint here serving /metrics, /healthz, and /debug/pprof (empty = disabled)")
 		zeroCopy    = flag.Bool("zerocopy", true, "decode received payloads as aliases into each connection's receive buffer (zero-copy hot path); false forces a defensive copy per frame")
-		egressDepth = flag.Int("egress-depth", 1024, "per-subscriber outbound ring capacity in frames; dispatch enqueues and a per-subscriber writer drains with vectored writes, so a slow socket never blocks a dispatch lane (0 = synchronous fan-out, the pre-egress behavior)")
+		egressDepth = flag.Int("egress-depth", 1024, "per-subscriber outbound ring capacity in frames; dispatch enqueues and a per-subscriber writer drains with vectored writes, so a slow socket never blocks a dispatch lane (0 = the default depth)")
 		egressShed  = flag.Bool("egress-shed", true, "on a full egress ring, shed oldest frames within each topic's loss tolerance Li and evict the subscriber past it; false blocks the dispatcher instead (backpressure)")
 		egressStall = flag.Duration("egress-stall", 0, "fail an egress flush write making no progress for this long and drop the subscriber (0 = unbounded; the ring + shed policy already isolate the lanes)")
-		peerStall   = flag.Duration("peer-write-timeout", 0, "fail a replication-link write making no progress for this long so a wedged Backup can't block Replicator workers (0 = default 2s, negative = unbounded)")
-		intakeDepth = flag.Int("intake-depth", 0, "per-lane lock-free publish intake ring capacity in messages; publisher sessions push without the lane lock and workers drain in batches (0 = default 1024, negative = locked intake, the pre-intake behavior)")
+		peerStall   = flag.Duration("peer-write-timeout", 0, "fail a replication-link write making no progress for this long so a wedged Backup drops the link instead of stalling the lanes behind a full replication ring (0 = default 2s, negative = unbounded)")
+		intakeDepth = flag.Int("intake-depth", 0, "per-lane lock-free publish intake ring capacity in messages; publisher sessions push without the lane lock and the lane's dispatcher drains in batches (0 = default 1024, negative = locked intake, the pre-intake behavior)")
 		flushers    = flag.Int("flushers", 0, "shared egress flusher goroutines sweeping all subscriber rings (0 = default 4, negative = one writer goroutine per subscriber)")
-		busyPoll    = flag.Bool("busy-poll", false, "spin idle lane workers and egress flushers briefly before parking: lower wakeup latency, higher idle CPU")
+		busyPoll    = flag.Bool("busy-poll", false, "spin idle lane dispatchers and egress flushers briefly before parking: lower wakeup latency, higher idle CPU")
 		uring       = flag.Bool("uring", true, "submit each flusher sweep's writes to every ready subscriber ring with one io_uring syscall; falls back to one writev per connection automatically where io_uring is unavailable (false forces the fallback)")
 		pinFlushers = flag.String("pin-flushers", "", "pin egress flusher i to CPU list[i mod len], taskset-style list e.g. 0-3,8 (Linux only; empty = no pinning)")
-		pinLanes    = flag.String("pin-lanes", "", "pin dispatch lane i's workers to CPU list[i mod len], taskset-style list (Linux only; empty = no pinning)")
+		pinLanes    = flag.String("pin-lanes", "", "pin dispatch lane i's dispatcher to CPU list[i mod len], taskset-style list (Linux only; empty = no pinning)")
 		durable     = flag.Bool("durable", false, "ACK = durable mode: append every publish to a segmented group-commit log under -log-dir, ack with PubAck after fsync, and replay the log into the recovery path on restart")
 		logDir      = flag.String("log-dir", "", "durable log directory (required with -durable)")
 		fsyncEvery  = flag.Duration("fsync-interval", 0, "group-commit window: one fsync acknowledges every publish that arrived within it (0 = default 2ms, negative = fsync per publish)")
@@ -142,9 +142,6 @@ func run() error {
 	}
 	if opts.PinLanes, err = submit.ParseCPUList(*pinLanes); err != nil {
 		return fmt.Errorf("-pin-lanes: %w", err)
-	}
-	if *egressDepth == 0 {
-		opts.EgressDepth = -1 // flag 0 = disabled; the Options sentinel is negative
 	}
 	if *diskSync {
 		opts.DiskSync = frame.DiskSyncAlways

@@ -47,7 +47,7 @@ func run() error {
 		shards      = flag.Int("shards", 2, "number of Primary+Backup pairs")
 		topicsPath  = flag.String("topics", "", "topic spec file (required)")
 		config      = flag.String("config", "frame", "scheduling configuration: frame, fcfs, or fcfs-")
-		workers     = flag.Int("workers", 0, "delivery worker threads per broker (0 = 3×GOMAXPROCS)")
+		workers     = flag.Int("workers", 0, "deprecated and ignored: every lane runs one dispatcher; size with -lanes")
 		egressDepth = flag.Int("egress-depth", 1024, "per-subscriber outbound ring capacity per broker")
 		period      = flag.Duration("detect-period", 5*time.Millisecond, "failure detector polling period")
 		timeout     = flag.Duration("detect-timeout", 10*time.Millisecond, "failure detector probe timeout")

@@ -1,14 +1,15 @@
 // Package broker is the real-time runtime of the FRAME architecture
-// (paper Fig. 4): it hosts a core.Engine behind a network listener and a
-// pool of delivery workers, in the same module split as the paper's
+// (paper Fig. 4): it hosts a core.Engine behind a network listener and one
+// dispatcher per lane, in the same module split as the paper's
 // implementation inside the TAO event service (§V):
 //
 //   - the accept/read loops play the Supplier Proxies + Message Proxy role
 //     (each arriving Publish frame is stored and turned into jobs);
-//   - the worker pool plays the Message Delivery module, its goroutines
-//     acting as Dispatchers and Replicators ("a pool of generic threads,
-//     with the total number of threads equal to three times the number of
-//     CPU cores");
+//   - the lane dispatchers play the Message Delivery module. The paper
+//     sizes a pool of 3×cores generic threads because its Dispatchers and
+//     Replicators block in sends; here every send is an enqueue on an egress
+//     ring, so one goroutine per lane does pop → encode → enqueue as a
+//     single sequence and per-topic FIFO holds by construction;
 //   - subscriber connections play the Consumer Proxies.
 //
 // A broker starts as Primary (dispatching and replicating) or as Backup
@@ -23,7 +24,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -78,14 +78,14 @@ type Options struct {
 	// Clock is the broker's timebase; all brokers and clients in one
 	// deployment must be synchronized (see package clocksync).
 	Clock clocksync.Clock
-	// Workers sets the delivery pool size; zero means 3×GOMAXPROCS, the
-	// paper's sizing. Workers are spread round-robin over the dispatch
-	// lanes; the pool is raised to at least one worker per lane.
+	// Workers is deprecated and ignored: every lane runs one dispatcher and
+	// Lanes is the one parallelism knob. New logs one line when it names
+	// anything but zero or the lane count, and still rejects a negative value.
 	Workers int
 	// Lanes shards the engine's EDF queue and topic state into this many
 	// parallel dispatch lanes (see core.Config.Lanes): topics hash onto
-	// lanes, each lane has its own lock, condition variable, and workers,
-	// and per-topic FIFO plus EDF-within-lane are preserved. Zero means
+	// lanes, each lane has its own lock, intake, and dispatcher, and
+	// per-topic FIFO plus EDF-within-lane are preserved. Zero means
 	// GOMAXPROCS under the EDF policy and 1 otherwise; 1 restores the
 	// single global queue.
 	Lanes int
@@ -136,8 +136,9 @@ type Options struct {
 	// EgressDepth sizes each subscriber's outbound ring (frames). Dispatch
 	// enqueues into the ring and a per-subscriber writer goroutine drains it
 	// with vectored writes, so a slow socket never blocks a dispatch lane.
-	// Zero means transport.DefaultEgressDepth; negative disables the egress
-	// path entirely and restores synchronous fan-out sends.
+	// Zero or negative means transport.DefaultEgressDepth: there is no
+	// synchronous fan-out to fall back to, because one blocking send on a
+	// lane's only dispatcher would stall every topic on the lane.
 	EgressDepth int
 	// EgressNoShed switches a full egress ring from the Li-aware shed/evict
 	// policy to blocking backpressure (the dispatch worker waits for ring
@@ -151,7 +152,8 @@ type Options struct {
 	// isolate the lanes).
 	EgressWriteTimeout time.Duration
 	// PeerWriteTimeout bounds each write on the Primary→Backup replication
-	// link so a wedged Backup cannot block Replicator workers indefinitely.
+	// link: a Backup that stops draining counts one peer stall and loses the
+	// link, so a full replication ring holds the lanes for at most this long.
 	// Zero means DefaultPeerWriteTimeout; negative disables the bound.
 	PeerWriteTimeout time.Duration
 	// ShardEpoch, when non-nil, marks this broker as one shard of a cluster
@@ -163,18 +165,17 @@ type Options struct {
 	ShardEpoch func() uint64
 	// IntakeDepth sizes each lane's lock-free publish intake ring (messages).
 	// Publisher sessions validate the topic, stamp arrival, and push into the
-	// ring without taking the lane lock; lane workers drain the ring into the
-	// engine under the lock they already hold. Zero means DefaultIntakeDepth;
+	// ring without taking the lane lock; the lane's dispatcher drains the ring
+	// into the engine under the lock it already holds. Zero means DefaultIntakeDepth;
 	// negative disables the intake and restores the locked publish path
 	// (session goroutines call the engine under the lane mutex directly).
 	IntakeDepth int
 	// Flushers sizes the shared egress flusher pool: subscriber rings are
 	// assigned round-robin to this many writer goroutines, each sweeping
 	// every ready ring per wakeup. Zero means transport.DefaultFlushers;
-	// negative restores one writer goroutine per subscriber. Ignored when
-	// EgressDepth is negative.
+	// negative restores one writer goroutine per subscriber.
 	Flushers int
-	// BusyPoll keeps idle lane workers and egress flushers spinning briefly
+	// BusyPoll keeps idle lane dispatchers and egress flushers spinning briefly
 	// before parking, trading CPU for wakeup latency on latency-critical
 	// deployments (-busy-poll).
 	BusyPoll bool
@@ -189,7 +190,7 @@ type Options struct {
 	// taking over its ring) to CPU PinFlushers[i mod len] via LockOSThread
 	// + sched_setaffinity (-pin-flushers; Linux only, no-op elsewhere).
 	PinFlushers []int
-	// PinLanes pins the lane workers of dispatch lane i to CPU
+	// PinLanes pins the dispatcher of lane i to CPU
 	// PinLanes[i mod len] (-pin-lanes; Linux only, no-op elsewhere). With
 	// PinFlushers on disjoint cores this parks the delivery threads and
 	// the egress writers on dedicated cores for the busy-poll
@@ -232,16 +233,16 @@ const DefaultFsyncInterval = 2 * time.Millisecond
 // DefaultPeerWriteTimeout is the replication-link write-stall bound when
 // Options.PeerWriteTimeout is zero: generous against transient socket
 // pressure (two orders above Lemma 1's ΔBB scale) but finite, so a wedged
-// Backup surfaces as a dead link instead of a hung worker pool.
+// Backup surfaces as a dead link instead of stalled lanes.
 const DefaultPeerWriteTimeout = 2 * time.Second
 
 // DefaultIntakeDepth is the per-lane publish intake ring size when
-// Options.IntakeDepth is zero: deep enough that workers drain in large
+// Options.IntakeDepth is zero: deep enough that the dispatcher drains in large
 // batches under load, small enough that a stalled lane applies backpressure
 // to its publishers instead of buffering unboundedly.
 const DefaultIntakeDepth = 1024
 
-// intakeDrainBatch bounds how many intake messages a worker folds into the
+// intakeDrainBatch bounds how many intake messages a dispatcher folds into the
 // engine per lock acquisition, so one publish burst cannot starve the
 // dispatch side of the same lane lock.
 const intakeDrainBatch = 256
@@ -251,9 +252,9 @@ const intakeDrainBatch = 256
 // not pin a jumbo buffer forever.
 const intakeKeepCap = 4 << 10
 
-// workerSpins is the lane worker busy-poll probe budget before parking
-// (Options.BusyPoll).
-const workerSpins = 4096
+// dispatcherSpins is the lane dispatcher's busy-poll probe budget before
+// parking (Options.BusyPoll).
+const dispatcherSpins = 4096
 
 // Broker runs one FRAME broker.
 type Broker struct {
@@ -292,18 +293,24 @@ type Broker struct {
 	subs       map[spec.TopicID][]*subscriber
 	subsByConn map[*transport.Conn]*subscriber
 
-	// egress aggregates the counters of every subscriber's outbound ring;
-	// peerStalls counts replication writes failed by the peer write bound.
-	egress     transport.EgressMeter
-	peerStalls atomic.Uint64
+	// egress aggregates the counters of every subscriber's outbound ring.
+	egress transport.EgressMeter
 
 	// lateDispatches counts dispatch jobs that started executing after
 	// their absolute deadline — the runtime-observable form of a Lemma 2
 	// violation. Under admission-respecting load this stays zero.
 	lateDispatches atomic.Uint64
 
-	peerMu   sync.Mutex
-	peerConn *transport.Conn // Primary→Backup replication link
+	// peerRing is the Primary→Backup replication link, the third kind of
+	// egress ring: its own meter (Stalls is the peer-stall count), never in
+	// Health().EgressSubs. Ring order keeps a Prune behind its Replicate.
+	peerMu    sync.Mutex
+	peerRing  *transport.Egress
+	peerMeter transport.EgressMeter
+
+	// afterPop is a test seam between a lane's pop and its egress enqueue;
+	// nil outside tests.
+	afterPop func(core.Work)
 
 	diskMu sync.Mutex
 	disk   *diskstore.Log // optional durable replica log (Backup role)
@@ -335,18 +342,12 @@ type Broker struct {
 	ackTouched []*session
 }
 
-// subscriber is one fan-out target: the session connection plus (when the
-// egress path is enabled) its outbound ring. eg is nil only when
-// Options.EgressDepth is negative; the dispatch path then sends
-// synchronously on conn as older broker versions did.
+// subscriber is one fan-out target: the session connection and its outbound
+// ring.
 type subscriber struct {
 	conn *transport.Conn
 	eg   *transport.Egress
 }
-
-// egressOn reports whether dispatch fan-out goes through per-subscriber
-// egress rings.
-func (b *Broker) egressOn() bool { return b.opts.EgressDepth >= 0 }
 
 // intakeOn reports whether publishes go through the lock-free lane intake.
 func (b *Broker) intakeOn() bool { return b.opts.IntakeDepth >= 0 }
@@ -366,19 +367,19 @@ func (b *Broker) peerWriteStall() time.Duration {
 // dispatchLane is one shard of the delivery path: its mutex guards the
 // lane's segment of the job queue and the ring-buffer state of every topic
 // hashing to it, its intake ring carries publishes from session goroutines
-// to the lane's workers without that mutex, its parker wakes those workers,
-// and its meters feed the per-lane observability gauges.
+// to the lane's dispatcher without that mutex, its parker wakes that
+// dispatcher, and its meters feed the per-lane observability gauges.
 type dispatchLane struct {
 	mu sync.Mutex
-	// parker sleeps the lane's idle workers; publishers unpark after making
+	// parker sleeps the lane's idle dispatcher; publishers unpark after making
 	// work visible (an intake push or, on the legacy path, an engine push).
 	parker *queue.Parker
 	// intake is the lock-free publish handoff (nil when Options.IntakeDepth
-	// is negative): producers fill slots concurrently, workers drain under
-	// mu via drainIntakeLocked.
+	// is negative): producers fill slots concurrently, the dispatcher drains
+	// under mu via drainIntakeLocked.
 	intake *queue.MPSC[intakeMsg]
 	// intakeStalls counts publishes that found the intake ring full and had
-	// to spin — sustained growth means the lane's workers are the bottleneck.
+	// to spin — sustained growth means the lane's dispatcher is the bottleneck.
 	intakeStalls atomic.Uint64
 	// wait records enqueue→pop queue wait for jobs popped from this lane;
 	// pops counts them. Both are scrape-safe atomics.
@@ -387,7 +388,7 @@ type dispatchLane struct {
 }
 
 // intakeMsg is one publish in flight between a session goroutine and its
-// lane worker. payload is the slot-owned copy of the wire payload (which
+// lane's dispatcher. payload is the slot-owned copy of the wire payload (which
 // aliases the session's receive buffer and dies at the next read); it is
 // recycled across ring laps like the engine's own buffer slots.
 type intakeMsg struct {
@@ -402,7 +403,7 @@ func (b *Broker) lane(id spec.TopicID) *dispatchLane {
 }
 
 // lockAllLanes acquires every lane lock in index order (the one rule that
-// keeps multi-lane acquisition deadlock-free: workers only ever hold one).
+// keeps multi-lane acquisition deadlock-free: dispatchers only ever hold one).
 func (b *Broker) lockAllLanes() {
 	for _, l := range b.lanes {
 		l.mu.Lock()
@@ -427,9 +428,6 @@ func New(opts Options) (*Broker, error) {
 	if opts.Role != RolePrimary && opts.Role != RoleBackup {
 		return nil, fmt.Errorf("broker: bad role %d", int(opts.Role))
 	}
-	if opts.Workers == 0 {
-		opts.Workers = 3 * runtime.GOMAXPROCS(0)
-	}
 	if opts.Workers < 0 {
 		return nil, fmt.Errorf("broker: negative workers %d", opts.Workers)
 	}
@@ -444,10 +442,6 @@ func New(opts Options) (*Broker, error) {
 			opts.Lanes = 1
 		}
 	}
-	if opts.Workers < opts.Lanes {
-		// Every lane needs a dedicated worker or its jobs starve.
-		opts.Workers = opts.Lanes
-	}
 	if opts.BatchWindow < 0 {
 		return nil, fmt.Errorf("broker: negative batch window %v", opts.BatchWindow)
 	}
@@ -456,6 +450,10 @@ func New(opts Options) (*Broker, error) {
 	}
 	if opts.Logger == nil {
 		opts.Logger = slog.Default()
+	}
+	if opts.Workers != 0 && opts.Workers != opts.Lanes {
+		opts.Logger.Info("Options.Workers / -workers is deprecated and ignored: each lane runs one dispatcher; size with Lanes",
+			"workers", opts.Workers, "lanes", opts.Lanes)
 	}
 	engineCfg := opts.Engine
 	// A Primary without a peer, and any Backup, must not generate
@@ -588,7 +586,7 @@ func New(opts Options) (*Broker, error) {
 				"messages", b.recoveredMsgs, "prunes", b.recoveredPrunes)
 		}
 	}
-	if b.egressOn() && opts.Flushers >= 0 {
+	if opts.Flushers >= 0 {
 		b.pool = transport.NewFlusherPool(transport.FlusherPoolConfig{
 			Flushers:     opts.Flushers,
 			BusyPoll:     opts.BusyPoll,
@@ -675,9 +673,7 @@ func (b *Broker) egressQueued() (queued, subs int) {
 	defer b.subsMu.Unlock()
 	for _, s := range b.subsByConn {
 		subs++
-		if s.eg != nil {
-			queued += s.eg.Depth()
-		}
+		queued += s.eg.Depth()
 	}
 	return queued, subs
 }
@@ -699,7 +695,7 @@ func (b *Broker) EgressStats() transport.EgressStats {
 }
 
 // PeerStalls reports replication writes failed by the peer write-stall bound.
-func (b *Broker) PeerStalls() uint64 { return b.peerStalls.Load() }
+func (b *Broker) PeerStalls() uint64 { return b.peerMeter.Stalls.Load() }
 
 // scrapeGauges contributes the scrape-time samples to /metrics: state the
 // broker derives on demand (role, queue depth, transport totals) rather
@@ -733,6 +729,8 @@ func (b *Broker) scrapeGauges() []obsv.Sample {
 			Value: float64(b.meter.FramesRecv.Load()), Help: "Wire frames received on broker-owned connections."},
 		{Name: "frame_transport_bytes_recv_total", Counter: true,
 			Value: float64(b.meter.BytesRecv.Load()), Help: "Wire bytes received on broker-owned connections."},
+		{Name: "frame_transport_read_syscalls_total", Counter: true,
+			Value: float64(b.meter.ReadSyscalls.Load()), Help: "Read calls on broker-owned connections (frames per read = frames_recv/read_syscalls)."},
 		{Name: "frame_lanes", Value: float64(len(b.lanes)),
 			Help: "Configured dispatch lane count."},
 	}
@@ -757,9 +755,24 @@ func (b *Broker) scrapeGauges() []obsv.Sample {
 			Help: "Frames currently queued across subscriber egress rings."},
 		obsv.Sample{Name: "frame_egress_subscribers", Value: float64(nsubs),
 			Help: "Live subscriber sessions."},
-		obsv.Sample{Name: "frame_peer_write_stalls_total", Counter: true,
-			Value: float64(b.peerStalls.Load()), Help: "Replication writes failed by the peer write-stall bound."},
 	)
+	prs, depth := b.peerMeter.Snapshot(), 0
+	if ring := b.peer(); ring != nil {
+		depth = ring.Depth()
+	}
+	samples = append(samples,
+		obsv.Sample{Name: "frame_peer_write_stalls_total", Counter: true,
+			Value: float64(prs.Stalls), Help: "Replication writes failed by the peer write-stall bound."},
+		obsv.Sample{Name: "frame_peer_ring_enqueued_total", Counter: true,
+			Value: float64(prs.Enqueued), Help: "Replicate and Prune frames handed to the replication ring."},
+		obsv.Sample{Name: "frame_peer_ring_flushed_total", Counter: true,
+			Value: float64(prs.Flushed), Help: "Replicate and Prune frames written to the Backup."},
+		obsv.Sample{Name: "frame_peer_ring_batches_total", Counter: true,
+			Value: float64(prs.Batches), Help: "Vectored writes on the replication link (frames per write = flushed/batches)."},
+		obsv.Sample{Name: "frame_peer_ring_depth", Value: float64(depth),
+			Help: "Frames currently queued on the replication ring."},
+	)
+	writeSyscalls := es.WriteSyscalls
 	if b.pool != nil {
 		ps := b.pool.Stats()
 		kernel := 0.0
@@ -777,17 +790,12 @@ func (b *Broker) scrapeGauges() []obsv.Sample {
 				Value: float64(ps.Sweeps), Help: "Kernel-batched sweep submissions (many connections per submission)."},
 			obsv.Sample{Name: "frame_egress_sweep_conns_total", Counter: true,
 				Value: float64(ps.SweepConns), Help: "Connection writes carried by kernel-batched sweeps (per-sweep batching = sweep_conns/submitted_batches)."},
-			obsv.Sample{Name: "frame_egress_write_syscalls_total", Counter: true,
-				Value: float64(es.WriteSyscalls + ps.Syscalls),
-				Help:  "Kernel crossings spent writing egress frames: sequential writev calls plus io_uring_enter calls."},
 		)
-	} else {
-		samples = append(samples,
-			obsv.Sample{Name: "frame_egress_write_syscalls_total", Counter: true,
-				Value: float64(es.WriteSyscalls),
-				Help:  "Kernel crossings spent writing egress frames: sequential writev calls plus io_uring_enter calls."},
-		)
+		writeSyscalls += ps.Syscalls
 	}
+	samples = append(samples, obsv.Sample{Name: "frame_egress_write_syscalls_total", Counter: true,
+		Value: float64(writeSyscalls),
+		Help:  "Kernel crossings spent writing egress frames: sequential writev calls plus io_uring_enter calls."})
 	for i, l := range b.lanes {
 		label := fmt.Sprintf("lane=%q", fmt.Sprint(i))
 		samples = append(samples,
@@ -866,7 +874,7 @@ func (b *Broker) Role() Role {
 func (b *Broker) Promoted() <-chan struct{} { return b.promoted }
 
 // Stats snapshots the engine counters. The counters are atomics, so the
-// snapshot is safe — and lock-free — while lane workers are mutating them.
+// snapshot is safe — and lock-free — while lane dispatchers are mutating them.
 func (b *Broker) Stats() core.Stats { return b.engine.Stats() }
 
 // Lanes returns the number of dispatch lanes the broker is running.
@@ -876,7 +884,7 @@ func (b *Broker) Lanes() int { return len(b.lanes) }
 // deadline since the broker started.
 func (b *Broker) LateDispatches() uint64 { return b.lateDispatches.Load() }
 
-// Start launches the accept loop, the delivery workers, and the role's
+// Start launches the accept loop, one dispatcher per lane, and the role's
 // background duties. It returns immediately; Stop shuts everything down.
 func (b *Broker) Start() {
 	ctx, cancel := context.WithCancel(context.Background())
@@ -897,34 +905,26 @@ func (b *Broker) Start() {
 		defer b.wg.Done()
 		b.acceptLoop(ctx)
 	}()
-	for i := 0; i < b.opts.Workers; i++ {
-		lane := i % len(b.lanes) // round-robin: every lane gets ≥ 1 worker
+	if b.opts.Role == RolePrimary && b.opts.PeerAddr != "" {
+		// Dial the Backup before the dispatchers can pop replication jobs:
+		// both listeners are bound in New, so this normally succeeds at once.
+		// On failure the background loop keeps retrying.
+		ring, err := b.dialPeer()
+		if err != nil {
+			b.log.Warn("initial backup dial failed; retrying", "err", err)
+		}
 		b.wg.Add(1)
 		go func() {
 			defer b.wg.Done()
-			b.workerLoop(lane)
+			b.connectPeer(ctx, ring)
 		}()
 	}
-	if b.opts.Role == RolePrimary && b.opts.PeerAddr != "" {
-		// Dial the Backup before workers can pop replication jobs: both
-		// listeners are bound in New, so this normally succeeds at once.
-		// On failure the background loop keeps retrying.
-		conn, err := b.dialPeer()
-		if err == nil {
-			b.setPeer(conn)
-			b.wg.Add(1)
-			go func() {
-				defer b.wg.Done()
-				b.servePeer(ctx, conn)
-			}()
-		} else {
-			b.log.Warn("initial backup dial failed; retrying", "err", err)
-			b.wg.Add(1)
-			go func() {
-				defer b.wg.Done()
-				b.connectPeer(ctx)
-			}()
-		}
+	for i := range b.lanes {
+		b.wg.Add(1)
+		go func() {
+			defer b.wg.Done()
+			b.dispatchLoop(i)
+		}()
 	}
 	if b.opts.Role == RoleBackup && b.opts.PeerAddr != "" {
 		b.wg.Add(1)
@@ -953,7 +953,7 @@ func (b *Broker) shutdown(drain bool) {
 	}
 	b.stopping.Store(true)
 	for _, l := range b.lanes {
-		// Workers park with a ready() that re-checks stopping under the
+		// Dispatchers park with a ready() that re-checks stopping under the
 		// parker's own mutex, so this wakeup cannot be missed.
 		l.parker.Unpark()
 	}
@@ -963,17 +963,15 @@ func (b *Broker) shutdown(drain bool) {
 			b.log.Warn("admin close failed", "err", err)
 		}
 	}
-	b.peerMu.Lock()
-	if b.peerConn != nil {
-		b.peerConn.Close()
+	if ring := b.peer(); ring != nil {
+		closeRing(ring)
 	}
-	b.peerMu.Unlock()
 	b.closeSubscribers()
 	b.closeAckRings()
 	if b.pool != nil {
-		// Every registered egress was closed and waited above (addSubscriber
-		// and openAckRing refuse registrations once stopping is set), so the
-		// pool drains clean.
+		// Every registered egress was closed and waited above (dialPeer,
+		// addSubscriber and openAckRing refuse registrations once stopping
+		// is set), so the pool drains clean.
 		b.pool.Close()
 	}
 	b.wg.Wait()
@@ -986,7 +984,7 @@ func (b *Broker) shutdown(drain bool) {
 	}
 	b.diskMu.Unlock()
 	if b.committer != nil {
-		// After wg.Wait no session or worker can enqueue again. A drain
+		// After wg.Wait no session or dispatcher can enqueue again. A drain
 		// (Stop) commits what is queued and seals the log; a crash (Kill)
 		// abandons the queue the way a dead process would.
 		if !drain {
@@ -1009,15 +1007,11 @@ func (b *Broker) closeSubscribers() {
 	// The session goroutines' own removeSubscriber/Wait defers run after
 	// this, against already-stopped egresses — Wait is multi-waiter safe.
 	for _, s := range all {
-		if s.eg != nil {
-			s.eg.Close()
-		}
+		s.eg.Close()
 		s.conn.Close()
 	}
 	for _, s := range all {
-		if s.eg != nil {
-			s.eg.Wait()
-		}
+		s.eg.Wait()
 	}
 }
 
@@ -1136,8 +1130,8 @@ func (b *Broker) handleFrame(s *session, f *wire.Frame) error {
 // WrongShard answer synchronous), stamps arrival, pushes into the lane's
 // MPSC ring — copying the payload into slot-owned storage, since the wire
 // payload aliases the session's receive buffer — and unparks the lane's
-// workers, which fold the ring into the engine under the lock they already
-// hold. The engine therefore observes the publish (Stats().Published, queue
+// dispatcher, which folds the ring into the engine under the lock it already
+// holds. The engine therefore observes the publish (Stats().Published, queue
 // depth) slightly after onPublish returns.
 //
 // In durable mode the message is also staged with the group-commit writer
@@ -1176,9 +1170,14 @@ func (b *Broker) onPublish(s *session, m wire.Message) error {
 	}
 	if b.committer != nil {
 		// Before the intake push: the message's prune marker can only be
-		// staged once a worker has seen it, so the record precedes it.
+		// staged once the dispatcher has seen it, so the record precedes it.
 		b.stageDurable(s, m, now)
 	}
+	// Traced before the push makes the message poppable, so one message's
+	// events reach the tracer in causal order: a dispatcher that no longer
+	// blocks in replicate can finish both jobs inside a session's time slice.
+	b.obs.Trace(obsv.TraceEvent{Stage: obsv.StagePublish, Topic: uint64(m.Topic), Seq: m.Seq, At: now})
+	b.obs.Trace(obsv.TraceEvent{Stage: obsv.StageEnqueue, Topic: uint64(m.Topic), Seq: m.Seq, At: now})
 	fill := func(im *intakeMsg) {
 		buf := im.payload
 		if cap(buf) > intakeKeepCap && len(m.Payload) <= intakeKeepCap {
@@ -1190,7 +1189,7 @@ func (b *Broker) onPublish(s *session, m wire.Message) error {
 		im.now = now
 	}
 	if !lane.intake.PushInPlace(fill) {
-		// Ring full: the lane's workers are saturated. Spin rather than
+		// Ring full: the lane's dispatcher is saturated. Spin rather than
 		// shed — loss policy lives at the egress, a publisher here just
 		// feels backpressure like the lock queue used to provide.
 		lane.intakeStalls.Add(1)
@@ -1205,15 +1204,13 @@ func (b *Broker) onPublish(s *session, m wire.Message) error {
 	lane.parker.Unpark()
 	b.obs.Publishes.Inc()
 	b.obs.StageProxy.Observe(b.opts.Clock() - now)
-	b.obs.Trace(obsv.TraceEvent{Stage: obsv.StagePublish, Topic: uint64(m.Topic), Seq: m.Seq, At: now})
-	b.obs.Trace(obsv.TraceEvent{Stage: obsv.StageEnqueue, Topic: uint64(m.Topic), Seq: m.Seq, At: now})
 	return nil
 }
 
 // drainIntakeLocked folds queued publishes into the engine. Caller holds
-// the lane mutex — which also serializes it with every other consumer of
-// the lane's intake ring, satisfying the MPSC single-consumer contract.
-// The batch bound keeps one publish burst from monopolizing the lock.
+// the lane mutex and is the lane's dispatcher, the intake ring's single
+// consumer. The batch bound keeps one publish burst from monopolizing the
+// lock.
 func (b *Broker) drainIntakeLocked(lane *dispatchLane) {
 	for i := 0; i < intakeDrainBatch; i++ {
 		popped := lane.intake.PopInto(func(im *intakeMsg) {
@@ -1262,16 +1259,13 @@ func (b *Broker) addSubscriber(conn *transport.Conn, topics []spec.TopicID) {
 	}
 	s := b.subsByConn[conn]
 	if s == nil {
-		s = &subscriber{conn: conn}
-		if b.egressOn() {
-			s.eg = transport.NewEgress(conn, transport.EgressConfig{
-				Depth: b.opts.EgressDepth,
-				Shed:  !b.opts.EgressNoShed,
-				Stall: b.opts.EgressWriteTimeout,
-				Meter: &b.egress,
-				Pool:  b.pool,
-			})
-		}
+		s = &subscriber{conn: conn, eg: transport.NewEgress(conn, transport.EgressConfig{
+			Depth: b.opts.EgressDepth,
+			Shed:  !b.opts.EgressNoShed,
+			Stall: b.opts.EgressWriteTimeout,
+			Meter: &b.egress,
+			Pool:  b.pool,
+		})}
 		b.subsByConn[conn] = s
 	}
 	for _, id := range topics {
@@ -1281,8 +1275,7 @@ func (b *Broker) addSubscriber(conn *transport.Conn, topics []spec.TopicID) {
 
 // removeSubscriber drops a dead session from every topic's fan-out list so
 // Dispatchers stop attempting sends to it. It returns the session's egress
-// (nil for non-subscriber sessions or when the egress path is off) so the
-// caller can Close and Wait for the writer goroutine after closing the conn;
+// (nil for non-subscriber sessions) so the caller can Close and Wait for the writer goroutine after closing the conn;
 // repeated calls for the same conn return nil.
 func (b *Broker) removeSubscriber(conn *transport.Conn) *transport.Egress {
 	b.subsMu.Lock()
@@ -1311,40 +1304,38 @@ func (b *Broker) removeSubscriber(conn *transport.Conn) *transport.Egress {
 	return s.eg
 }
 
-// workerScratch is the reusable storage one delivery worker cycles through
-// for every job it executes: the payload copy taken under the lane lock,
-// the encode-once frame body, and the fan-out connection snapshot. All
-// three amortize to zero allocations at steady state.
-type workerScratch struct {
+// laneScratch is the reusable storage a lane's dispatcher cycles through
+// for every job it executes: the payload copy taken under the lane lock and
+// the fan-out subscriber snapshot. Both amortize to zero allocations at
+// steady state.
+type laneScratch struct {
 	payload []byte
-	body    []byte
 	subs    []*subscriber
 }
 
-// workerLoop is one Message Delivery thread pinned to one dispatch lane: it
-// pops resolved work under the lane lock and performs the network sends
-// outside it. Lanes share nothing on this path, so GOMAXPROCS lanes drive
-// GOMAXPROCS cores without contending.
-func (b *Broker) workerLoop(laneIdx int) {
+// dispatchLoop is a lane's one Message Delivery thread: it pops resolved
+// work under the lane lock and enqueues it on egress rings outside it. As the
+// only goroutine that pops the lane it makes pop → encode → enqueue a single
+// sequence, so per-topic FIFO holds by construction. Lanes share nothing on
+// this path, so GOMAXPROCS lanes drive GOMAXPROCS cores without contending.
+func (b *Broker) dispatchLoop(laneIdx int) {
 	if cpus := b.opts.PinLanes; len(cpus) > 0 {
-		// Best effort: an offline or out-of-range CPU leaves this worker
-		// unpinned rather than dead. Workers of the same lane share a CPU
-		// slot, so a lane's cache footprint stays put.
+		// Best effort: an offline or out-of-range CPU leaves this dispatcher
+		// unpinned rather than dead.
 		_ = submit.Pin(cpus[laneIdx%len(cpus)])
 	}
 	lane := b.lanes[laneIdx]
 	qm := b.engine.QueueMeter()
 	// ready gates parking: work exists when the engine's lane has jobs or
 	// the intake holds publishes that would create them. Both probes are
-	// atomic reads, safe without the lane lock even while a sibling worker
-	// is draining.
+	// atomic reads.
 	ready := func() bool {
 		if b.stopping.Load() || qm.LaneDepth(laneIdx) > 0 {
 			return true
 		}
 		return lane.intake != nil && !lane.intake.Empty()
 	}
-	var wk workerScratch
+	var sc laneScratch
 	for {
 		lane.mu.Lock()
 		var w core.Work
@@ -1357,26 +1348,28 @@ func (b *Broker) workerLoop(laneIdx int) {
 			if lane.intake != nil {
 				b.drainIntakeLocked(lane)
 			}
-			// The payload is copied into this worker's scratch under the
-			// lane lock: once released, concurrent publishes may evict and
-			// reuse the ring slot the message lives in.
-			w, wk.payload, ok = b.engine.NextWorkLaneInto(laneIdx, wk.payload)
+			// The payload is copied into the scratch under the lane lock:
+			// once released, concurrent publishes may evict and reuse the
+			// ring slot the message lives in.
+			w, sc.payload, ok = b.engine.NextWorkLaneInto(laneIdx, sc.payload)
 			if ok {
 				break
 			}
-			// Idle: sleep outside the lane lock so publishers and sibling
-			// workers keep moving; the parker's ready() re-check closes the
-			// check-to-sleep race.
+			// Idle: sleep outside the lane lock so publishers keep moving;
+			// the parker's ready() re-check closes the check-to-sleep race.
 			lane.mu.Unlock()
-			if !b.opts.BusyPoll || !lane.parker.Spin(ready, workerSpins) {
+			if !b.opts.BusyPoll || !lane.parker.Spin(ready, dispatcherSpins) {
 				lane.parker.Park(ready)
 			}
 			lane.mu.Lock()
 		}
 		lane.mu.Unlock()
+		if b.afterPop != nil {
+			b.afterPop(w)
+		}
 
 		// Stage accounting: queue wait is enqueue (job release) → pop; the
-		// per-kind stage histograms then cover pop → network sends done.
+		// per-kind stage histograms then cover pop → ring enqueues done.
 		popped := b.opts.Clock()
 		lane.pops.Add(1)
 		lane.wait.Observe(popped - w.Job.Release)
@@ -1394,14 +1387,14 @@ func (b *Broker) workerLoop(laneIdx int) {
 				// ever re-dispatched (Table 3, Recovery step 1).
 				b.obs.Trace(obsv.TraceEvent{Stage: obsv.StageRecoveryDispatch, Topic: uint64(w.Msg.Topic), Seq: w.Msg.Seq, At: popped})
 			}
-			b.dispatch(w, &wk)
+			b.dispatch(lane, w, &sc)
 			done := b.opts.Clock()
 			b.obs.Dispatches.Inc()
 			b.obs.StageDispatch.Observe(done - popped)
 			b.obs.EndToEnd.Observe(done - w.Job.Release)
 			b.obs.Trace(obsv.TraceEvent{Stage: obsv.StageAck, Topic: uint64(w.Msg.Topic), Seq: w.Msg.Seq, At: done})
 		case core.WorkReplicate:
-			b.replicate(w, &wk)
+			b.replicate(lane, w)
 			done := b.opts.Clock()
 			b.obs.StageReplicate.Observe(done - popped)
 			b.obs.Trace(obsv.TraceEvent{Stage: obsv.StageAck, Topic: uint64(w.Msg.Topic), Seq: w.Msg.Seq, At: done})
@@ -1411,24 +1404,20 @@ func (b *Broker) workerLoop(laneIdx int) {
 
 // dispatch pushes the message to every subscriber of the topic, then runs
 // the Table 3 Dispatch steps (flag + prune request). The Dispatch frame is
-// encoded exactly once — into a refcounted pooled buffer on the egress path
-// (one reference per subscriber ring, released after each flush), or into
-// the worker's scratch on the legacy synchronous path — so the whole
-// fan-out costs one encode and zero steady-state allocations, and with
-// egress on the EDF lane never touches a socket.
-func (b *Broker) dispatch(w core.Work, wk *workerScratch) {
+// encoded exactly once, into a refcounted pooled buffer (one reference per
+// subscriber ring, released after each flush), so the whole fan-out costs
+// one encode and zero steady-state allocations, and the EDF lane never
+// touches a socket.
+func (b *Broker) dispatch(lane *dispatchLane, w core.Work, sc *laneScratch) {
 	b.subsMu.Lock()
-	wk.subs = append(wk.subs[:0], b.subs[w.Msg.Topic]...)
+	sc.subs = append(sc.subs[:0], b.subs[w.Msg.Topic]...)
 	b.subsMu.Unlock()
 	b.obs.Trace(obsv.TraceEvent{Stage: obsv.StageDispatch, Topic: uint64(w.Msg.Topic), Seq: w.Msg.Seq, At: b.opts.Clock()})
-	switch {
-	case len(wk.subs) == 0:
-		// No subscribers: nothing to encode; fall through to coordination.
-	case b.egressOn():
+	if len(sc.subs) > 0 { // no subscribers: nothing to encode, only coordination
 		fb := transport.GetFrameBuf()
 		fb.B = wire.AppendDispatchBody(fb.B[:0], &w.Msg, b.opts.Clock())
-		fb.RetainN(len(wk.subs)) // the rings own one reference per subscriber
-		for _, s := range wk.subs {
+		fb.RetainN(len(sc.subs)) // the rings own one reference per subscriber
+		for _, s := range sc.subs {
 			switch s.eg.Enqueue(fb, w.Msg.Topic, w.LossTolerance) {
 			case transport.EnqueueOK, transport.EnqueueShed:
 				b.obs.DispatchSends.Inc()
@@ -1441,19 +1430,8 @@ func (b *Broker) dispatch(w core.Work, wk *workerScratch) {
 			}
 		}
 		fb.Release() // drop the dispatcher's own reference
-	default:
-		wk.body = wire.AppendDispatchBody(wk.body[:0], &w.Msg, b.opts.Clock())
-		for _, s := range wk.subs {
-			if err := s.conn.SendEncoded(wk.body); err != nil {
-				b.obs.DispatchSendErrors.Inc()
-				b.log.Warn("dispatch send failed", "topic", w.Msg.Topic, "err", err)
-				continue
-			}
-			b.obs.DispatchSends.Inc()
-		}
 	}
 
-	lane := b.lane(w.Msg.Topic)
 	lane.mu.Lock()
 	co := b.engine.OnDispatched(w.Job)
 	lane.mu.Unlock()
@@ -1466,58 +1444,48 @@ func (b *Broker) dispatch(w core.Work, wk *workerScratch) {
 		b.committer.EnqueuePrune(w.Msg.Topic, w.Msg.Seq)
 	}
 	if co.SendPrune {
-		if peer := b.peer(); peer != nil {
-			wk.body = wire.AppendPruneBody(wk.body[:0], co.Topic, co.Seq)
-			if err := peer.SendEncoded(wk.body); err != nil {
-				b.log.Warn("prune send failed", "err", err)
-			} else {
+		if ring := b.peer(); ring != nil {
+			fb := transport.GetFrameBuf()
+			fb.B = wire.AppendPruneBody(fb.B[:0], co.Topic, co.Seq)
+			if ring.Enqueue(fb, 0, 0) == transport.EnqueueOK {
 				b.obs.PrunesSent.Inc()
 			}
 		}
 	}
 }
 
-// replicate pushes a copy of the message to the Backup (Table 3 Replicate
-// steps 2–3), encoding the frame once into the worker's scratch.
-func (b *Broker) replicate(w core.Work, wk *workerScratch) {
-	peer := b.peer()
-	if peer == nil {
+// replicate hands a copy of the message to the Backup's ring (Table 3
+// Replicate steps 2–3). OnReplicated runs after the enqueue, as OnDispatched
+// does: the ring never sheds, so it either writes the frame or the link is
+// dropped, and a failed enqueue means the link died under the frame.
+func (b *Broker) replicate(lane *dispatchLane, w core.Work) {
+	ring := b.peer()
+	if ring == nil {
 		return // backup gone or never configured
 	}
 	b.obs.Trace(obsv.TraceEvent{Stage: obsv.StageReplicate, Topic: uint64(w.Msg.Topic), Seq: w.Msg.Seq, At: b.opts.Clock()})
-	wk.body = wire.AppendReplicateBody(wk.body[:0], &w.Msg, w.ArrivedPrimary)
-	if err := peer.SendEncoded(wk.body); err != nil {
+	fb := transport.GetFrameBuf()
+	fb.B = wire.AppendReplicateBody(fb.B[:0], &w.Msg, w.ArrivedPrimary)
+	if ring.Enqueue(fb, 0, 0) != transport.EnqueueOK {
 		b.obs.ReplicateErrors.Inc()
-		if errors.Is(err, os.ErrDeadlineExceeded) {
-			// The write-stall bound fired: the Backup accepted the connection
-			// but stopped draining it. The partial write corrupted the link's
-			// framing (the error is sticky), so close it — the read side then
-			// clears the peer and replication stops instead of wedging every
-			// Replicator worker behind one socket.
-			b.peerStalls.Add(1)
-			b.log.Warn("replicate write stalled past deadline; closing replication link",
-				"topic", w.Msg.Topic, "timeout", b.peerWriteStall())
-			peer.Close()
-		} else {
-			b.log.Warn("replicate send failed", "topic", w.Msg.Topic, "err", err)
-		}
 		return
 	}
 	b.obs.Replicates.Inc()
-	lane := b.lane(w.Msg.Topic)
 	lane.mu.Lock()
 	b.engine.OnReplicated(w.Job)
 	lane.mu.Unlock()
 }
 
-func (b *Broker) peer() *transport.Conn {
+// peer returns the replication ring, nil while no link is up.
+func (b *Broker) peer() *transport.Egress {
 	b.peerMu.Lock()
 	defer b.peerMu.Unlock()
-	return b.peerConn
+	return b.peerRing
 }
 
-// dialPeer opens and greets one replication link to the Backup.
-func (b *Broker) dialPeer() (*transport.Conn, error) {
+// dialPeer opens and greets one replication link to the Backup and installs
+// its ring.
+func (b *Broker) dialPeer() (*transport.Egress, error) {
 	nc, err := b.opts.Network.Dial(b.opts.PeerAddr)
 	if err != nil {
 		return nil, err
@@ -1526,14 +1494,35 @@ func (b *Broker) dialPeer() (*transport.Conn, error) {
 	conn.SetMeter(&b.meter)
 	conn.SetZeroCopy(!b.opts.DisableZeroCopy)
 	b.enableBatching(conn)
-	if d := b.peerWriteStall(); d > 0 {
-		conn.SetWriteStall(d)
-	}
 	if err := conn.Send(&wire.Frame{Type: wire.TypeHello, Role: wire.RoleBrokerPeer, Name: b.Addr()}); err != nil {
 		conn.Close()
 		return nil, err
 	}
-	return conn, nil
+	b.peerMu.Lock()
+	defer b.peerMu.Unlock()
+	if b.stopping.Load() {
+		// Same rule as addSubscriber: shutdown's sweep has, or is about to
+		// have, closed every ring and drained the flusher pool.
+		conn.Close()
+		return nil, net.ErrClosed
+	}
+	// No shedding: a full ring makes the lane wait — backpressure bounded by
+	// the write-stall bound, whose expiry counts a stall and drops the link.
+	b.peerRing = transport.NewEgress(conn, transport.EgressConfig{
+		Stall: b.peerWriteStall(),
+		Meter: &b.peerMeter,
+		Pool:  b.pool,
+	})
+	b.log.Info("replication link up", "peer", b.opts.PeerAddr)
+	return b.peerRing, nil
+}
+
+// closeRing stops a ring, closes its connection (unsticking any write in
+// flight) and waits for its writer.
+func closeRing(ring *transport.Egress) {
+	ring.Close()
+	ring.Conn().Close()
+	ring.Wait()
 }
 
 // enableBatching turns on write coalescing for a broker-owned data-plane
@@ -1546,41 +1535,28 @@ func (b *Broker) enableBatching(conn *transport.Conn) {
 	}
 }
 
-func (b *Broker) setPeer(conn *transport.Conn) {
-	b.peerMu.Lock()
-	b.peerConn = conn
-	b.peerMu.Unlock()
-	b.log.Info("replication link up", "peer", b.opts.PeerAddr)
-}
-
-// servePeer drains the replication link's read side (poll/time replies)
-// until it dies, then clears the peer. A dead Backup is not replaced within
+// connectPeer serves the replication link — dialing the Backup with retries
+// first when ring is nil — by draining its read side (poll/time replies)
+// until it dies, then retires the ring. A dead Backup is not replaced within
 // one run (the paper's scope is a single broker failure).
-func (b *Broker) servePeer(ctx context.Context, conn *transport.Conn) {
-	b.serveConn(ctx, conn)
-	b.peerMu.Lock()
-	if b.peerConn == conn {
-		b.peerConn = nil
-	}
-	b.peerMu.Unlock()
-}
-
-// connectPeer dials the Backup with retries and installs the replication
-// link.
-func (b *Broker) connectPeer(ctx context.Context) {
-	for ctx.Err() == nil {
-		conn, err := b.dialPeer()
-		if err != nil {
-			select {
-			case <-ctx.Done():
-				return
-			case <-time.After(10 * time.Millisecond):
-				continue
-			}
+func (b *Broker) connectPeer(ctx context.Context, ring *transport.Egress) {
+	for ring == nil {
+		select {
+		case <-ctx.Done():
+			return
+		case <-time.After(10 * time.Millisecond):
 		}
-		b.setPeer(conn)
-		b.servePeer(ctx, conn)
-		return
+		ring, _ = b.dialPeer()
+	}
+	b.serveConn(ctx, ring.Conn())
+	b.peerMu.Lock()
+	b.peerRing = nil
+	b.peerMu.Unlock()
+	closeRing(ring)
+	if b.peerMeter.Stalls.Load() > 0 {
+		// The Backup accepted the link but stopped draining it: replication
+		// stops instead of wedging the lanes behind one socket.
+		b.log.Warn("replication link dropped: write stalled past deadline", "timeout", b.peerWriteStall())
 	}
 }
 
@@ -1642,16 +1618,16 @@ func (b *Broker) promote() {
 	b.mu.Unlock()
 	// Promote rewrites whole-engine state (every topic's replication
 	// verdict plus recovery jobs pushed into every lane), so it is the one
-	// transition that takes all lane locks. Workers hold at most one lane
-	// lock and never acquire a second, so the index-ordered sweep cannot
-	// deadlock.
+	// transition that takes all lane locks. Dispatchers hold at most one
+	// lane lock and never acquire a second, so the index-ordered sweep
+	// cannot deadlock.
 	b.lockAllLanes()
 	b.engine.Promote()
 	stats := b.engine.Stats()
 	b.unlockAllLanes()
 	for _, l := range b.lanes {
 		// The recovery jobs are visible (pushed under the lane locks above);
-		// wake every lane's workers to pop them.
+		// wake every lane's dispatcher to pop them.
 		l.parker.Unpark()
 	}
 	close(b.promoted)

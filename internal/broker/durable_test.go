@@ -61,6 +61,7 @@ func TestDurablePublishAckRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sub.Close()
+	awaitSubscribed(t, 1, b)
 
 	pub, err := client.NewPublisher(client.PublisherOptions{
 		Name: "p", Topics: topics, PrimaryAddr: b.Addr(),
@@ -177,6 +178,7 @@ func TestDurableStopMarksDispatchedAndRestartIsQuiet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	awaitSubscribed(t, 1, b)
 	pub, err := client.NewPublisher(client.PublisherOptions{
 		Name: "p", Topics: topics, PrimaryAddr: b.Addr(),
 		Network: n, Clock: testClock(), Logger: quietLogger(),

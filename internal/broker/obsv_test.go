@@ -121,6 +121,7 @@ func TestMetricsEndpointCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sub.Close()
+	awaitSubscribed(t, 1, c.primary, c.backup)
 
 	pub, err := client.NewPublisher(client.PublisherOptions{
 		Name: "pub", Topics: topics,
@@ -176,7 +177,11 @@ func TestMetricsEndpointCounters(t *testing.T) {
 		t.Errorf(`frame_role{role="primary"} = %v, want 1`, v)
 	}
 
-	// The Backup's scrape sees the replica store filling instead.
+	// The Backup's scrape sees the replica store filling instead. Replicas
+	// leave through the replication ring, so they trail the deliveries.
+	waitFor(t, 2*time.Second, "replicas at the backup", func() bool {
+		return c.backup.Obs().ReplicasStored.Load() >= count
+	})
 	backupSamples := scrape(t, c.backup.AdminAddr())
 	if v := sampleValue(t, backupSamples, "frame_replicas_stored_total", ""); v < count {
 		t.Errorf("backup frame_replicas_stored_total = %v, want >= %d", v, count)
@@ -295,6 +300,7 @@ func TestLifecycleTracing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sub.Close()
+	awaitSubscribed(t, 1, c.primary, c.backup)
 
 	pub, err := client.NewPublisher(client.PublisherOptions{
 		Name: "pub", Topics: topics,

@@ -146,7 +146,7 @@ func RunDurable(sc DurableScenario, opts RunOptions) (*Result, error) {
 	// ---- First life -----------------------------------------------------
 	backup, err := broker.New(broker.Options{
 		Engine: cfg, Role: broker.RoleBackup, ListenAddr: NodeBackup,
-		PeerAddr: "pending", Network: net.Node(NodeBackup), Clock: clock, Workers: 4,
+		PeerAddr: "pending", Network: net.Node(NodeBackup), Clock: clock,
 		Detector: defaultDetector(), Topics: allTopics, Logger: log,
 	})
 	if err != nil {
@@ -154,7 +154,7 @@ func RunDurable(sc DurableScenario, opts RunOptions) (*Result, error) {
 	}
 	popts := broker.Options{
 		Engine: cfg, Role: broker.RolePrimary, ListenAddr: NodePrimary,
-		PeerAddr: backup.Addr(), Network: net.Node(NodePrimary), Clock: clock, Workers: 4,
+		PeerAddr: backup.Addr(), Network: net.Node(NodePrimary), Clock: clock,
 		Detector: defaultDetector(), Topics: allTopics, Logger: log,
 	}
 	durableOpts(&popts)
@@ -328,7 +328,7 @@ func RunDurable(sc DurableScenario, opts RunOptions) (*Result, error) {
 	obs2.SetTracer(traces.note)
 	p2opts := broker.Options{
 		Engine: cfg, Role: broker.RolePrimary, ListenAddr: NodePrimary,
-		Network: net.Node(NodePrimary), Clock: clock, Workers: 4,
+		Network: net.Node(NodePrimary), Clock: clock,
 		Detector: defaultDetector(), Topics: allTopics, Logger: log,
 		Obs: obs2, HoldRecovery: true,
 	}

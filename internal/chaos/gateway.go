@@ -199,7 +199,6 @@ func RunGateway(sc GatewayScenario, opts RunOptions) (*Result, error) {
 		PeerAddr:   "pending",
 		Network:    net.Node(NodeBackup),
 		Clock:      clock,
-		Workers:    4,
 		Detector:   detector,
 		Topics:     sc.Topics,
 		Logger:     log,
@@ -214,7 +213,6 @@ func RunGateway(sc GatewayScenario, opts RunOptions) (*Result, error) {
 		PeerAddr:   backup.Addr(),
 		Network:    net.Node(NodePrimary),
 		Clock:      clock,
-		Workers:    4,
 		Detector:   detector,
 		Topics:     sc.Topics,
 		Logger:     log,

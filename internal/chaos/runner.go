@@ -137,7 +137,6 @@ func Run(sc Scenario, opts RunOptions) (*Result, error) {
 		PeerAddr:    "pending", // fixed up via SetPeerAddr once the Primary binds
 		Network:     net.Node(NodeBackup),
 		Clock:       clock,
-		Workers:     4,
 		Detector:    detector,
 		Topics:      sc.Topics,
 		Logger:      log,
@@ -154,7 +153,6 @@ func Run(sc Scenario, opts RunOptions) (*Result, error) {
 		PeerAddr:    backup.Addr(),
 		Network:     net.Node(NodePrimary),
 		Clock:       clock,
-		Workers:     4,
 		Detector:    detector,
 		Topics:      sc.Topics,
 		Logger:      log,

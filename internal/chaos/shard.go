@@ -162,7 +162,6 @@ func RunShard(sc ShardScenario, opts RunOptions) (*Result, error) {
 		NodeNetwork: net.Node,
 		Mem:         mem,
 		Clock:       clock,
-		Workers:     4,
 		Detector:    detector,
 		Logger:      log,
 	})

@@ -77,9 +77,7 @@ type Publisher struct {
 	conn       *transport.Conn // current broker link
 	backup     *transport.Conn // standby link (nil without a backup)
 	failedOver bool            // primary declared dead; traffic on backup
-	seqs       map[spec.TopicID]uint64
-	retained   map[spec.TopicID]*ringbuf.Ring[wire.Message]
-	topics     map[spec.TopicID]spec.Topic
+	topics     map[spec.TopicID]*pubTopic
 	// acks holds durable Publish calls parked on their PubAck, keyed by
 	// (topic, seq); whoever removes an entry owes its waiter exactly one
 	// outcome. Nil unless DurableAcks. ackGone, once set, is the error every
@@ -93,6 +91,22 @@ type Publisher struct {
 	ackGone error
 
 	failedOverCh chan struct{}
+}
+
+// pubTopic is everything Publish needs about one owned topic, behind one
+// map lookup: DropTopic and AdoptTopic move it between publishers whole.
+type pubTopic struct {
+	spec spec.Topic
+	seq  uint64                      // last sequence number created
+	ring *ringbuf.Ring[wire.Message] // the Ni retained messages; nil when Ni = 0
+}
+
+func newPubTopic(t spec.Topic, lastSeq uint64) *pubTopic {
+	pt := &pubTopic{spec: t, seq: lastSeq}
+	if t.Retention > 0 {
+		pt.ring = ringbuf.New[wire.Message](t.Retention)
+	}
+	return pt
 }
 
 // ackKey identifies one durable publish awaiting its PubAck.
@@ -131,9 +145,7 @@ func NewPublisher(opts PublisherOptions) (*Publisher, error) {
 	p := &Publisher{
 		opts:         opts,
 		log:          opts.Logger.With("publisher", opts.Name),
-		seqs:         make(map[spec.TopicID]uint64, len(opts.Topics)),
-		retained:     make(map[spec.TopicID]*ringbuf.Ring[wire.Message], len(opts.Topics)),
-		topics:       make(map[spec.TopicID]spec.Topic, len(opts.Topics)),
+		topics:       make(map[spec.TopicID]*pubTopic, len(opts.Topics)),
 		failedOverCh: make(chan struct{}),
 	}
 	if opts.DurableAcks {
@@ -146,10 +158,7 @@ func NewPublisher(opts PublisherOptions) (*Publisher, error) {
 		if err := t.Validate(); err != nil {
 			return nil, err
 		}
-		p.topics[t.ID] = t
-		if t.Retention > 0 {
-			p.retained[t.ID] = ringbuf.New[wire.Message](t.Retention)
-		}
+		p.topics[t.ID] = newPubTopic(t, 0)
 	}
 	conn, err := dialHello(opts.Network, opts.PrimaryAddr, opts.Name, wire.RolePublisher)
 	if err != nil {
@@ -231,19 +240,20 @@ func dialHello(n transport.Network, addr, name string, role wire.Role) (*transpo
 // flight; only the confirmation is missing.
 func (p *Publisher) Publish(topic spec.TopicID, payload []byte) (uint64, error) {
 	p.mu.Lock()
-	if _, ok := p.topics[topic]; !ok {
+	pt := p.topics[topic]
+	if pt == nil {
 		p.mu.Unlock()
 		return 0, fmt.Errorf("client: publisher does not own topic %d", topic)
 	}
-	p.seqs[topic]++
+	pt.seq++
 	m := wire.Message{
 		Topic:   topic,
-		Seq:     p.seqs[topic],
+		Seq:     pt.seq,
 		Created: p.opts.Clock(),
 		Payload: payload,
 	}
-	if ring := p.retained[topic]; ring != nil {
-		ring.Push(m)
+	if pt.ring != nil {
+		pt.ring.Push(m)
 	}
 	var ack *ackWaiter
 	if p.acks != nil {
@@ -354,7 +364,10 @@ func (p *Publisher) linkLost(conn *transport.Conn) {
 func (p *Publisher) LastSeq(topic spec.TopicID) uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.seqs[topic]
+	if pt := p.topics[topic]; pt != nil {
+		return pt.seq
+	}
+	return 0
 }
 
 // FailedOver returns a channel closed once the publisher has redirected to
@@ -368,17 +381,15 @@ func (p *Publisher) FailedOver() <-chan struct{} { return p.failedOverCh }
 func (p *Publisher) DropTopic(id spec.TopicID) (lastSeq uint64, retained []wire.Message, err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if _, ok := p.topics[id]; !ok {
+	pt := p.topics[id]
+	if pt == nil {
 		return 0, nil, fmt.Errorf("client: publisher does not own topic %d", id)
 	}
-	lastSeq = p.seqs[id]
-	if ring := p.retained[id]; ring != nil {
-		ring.Do(func(_ uint64, m wire.Message) { retained = append(retained, m) })
+	if pt.ring != nil {
+		pt.ring.Do(func(_ uint64, m wire.Message) { retained = append(retained, m) })
 	}
 	delete(p.topics, id)
-	delete(p.seqs, id)
-	delete(p.retained, id)
-	return lastSeq, retained, nil
+	return pt.seq, retained, nil
 }
 
 // AdoptTopic registers a topic previously owned elsewhere, seeding its
@@ -397,16 +408,11 @@ func (p *Publisher) AdoptTopic(t spec.Topic, lastSeq uint64, retained []wire.Mes
 	if _, ok := p.topics[t.ID]; ok {
 		return fmt.Errorf("client: publisher already owns topic %d", t.ID)
 	}
-	p.topics[t.ID] = t
-	p.seqs[t.ID] = lastSeq
-	var ring *ringbuf.Ring[wire.Message]
-	if t.Retention > 0 {
-		ring = ringbuf.New[wire.Message](t.Retention)
-		p.retained[t.ID] = ring
-	}
+	pt := newPubTopic(t, lastSeq)
+	p.topics[t.ID] = pt
 	for _, m := range retained {
-		if ring != nil {
-			ring.Push(m)
+		if pt.ring != nil {
+			pt.ring.Push(m)
 		}
 		if resend {
 			if err := p.conn.Send(&wire.Frame{Type: wire.TypeResend, Msg: m}); err != nil {
@@ -453,8 +459,11 @@ func (p *Publisher) failOver() {
 	p.conn = p.backup
 	old.Close()
 	resent := 0
-	for id, ring := range p.retained {
-		ring.Do(func(_ uint64, m wire.Message) {
+	for id, pt := range p.topics {
+		if pt.ring == nil {
+			continue
+		}
+		pt.ring.Do(func(_ uint64, m wire.Message) {
 			if err := p.conn.Send(&wire.Frame{Type: wire.TypeResend, Msg: m}); err != nil {
 				p.log.Warn("resend failed", "topic", id, "seq", m.Seq, "err", err)
 				return

@@ -48,7 +48,8 @@ type Config struct {
 	Mem bool
 	// Clock is the shared timebase.
 	Clock clocksync.Clock
-	// Workers is the per-broker delivery pool size (broker.Options.Workers).
+	// Workers is passed to broker.Options.Workers, which is deprecated and
+	// ignored: every lane runs one dispatcher.
 	Workers int
 	// Detector tunes each pair's failure detector.
 	Detector failover.Config

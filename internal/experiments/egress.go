@@ -185,11 +185,8 @@ func runEgressPoint(stalled bool, opts EgressOptions) (EgressPoint, error) {
 		// policy takes over.
 		want++
 	}
-	for deadline := time.Now().Add(2 * time.Second); b.Health().EgressSubs < want; {
-		if time.Now().After(deadline) {
-			return EgressPoint{}, fmt.Errorf("only %d of %d subscriptions registered", b.Health().EgressSubs, want)
-		}
-		time.Sleep(time.Millisecond)
+	if err := awaitSubscriptions(b, want); err != nil {
+		return EgressPoint{}, err
 	}
 
 	total := opts.Topics * opts.PerTopic

@@ -164,6 +164,9 @@ func runLanePoint(lanes int, opts LaneScaleOptions) (LaneScalePoint, error) {
 		return LaneScalePoint{}, err
 	}
 	defer sub.Close()
+	if err := awaitSubscriptions(b, 1); err != nil {
+		return LaneScalePoint{}, err
+	}
 
 	total := opts.Topics * opts.PerTopic
 	begin := time.Now()
@@ -217,6 +220,19 @@ func publishBurst(net transport.Network, addr string, clock func() time.Duration
 				return err
 			}
 		}
+	}
+	return nil
+}
+
+// awaitSubscriptions waits until b has registered n subscriber sessions.
+// SUBSCRIBE has no ack: NewSubscriber returns once the frame is written, and
+// a publish that overtakes the registration is dispatched to nobody.
+func awaitSubscriptions(b *broker.Broker, n int) error {
+	for deadline := time.Now().Add(5 * time.Second); b.Health().EgressSubs < n; {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("only %d of %d subscriptions registered", b.Health().EgressSubs, n)
+		}
+		time.Sleep(time.Millisecond)
 	}
 	return nil
 }

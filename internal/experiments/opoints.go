@@ -241,11 +241,8 @@ func runOpointCell(payload, fanout, msgs int, opts OpointsOptions) (OpointCell, 
 		}
 		defer subs[i].Close()
 	}
-	for deadline := time.Now().Add(5 * time.Second); b.Health().EgressSubs < fanout; {
-		if time.Now().After(deadline) {
-			return OpointCell{}, fmt.Errorf("only %d of %d subscriptions registered", b.Health().EgressSubs, fanout)
-		}
-		time.Sleep(time.Millisecond)
+	if err := awaitSubscriptions(b, fanout); err != nil {
+		return OpointCell{}, err
 	}
 
 	total := opts.Topics * perTopic

@@ -172,6 +172,11 @@ func runShardPoint(shards int, opts ShardScaleOptions) (ShardScalePoint, error) 
 		return ShardScalePoint{}, err
 	}
 	defer sub.Close()
+	for _, p := range c.Pairs {
+		if err := awaitSubscriptions(p.Primary, 1); err != nil {
+			return ShardScalePoint{}, err
+		}
+	}
 	pub, err := cluster.NewPublisher(cluster.PublisherOptions{
 		Name: "shardscale-pub", Topics: topics, Router: router, Network: net,
 		Clock: clock, Logger: quietLogger(),

@@ -143,13 +143,14 @@ func feedFrames(t *testing.T, sizes []int) *Conn {
 	return receiver
 }
 
-// TestRbufShrinksAfterJumbo: one jumbo frame grows the receive buffer past
-// RbufSoftCap; rbufShrinkAfter consecutive small frames must release it —
-// and one fewer must not (hysteresis).
+// TestRbufShrinksAfterJumbo: one jumbo frame grows the receive window past
+// RbufSoftCap; once rbufShrinkAfter consecutive small frames have been
+// handed out, the next visit to the socket must release it — and one fewer
+// must not (hysteresis).
 func TestRbufShrinksAfterJumbo(t *testing.T) {
 	const jumbo = 2 * RbufSoftCap
 	sizes := []int{jumbo}
-	for i := 0; i < rbufShrinkAfter; i++ {
+	for i := 0; i < rbufShrinkAfter+1; i++ {
 		sizes = append(sizes, 64)
 	}
 	receiver := feedFrames(t, sizes)
@@ -157,22 +158,24 @@ func TestRbufShrinksAfterJumbo(t *testing.T) {
 	if err := receiver.RecvInto(&f); err != nil {
 		t.Fatal(err)
 	}
-	if cap(receiver.rbuf) <= RbufSoftCap {
-		t.Fatalf("rbuf cap %d after %d-byte frame, want > RbufSoftCap", cap(receiver.rbuf), jumbo)
+	if len(receiver.rbuf) <= RbufSoftCap {
+		t.Fatalf("window %d after %d-byte frame, want > RbufSoftCap", len(receiver.rbuf), jumbo)
 	}
-	for i := 0; i < rbufShrinkAfter-1; i++ {
+	// The pipe delivers one frame per socket visit, so the visit for frame
+	// rbufShrinkAfter has seen only rbufShrinkAfter-1 sub-cap frames.
+	for i := 0; i < rbufShrinkAfter; i++ {
 		if err := receiver.RecvInto(&f); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if cap(receiver.rbuf) <= RbufSoftCap {
-		t.Fatalf("rbuf shrank after only %d sub-cap frames; hysteresis broken", rbufShrinkAfter-1)
+	if len(receiver.rbuf) <= RbufSoftCap {
+		t.Fatalf("window shrank on the visit after only %d sub-cap frames; hysteresis broken", rbufShrinkAfter-1)
 	}
 	if err := receiver.RecvInto(&f); err != nil {
 		t.Fatal(err)
 	}
-	if got := cap(receiver.rbuf); got != RbufSoftCap {
-		t.Errorf("rbuf cap = %d after %d sub-cap frames, want RbufSoftCap (%d)", got, rbufShrinkAfter, RbufSoftCap)
+	if got := len(receiver.rbuf); got != RbufSoftCap {
+		t.Errorf("window = %d after %d sub-cap frames, want RbufSoftCap (%d)", got, rbufShrinkAfter, RbufSoftCap)
 	}
 }
 
@@ -188,14 +191,14 @@ func TestRbufStaysPutUnderCap(t *testing.T) {
 	if err := receiver.RecvInto(&f); err != nil {
 		t.Fatal(err)
 	}
-	stable := cap(receiver.rbuf)
+	stable := len(receiver.rbuf)
 	for i := 1; i < len(sizes); i++ {
 		if err := receiver.RecvInto(&f); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if cap(receiver.rbuf) != stable {
-		t.Errorf("rbuf cap churned %d -> %d on a steady workload", stable, cap(receiver.rbuf))
+	if len(receiver.rbuf) != stable {
+		t.Errorf("window churned %d -> %d on a steady workload", stable, len(receiver.rbuf))
 	}
 }
 

@@ -7,8 +7,8 @@
 // on net.Pipe, used by unit tests and the quickstart example).
 //
 // A Conn is safe for one concurrent reader plus any number of writers:
-// writes are serialized by a mutex, matching the broker's worker-pool use
-// where many Dispatchers push frames down the same subscriber link.
+// writes are serialized by a mutex, because lane dispatchers, egress
+// flushers and session replies can all push frames down the same link.
 package transport
 
 import (
@@ -28,16 +28,24 @@ import (
 // indicate corruption and poison the connection.
 const MaxFrameSize = 4 << 20
 
-// Receive-buffer shrink policy: rbuf grows to the largest frame seen (up to
-// MaxFrameSize), but one jumbo frame must not pin megabytes per connection
-// for the life of the process. Once rbuf exceeds RbufSoftCap and
-// rbufShrinkAfter consecutive frames fit within the cap, it shrinks back.
+// Receive-window policy. A Conn reads whatever the kernel has into one
+// window and hands frames out of it in place, so a burst of small frames
+// costs one read(2) instead of two per frame. The window starts at rbufInit
+// and doubles only on evidence: the previous read filled it (the kernel had
+// more), or the frame being assembled needs it. Doubling stops at
+// RbufSoftCap; a frame larger than that gets exactly the room it needs, and
+// one jumbo frame must not pin megabytes per connection for the life of the
+// process, so once rbufShrinkAfter consecutive frames fit within the cap the
+// next visit to the socket releases the excess.
 const (
-	// RbufSoftCap is the receive-buffer size a connection will pin
+	// rbufInit is the first window: an idle connection that only ever sees
+	// small frames one at a time pins no more than this.
+	rbufInit = 512
+	// RbufSoftCap is the receive-window size a connection will pin
 	// indefinitely without shrinking.
 	RbufSoftCap = 64 << 10
 	// rbufShrinkAfter is how many consecutive sub-cap frames must arrive
-	// before an oversized rbuf is released (hysteresis, so alternating
+	// before an oversized window is released (hysteresis, so alternating
 	// sizes don't thrash the allocator).
 	rbufShrinkAfter = 64
 )
@@ -53,6 +61,10 @@ type Meter struct {
 	BytesSent  atomic.Uint64
 	FramesRecv atomic.Uint64
 	BytesRecv  atomic.Uint64
+	// ReadSyscalls counts Read calls on the underlying connections — the
+	// receive-side twin of the egress WriteSyscalls counter; FramesRecv over
+	// ReadSyscalls is the receive batching factor.
+	ReadSyscalls atomic.Uint64
 }
 
 // Conn is a framed, typed connection carrying wire.Frames.
@@ -77,11 +89,14 @@ type Conn struct {
 	// writeMu.
 	writeStall time.Duration
 
-	// read state: single reader assumed.
-	lenBuf   [4]byte
-	rbuf     []byte
-	rShrink  int  // consecutive sub-cap reads while rbuf is oversized
-	zeroCopy bool // RecvInto aliases payloads into rbuf (see SetZeroCopy)
+	// read state: single reader assumed. rbuf[rpos:rend] is the receive
+	// window's unread bytes — zero or more whole frames, then at most one
+	// partial one.
+	rbuf       []byte
+	rpos, rend int
+	rFilled    bool // the last read filled the window: the kernel had more
+	rShrink    int  // consecutive sub-cap frames while rbuf is oversized
+	zeroCopy   bool // RecvInto aliases payloads into rbuf (see SetZeroCopy)
 
 	// closed flips before the underlying conn closes so Send cannot accept
 	// (and silently drop) frames into a batch nobody will ever flush.
@@ -337,8 +352,10 @@ func (c *Conn) Recv() (*wire.Frame, error) {
 // RecvInto reads one frame into f, which the caller owns and reuses across
 // calls — the steady-state-allocation-free receive path. By default payload
 // bytes are copied into f's recycled storage; with SetZeroCopy they alias
-// the connection's receive buffer and stay valid only until the next
-// Recv/RecvInto. Only one goroutine may receive at a time.
+// the connection's receive window and stay valid only until the next
+// Recv/RecvInto (which may move or overwrite any byte of the window, even
+// while later frames of the same read are still queued in it). Only one
+// goroutine may receive at a time.
 func (c *Conn) RecvInto(f *wire.Frame) error {
 	body, err := c.readBody()
 	if err != nil {
@@ -362,37 +379,83 @@ func (c *Conn) RecvInto(f *wire.Frame) error {
 // the broker's session loops do. Call before the first receive.
 func (c *Conn) SetZeroCopy(on bool) { c.zeroCopy = on }
 
-// readBody reads one length-prefixed frame body into the connection's
-// receive buffer, growing it on demand and shrinking it per the RbufSoftCap
-// policy, and returns the buffer slice holding exactly the body.
+// readBody returns the next frame body, in place in the receive window,
+// going to the socket only when the window lacks a complete frame. The slice
+// is valid until the next readBody. A read error leaves the window intact:
+// after a read-deadline expiry the next call resumes mid-frame.
 func (c *Conn) readBody() ([]byte, error) {
-	if _, err := io.ReadFull(c.nc, c.lenBuf[:]); err != nil {
-		return nil, fmt.Errorf("transport: read header: %w", err)
+	for {
+		need, op := 4, "read header"
+		if avail := c.rend - c.rpos; avail >= 4 {
+			n := int(binary.LittleEndian.Uint32(c.rbuf[c.rpos:]))
+			if n > MaxFrameSize {
+				return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
+			}
+			need, op = 4+n, "read body"
+			if avail >= need {
+				body := c.rbuf[c.rpos+4 : c.rpos+need]
+				c.rpos += need
+				if c.rpos == c.rend {
+					c.rpos, c.rend = 0, 0
+				}
+				if len(c.rbuf) > RbufSoftCap {
+					if need <= RbufSoftCap {
+						c.rShrink++
+					} else {
+						c.rShrink = 0
+					}
+				}
+				return body, nil
+			}
+		}
+		if err := c.fill(need); err != nil {
+			if err == io.EOF && c.rend > c.rpos {
+				err = io.ErrUnexpectedEOF // the stream ended inside a frame
+			}
+			return nil, fmt.Errorf("transport: %s: %w", op, err)
+		}
 	}
-	n := int(binary.LittleEndian.Uint32(c.lenBuf[:]))
-	if n > MaxFrameSize {
-		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
-	}
+}
+
+// fill reads once from the socket into the window. need is the length of the
+// frame being assembled at rpos (4 while its header is incomplete). Only that
+// frame's partial tail is ever moved — to the front, so the read gets the
+// whole window behind it — and a frame larger than the window is read
+// straight into a window resized for it.
+func (c *Conn) fill(need int) error {
+	size := len(c.rbuf)
 	switch {
-	case cap(c.rbuf) < n:
-		c.rbuf = make([]byte, n)
-		c.rShrink = 0
-	case cap(c.rbuf) > RbufSoftCap && n <= RbufSoftCap:
-		// Oversized by some earlier jumbo frame; shrink once the workload
-		// has demonstrably moved back under the cap.
-		c.rShrink++
-		if c.rShrink >= rbufShrinkAfter {
-			c.rbuf = make([]byte, RbufSoftCap)
+	case size > RbufSoftCap && c.rShrink >= rbufShrinkAfter && need <= RbufSoftCap:
+		size = RbufSoftCap
+	case size == 0:
+		size = rbufInit
+	case c.rFilled && size < RbufSoftCap:
+		size *= 2
+	}
+	for size < need && size < RbufSoftCap {
+		size *= 2
+	}
+	if size < need {
+		size = need // a jumbo frame gets exactly its size; the shrink rule releases it
+	}
+	if tail := c.rbuf[c.rpos:c.rend]; size != len(c.rbuf) || c.rpos > 0 {
+		if size != len(c.rbuf) {
+			c.rbuf = make([]byte, size)
 			c.rShrink = 0
 		}
-	default:
-		c.rShrink = 0
+		c.rpos, c.rend = 0, copy(c.rbuf, tail)
 	}
-	body := c.rbuf[:n]
-	if _, err := io.ReadFull(c.nc, body); err != nil {
-		return nil, fmt.Errorf("transport: read body: %w", err)
+	// The partial frame is shorter than need, so the read space is never empty.
+	n, err := c.nc.Read(c.rbuf[c.rend:])
+	if c.meter != nil {
+		c.meter.ReadSyscalls.Add(1)
 	}
-	return body, nil
+	c.rend += n
+	c.rFilled = c.rend == len(c.rbuf)
+	if n > 0 {
+		return nil // the bytes first; an error that came with them resurfaces on the next read
+	}
+	return err
 }
 
 func (c *Conn) countRecv(n int) {
