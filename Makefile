@@ -42,16 +42,17 @@ bench:
 
 # Hot-path regression guard: repeat BenchmarkDispatchLanes{1,4,8},
 # BenchmarkFanout{1,8,64} (+ the FanoutAsync/Egress variants),
-# BenchmarkDurablePublishAck, BenchmarkRecvBatched{64B,16KiB} and
-# BenchmarkReplicateEnqueue, with allocation reporting and summarize with
-# benchstat when it is installed (raw output otherwise). Acceptance bars:
-# ≥2x ns/op at 8 lanes vs 1 on a multi-core runner, and 0 allocs/op on the
-# dispatch, fan-out, egress, durable publish→ack, batched receive and
-# replication-enqueue paths — benchstat's B/op and allocs/op columns are the
-# alloc-regression signal.
+# BenchmarkDurablePublishAck, BenchmarkRecvBatched{64B,16KiB},
+# BenchmarkReplicateEnqueue and BenchmarkPublishBurst{16B,16KiB}, with
+# allocation reporting and summarize with benchstat when it is installed (raw
+# output otherwise). Acceptance bars: ≥2x ns/op at 8 lanes vs 1 on a
+# multi-core runner, and 0 allocs/op on the dispatch, fan-out, egress, durable
+# publish→ack, batched receive, replication-enqueue and publisher-uplink
+# paths — benchstat's B/op and allocs/op columns are the alloc-regression
+# signal.
 BENCH_COUNT ?= 6
 bench-compare:
-	$(GO) test -run '^$$' -bench 'BenchmarkDispatchLanes|BenchmarkFanout|BenchmarkEgress|BenchmarkDurablePublishAck|BenchmarkRecvBatched|BenchmarkReplicateEnqueue' -benchmem -count $(BENCH_COUNT) . | tee dispatch_lanes.bench
+	$(GO) test -run '^$$' -bench 'BenchmarkDispatchLanes|BenchmarkFanout|BenchmarkEgress|BenchmarkDurablePublishAck|BenchmarkRecvBatched|BenchmarkReplicateEnqueue|BenchmarkPublishBurst' -benchmem -count $(BENCH_COUNT) . | tee dispatch_lanes.bench
 	@if command -v benchstat >/dev/null 2>&1; then \
 		benchstat dispatch_lanes.bench; \
 	else \

@@ -21,6 +21,7 @@ import (
 	"log/slog"
 	"net"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -29,6 +30,7 @@ import (
 	"time"
 
 	"repro/internal/broker"
+	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/diskstore"
 	"repro/internal/experiments"
@@ -718,6 +720,105 @@ func benchmarkRecvBatched(b *testing.B, payload int) {
 
 func BenchmarkRecvBatched64B(b *testing.B)   { benchmarkRecvBatched(b, 64) }
 func BenchmarkRecvBatched16KiB(b *testing.B) { benchmarkRecvBatched(b, 16<<10) }
+
+// writeCountingNet dials TCP and counts, per connection, the Write calls and
+// bytes that reach the socket. Below a wrapped conn transport gathers a ring
+// batch into one Write, so a call here is one write(2), as a writev is on
+// the bare socket.
+type writeCountingNet struct {
+	transport.TCP
+	conn *writeCountingConn // the last one dialed
+}
+
+type writeCountingConn struct {
+	net.Conn
+	writes, bytes atomic.Int64
+}
+
+func (n *writeCountingNet) Dial(addr string) (net.Conn, error) {
+	nc, err := n.TCP.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	n.conn = &writeCountingConn{Conn: nc}
+	return n.conn, nil
+}
+
+func (c *writeCountingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	n, err := c.Conn.Write(p)
+	c.bytes.Add(int64(n))
+	return n, err
+}
+
+// benchmarkPublishBurst measures the publisher hop (the paper's ΔPB sender
+// side) the way a §VI proxy drives it: bursts of 50 Publish calls over
+// loopback TCP to a broker that only drains, the next burst starting once
+// the last byte of this one is in the kernel. An op is one message, so
+// ns/op is per message, uplink writer included; writes/msg is the kernel
+// crossings that took (2 when every Publish wrote its own prefix and body).
+// Retention is on, as for every replicated topic. allocs/op must be 0.
+func benchmarkPublishBurst(b *testing.B, payload int) {
+	const burst = 50
+	netw := &writeCountingNet{TCP: transport.TCP{DialTimeout: time.Second}}
+	ln, err := netw.Listen("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		io.Copy(io.Discard, nc) //nolint:errcheck // drains until the publisher closes
+	}()
+	start := time.Now()
+	pub, err := client.NewPublisher(client.PublisherOptions{
+		Name: "burst", PrimaryAddr: ln.Addr().String(), Network: netw,
+		Clock: func() time.Duration { return time.Since(start) },
+		Topics: []spec.Topic{{
+			ID: 1, Category: -1, Period: 20 * time.Millisecond, Deadline: time.Second,
+			LossTolerance: 0, Retention: 2, Destination: spec.DestEdge, PayloadSize: payload,
+		}},
+		Logger: slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelError})),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer pub.Close()
+	conn := netw.conn
+	buf := make([]byte, payload)
+	onWire := int64(4 + 1 + 4 + 8 + 8 + 4 + payload) // prefix, type, topic, seq, tc, length, payload
+	sent := conn.bytes.Load()
+	run := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := pub.Publish(1, buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+		sent += int64(n) * onWire
+		for conn.bytes.Load() < sent {
+			runtime.Gosched()
+		}
+	}
+	for i := 0; i < 8; i++ { // retention slots, pooled buffers, the ring's scratch
+		run(burst)
+	}
+	writes := conn.writes.Load()
+	b.SetBytes(int64(payload))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for left := b.N; left > 0; left -= burst {
+		run(min(left, burst))
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(conn.writes.Load()-writes)/float64(b.N), "writes/msg")
+}
+
+func BenchmarkPublishBurst16B(b *testing.B)   { benchmarkPublishBurst(b, 16) }
+func BenchmarkPublishBurst16KiB(b *testing.B) { benchmarkPublishBurst(b, 16<<10) }
 
 // BenchmarkDurablePublishAck drives the whole ACK = durable pipeline of a
 // live broker over one connection with sixteen publishes in flight: session

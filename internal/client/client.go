@@ -4,6 +4,21 @@
 // (§III-B); and Subscribers, which receive dispatches from whichever
 // broker is Primary, discard duplicates, and record end-to-end latency and
 // loss statistics (§VI).
+//
+// The Publish contract. Publish returns once the message is queued on the
+// link's uplink ring, not once it is written: the payload was copied (into
+// the frame and into the topic's retention slot), so the caller may reuse its
+// buffer on return. A dedicated writer per link drains the ring with one
+// vectored write per batch, so whatever a burst queued while the writer was
+// waking or writing crosses the kernel together, and the publisher's lock is
+// never held across a socket write. A full ring blocks Publish, as a full
+// socket would. A failed write closes the ring: the next Publish on that link
+// fails with an error wrapping net.ErrClosed, and durable publishes parked on
+// a PubAck are released as for any lost link. A fail-over drops what was
+// still queued for the dead Primary and queues each topic's retained
+// messages on the Backup link ahead of any new publish. Close writes out what
+// Publish accepted (waiting at most a second for a broker that has stopped
+// reading) before it closes the links.
 package client
 
 import (
@@ -62,8 +77,19 @@ type PublisherOptions struct {
 // group-commit interval, small enough that a dead broker fails fast.
 const DefaultAckTimeout = 5 * time.Second
 
-// Publisher is a proxy for a set of topics. Publish stamps and sends
-// messages to the current Primary; when its detector declares the Primary
+// uplinkDepth is how many frames may wait on one link's ring ahead of the
+// socket: several §VI proxy bursts (50 messages each), so a burst never
+// blocks on the ring while the writer wakes, and few enough that a broker
+// that stops reading is felt as backpressure within a few hundred frames,
+// as it is with a full socket buffer.
+const uplinkDepth = 256
+
+// closeFlushWait bounds how long Close lets a link's writer finish what
+// Publish accepted before the connection is closed under it.
+const closeFlushWait = time.Second
+
+// Publisher is a proxy for a set of topics. Publish stamps messages and
+// queues them for the current Primary; when its detector declares the Primary
 // dead it redirects to the Backup, first re-sending each topic's retained
 // messages. Publisher is safe for concurrent use.
 type Publisher struct {
@@ -73,19 +99,22 @@ type Publisher struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
-	mu         sync.Mutex
-	conn       *transport.Conn // current broker link
-	backup     *transport.Conn // standby link (nil without a backup)
-	failedOver bool            // primary declared dead; traffic on backup
-	topics     map[spec.TopicID]*pubTopic
+	// primary and backup are the two broker links, each an uplink ring with
+	// its own writer (backup is nil without a Backup); fixed once NewPublisher
+	// returns.
+	primary, backup *transport.Egress
+
+	mu     sync.Mutex
+	link   *transport.Egress // where Publish queues: primary, or backup once failed over
+	topics map[spec.TopicID]*pubTopic
 	// acks holds durable Publish calls parked on their PubAck, keyed by
 	// (topic, seq); whoever removes an entry owes its waiter exactly one
 	// outcome. Nil unless DurableAcks. ackGone, once set, is the error every
 	// parked and future durable Publish gets: the publisher is closed or
 	// its last broker link is dead. Both guarded by ackMu, NOT mu: the
 	// receive loop must be able to consume PubAcks while a Publish holds mu
-	// across a blocking send, or the two directions of the broker link
-	// deadlock against each other.
+	// waiting for room on a full ring, or the two directions of the broker
+	// link deadlock against each other.
 	ackMu   sync.Mutex
 	acks    map[ackKey]*ackWaiter
 	ackGone error
@@ -107,6 +136,20 @@ func newPubTopic(t spec.Topic, lastSeq uint64) *pubTopic {
 		pt.ring = ringbuf.New[wire.Message](t.Retention)
 	}
 	return pt
+}
+
+// retain keeps m among the topic's Ni latest messages. The slot owns its
+// payload bytes — copied into the storage of the message it evicts — because
+// m.Payload is the caller's buffer, free to change once Publish returns.
+func (pt *pubTopic) retain(m *wire.Message) {
+	if pt.ring == nil {
+		return
+	}
+	pt.ring.PushInPlace(func(slot *wire.Message) {
+		own := append(slot.Payload[:0], m.Payload...)
+		*slot = *m
+		slot.Payload = own
+	})
 }
 
 // ackKey identifies one durable publish awaiting its PubAck.
@@ -164,18 +207,21 @@ func NewPublisher(opts PublisherOptions) (*Publisher, error) {
 	if err != nil {
 		return nil, fmt.Errorf("client: dial primary: %w", err)
 	}
-	p.conn = conn
-	ctx, cancel := context.WithCancel(context.Background())
-	p.cancel = cancel
-	p.startRecvLoop(ctx, conn)
+	var backup *transport.Conn
 	if opts.BackupAddr != "" {
-		backup, err := dialHello(opts.Network, opts.BackupAddr, opts.Name, wire.RolePublisher)
+		backup, err = dialHello(opts.Network, opts.BackupAddr, opts.Name, wire.RolePublisher)
 		if err != nil {
 			conn.Close()
-			cancel()
 			return nil, fmt.Errorf("client: dial backup: %w", err)
 		}
-		p.backup = backup
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	p.cancel = cancel
+	p.primary = newUplink(conn)
+	p.link = p.primary
+	p.startRecvLoop(ctx, conn)
+	if backup != nil {
+		p.backup = newUplink(backup)
 		p.startRecvLoop(ctx, backup)
 		p.wg.Add(1)
 		go func() {
@@ -214,6 +260,22 @@ func (p *Publisher) startRecvLoop(ctx context.Context, conn *transport.Conn) {
 	}()
 }
 
+// newUplink puts conn behind its uplink ring. No shedding: a publisher never
+// drops its own messages, so a full ring makes Publish wait. No flusher pool
+// either, a client process owns none: the ring's dedicated writer drains it.
+func newUplink(conn *transport.Conn) *transport.Egress {
+	return transport.NewEgress(conn, transport.EgressConfig{Depth: uplinkDepth})
+}
+
+// closeUplink stops a link for good: the ring drops what is still queued,
+// closing the connection unsticks a write in flight, and the writer is
+// waited for.
+func closeUplink(link *transport.Egress) {
+	link.Close()
+	link.Conn().Close()
+	link.Wait()
+}
+
 func dialHello(n transport.Network, addr, name string, role wire.Role) (*transport.Conn, error) {
 	nc, err := n.Dial(addr)
 	if err != nil {
@@ -228,16 +290,17 @@ func dialHello(n transport.Network, addr, name string, role wire.Role) (*transpo
 }
 
 // Publish creates the next message of the topic: stamps tc and the next
-// sequence number, retains a copy (evicting beyond Ni), and sends it to the
-// current broker. It returns the assigned sequence number.
+// sequence number, retains a copy (evicting beyond Ni), and queues it for the
+// current broker. It returns the assigned sequence number. The payload is
+// copied before Publish returns; see the package comment for the contract.
 //
 // With DurableAcks set, Publish additionally blocks — outside the
 // publisher's lock, so concurrent publishes keep flowing — until the broker
 // answers with a PubAck certifying the message is on stable storage, or
 // AckTimeout passes, or the publisher is closed or loses its last broker
-// link (an error wrapping net.ErrClosed). An error after the send leaves
-// the sequence number valid: the message may well be durable and in
-// flight; only the confirmation is missing.
+// link (an error wrapping net.ErrClosed). An error after the message was
+// queued leaves the sequence number valid: the message may well be durable
+// and in flight; only the confirmation is missing.
 func (p *Publisher) Publish(topic spec.TopicID, payload []byte) (uint64, error) {
 	p.mu.Lock()
 	pt := p.topics[topic]
@@ -252,13 +315,11 @@ func (p *Publisher) Publish(topic spec.TopicID, payload []byte) (uint64, error) 
 		Created: p.opts.Clock(),
 		Payload: payload,
 	}
-	if pt.ring != nil {
-		pt.ring.Push(m)
-	}
+	pt.retain(&m)
 	var ack *ackWaiter
 	if p.acks != nil {
-		// Register before the send so the receive loop cannot see the
-		// PubAck before the waiter exists.
+		// Register before the frame is queued so the receive loop cannot see
+		// the PubAck before the waiter exists.
 		p.ackMu.Lock()
 		if err := p.ackGone; err != nil {
 			p.ackMu.Unlock()
@@ -269,12 +330,12 @@ func (p *Publisher) Publish(topic spec.TopicID, payload []byte) (uint64, error) 
 		p.acks[ackKey{topic, m.Seq}] = ack
 		p.ackMu.Unlock()
 	}
-	err := p.conn.Send(&wire.Frame{Type: wire.TypePublish, Msg: m})
+	err := p.enqueueLocked(wire.TypePublish, &m)
 	p.mu.Unlock()
 	if err != nil {
 		if ack != nil {
 			if !p.dropAck(topic, m.Seq) {
-				<-ack.outcome // a release raced the failed send; take its token
+				<-ack.outcome // a release raced the refused frame; take its token
 			}
 			ackWaiterPool.Put(ack)
 		}
@@ -301,6 +362,24 @@ func (p *Publisher) Publish(topic spec.TopicID, payload []byte) (uint64, error) 
 	}
 	ackWaiterPool.Put(ack)
 	return m.Seq, err
+}
+
+// enqueueLocked encodes m once, as a Publish or a Resend frame, into a
+// pooled buffer and queues it on the link in use. It waits while that ring
+// is full and fails once it is closed — by a failed write, a fail-over or
+// Close. Holding p.mu is what keeps ring order equal to sequence order.
+func (p *Publisher) enqueueLocked(t wire.Type, m *wire.Message) error {
+	fb := transport.GetFrameBuf()
+	fb.B = wire.AppendMessageBody(fb.B[:0], t, m)
+	if len(fb.B) > transport.MaxFrameSize {
+		n := len(fb.B)
+		fb.Release()
+		return fmt.Errorf("%w: %d bytes", transport.ErrFrameTooLarge, n)
+	}
+	if p.link.Enqueue(fb, 0, 0) == transport.EnqueueClosed {
+		return fmt.Errorf("broker link down: %w", net.ErrClosed)
+	}
+	return nil
 }
 
 // ackDurable releases the Publish call parked on (topic, seq), if any.
@@ -353,7 +432,7 @@ func (p *Publisher) releaseAcks(err error) {
 // and a durable Backup acknowledges them.
 func (p *Publisher) linkLost(conn *transport.Conn) {
 	p.mu.Lock()
-	last := conn == p.conn && (p.backup == nil || p.failedOver)
+	last := conn == p.link.Conn() && (p.backup == nil || p.link == p.backup)
 	p.mu.Unlock()
 	if last {
 		p.releaseAcks(fmt.Errorf("client: broker link lost with no standby: %w", net.ErrClosed))
@@ -410,12 +489,11 @@ func (p *Publisher) AdoptTopic(t spec.Topic, lastSeq uint64, retained []wire.Mes
 	}
 	pt := newPubTopic(t, lastSeq)
 	p.topics[t.ID] = pt
-	for _, m := range retained {
-		if pt.ring != nil {
-			pt.ring.Push(m)
-		}
+	for i := range retained {
+		m := &retained[i]
+		pt.retain(m)
 		if resend {
-			if err := p.conn.Send(&wire.Frame{Type: wire.TypeResend, Msg: m}); err != nil {
+			if err := p.enqueueLocked(wire.TypeResend, m); err != nil {
 				return fmt.Errorf("client: adopt resend topic %d seq %d: %w", t.ID, m.Seq, err)
 			}
 		}
@@ -447,24 +525,31 @@ func (p *Publisher) watchPrimary(ctx context.Context) {
 }
 
 // failOver redirects to the Backup and re-sends the retained messages of
-// every topic, oldest first.
+// every topic, oldest first. The resends are queued under the same hold of
+// p.mu that switches the link, so on the Backup link they precede every new
+// publish. What was still queued for the Primary is dropped with its ring;
+// each topic's Ni latest of those are among the resends.
 func (p *Publisher) failOver() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.failedOver || p.backup == nil {
+	if p.backup == nil {
 		return
 	}
-	p.failedOver = true
-	old := p.conn
-	p.conn = p.backup
-	old.Close()
+	// Before the lock, not under it: a Publish waiting for room on the dead
+	// link's ring holds p.mu, and closing the ring is what releases it.
+	p.primary.Close()
+	p.primary.Conn().Close()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.link == p.backup {
+		return
+	}
+	p.link = p.backup
 	resent := 0
 	for id, pt := range p.topics {
 		if pt.ring == nil {
 			continue
 		}
 		pt.ring.Do(func(_ uint64, m wire.Message) {
-			if err := p.conn.Send(&wire.Frame{Type: wire.TypeResend, Msg: m}); err != nil {
+			if err := p.enqueueLocked(wire.TypeResend, &m); err != nil {
 				p.log.Warn("resend failed", "topic", id, "seq", m.Seq, "err", err)
 				return
 			}
@@ -475,17 +560,21 @@ func (p *Publisher) failOver() {
 	p.log.Info("failed over to backup", "resent", resent)
 }
 
-// Close shuts the publisher down. Durable Publish calls still parked on a
-// PubAck return at once with an error wrapping net.ErrClosed.
+// Close shuts the publisher down. Messages Publish accepted are written
+// out first, for at most closeFlushWait per link; durable Publish calls still
+// parked on a PubAck return at once with an error wrapping net.ErrClosed,
+// and a Publish racing Close fails the same way.
 func (p *Publisher) Close() {
 	p.releaseAcks(fmt.Errorf("client: publisher closed: %w", net.ErrClosed))
+	p.mu.Lock()
+	link := p.link
+	p.mu.Unlock()
+	link.Drain(closeFlushWait)
 	p.cancel()
 	p.wg.Wait()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.conn.Close()
+	closeUplink(p.primary)
 	if p.backup != nil {
-		p.backup.Close()
+		closeUplink(p.backup)
 	}
 }
 

@@ -41,6 +41,7 @@ type fakeBroker struct {
 	mu       sync.Mutex
 	frames   []*wire.Frame
 	conns    []*transport.Conn
+	dead     bool // killed: a dial that raced the kill is dropped too
 	answerMu sync.Mutex
 	answer   bool
 }
@@ -60,8 +61,15 @@ func newFakeBroker(t *testing.T, n transport.Network, addr string) *fakeBroker {
 			}
 			conn := transport.NewConn(nc)
 			fb.mu.Lock()
-			fb.conns = append(fb.conns, conn)
+			dead := fb.dead
+			if !dead {
+				fb.conns = append(fb.conns, conn)
+			}
 			fb.mu.Unlock()
+			if dead {
+				conn.Close()
+				continue
+			}
 			go fb.serve(conn)
 		}
 	}()
@@ -96,6 +104,7 @@ func (fb *fakeBroker) kill() {
 	fb.ln.Close()
 	fb.mu.Lock()
 	defer fb.mu.Unlock()
+	fb.dead = true
 	for _, c := range fb.conns {
 		c.Close()
 	}

@@ -164,9 +164,12 @@ func (d *Detector) Fired() bool {
 // dedicated framed connection. The connection must not be shared with other
 // readers. A nil error means the peer answered the matching nonce.
 func ConnProbe(conn *transport.Conn) Probe {
-	var nonce uint64
+	// One request and one reply frame for the life of the probe: a detector
+	// polls hundreds of times a second and must not allocate per round trip.
+	poll := wire.Frame{Type: wire.TypePoll}
+	var reply wire.Frame
 	return func(ctx context.Context) error {
-		nonce++
+		poll.Nonce++
 		deadline, ok := ctx.Deadline()
 		if !ok {
 			deadline = time.Now().Add(time.Second)
@@ -174,15 +177,14 @@ func ConnProbe(conn *transport.Conn) Probe {
 		if err := conn.SetReadDeadline(deadline); err != nil {
 			return fmt.Errorf("failover: set deadline: %w", err)
 		}
-		if err := conn.Send(&wire.Frame{Type: wire.TypePoll, Nonce: nonce}); err != nil {
+		if err := conn.Send(&poll); err != nil {
 			return fmt.Errorf("failover: poll send: %w", err)
 		}
 		for {
-			f, err := conn.Recv()
-			if err != nil {
+			if err := conn.RecvInto(&reply); err != nil {
 				return fmt.Errorf("failover: poll recv: %w", err)
 			}
-			if f.Type == wire.TypePollReply && f.Nonce == nonce {
+			if reply.Type == wire.TypePollReply && reply.Nonce == poll.Nonce {
 				return nil
 			}
 		}

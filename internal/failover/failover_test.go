@@ -246,3 +246,65 @@ func TestSetOnProbe(t *testing.T) {
 		t.Errorf("observed misses = %d, want %d", got, testConfig().Misses)
 	}
 }
+
+// TestConnProbeDoesNotAllocate: a detector probes hundreds of times a second
+// for the life of the process, so a round trip must reuse its frames. Over
+// transport.Mem the fixed cost of a probe is the context the detector makes
+// for it and the pipe's own deadline timer; the probe may add nothing to
+// that. (AllocsPerRun counts every goroutine, so the responder reuses its
+// frames too.)
+func TestConnProbeDoesNotAllocate(t *testing.T) {
+	mem := transport.NewMem()
+	ln, err := mem.Listen("primary")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		primary := transport.NewConn(nc)
+		defer primary.Close()
+		var f wire.Frame
+		reply := wire.Frame{Type: wire.TypePollReply}
+		for primary.RecvInto(&f) == nil {
+			reply.Nonce = f.Nonce
+			if primary.Send(&reply) != nil {
+				return
+			}
+		}
+	}()
+	nc, err := mem.Dial("primary")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := transport.NewConn(nc)
+	probe := ConnProbe(conn)
+
+	floor := testing.AllocsPerRun(200, func() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		deadline, _ := ctx.Deadline()
+		conn.SetReadDeadline(deadline)
+		cancel()
+	})
+	var probeErr error
+	got := testing.AllocsPerRun(200, func() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		if err := probe(ctx); err != nil {
+			probeErr = err
+		}
+		cancel()
+	})
+	if probeErr != nil {
+		t.Fatalf("probe: %v", probeErr)
+	}
+	if got > floor {
+		t.Errorf("probe round trip costs %.0f allocs, the context and deadline alone %.0f", got, floor)
+	}
+	conn.Close()
+	<-served
+}

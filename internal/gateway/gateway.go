@@ -597,6 +597,9 @@ func (g *Gateway) forwardPublish(f *wire.Frame) error {
 			g.log.Warn("publish link dial failed", "addr", addr, "err", err)
 			continue
 		}
+		// Send, not an uplink ring as in client.Publisher: the fall-through
+		// below needs this frame's own write error, which a ring reports
+		// only to the next frame. The frame still leaves in one write.
 		if err := conn.Send(f); err != nil {
 			g.dropPubLink(addr, conn)
 			continue

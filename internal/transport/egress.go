@@ -531,6 +531,32 @@ func (e *Egress) Close() {
 	}
 }
 
+// Drain is the orderly stop: unlike Close it drops nothing. New frames are
+// refused from here on (EnqueueClosed), what is already queued stays with
+// the writer, and Drain returns once that has been written, a write has
+// failed, or wait has passed — whichever comes first. The owner then closes
+// the connection, which fails whatever a wedged peer left unwritten, and
+// Waits, exactly as after Close.
+func (e *Egress) Drain(wait time.Duration) {
+	e.mu.Lock()
+	idle := false
+	if !e.closed {
+		e.closed = true
+		e.cond.Broadcast() // the writer, to finish up; blocked enqueuers, to give up
+		idle = e.fl != nil && e.state == egIdle
+	}
+	e.mu.Unlock()
+	if idle {
+		e.finalize() // pooled and not queued, so empty: see Close
+	}
+	t := time.NewTimer(wait)
+	defer t.Stop()
+	select {
+	case <-e.done:
+	case <-t.C:
+	}
+}
+
 // Wait blocks until the egress has fully stopped: the dedicated writer
 // exited, or — pooled — its flusher (or Close) finalized it.
 func (e *Egress) Wait() { <-e.done }

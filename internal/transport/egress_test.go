@@ -2,6 +2,7 @@ package transport
 
 import (
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -307,4 +308,88 @@ func TestEgressCloseReleasesQueuedFrames(t *testing.T) {
 	if refs := FrameBufRefs(); refs != base {
 		t.Fatalf("leaked %d FrameBuf references", refs-base)
 	}
+}
+
+// TestEgressDrainFlushesQueuedFrames: Drain is the stop that drops nothing.
+// With the writer held inside a Write and frames queued behind it, Drain
+// refuses new frames at once, returns only after the writer has written the
+// rest, and leaves the ring stopped — on a dedicated writer and on the pool.
+func TestEgressDrainFlushesQueuedFrames(t *testing.T) {
+	for _, pooled := range []bool{false, true} {
+		base := FrameBufRefs()
+		var pool *FlusherPool
+		if pooled {
+			pool = NewFlusherPool(FlusherPoolConfig{Flushers: 1})
+		}
+		a, b := net.Pipe()
+		gate := make(chan struct{})
+		sender, receiver := NewConn(&blockableConn{Conn: a, gate: gate}), NewConn(b)
+		eg := NewEgress(sender, EgressConfig{Depth: 8, Pool: pool})
+		const n = 6
+		for seq := uint64(1); seq <= n; seq++ {
+			eg.Enqueue(pruneBuf(4, seq), 4, 0)
+		}
+		drained := make(chan struct{})
+		go func() {
+			defer close(drained)
+			eg.Drain(5 * time.Second)
+		}()
+		// Drain has begun once the ring is marked closed; the queued frames
+		// are still behind the gate.
+		for begun := false; !begun; runtime.Gosched() {
+			eg.mu.Lock()
+			begun = eg.closed
+			eg.mu.Unlock()
+		}
+		if r := eg.Enqueue(pruneBuf(4, 99), 4, 0); r != EnqueueClosed {
+			t.Fatalf("pooled=%v: Enqueue during Drain = %v, want EnqueueClosed", pooled, r)
+		}
+		select {
+		case <-drained:
+			t.Fatalf("pooled=%v: Drain returned with frames still queued", pooled)
+		default:
+		}
+		close(gate)
+		f := GetFrame()
+		for want := uint64(1); want <= n; want++ {
+			if err := receiver.RecvInto(f); err != nil {
+				t.Fatalf("pooled=%v: RecvInto: %v", pooled, err)
+			}
+			if f.Seq != want {
+				t.Fatalf("pooled=%v: seq %d, want %d: Drain must not drop or reorder", pooled, f.Seq, want)
+			}
+		}
+		PutFrame(f)
+		<-drained
+		eg.Wait() // already stopped: nothing is left to close the conn for
+		sender.Close()
+		receiver.Close()
+		if pool != nil {
+			pool.Close()
+		}
+		if refs := FrameBufRefs(); refs != base {
+			t.Fatalf("pooled=%v: leaked %d FrameBuf references", pooled, refs-base)
+		}
+	}
+}
+
+// TestEgressDrainGivesUpOnWedgedPeer: against a peer that never reads, Drain
+// returns when its wait has passed; closing the connection then fails the
+// write in flight, which releases everything still queued.
+func TestEgressDrainGivesUpOnWedgedPeer(t *testing.T) {
+	base := FrameBufRefs()
+	a, b := net.Pipe() // nobody reads b
+	defer b.Close()
+	sender := NewConn(a)
+	eg := NewEgress(sender, EgressConfig{Depth: 8})
+	for seq := uint64(1); seq <= 6; seq++ {
+		eg.Enqueue(pruneBuf(4, seq), 4, 0)
+	}
+	eg.Drain(10 * time.Millisecond)
+	sender.Close()
+	eg.Wait()
+	if refs := FrameBufRefs(); refs != base {
+		t.Fatalf("leaked %d FrameBuf references", refs-base)
+	}
+	eg.Drain(time.Hour) // stopped: returns at once
 }

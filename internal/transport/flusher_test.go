@@ -193,9 +193,14 @@ func TestFlusherEscalationIsolatesWedgedConn(t *testing.T) {
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
+	// Escalation is only ever triggered by an Enqueue that finds its ring
+	// full (ROADMAP item 4), and the 500 below take well under a
+	// millisecond: let the wedged write age past EscalateAfter first, or
+	// every one of them can come too early and nothing comes after.
+	time.Sleep(5 * time.Millisecond)
 
 	// Drive the healthy sibling until its ring overflows: the full-ring
-	// path ages the wedged write past EscalateAfter and escalates.
+	// path finds the wedged write older than EscalateAfter and escalates.
 	const n = 500
 	got := make(chan error, 1)
 	go func() {

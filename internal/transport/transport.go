@@ -73,9 +73,14 @@ type Conn struct {
 	meter *Meter
 
 	writeMu sync.Mutex
-	wbuf    []byte
-	hdrBuf  [4]byte     // header scratch; a local would escape through nc.Write
-	wv      net.Buffers // WriteBuffers scratch; a local would escape through WriteTo
+	wbuf    []byte      // one frame with its length prefix (Send), or a gathered batch
+	wv      net.Buffers // vectored-write scratch; a local would escape through WriteTo
+	wvOne   [2][]byte   // SendEncoded's header and body, the backing array wv takes
+	// vectored: nc turns net.Buffers.WriteTo into one writev. Any other
+	// net.Conn (an in-process pipe, a fault injector, a counting wrapper)
+	// would get one Write per buffer from it, so there the buffers are
+	// gathered into wbuf first and leave in one Write.
+	vectored bool
 
 	// Write batching (see EnableBatching); all fields guarded by writeMu.
 	batchWin      time.Duration
@@ -104,7 +109,10 @@ type Conn struct {
 }
 
 // NewConn wraps a net.Conn with frame codecs.
-func NewConn(nc net.Conn) *Conn { return &Conn{nc: nc} }
+func NewConn(nc net.Conn) *Conn {
+	_, tcp := nc.(*net.TCPConn)
+	return &Conn{nc: nc, vectored: tcp}
+}
 
 // SetMeter attaches a traffic meter. Call before the connection is shared
 // between goroutines; a nil meter disables counting.
@@ -112,28 +120,40 @@ func (c *Conn) SetMeter(m *Meter) { c.meter = m }
 
 // Send encodes and writes one frame. Safe for concurrent use. On a batching
 // connection (EnableBatching), data-plane frames are coalesced and may leave
-// later, in order; all other frames drain the batch first and write through.
+// later, in order; all other frames drain the batch first and write through,
+// length prefix and body in one Write.
 func (c *Conn) Send(f *wire.Frame) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
 	if err := c.sendableLocked(); err != nil {
 		return err
 	}
-	body, err := wire.Encode(c.wbuf[:0], f)
+	// Encode behind room for the length prefix, so the frame is contiguous.
+	framed, err := wire.Encode(append(c.wbuf[:0], 0, 0, 0, 0), f)
 	if err != nil {
 		return fmt.Errorf("transport: encode %v: %w", f.Type, err)
 	}
-	c.wbuf = body // reuse the grown buffer next time
-	return c.sendBodyLocked(f.Type, body)
+	c.wbuf = framed // reuse the grown buffer next time
+	through, err := c.routeLocked(f.Type, framed[4:])
+	if !through {
+		return err
+	}
+	binary.LittleEndian.PutUint32(framed, uint32(len(framed)-4))
+	c.armWriteStallLocked()
+	defer c.disarmWriteStallLocked()
+	if _, err := c.nc.Write(framed); err != nil {
+		return c.stickyWriteLocked("write frame", err)
+	}
+	c.countSentLocked(1, len(framed))
+	return nil
 }
 
 // SendEncoded writes one pre-encoded frame body (the bytes wire.Encode or a
 // wire.Append*Body helper produces) through the same ordering, batching, and
-// size rules as Send. The caller keeps ownership of body: it is fully
+// size rules as Send; written through, prefix and body leave in one vectored
+// write, the body uncopied. The caller keeps ownership of body: it is fully
 // consumed — copied into the batch buffer or written to the conn — before
-// SendEncoded returns, so the caller may reuse it immediately. This is what
-// lets the broker encode a dispatched message once and fan the identical
-// bytes out to every subscriber of the topic.
+// SendEncoded returns, so the caller may reuse it immediately.
 func (c *Conn) SendEncoded(body []byte) error {
 	if len(body) == 0 {
 		return errors.New("transport: empty frame body")
@@ -143,7 +163,19 @@ func (c *Conn) SendEncoded(body []byte) error {
 	if err := c.sendableLocked(); err != nil {
 		return err
 	}
-	return c.sendBodyLocked(wire.Type(body[0]), body)
+	through, err := c.routeLocked(wire.Type(body[0]), body)
+	if !through {
+		return err
+	}
+	c.wbuf = binary.LittleEndian.AppendUint32(c.wbuf[:0], uint32(len(body)))
+	c.wvOne = [2][]byte{c.wbuf, body}
+	err = c.writeBuffersLocked(c.wvOne[:])
+	c.wvOne[1] = nil // don't pin the caller's body past the write
+	if err != nil {
+		return err
+	}
+	c.countSentLocked(1, 4+len(body))
+	return nil
 }
 
 // SetWriteStall bounds every write syscall on this connection: a write that
@@ -187,20 +219,23 @@ func (c *Conn) sendableLocked() error {
 	return nil
 }
 
-// sendBodyLocked routes one encoded frame: batchable frames coalesce when
-// batching is on; control frames (and every frame on an unbatched conn) keep
-// per-conn order by draining anything pending, then writing through.
-func (c *Conn) sendBodyLocked(t wire.Type, body []byte) error {
+// routeLocked applies the rules every frame obeys before its bytes may reach
+// the socket and reports whether the caller is to write it through now. An
+// oversized frame is refused before any byte is written; a batchable frame
+// on a batching connection joins the pending batch (through == false, err is
+// the outcome); every other frame keeps per-conn order by draining anything
+// pending first.
+func (c *Conn) routeLocked(t wire.Type, body []byte) (through bool, err error) {
 	if len(body) > MaxFrameSize {
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(body))
+		return false, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(body))
 	}
 	if c.batchWin > 0 && batchable(t) {
-		return c.enqueueLocked(body)
+		return false, c.enqueueLocked(body)
 	}
 	if err := c.flushLocked(); err != nil {
-		return err
+		return false, err
 	}
-	return c.writeFrameLocked(body)
+	return true, nil
 }
 
 // stickyWriteLocked records a write failure so every later send fails fast:
@@ -216,25 +251,6 @@ func (c *Conn) stickyWriteLocked(op string, err error) error {
 		c.werr = fmt.Errorf("transport: %s: %w", op, err)
 	}
 	return c.werr
-}
-
-// writeFrameLocked writes one length-prefixed frame immediately. Errors are
-// sticky (see stickyWriteLocked).
-func (c *Conn) writeFrameLocked(body []byte) error {
-	binary.LittleEndian.PutUint32(c.hdrBuf[:], uint32(len(body)))
-	c.armWriteStallLocked()
-	defer c.disarmWriteStallLocked()
-	if _, err := c.nc.Write(c.hdrBuf[:]); err != nil {
-		return c.stickyWriteLocked("write header", err)
-	}
-	if _, err := c.nc.Write(body); err != nil {
-		return c.stickyWriteLocked("write body", err)
-	}
-	if c.meter != nil {
-		c.meter.FramesSent.Add(1)
-		c.meter.BytesSent.Add(uint64(4 + len(body)))
-	}
-	return nil
 }
 
 // WriteBuffers writes a pre-assembled sequence of length-prefixed frames in
@@ -286,16 +302,54 @@ func (c *Conn) unlockSubmit() { c.writeMu.Unlock() }
 func (c *Conn) writeBuffersLocked(bufs net.Buffers) error {
 	c.armWriteStallLocked()
 	defer c.disarmWriteStallLocked()
-	// WriteTo reslices its receiver, so write through the conn's scratch
-	// header: it keeps the caller's slice intact without heap-escaping a
-	// fresh one per call (WriteTo's pointer receiver escapes a local).
-	c.wv = bufs
-	_, err := c.wv.WriteTo(c.nc)
-	c.wv = nil // don't pin the caller's arrays past the write
+	var err error
+	if c.vectored {
+		// WriteTo reslices its receiver, so write through the conn's scratch
+		// header: it keeps the caller's slice intact without heap-escaping a
+		// fresh one per call (WriteTo's pointer receiver escapes a local).
+		c.wv = bufs
+		_, err = c.wv.WriteTo(c.nc)
+		c.wv = nil // don't pin the caller's arrays past the write
+	} else {
+		err = c.writeGatheredLocked(bufs)
+	}
 	if err != nil {
 		return c.stickyWriteLocked("vectored write", err)
 	}
 	return nil
+}
+
+// writeGatheredLocked is the vectored write below a conn without writev: the
+// buffers leave packed into wbuf, one Write per RbufSoftCap bytes, so a batch
+// of small frames is one Write. A buffer larger than that goes out as it is,
+// uncopied, and wbuf never grows past the cap here.
+func (c *Conn) writeGatheredLocked(bufs net.Buffers) error {
+	// bufs[0] may be wbuf itself (SendEncoded's prefix): appending it to
+	// wbuf[:0] copies it onto itself, and a growing append carries it over.
+	packed := c.wbuf[:0]
+	for _, b := range bufs {
+		if len(packed)+len(b) > RbufSoftCap {
+			if len(packed) > 0 {
+				if _, err := c.nc.Write(packed); err != nil {
+					return err
+				}
+				packed = packed[:0]
+			}
+			if len(b) > RbufSoftCap {
+				if _, err := c.nc.Write(b); err != nil {
+					return err
+				}
+				continue
+			}
+		}
+		packed = append(packed, b...)
+	}
+	c.wbuf = packed[:0]
+	if len(packed) == 0 {
+		return nil
+	}
+	_, err := c.nc.Write(packed)
+	return err
 }
 
 // stickySubmitLocked records a kernel-reported write failure exactly like

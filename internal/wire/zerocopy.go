@@ -142,6 +142,16 @@ func (d *decoder) messageInto(m *Message, payload []byte, mode DecodeMode) {
 	m.Payload = append(payload, src...)
 }
 
+// AppendMessageBody appends the body of a Publish or Resend frame (t says
+// which) for m — exactly the bytes Encode produces for Frame{Type: t, Msg: m}.
+// Publishers encode each message once into a pooled buffer with it and queue
+// the buffer on their uplink ring. The payload is copied, so the caller may
+// reuse it as soon as this returns.
+func AppendMessageBody(dst []byte, t Type, m *Message) []byte {
+	dst = append(dst, byte(t))
+	return encodeMessage(dst, m)
+}
+
 // AppendDispatchBody appends the body of a Dispatch frame for m — exactly
 // the bytes Encode produces for Frame{Type: TypeDispatch, Msg: m,
 // Dispatched: dispatched}. The broker builds this once per message and fans

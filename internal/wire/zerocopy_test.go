@@ -265,6 +265,17 @@ func TestAppendBodyHelpersMatchEncode(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Errorf("AppendPruneBody:\n got  %x\n want %x", got, want)
 	}
+
+	for _, typ := range []Type{TypePublish, TypeResend} {
+		want, err = Encode(nil, &Frame{Type: typ, Msg: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = AppendMessageBody(nil, typ, &m)
+		if !bytes.Equal(got, want) {
+			t.Errorf("AppendMessageBody(%v):\n got  %x\n want %x", typ, got, want)
+		}
+	}
 }
 
 // TestAppendBodyRoundTrip: helper-built bodies decode back to the frames
