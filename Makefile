@@ -43,16 +43,16 @@ bench:
 # Hot-path regression guard: repeat BenchmarkDispatchLanes{1,4,8},
 # BenchmarkFanout{1,8,64} (+ the FanoutAsync/Egress variants),
 # BenchmarkDurablePublishAck, BenchmarkRecvBatched{64B,16KiB},
-# BenchmarkReplicateEnqueue and BenchmarkPublishBurst{16B,16KiB}, with
-# allocation reporting and summarize with benchstat when it is installed (raw
-# output otherwise). Acceptance bars: ≥2x ns/op at 8 lanes vs 1 on a
-# multi-core runner, and 0 allocs/op on the dispatch, fan-out, egress, durable
-# publish→ack, batched receive, replication-enqueue and publisher-uplink
-# paths — benchstat's B/op and allocs/op columns are the alloc-regression
-# signal.
+# BenchmarkReplicateEnqueue, BenchmarkPublishBurst{16B,16KiB} and
+# BenchmarkBrokerRelay{16B,16KiB}, with allocation reporting and summarize
+# with benchstat when it is installed (raw output otherwise). Acceptance bars:
+# ≥2x ns/op at 8 lanes vs 1 on a multi-core runner, and 0 allocs/op on the
+# dispatch, fan-out, egress, durable publish→ack, batched receive,
+# replication-enqueue, publisher-uplink and broker-relay paths — benchstat's
+# B/op and allocs/op columns are the alloc-regression signal.
 BENCH_COUNT ?= 6
 bench-compare:
-	$(GO) test -run '^$$' -bench 'BenchmarkDispatchLanes|BenchmarkFanout|BenchmarkEgress|BenchmarkDurablePublishAck|BenchmarkRecvBatched|BenchmarkReplicateEnqueue|BenchmarkPublishBurst' -benchmem -count $(BENCH_COUNT) . | tee dispatch_lanes.bench
+	$(GO) test -run '^$$' -bench 'BenchmarkDispatchLanes|BenchmarkFanout|BenchmarkEgress|BenchmarkDurablePublishAck|BenchmarkRecvBatched|BenchmarkReplicateEnqueue|BenchmarkPublishBurst|BenchmarkBrokerRelay' -benchmem -count $(BENCH_COUNT) . | tee dispatch_lanes.bench
 	@if command -v benchstat >/dev/null 2>&1; then \
 		benchstat dispatch_lanes.bench; \
 	else \
@@ -101,6 +101,7 @@ repro:
 
 fuzz:
 	$(GO) test -fuzz FuzzDecode -fuzztime 30s ./internal/wire/
+	$(GO) test -fuzz FuzzInPlaceFrames -fuzztime 30s ./internal/wire/
 	$(GO) test -fuzz FuzzParseTopics -fuzztime 30s ./internal/spec/
 	$(GO) test -fuzz FuzzGatewayDecode -fuzztime 30s ./internal/gateway/
 	$(GO) test -fuzz FuzzSegmentReplay -fuzztime 30s ./internal/diskstore/

@@ -50,12 +50,11 @@ func run() error {
 		diskDir     = flag.String("disk", "", "backup role: also persist replicas to this directory (Table 1 'local disk' strategy)")
 		diskSync    = flag.Bool("disk-sync", false, "fsync every persisted replica (durable, slow)")
 		adminAddr   = flag.String("admin-addr", "", "bind an HTTP admin endpoint here serving /metrics, /healthz, and /debug/pprof (empty = disabled)")
-		zeroCopy    = flag.Bool("zerocopy", true, "decode received payloads as aliases into each connection's receive buffer (zero-copy hot path); false forces a defensive copy per frame")
 		egressDepth = flag.Int("egress-depth", 1024, "per-subscriber outbound ring capacity in frames; dispatch enqueues and a per-subscriber writer drains with vectored writes, so a slow socket never blocks a dispatch lane (0 = the default depth)")
 		egressShed  = flag.Bool("egress-shed", true, "on a full egress ring, shed oldest frames within each topic's loss tolerance Li and evict the subscriber past it; false blocks the dispatcher instead (backpressure)")
 		egressStall = flag.Duration("egress-stall", 0, "fail an egress flush write making no progress for this long and drop the subscriber (0 = unbounded; the ring + shed policy already isolate the lanes)")
 		peerStall   = flag.Duration("peer-write-timeout", 0, "fail a replication-link write making no progress for this long so a wedged Backup drops the link instead of stalling the lanes behind a full replication ring (0 = default 2s, negative = unbounded)")
-		intakeDepth = flag.Int("intake-depth", 0, "per-lane lock-free publish intake ring capacity in messages; publisher sessions push without the lane lock and the lane's dispatcher drains in batches (0 = default 1024, negative = locked intake, the pre-intake behavior)")
+		intakeDepth = flag.Int("intake-depth", 0, "per-lane lock-free publish intake ring capacity in messages; publisher sessions push without the lane lock and the lane's dispatcher drains in batches (0 = default 1024)")
 		flushers    = flag.Int("flushers", 0, "shared egress flusher goroutines sweeping all subscriber rings (0 = default 4, negative = one writer goroutine per subscriber)")
 		busyPoll    = flag.Bool("busy-poll", false, "spin idle lane dispatchers and egress flushers briefly before parking: lower wakeup latency, higher idle CPU")
 		uring       = flag.Bool("uring", true, "submit each flusher sweep's writes to every ready subscriber ring with one io_uring syscall; falls back to one writev per connection automatically where io_uring is unavailable (false forces the fallback)")
@@ -127,7 +126,6 @@ func run() error {
 		Logger:             logger,
 		DiskBackupDir:      *diskDir,
 		AdminAddr:          *adminAddr,
-		DisableZeroCopy:    !*zeroCopy,
 		EgressDepth:        *egressDepth,
 		EgressNoShed:       !*egressShed,
 		EgressWriteTimeout: *egressStall,

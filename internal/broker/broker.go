@@ -126,13 +126,6 @@ type Options struct {
 	// to /metrics — e.g. a fault injector's counters during chaos runs. It
 	// is called on every scrape and must be safe for concurrent use.
 	ExtraGauges func() []obsv.Sample
-	// DisableZeroCopy turns off zero-copy receive: by default the broker's
-	// session loops decode message payloads as aliases into each
-	// connection's receive buffer (safe because a session handles one frame
-	// fully before reading the next, and the engine's buffers copy what
-	// they retain). Set to force a defensive copy per received frame, e.g.
-	// while bisecting a suspected payload-ownership bug.
-	DisableZeroCopy bool
 	// EgressDepth sizes each subscriber's outbound ring (frames). Dispatch
 	// enqueues into the ring and a per-subscriber writer goroutine drains it
 	// with vectored writes, so a slow socket never blocks a dispatch lane.
@@ -166,9 +159,8 @@ type Options struct {
 	// IntakeDepth sizes each lane's lock-free publish intake ring (messages).
 	// Publisher sessions validate the topic, stamp arrival, and push into the
 	// ring without taking the lane lock; the lane's dispatcher drains the ring
-	// into the engine under the lock it already holds. Zero means DefaultIntakeDepth;
-	// negative disables the intake and restores the locked publish path
-	// (session goroutines call the engine under the lane mutex directly).
+	// into the engine under the lock it already holds. Zero means
+	// DefaultIntakeDepth.
 	IntakeDepth int
 	// Flushers sizes the shared egress flusher pool: subscriber rings are
 	// assigned round-robin to this many writer goroutines, each sweeping
@@ -246,11 +238,6 @@ const DefaultIntakeDepth = 1024
 // engine per lock acquisition, so one publish burst cannot starve the
 // dispatch side of the same lane lock.
 const intakeDrainBatch = 256
-
-// intakeKeepCap caps the payload storage an intake slot keeps across laps —
-// the same discipline as the engine's ring slots: one jumbo payload must
-// not pin a jumbo buffer forever.
-const intakeKeepCap = 4 << 10
 
 // dispatcherSpins is the lane dispatcher's busy-poll probe budget before
 // parking (Options.BusyPoll).
@@ -349,9 +336,6 @@ type subscriber struct {
 	eg   *transport.Egress
 }
 
-// intakeOn reports whether publishes go through the lock-free lane intake.
-func (b *Broker) intakeOn() bool { return b.opts.IntakeDepth >= 0 }
-
 // peerWriteStall resolves Options.PeerWriteTimeout.
 func (b *Broker) peerWriteStall() time.Duration {
 	switch {
@@ -372,11 +356,10 @@ func (b *Broker) peerWriteStall() time.Duration {
 type dispatchLane struct {
 	mu sync.Mutex
 	// parker sleeps the lane's idle dispatcher; publishers unpark after making
-	// work visible (an intake push or, on the legacy path, an engine push).
+	// work visible (an intake push).
 	parker *queue.Parker
-	// intake is the lock-free publish handoff (nil when Options.IntakeDepth
-	// is negative): producers fill slots concurrently, the dispatcher drains
-	// under mu via drainIntakeLocked.
+	// intake is the lock-free publish handoff: producers fill slots
+	// concurrently, the dispatcher drains under mu via drainIntakeLocked.
 	intake *queue.MPSC[intakeMsg]
 	// intakeStalls counts publishes that found the intake ring full and had
 	// to spin — sustained growth means the lane's dispatcher is the bottleneck.
@@ -388,13 +371,12 @@ type dispatchLane struct {
 }
 
 // intakeMsg is one publish in flight between a session goroutine and its
-// lane's dispatcher. payload is the slot-owned copy of the wire payload (which
-// aliases the session's receive buffer and dies at the next read); it is
-// recycled across ring laps like the engine's own buffer slots.
+// lane's dispatcher. The slot holds the session's reference to buf until the
+// dispatcher hands it to the engine.
 type intakeMsg struct {
-	msg     wire.Message // msg.Payload points into payload
-	payload []byte
-	now     time.Duration // arrival stamp, taken before the push
+	msg wire.Message   // msg.Payload points into buf
+	buf *wire.FrameBuf // the session's copy of the received body
+	now time.Duration  // arrival stamp, taken before the push
 }
 
 // lane returns the dispatch lane owning the topic's state.
@@ -441,6 +423,9 @@ func New(opts Options) (*Broker, error) {
 			// FCFS is a global arrival order; sharding would change it.
 			opts.Lanes = 1
 		}
+	}
+	if opts.IntakeDepth < 0 {
+		return nil, fmt.Errorf("broker: negative intake depth %d", opts.IntakeDepth)
 	}
 	if opts.BatchWindow < 0 {
 		return nil, fmt.Errorf("broker: negative batch window %v", opts.BatchWindow)
@@ -504,11 +489,8 @@ func New(opts Options) (*Broker, error) {
 		intakeDepth = DefaultIntakeDepth
 	}
 	for i := range b.lanes {
-		l := &dispatchLane{wait: obsv.NewHistogram(), parker: queue.NewParker()}
-		if intakeDepth > 0 {
-			l.intake = queue.NewMPSC[intakeMsg](intakeDepth)
-		}
-		b.lanes[i] = l
+		b.lanes[i] = &dispatchLane{wait: obsv.NewHistogram(), parker: queue.NewParker(),
+			intake: queue.NewMPSC[intakeMsg](intakeDepth)}
 	}
 	if opts.AdminAddr != "" {
 		admin, err := obsv.NewAdmin(opts.AdminAddr, obs, b.Health, b.scrapeGauges)
@@ -535,7 +517,7 @@ func New(opts Options) (*Broker, error) {
 		reloaded := 0
 		for _, m := range recovered {
 			// Replicas for topics no longer configured are skipped.
-			if err := b.engine.OnReplica(m, 0); err == nil {
+			if err := b.storeReplica(m, 0); err == nil {
 				reloaded++
 			}
 		}
@@ -573,7 +555,7 @@ func New(opts Options) (*Broker, error) {
 		// a previous life already dispatched. The backlog is scheduled by
 		// RecoverFromLog, not here, so subscribers can reattach first.
 		for _, m := range rep.Messages {
-			if err := b.engine.OnReplica(m, 0); err == nil {
+			if err := b.storeReplica(m, 0); err == nil {
 				b.recoveredMsgs++
 			}
 		}
@@ -805,15 +787,11 @@ func (b *Broker) scrapeGauges() []obsv.Sample {
 				Value: float64(l.pops.Load()), Help: "Jobs popped, by dispatch lane."},
 			obsv.Sample{Name: "frame_lane_queue_wait_p99_seconds", Label: label,
 				Value: l.wait.Quantile(0.99).Seconds(), Help: "p99 enqueue-to-pop wait, by dispatch lane."},
+			obsv.Sample{Name: "frame_lane_intake_depth", Label: label,
+				Value: float64(l.intake.Len()), Help: "Publishes queued in the lock-free lane intake, by dispatch lane."},
+			obsv.Sample{Name: "frame_lane_intake_stalls_total", Label: label, Counter: true,
+				Value: float64(l.intakeStalls.Load()), Help: "Publishes that found the lane intake ring full, by dispatch lane."},
 		)
-		if l.intake != nil {
-			samples = append(samples,
-				obsv.Sample{Name: "frame_lane_intake_depth", Label: label,
-					Value: float64(l.intake.Len()), Help: "Publishes queued in the lock-free lane intake, by dispatch lane."},
-				obsv.Sample{Name: "frame_lane_intake_stalls_total", Label: label, Counter: true,
-					Value: float64(l.intakeStalls.Load()), Help: "Publishes that found the lane intake ring full, by dispatch lane."},
-			)
-		}
 	}
 	if b.committer != nil {
 		cs := b.committer.Stats()
@@ -975,6 +953,7 @@ func (b *Broker) shutdown(drain bool) {
 		b.pool.Close()
 	}
 	b.wg.Wait()
+	b.releaseBuffers()
 	b.diskMu.Lock()
 	if b.disk != nil {
 		if err := b.disk.Close(); err != nil {
@@ -993,6 +972,22 @@ func (b *Broker) shutdown(drain bool) {
 			b.log.Warn("durable log close failed", "err", err)
 		}
 	}
+}
+
+// releaseBuffers drops the references nothing reads again once every session
+// and dispatcher has exited: publishes parked in the intake rings and the
+// Message and Backup Buffer entries. (Dispatchers only exit between jobs.)
+func (b *Broker) releaseBuffers() {
+	for _, l := range b.lanes {
+		for l.intake.PopInto(func(im *intakeMsg) {
+			im.buf.Release()
+			*im = intakeMsg{}
+		}) {
+		}
+	}
+	b.lockAllLanes()
+	b.engine.ReleaseBuffers()
+	b.unlockAllLanes()
 }
 
 func (b *Broker) closeSubscribers() {
@@ -1027,7 +1022,7 @@ func (b *Broker) acceptLoop(ctx context.Context) {
 		}
 		conn := transport.NewConn(nc)
 		conn.SetMeter(&b.meter)
-		conn.SetZeroCopy(!b.opts.DisableZeroCopy)
+		conn.SetZeroCopy(true) // sessions copy what they keep: see onPublish
 		b.enableBatching(conn)
 		b.wg.Add(1)
 		go func() {
@@ -1039,9 +1034,10 @@ func (b *Broker) acceptLoop(ctx context.Context) {
 
 // serveConn runs one session read loop. The first frame should be a Hello;
 // untyped sessions are served generically anyway (poll/time replies). One
-// pooled frame serves the whole session: handleFrame consumes each frame
-// fully (anything retained — ring-buffer entries, disk log records — is
-// copied by its owner) before the next RecvInto overwrites it.
+// pooled frame serves the whole session, its payload aliasing the receive
+// window: handleFrame consumes each frame fully — a message is copied once,
+// into the buffer that carries it from here on, a disk log record by the
+// log — before the next RecvInto overwrites it.
 func (b *Broker) serveConn(ctx context.Context, conn *transport.Conn) {
 	s := &session{conn: conn}
 	defer func() {
@@ -1083,7 +1079,7 @@ func (b *Broker) handleFrame(s *session, f *wire.Frame) error {
 	case wire.TypeHello:
 		return nil // roles are implicit in subsequent traffic
 	case wire.TypePublish, wire.TypeResend:
-		if err := b.onPublish(s, f.Msg); err != nil {
+		if err := b.onPublish(s, f.Type, f.Msg); err != nil {
 			// In a cluster, an unknown topic means the publisher routed on a
 			// stale table: answer with a WrongShard redirect so it refreshes
 			// and re-homes the topic. Outside a cluster it is the sender's
@@ -1125,49 +1121,30 @@ func (b *Broker) handleFrame(s *session, f *wire.Frame) error {
 // onPublish is the Message Proxy path: store, generate jobs, wake the
 // topic's lane.
 //
-// With the intake on (the default), the session goroutine never takes the
-// lane lock: it validates the topic lock-free (keeping the unknown-topic /
-// WrongShard answer synchronous), stamps arrival, pushes into the lane's
-// MPSC ring — copying the payload into slot-owned storage, since the wire
-// payload aliases the session's receive buffer — and unparks the lane's
-// dispatcher, which folds the ring into the engine under the lock it already
-// holds. The engine therefore observes the publish (Stats().Published, queue
-// depth) slightly after onPublish returns.
+// The session goroutine never takes the lane lock: it validates the topic
+// lock-free (keeping the unknown-topic / WrongShard answer synchronous),
+// stamps arrival, copies the message out of its receive window into a pooled
+// buffer — the broker's one payload-sized copy; every later stage holds a
+// reference and the buffer itself is the frame the subscribers are sent
+// (DESIGN §9) — pushes that reference into the lane's MPSC ring and unparks
+// the lane's dispatcher, which folds the ring into the engine under the lock
+// it already holds, so the engine observes the publish slightly later.
 //
 // In durable mode the message is also staged with the group-commit writer
 // after validation (stageDurable): the committer copies it under its own
 // mutex, so the session is back at its socket before the fsync, and the
 // PubAck — which certifies the fsync, not arrival — leaves from the
 // committer's completion callback.
-func (b *Broker) onPublish(s *session, m wire.Message) error {
+func (b *Broker) onPublish(s *session, t wire.Type, m wire.Message) error {
 	now := b.opts.Clock()
-	lane := b.lane(m.Topic)
-	if lane.intake == nil {
-		// Legacy locked intake (Options.IntakeDepth < 0).
-		lane.mu.Lock()
-		err := b.engine.OnPublish(m, now)
-		lane.mu.Unlock()
-		if err != nil {
-			b.obs.PublishRejected.Inc()
-			return err
-		}
-		if b.committer != nil {
-			b.stageDurable(s, m, now)
-		}
-		lane.parker.Unpark()
-		b.obs.Publishes.Inc()
-		b.obs.StageProxy.Observe(b.opts.Clock() - now)
-		b.obs.Trace(obsv.TraceEvent{Stage: obsv.StagePublish, Topic: uint64(m.Topic), Seq: m.Seq, At: now})
-		b.obs.Trace(obsv.TraceEvent{Stage: obsv.StageEnqueue, Topic: uint64(m.Topic), Seq: m.Seq, At: now})
-		return nil
-	}
 	if err := b.engine.CheckTopic(m.Topic); err != nil {
-		// Same synchronous answer the locked path gave, so WrongShard
-		// redirects still happen on the session goroutine. With the topic
-		// validated here, the drain-side OnPublish cannot fail.
+		// Answered here so WrongShard redirects happen on the session
+		// goroutine. With the topic validated, the drain-side OnPublishBuf
+		// cannot fail.
 		b.obs.PublishRejected.Inc()
 		return err
 	}
+	lane := b.lane(m.Topic)
 	if b.committer != nil {
 		// Before the intake push: the message's prune marker can only be
 		// staged once the dispatcher has seen it, so the record precedes it.
@@ -1178,24 +1155,17 @@ func (b *Broker) onPublish(s *session, m wire.Message) error {
 	// blocks in replicate can finish both jobs inside a session's time slice.
 	b.obs.Trace(obsv.TraceEvent{Stage: obsv.StagePublish, Topic: uint64(m.Topic), Seq: m.Seq, At: now})
 	b.obs.Trace(obsv.TraceEvent{Stage: obsv.StageEnqueue, Topic: uint64(m.Topic), Seq: m.Seq, At: now})
-	fill := func(im *intakeMsg) {
-		buf := im.payload
-		if cap(buf) > intakeKeepCap && len(m.Payload) <= intakeKeepCap {
-			buf = nil // drop a jumbo buffer a past lap pinned to this slot
-		}
-		im.payload = append(buf[:0], m.Payload...)
-		im.msg = m
-		im.msg.Payload = im.payload
-		im.now = now
-	}
+	buf := wire.CopyMessage(t, &m)
+	fill := func(im *intakeMsg) { *im = intakeMsg{msg: m, buf: buf, now: now} }
 	if !lane.intake.PushInPlace(fill) {
 		// Ring full: the lane's dispatcher is saturated. Spin rather than
 		// shed — loss policy lives at the egress, a publisher here just
-		// feels backpressure like the lock queue used to provide.
+		// feels backpressure.
 		lane.intakeStalls.Add(1)
 		for !lane.intake.PushInPlace(fill) {
 			if b.stopping.Load() {
-				return nil // shutting down; the message has nowhere to go
+				buf.Release() // shutting down; the message has nowhere to go
+				return nil
 			}
 			lane.parker.Unpark()
 			runtime.Gosched()
@@ -1207,19 +1177,20 @@ func (b *Broker) onPublish(s *session, m wire.Message) error {
 	return nil
 }
 
-// drainIntakeLocked folds queued publishes into the engine. Caller holds
-// the lane mutex and is the lane's dispatcher, the intake ring's single
-// consumer. The batch bound keeps one publish burst from monopolizing the
-// lock.
+// drainIntakeLocked folds queued publishes into the engine, each with the
+// reference its slot held. Caller holds the lane mutex and is the lane's
+// dispatcher, the intake ring's single consumer. The batch bound keeps one
+// publish burst from monopolizing the lock.
 func (b *Broker) drainIntakeLocked(lane *dispatchLane) {
 	for i := 0; i < intakeDrainBatch; i++ {
 		popped := lane.intake.PopInto(func(im *intakeMsg) {
-			// Cannot fail: the topic was validated at push time and the
-			// engine copies the payload out of the slot before returning.
-			if err := b.engine.OnPublish(im.msg, im.now); err != nil {
+			// Cannot fail: the topic was validated at push time.
+			if err := b.engine.OnPublishBuf(im.msg, im.buf, im.now); err != nil {
+				im.buf.Release()
 				b.obs.PublishRejected.Inc()
 				b.log.Warn("intake publish rejected", "topic", im.msg.Topic, "err", err)
 			}
+			*im = intakeMsg{} // the slot must not pin the buffer past the hand-over
 		})
 		if !popped {
 			return
@@ -1237,12 +1208,24 @@ func (b *Broker) onReplica(f *wire.Frame) error {
 		}
 	}
 	b.diskMu.Unlock()
-	lane := b.lane(f.Msg.Topic)
-	lane.mu.Lock()
-	err := b.engine.OnReplica(f.Msg, f.ArrivedPrimary)
-	lane.mu.Unlock()
+	err := b.storeReplica(f.Msg, f.ArrivedPrimary)
 	if err == nil {
 		b.obs.ReplicasStored.Inc()
+	}
+	return err
+}
+
+// storeReplica puts one copy into the Backup Buffer — a Replicate frame off
+// the link, or a record replayed from a log. Like onPublish it makes the one
+// copy of the message, so a recovery dispatch can send that buffer as it is.
+func (b *Broker) storeReplica(m wire.Message, arrivedPrimary time.Duration) error {
+	buf := wire.CopyMessage(wire.TypeReplicate, &m)
+	lane := b.lane(m.Topic)
+	lane.mu.Lock()
+	err := b.engine.OnReplicaBuf(m, buf, arrivedPrimary)
+	lane.mu.Unlock()
+	if err != nil {
+		buf.Release()
 	}
 	return err
 }
@@ -1304,15 +1287,6 @@ func (b *Broker) removeSubscriber(conn *transport.Conn) *transport.Egress {
 	return s.eg
 }
 
-// laneScratch is the reusable storage a lane's dispatcher cycles through
-// for every job it executes: the payload copy taken under the lane lock and
-// the fan-out subscriber snapshot. Both amortize to zero allocations at
-// steady state.
-type laneScratch struct {
-	payload []byte
-	subs    []*subscriber
-}
-
 // dispatchLoop is a lane's one Message Delivery thread: it pops resolved
 // work under the lane lock and enqueues it on egress rings outside it. As the
 // only goroutine that pops the lane it makes pop → encode → enqueue a single
@@ -1330,12 +1304,9 @@ func (b *Broker) dispatchLoop(laneIdx int) {
 	// the intake holds publishes that would create them. Both probes are
 	// atomic reads.
 	ready := func() bool {
-		if b.stopping.Load() || qm.LaneDepth(laneIdx) > 0 {
-			return true
-		}
-		return lane.intake != nil && !lane.intake.Empty()
+		return b.stopping.Load() || qm.LaneDepth(laneIdx) > 0 || !lane.intake.Empty()
 	}
-	var sc laneScratch
+	var subs []*subscriber // fan-out snapshot, reused across jobs
 	for {
 		lane.mu.Lock()
 		var w core.Work
@@ -1345,13 +1316,11 @@ func (b *Broker) dispatchLoop(laneIdx int) {
 				lane.mu.Unlock()
 				return
 			}
-			if lane.intake != nil {
-				b.drainIntakeLocked(lane)
-			}
-			// The payload is copied into the scratch under the lane lock:
-			// once released, concurrent publishes may evict and reuse the
-			// ring slot the message lives in.
-			w, sc.payload, ok = b.engine.NextWorkLaneInto(laneIdx, sc.payload)
+			b.drainIntakeLocked(lane)
+			// The Work comes with its own reference to the message's buffer,
+			// taken under the lane lock: once released, later publishes may
+			// evict the ring entry the message lives in.
+			w, ok = b.engine.NextWorkLane(laneIdx)
 			if ok {
 				break
 			}
@@ -1387,37 +1356,55 @@ func (b *Broker) dispatchLoop(laneIdx int) {
 				// ever re-dispatched (Table 3, Recovery step 1).
 				b.obs.Trace(obsv.TraceEvent{Stage: obsv.StageRecoveryDispatch, Topic: uint64(w.Msg.Topic), Seq: w.Msg.Seq, At: popped})
 			}
-			b.dispatch(lane, w, &sc)
+			subs = b.dispatch(lane, &w, subs)
 			done := b.opts.Clock()
 			b.obs.Dispatches.Inc()
 			b.obs.StageDispatch.Observe(done - popped)
 			b.obs.EndToEnd.Observe(done - w.Job.Release)
 			b.obs.Trace(obsv.TraceEvent{Stage: obsv.StageAck, Topic: uint64(w.Msg.Topic), Seq: w.Msg.Seq, At: done})
 		case core.WorkReplicate:
-			b.replicate(lane, w)
+			b.replicate(lane, &w)
 			done := b.opts.Clock()
 			b.obs.StageReplicate.Observe(done - popped)
 			b.obs.Trace(obsv.TraceEvent{Stage: obsv.StageAck, Topic: uint64(w.Msg.Topic), Seq: w.Msg.Seq, At: done})
 		}
+		if w.Buf != nil {
+			w.Buf.Release()
+		}
 	}
 }
 
+// frameOf returns w's message as a Dispatch or Replicate frame (t) with one
+// reference for the caller to hand on. With no frame of the message queued
+// anywhere (w.InPlace) its own buffer becomes the frame and w's reference
+// moves to the caller; otherwise a flusher may be reading those bytes —
+// dispatch and replicate of one message both in flight — and it is a copy.
+func frameOf(w *core.Work, t wire.Type, trailer time.Duration) *wire.FrameBuf {
+	var fb *wire.FrameBuf
+	if w.InPlace {
+		fb, w.Buf = w.Buf, nil
+	} else {
+		fb = wire.CopyMessage(t, &w.Msg)
+	}
+	fb.Reframe(t, trailer)
+	return fb
+}
+
 // dispatch pushes the message to every subscriber of the topic, then runs
-// the Table 3 Dispatch steps (flag + prune request). The Dispatch frame is
-// encoded exactly once, into a refcounted pooled buffer (one reference per
-// subscriber ring, released after each flush), so the whole fan-out costs
-// one encode and zero steady-state allocations, and the EDF lane never
-// touches a socket.
-func (b *Broker) dispatch(lane *dispatchLane, w core.Work, sc *laneScratch) {
+// the Table 3 Dispatch steps (flag + prune request). There is one Dispatch
+// frame per message, refcounted (one reference per subscriber ring, released
+// after each flush) and normally the buffer the message arrived in, so the
+// whole fan-out costs no copy and zero steady-state allocations, and the EDF
+// lane never touches a socket. subs is scratch, returned for reuse.
+func (b *Broker) dispatch(lane *dispatchLane, w *core.Work, subs []*subscriber) []*subscriber {
 	b.subsMu.Lock()
-	sc.subs = append(sc.subs[:0], b.subs[w.Msg.Topic]...)
+	subs = append(subs[:0], b.subs[w.Msg.Topic]...)
 	b.subsMu.Unlock()
 	b.obs.Trace(obsv.TraceEvent{Stage: obsv.StageDispatch, Topic: uint64(w.Msg.Topic), Seq: w.Msg.Seq, At: b.opts.Clock()})
-	if len(sc.subs) > 0 { // no subscribers: nothing to encode, only coordination
-		fb := transport.GetFrameBuf()
-		fb.B = wire.AppendDispatchBody(fb.B[:0], &w.Msg, b.opts.Clock())
-		fb.RetainN(len(sc.subs)) // the rings own one reference per subscriber
-		for _, s := range sc.subs {
+	if len(subs) > 0 { // no subscribers: nothing to encode, only coordination
+		fb := frameOf(w, wire.TypeDispatch, b.opts.Clock())
+		fb.RetainN(len(subs) - 1) // with the dispatcher's own: one reference per ring
+		for _, s := range subs {
 			switch s.eg.Enqueue(fb, w.Msg.Topic, w.LossTolerance) {
 			case transport.EnqueueOK, transport.EnqueueShed:
 				b.obs.DispatchSends.Inc()
@@ -1429,7 +1416,6 @@ func (b *Broker) dispatch(lane *dispatchLane, w core.Work, sc *laneScratch) {
 				b.obs.DispatchSendErrors.Inc()
 			}
 		}
-		fb.Release() // drop the dispatcher's own reference
 	}
 
 	lane.mu.Lock()
@@ -1446,27 +1432,26 @@ func (b *Broker) dispatch(lane *dispatchLane, w core.Work, sc *laneScratch) {
 	if co.SendPrune {
 		if ring := b.peer(); ring != nil {
 			fb := transport.GetFrameBuf()
-			fb.B = wire.AppendPruneBody(fb.B[:0], co.Topic, co.Seq)
+			fb.B = wire.AppendPruneBody(fb.B, co.Topic, co.Seq)
 			if ring.Enqueue(fb, 0, 0) == transport.EnqueueOK {
 				b.obs.PrunesSent.Inc()
 			}
 		}
 	}
+	return subs
 }
 
 // replicate hands a copy of the message to the Backup's ring (Table 3
 // Replicate steps 2–3). OnReplicated runs after the enqueue, as OnDispatched
 // does: the ring never sheds, so it either writes the frame or the link is
 // dropped, and a failed enqueue means the link died under the frame.
-func (b *Broker) replicate(lane *dispatchLane, w core.Work) {
+func (b *Broker) replicate(lane *dispatchLane, w *core.Work) {
 	ring := b.peer()
 	if ring == nil {
 		return // backup gone or never configured
 	}
 	b.obs.Trace(obsv.TraceEvent{Stage: obsv.StageReplicate, Topic: uint64(w.Msg.Topic), Seq: w.Msg.Seq, At: b.opts.Clock()})
-	fb := transport.GetFrameBuf()
-	fb.B = wire.AppendReplicateBody(fb.B[:0], &w.Msg, w.ArrivedPrimary)
-	if ring.Enqueue(fb, 0, 0) != transport.EnqueueOK {
+	if ring.Enqueue(frameOf(w, wire.TypeReplicate, w.ArrivedPrimary), 0, 0) != transport.EnqueueOK {
 		b.obs.ReplicateErrors.Inc()
 		return
 	}
@@ -1492,7 +1477,7 @@ func (b *Broker) dialPeer() (*transport.Egress, error) {
 	}
 	conn := transport.NewConn(nc)
 	conn.SetMeter(&b.meter)
-	conn.SetZeroCopy(!b.opts.DisableZeroCopy)
+	conn.SetZeroCopy(true)
 	b.enableBatching(conn)
 	if err := conn.Send(&wire.Frame{Type: wire.TypeHello, Role: wire.RoleBrokerPeer, Name: b.Addr()}); err != nil {
 		conn.Close()

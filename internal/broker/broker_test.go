@@ -342,6 +342,8 @@ func TestBrokerOptionValidation(t *testing.T) {
 		{"nil clock", func(o *Options) { o.Clock = nil }},
 		{"bad role", func(o *Options) { o.Role = 0 }},
 		{"negative workers", func(o *Options) { o.Workers = -1 }},
+		{"negative lanes", func(o *Options) { o.Lanes = -1 }},
+		{"negative intake depth", func(o *Options) { o.IntakeDepth = -1 }},
 		{"inadmissible topic", func(o *Options) {
 			bad := lanTopic(1, 0)
 			bad.Deadline = time.Microsecond // < ΔBS

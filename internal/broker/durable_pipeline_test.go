@@ -294,8 +294,6 @@ func TestDurablePublishToAckDoesNotAllocate(t *testing.T) {
 	topics[0].LossTolerance = spec.LossUnbounded
 	b := startDurable(t, n, t.TempDir(), topics, func(o *Options) {
 		o.FsyncInterval = 100 * time.Microsecond
-		// Few slots, so the warm-up laps every ring and each slot owns its
-		// payload storage before the measurement.
 		o.IntakeDepth = 64
 		o.Engine.MessageBufferCap = 64
 	})

@@ -16,6 +16,13 @@ import (
 // is observable without replication traffic in the way.
 func soloPrimary(t *testing.T, n transport.Network, topics []spec.Topic, mutate func(*Options)) (*Broker, func() time.Duration) {
 	t.Helper()
+	return hookedPrimary(t, n, topics, mutate, nil)
+}
+
+// hookedPrimary is soloPrimary with the afterPop seam installed before the
+// dispatchers start.
+func hookedPrimary(t *testing.T, n transport.Network, topics []spec.Topic, mutate func(*Options), afterPop func(core.Work)) (*Broker, func() time.Duration) {
+	t.Helper()
 	clock := testClock()
 	cfg := core.FRAMEConfig(lanParams())
 	cfg.MessageBufferCap = 1024
@@ -36,6 +43,7 @@ func soloPrimary(t *testing.T, n transport.Network, topics []spec.Topic, mutate 
 	if err != nil {
 		t.Fatal(err)
 	}
+	b.afterPop = afterPop
 	b.Start()
 	return b, clock
 }

@@ -10,18 +10,13 @@ import (
 	"repro/internal/wire"
 )
 
-// benchmarkPublishContended hammers the broker's publish handoff from
-// parallel producers while its own lane workers drain concurrently — the
-// session-goroutine contention BenchmarkDispatchLanes cannot see, since it
-// pushes and pops from the same goroutine per lane. The two variants pit the
-// lock-free MPSC intake against the legacy per-lane mutex+cond handoff on
-// the identical workload.
-//
-// Read the pair on a multi-core runner: RunParallel spawns GOMAXPROCS
-// producers, so on a single-core box there is no contention and the MPSC
-// variant pays its slot copy plus drain double-handling with nothing to
-// amortize them against — the locked path wins there by construction.
-func benchmarkPublishContended(b *testing.B, intakeDepth int) {
+// BenchmarkPublishContendedMPSC hammers the broker's publish handoff — the
+// session's copy into a pooled buffer and the push of that reference into the
+// lane's MPSC intake — from parallel producers while its own lane dispatchers
+// drain concurrently: the session-goroutine contention BenchmarkDispatchLanes
+// cannot see, since it pushes and pops from the same goroutine per lane.
+// RunParallel spawns GOMAXPROCS producers, so read it on a multi-core runner.
+func BenchmarkPublishContendedMPSC(b *testing.B) {
 	const topicCount = 64
 	cfg := core.FRAMEConfig(lanParams())
 	cfg.Lanes = 4
@@ -32,15 +27,13 @@ func benchmarkPublishContended(b *testing.B, intakeDepth int) {
 		topics[i].LossTolerance = spec.LossUnbounded
 	}
 	bk, err := New(Options{
-		Engine:      cfg,
-		Role:        RolePrimary,
-		ListenAddr:  "bench-primary",
-		Network:     transport.NewMem(),
-		Clock:       testClock(),
-		Workers:     2,
-		Topics:      topics,
-		IntakeDepth: intakeDepth,
-		Logger:      quietLogger(),
+		Engine:     cfg,
+		Role:       RolePrimary,
+		ListenAddr: "bench-primary",
+		Network:    transport.NewMem(),
+		Clock:      testClock(),
+		Topics:     topics,
+		Logger:     quietLogger(),
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -61,13 +54,10 @@ func benchmarkPublishContended(b *testing.B, intakeDepth int) {
 		for pb.Next() {
 			seq++
 			m := wire.Message{Topic: id, Seq: seq, Created: bk.opts.Clock(), Payload: payload}
-			if err := bk.onPublish(nil, m); err != nil {
+			if err := bk.onPublish(nil, wire.TypePublish, m); err != nil {
 				b.Error(err)
 				return
 			}
 		}
 	})
 }
-
-func BenchmarkPublishContendedMPSC(b *testing.B)   { benchmarkPublishContended(b, 0) }
-func BenchmarkPublishContendedLocked(b *testing.B) { benchmarkPublishContended(b, -1) }

@@ -69,16 +69,12 @@ func (h logEvents) await(t *testing.T, prefix string) {
 	}
 }
 
-// publishPolled sends one message on a rawPublisher link with a Poll behind
-// it. The session handles frames in order, so when the PollReply is back the
-// publish is in its lane's intake and the lane has been unparked.
+// publishPolled sends one 16-byte message on a rawPublisher link with a Poll
+// behind it. The session handles frames in order, so when the PollReply is
+// back the publish is in its lane's intake and the lane has been unparked.
 func publishPolled(t *testing.T, conn *transport.Conn, topic spec.TopicID, seq uint64) {
 	t.Helper()
-	m := wire.Message{Topic: topic, Seq: seq, Created: time.Duration(seq), Payload: []byte("0123456789abcdef")}
-	if err := conn.Send(&wire.Frame{Type: wire.TypePublish, Msg: m}); err != nil {
-		t.Fatal(err)
-	}
-	pollRoundTrip(t, conn, seq)
+	publishStamped(t, conn, topic, seq, 16)
 }
 
 // pollRoundTrip sends a Poll and reads its reply: one trip through the
@@ -380,7 +376,10 @@ func TestPeerRingKeepsPruneBehindReplicate(t *testing.T) {
 // TestPeerRingRetiredBeforeFlusherPool: however the link ends — Stop, Kill,
 // or the Backup going away under traffic — its ring is closed and waited
 // before the flusher pool it drains through, so no frame reference and no
-// goroutine survives the broker.
+// goroutine survives the broker. The references shutdown itself must drop —
+// Message and Backup Buffer entries, publishes parked in an intake ring, the
+// buffer of a session caught pushing into a full one, a Work whose entry was
+// evicted under it — are part of the same count.
 func TestPeerRingRetiredBeforeFlusherPool(t *testing.T) {
 	for _, how := range []string{"stop", "kill", "backup-exits"} {
 		t.Run(how, func(t *testing.T) {
@@ -412,4 +411,80 @@ func TestPeerRingRetiredBeforeFlusherPool(t *testing.T) {
 			waitNoBrokerGoroutines(t)
 		})
 	}
+
+	// The dispatcher is held with one Work out; behind it the two-slot intake
+	// fills and the session spins on the next publish. Kill finds all three.
+	t.Run("kill-with-intake-parked", func(t *testing.T) {
+		base := transport.FrameBufRefs()
+		n := transport.NewMem()
+		held, release := make(chan struct{}), make(chan struct{})
+		var once sync.Once
+		b, _ := hookedPrimary(t, n, []spec.Topic{lanTopic(1, 3)}, func(o *Options) { o.IntakeDepth = 2 },
+			func(core.Work) {
+				once.Do(func() { close(held) })
+				<-release
+			})
+		pub := rawPublisher(t, n, "primary")
+		defer pub.Close()
+		publishPolled(t, pub, 1, 1)
+		<-held
+		publishPolled(t, pub, 1, 2)
+		publishPolled(t, pub, 1, 3)
+		// No Poll behind this one: its session never gets back to the socket.
+		m := wire.Message{Topic: 1, Seq: 4, Created: 4, Payload: []byte("0123456789abcdef")}
+		if err := pub.Send(&wire.Frame{Type: wire.TypePublish, Msg: m}); err != nil {
+			t.Fatal(err)
+		}
+		lane := b.lane(1)
+		waitFor(t, 2*time.Second, "the session to stall on the full intake", func() bool { return lane.intakeStalls.Load() > 0 })
+		if got := lane.intake.Len(); got != 2 {
+			t.Fatalf("intake holds %d publishes, want 2", got)
+		}
+		killed := make(chan struct{})
+		go func() {
+			b.Kill()
+			close(killed)
+		}()
+		waitFor(t, 2*time.Second, "shutdown to begin", b.stopping.Load)
+		close(release) // the dispatcher finishes its Work and exits without draining
+		<-killed
+		if refs := transport.FrameBufRefs(); refs != base {
+			t.Errorf("leaked %d FrameBuf references", refs-base)
+		}
+		waitNoBrokerGoroutines(t)
+	})
+
+	// After promotion a recovery Work is held while the old Primary's link
+	// wraps the Backup Buffer, evicting the entry the Work came from.
+	t.Run("evicted-while-work-out", func(t *testing.T) {
+		base := transport.FrameBufRefs()
+		n := transport.NewMem()
+		const slots = 4
+		held, release := make(chan struct{}), make(chan struct{})
+		var once sync.Once
+		b, peer, clock := standaloneBackup(t, n, slots, func(core.Work) {
+			once.Do(func() { close(held) })
+			<-release
+		}, lanTopic(1, 3))
+		got := checkedDeliveries(t, n, clock, "backup", 1)
+		awaitSubscribed(t, 1, b)
+		sendReplica(t, peer, 1, 1, 64)
+		pollRoundTrip(t, peer, 1)
+		b.promote()
+		<-held
+		for seq := uint64(2); seq < 2+2*slots; seq++ {
+			sendReplica(t, peer, 1, seq, 64)
+		}
+		pollRoundTrip(t, peer, 2) // the Backup Buffer has wrapped twice
+		close(release)
+		if m := nextDelivery(t, got); m.Seq != 1 {
+			t.Fatalf("recovery delivered seq %d, want 1", m.Seq)
+		}
+		peer.Close()
+		b.Stop()
+		if refs := transport.FrameBufRefs(); refs != base {
+			t.Errorf("leaked %d FrameBuf references", refs-base)
+		}
+		waitNoBrokerGoroutines(t)
+	})
 }

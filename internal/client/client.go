@@ -369,8 +369,8 @@ func (p *Publisher) Publish(topic spec.TopicID, payload []byte) (uint64, error) 
 // is full and fails once it is closed — by a failed write, a fail-over or
 // Close. Holding p.mu is what keeps ring order equal to sequence order.
 func (p *Publisher) enqueueLocked(t wire.Type, m *wire.Message) error {
-	fb := transport.GetFrameBuf()
-	fb.B = wire.AppendMessageBody(fb.B[:0], t, m)
+	fb := wire.GetFrameBuf(wire.MsgHeaderLen + len(m.Payload))
+	fb.B = wire.AppendMessageBody(fb.B, t, m)
 	if len(fb.B) > transport.MaxFrameSize {
 		n := len(fb.B)
 		fb.Release()
@@ -683,10 +683,12 @@ func NewSubscriber(opts SubscriberOptions) (*Subscriber, error) {
 	return s, nil
 }
 
-// receiveLoop drains one broker link with a pooled, reused frame: each
-// dispatch is fully handled (latency recorded, OnDeliver invoked) before
-// the next receive overwrites the frame's storage.
+// receiveLoop drains one broker link with a pooled, reused frame whose
+// payload is decoded in place, in the link's receive window: each dispatch
+// is fully handled (latency recorded, OnDeliver invoked) before the next
+// receive may overwrite it — the Delivery contract.
 func (s *Subscriber) receiveLoop(conn *transport.Conn, source string) {
+	conn.SetZeroCopy(true)
 	f := transport.GetFrame()
 	defer transport.PutFrame(f)
 	for {

@@ -20,9 +20,9 @@
 // mutex per lane:
 //
 //   - AddTopic completes before any concurrent use.
-//   - Calls that name a topic (OnPublish, OnReplica, OnPrune, OnDispatched,
-//     OnReplicated, BackupBufferLen) run under the lock of that topic's
-//     lane (LaneFor).
+//   - Calls that name a topic (OnPublish, OnReplica and their Buf forms,
+//     OnPrune, OnDispatched, OnReplicated, BackupBufferLen) run under the
+//     lock of that topic's lane (LaneFor).
 //   - NextWorkLane(l) runs under lane l's lock and only returns work for
 //     topics of lane l.
 //   - Promote and whole-queue calls (NextWork, QueueLen, PeekDeadline) run
@@ -162,12 +162,25 @@ func FCFSMinusConfig(p timing.Params) Config {
 // entry is one message copy in the Message Buffer or Backup Buffer, with
 // the Table 3 flags.
 type entry struct {
-	msg            wire.Message
+	msg wire.Message
+	// buf is the entry's reference to the buffer msg.Payload points into; nil
+	// for a runtime that carries no payload bytes, and once released.
+	buf            *wire.FrameBuf
 	arrivedPrimary time.Duration // tp of the original arrival
 	dispatched     bool
 	replicating    bool // replicate work handed to a Replicator (in flight)
 	replicated     bool
 	discard        bool
+}
+
+// release drops the entry's buffer reference, if it still holds one: the
+// payload can no longer be read through this entry.
+func (ent *entry) release() {
+	if ent.buf != nil {
+		ent.buf.Release()
+		ent.buf = nil
+		ent.msg.Payload = nil
+	}
 }
 
 // topicState is the engine's per-topic bookkeeping.
@@ -431,20 +444,25 @@ func (e *Engine) Topics() []spec.TopicID {
 // replication job (§IV-A). The Job Generator derives absolute deadlines by
 // subtracting the observed ΔPB = now − m.Created from the pseudo relative
 // deadlines, which lands on tc + Dd' and tc + Dr'.
+//
+// The engine never copies a payload: this form is for runtimes that carry
+// none (the simulators) or whose m.Payload outlives the message.
 func (e *Engine) OnPublish(m wire.Message, now time.Duration) error {
+	return e.OnPublishBuf(m, nil, now)
+}
+
+// OnPublishBuf is OnPublish for a message whose payload points into buf (see
+// wire.CopyMessage). On success the Message Buffer entry takes over the
+// caller's reference; on error the caller keeps it.
+func (e *Engine) OnPublishBuf(m wire.Message, buf *wire.FrameBuf, now time.Duration) error {
 	st, ok := e.topics[m.Topic]
 	if !ok {
 		return fmt.Errorf("%w %d (publish)", ErrUnknownTopic, m.Topic)
 	}
 	e.stats.published.Add(1)
-	// The buffer owns its copy of the payload: m.Payload may alias a
-	// transport receive buffer (wire.ModeAlias) that is overwritten by the
-	// next read, so the slot copies it — reusing the evicted entry's payload
-	// storage, which makes the steady-state publish path allocation-free.
 	idx, evicted := st.buffer.PushInPlace(func(slot *entry) {
-		pl := slot.msg.Payload
-		*slot = entry{msg: m, arrivedPrimary: now}
-		slot.msg.Payload = appendPayload(pl, m.Payload)
+		slot.release()
+		*slot = entry{msg: m, buf: buf, arrivedPrimary: now}
 	})
 	if evicted {
 		e.stats.evictedMessages.Add(1)
@@ -492,22 +510,6 @@ func deadlineOrMax(created, pseudo time.Duration) time.Duration {
 	return created + pseudo
 }
 
-// payloadKeepCap bounds the payload capacity a reused buffer (ring slot or
-// worker scratch) retains across messages: one jumbo payload must not pin
-// up to wire.MaxPayload bytes per slot for the life of the process. The
-// evaluation workload's payloads are 16 bytes; 4 KiB keeps any sensible
-// sensor payload allocation-free.
-const payloadKeepCap = 4 << 10
-
-// appendPayload copies src into dst's storage (from the start), allocating
-// afresh when dst's capacity is oversized relative to payloadKeepCap.
-func appendPayload(dst, src []byte) []byte {
-	if cap(dst) > payloadKeepCap && len(src) <= payloadKeepCap {
-		dst = nil
-	}
-	return append(dst[:0], src...)
-}
-
 // WorkKind is what a popped job resolved to.
 type WorkKind int
 
@@ -523,18 +525,20 @@ const (
 
 // Work is the resolved action for a popped job.
 //
-// Ownership: Msg.Payload returned by NextWork/NextWorkLane aliases the ring
-// slot the message lives in, so it is valid only until the topic's buffer
-// evicts that slot (i.e. until enough later publishes of the same topic
-// wrap the ring). Runtimes that hold Work across further arrivals while
-// payloads are in play (the concurrent broker) must use NextWorkLaneInto,
-// which copies the payload into caller-owned scratch before the lane lock
-// is released; the discrete-event simulators model payload size without
-// carrying bytes, so plain NextWork stays safe there.
+// Ownership: for a message stored with a buffer (OnPublishBuf, OnReplicaBuf)
+// Buf is a reference taken for the caller under the lane lock, so Msg.Payload
+// stays valid after the lock is released however often the topic's ring
+// wraps; the caller releases it when the job is done. InPlace says the ring
+// entry held the only other reference then — no frame of this message was
+// queued anywhere — and since only the lane's dispatcher queues frames, it
+// may Reframe Buf and queue that very buffer instead of encoding a copy.
+// Without a buffer Buf is nil and Msg.Payload is what OnPublish was given.
 type Work struct {
-	Kind WorkKind
-	Job  queue.Job
-	Msg  wire.Message
+	Kind    WorkKind
+	Job     queue.Job
+	Msg     wire.Message
+	Buf     *wire.FrameBuf
+	InPlace bool
 	// ArrivedPrimary is tp for replicate frames and for recovery dispatches.
 	ArrivedPrimary time.Duration
 	// LossTolerance is the topic's Li, carried with each dispatch so the
@@ -588,23 +592,6 @@ func (e *Engine) NextWorkLane(lane int) (Work, bool) {
 	}
 }
 
-// NextWorkLaneInto is NextWorkLane with a caller-owned payload buffer: the
-// returned Work.Msg.Payload is copied into scratch's storage (grown as
-// needed, re-allocated when a jumbo payload left it oversized), so the
-// caller may keep using the message after releasing the lane lock while
-// concurrent publishes evict and reuse the ring slot it came from. The
-// possibly-grown scratch is returned for reuse; the broker keeps one per
-// delivery worker, which makes the steady-state pop path allocation-free.
-func (e *Engine) NextWorkLaneInto(lane int, scratch []byte) (Work, []byte, bool) {
-	w, ok := e.NextWorkLane(lane)
-	if !ok {
-		return w, scratch, false
-	}
-	scratch = appendPayload(scratch, w.Msg.Payload)
-	w.Msg.Payload = scratch
-	return w, scratch, true
-}
-
 // PeekDeadlineLane returns the deadline of lane's next job without popping.
 // It must run under the lane's lock. With Lanes ≤ 1 it behaves like
 // PeekDeadline.
@@ -644,11 +631,11 @@ func (e *Engine) resolve(j queue.Job) Work {
 	}
 	switch j.Kind {
 	case queue.KindDispatch:
-		if ent.dispatched {
+		if ent.dispatched || ent.discard {
+			// discard: a prune that arrived after the recovery job was queued.
 			return Work{Kind: WorkNone}
 		}
-		return Work{Kind: WorkDispatch, Job: j, Msg: ent.msg, ArrivedPrimary: ent.arrivedPrimary,
-			LossTolerance: st.spec.LossTolerance}
+		return ent.work(WorkDispatch, j, st.spec.LossTolerance)
 	case queue.KindReplicate:
 		if e.cfg.Coordination && ent.dispatched {
 			e.stats.abortedReplicas.Add(1)
@@ -659,10 +646,22 @@ func (e *Engine) resolve(j queue.Job) Work {
 		// will exist at the Backup and must be pruned. Without this, the
 		// Backup would keep a stale copy and re-dispatch it at recovery.
 		buf.Update(j.BufferIndex, func(p *entry) { p.replicating = true })
-		return Work{Kind: WorkReplicate, Job: j, Msg: ent.msg, ArrivedPrimary: ent.arrivedPrimary}
+		return ent.work(WorkReplicate, j, 0)
 	default:
 		return Work{Kind: WorkNone}
 	}
+}
+
+// work hands the entry's message out as Work, with a buffer reference of its
+// own when the entry holds one. Runs under the lane lock, which is what makes
+// the InPlace verdict race-free: nothing else can add a holder meanwhile.
+func (ent *entry) work(kind WorkKind, j queue.Job, li int) Work {
+	w := Work{Kind: kind, Job: j, Msg: ent.msg, Buf: ent.buf, ArrivedPrimary: ent.arrivedPrimary, LossTolerance: li}
+	if ent.buf != nil {
+		w.InPlace = ent.buf.Exclusive()
+		ent.buf.Retain()
+	}
+	return w
 }
 
 // Coordination is the engine's instruction to the runtime after a dispatch
@@ -691,6 +690,11 @@ func (e *Engine) OnDispatched(j queue.Job) Coordination {
 	buf.Update(j.BufferIndex, func(ent *entry) {
 		ent.dispatched = true
 		replicated = ent.replicated || ent.replicating
+		// Nothing reads the payload through the entry again unless a
+		// replicate job is still to be handed out, which coordination aborts.
+		if replicated || !st.replicate || e.cfg.Coordination || j.Recovery {
+			ent.release()
+		}
 	})
 	if e.cfg.Coordination && replicated && e.cfg.HasBackup {
 		e.stats.prunesSent.Add(1)
@@ -706,13 +710,25 @@ func (e *Engine) OnReplicated(j queue.Job) {
 	if !ok {
 		return
 	}
-	st.buffer.Update(j.BufferIndex, func(ent *entry) { ent.replicated = true })
+	st.buffer.Update(j.BufferIndex, func(ent *entry) {
+		ent.replicated = true
+		if ent.dispatched {
+			ent.release()
+		}
+	})
 }
 
 // OnReplica stores a message copy arriving from the Primary into the Backup
 // Buffer (Backup role). arrivedPrimary is the original tp carried in the
-// Replicate frame.
+// Replicate frame. Like OnPublish it is the form without payload ownership.
 func (e *Engine) OnReplica(m wire.Message, arrivedPrimary time.Duration) error {
+	return e.OnReplicaBuf(m, nil, arrivedPrimary)
+}
+
+// OnReplicaBuf is OnReplica for a message whose payload points into buf. On
+// success the Backup Buffer entry takes over the caller's reference (dropping
+// it at once when a prune outran the copy); on error the caller keeps it.
+func (e *Engine) OnReplicaBuf(m wire.Message, buf *wire.FrameBuf, arrivedPrimary time.Duration) error {
 	st, ok := e.topics[m.Topic]
 	if !ok {
 		return fmt.Errorf("%w %d (replica)", ErrUnknownTopic, m.Topic)
@@ -722,13 +738,12 @@ func (e *Engine) OnReplica(m wire.Message, arrivedPrimary time.Duration) error {
 		discard = true
 		e.stats.prunesApplied.Add(1)
 	}
-	// Like the Message Buffer, the Backup Buffer takes its own copy of the
-	// payload (reusing the evicted slot's storage): the Replicate frame it
-	// arrived in may alias a transport receive buffer.
 	st.backup.PushInPlace(func(slot *entry) {
-		pl := slot.msg.Payload
-		*slot = entry{msg: m, arrivedPrimary: arrivedPrimary, discard: discard}
-		slot.msg.Payload = appendPayload(pl, m.Payload)
+		slot.release()
+		*slot = entry{msg: m, buf: buf, arrivedPrimary: arrivedPrimary, discard: discard}
+		if discard {
+			slot.release() // a discarded copy is never dispatched
+		}
 	})
 	e.stats.replicasStored.Add(1)
 	return nil
@@ -747,7 +762,10 @@ func (e *Engine) OnPrune(topic spec.TopicID, seq uint64) {
 		if ent.msg.Seq == seq {
 			found = true
 			if !ent.discard {
-				st.backup.Update(idx, func(p *entry) { p.discard = true })
+				st.backup.Update(idx, func(p *entry) {
+					p.discard = true
+					p.release() // a discarded copy is never dispatched
+				})
 				e.stats.prunesApplied.Add(1)
 			}
 		}
@@ -755,6 +773,19 @@ func (e *Engine) OnPrune(topic spec.TopicID, seq uint64) {
 	if !found {
 		// The prune outran its replica; remember it until the copy arrives.
 		st.notePendingPrune(seq, st.backup.Capacity())
+	}
+}
+
+// ReleaseBuffers drops every buffer reference the Message and Backup Buffers
+// still hold. A runtime calls it once, when it shuts down and no job will be
+// resolved again; callers hold all lane locks, like Promote.
+func (e *Engine) ReleaseBuffers() {
+	for _, st := range e.topics {
+		for _, ring := range [...]*ringbuf.Ring[entry]{st.buffer, st.backup} {
+			for idx, end := ring.FirstIndex(), ring.NextIndex(); idx < end; idx++ {
+				ring.Update(idx, (*entry).release)
+			}
+		}
 	}
 }
 

@@ -550,8 +550,8 @@ func (g *Gateway) fanout(d client.Delivery) {
 	if !ok {
 		li = spec.LossUnbounded
 	}
-	fb := transport.GetFrameBuf()
-	fb.B = wire.AppendDispatchBody(fb.B[:0], &d.Msg, g.clock())
+	fb := wire.GetFrameBuf(wire.MsgHeaderLen + len(d.Msg.Payload) + wire.MsgTrailerLen)
+	fb.B = wire.AppendDispatchBody(fb.B, &d.Msg, g.clock())
 	fb.RetainN(len(subs)) // the rings own one reference per client
 	for _, s := range subs {
 		if s.eg.Enqueue(fb, d.Msg.Topic, li) == transport.EnqueueEvicted {

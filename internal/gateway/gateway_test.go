@@ -898,3 +898,60 @@ func TestDecodeClientFrame(t *testing.T) {
 		t.Error("empty buffer decoded")
 	}
 }
+
+// TestGatewayFanoutCopiesBeforeTheNextDelivery: the gateway's upstream
+// subscriber hands fanout a payload that lives in the upstream link's receive
+// window and is overwritten by the next frame. Two different payloads
+// published back to back must both reach a thin client intact — fanout
+// encodes its own copy before it returns.
+func TestGatewayFanoutCopiesBeforeTheNextDelivery(t *testing.T) {
+	topics, ids := testTopics(1, 64)
+	start := time.Now()
+	clock := func() time.Duration { return time.Since(start) }
+	net := transport.NewMem()
+	b := newSoloBroker(t, net, clock, topics)
+	gw, err := gateway.New(gateway.Options{
+		ListenAddr: "gw", Topics: topics, BrokerAddrs: []string{b.Addr()},
+		Network: net, Clock: clock, ClientDepth: 256, Logger: quietLogger(),
+	})
+	if err != nil {
+		t.Fatalf("gateway: %v", err)
+	}
+	gw.Start()
+	t.Cleanup(gw.Stop)
+	type seen struct {
+		seq     uint64
+		payload string
+	}
+	got := make(chan seen, 4)
+	thin, err := gateway.NewThinSubscriber(gateway.ThinSubscriberOptions{
+		Name: "thin", Topics: ids, GatewayAddr: "gw", Network: net, Clock: clock, Logger: quietLogger(),
+		OnDeliver: func(d client.Delivery) { got <- seen{d.Msg.Seq, string(d.Msg.Payload)} },
+	})
+	if err != nil {
+		t.Fatalf("thin subscriber: %v", err)
+	}
+	t.Cleanup(thin.Close)
+	waitFor(t, "gateway upstream subscription", 2*time.Second, func() bool { return b.Health().EgressSubs >= 1 })
+	waitFor(t, "thin subscription", 2*time.Second, func() bool { return gw.Subscribers() >= 1 })
+
+	pub := rawConn(t, net, "gw", "pub", wire.RolePublisher)
+	defer pub.Close()
+	want := []seen{{1, "first-payload-AAAAAAAAAAAAAAAA"}, {2, "second-payload-BBBBBBBBBBBBBBB"}}
+	for _, w := range want {
+		f := &wire.Frame{Type: wire.TypePublish, Msg: wire.Message{Topic: ids[0], Seq: w.seq, Created: clock(), Payload: []byte(w.payload)}}
+		if err := pub.Send(f); err != nil {
+			t.Fatalf("publish seq %d: %v", w.seq, err)
+		}
+	}
+	for _, w := range want {
+		select {
+		case s := <-got:
+			if s != w {
+				t.Errorf("thin client got seq %d with %q, want seq %d with %q", s.seq, s.payload, w.seq, w.payload)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("seq %d never reached the thin client", w.seq)
+		}
+	}
+}

@@ -58,9 +58,7 @@ type mpscSlot[T any] struct {
 // sibling worker may be popping under the lane mutex.
 //
 // Values are filled in place inside the slot (PushInPlace hands the caller
-// a *T to overwrite), so slot-owned storage — e.g. a payload []byte —
-// is recycled across laps without allocation, the same discipline as
-// ringbuf.PushInPlace.
+// a *T to overwrite), the same discipline as ringbuf.PushInPlace.
 type MPSC[T any] struct {
 	_     cacheLinePad
 	tail  atomic.Uint64 // next position to claim; producers CAS this

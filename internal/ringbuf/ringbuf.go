@@ -55,10 +55,9 @@ func (r *Ring[T]) Push(v T) (idx uint64, evicted bool) {
 
 // PushInPlace advances the ring exactly like Push but lets the caller
 // construct the new entry directly in the slot: fill receives the slot still
-// holding the evicted (or zero) value, so the caller can harvest its heap
-// allocations — this is how the engine's Message and Backup Buffers reuse
-// payload storage across ring wrap-arounds instead of allocating per
-// message. fill must not call back into the ring.
+// holding the evicted (or zero) value, so the caller can dispose of what it
+// owns — this is how the engine's Message and Backup Buffers release an
+// evicted entry's payload buffer. fill must not call back into the ring.
 func (r *Ring[T]) PushInPlace(fill func(*T)) (idx uint64, evicted bool) {
 	idx = r.first + uint64(r.n)
 	if r.n == len(r.buf) {

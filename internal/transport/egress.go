@@ -15,12 +15,12 @@
 // (connection closed, counted) instead of stalling the lane — mirroring how
 // the paper treats Li as the per-topic QoS floor rather than best-effort.
 //
-// Ownership contract: a FrameBuf starts with one reference held by its
-// creator. Each Enqueue transfers one reference to the egress (callers Retain
-// before enqueueing the same buffer to multiple subscribers); the egress
-// releases it after the frame is flushed, shed, or dropped at close. The last
-// Release returns the buffer to a sync.Pool, keeping the steady-state
-// publish→dispatch→flush path at zero allocations per message.
+// Ownership contract: each Enqueue transfers one reference of the
+// wire.FrameBuf to the egress (callers Retain before enqueueing the same
+// buffer to multiple subscribers); the egress releases it after the frame is
+// flushed, shed, or dropped at close. The last Release returns the buffer to
+// its pool, keeping the steady-state publish→dispatch→flush path at zero
+// allocations per message.
 package transport
 
 import (
@@ -34,78 +34,21 @@ import (
 
 	"repro/internal/spec"
 	"repro/internal/transport/submit"
+	"repro/internal/wire"
 )
 
-// FrameBuf is a pooled, reference-counted frame body. B holds one encoded
-// frame (the bytes a wire.Append*Body helper produces); encode once, Retain
-// per additional consumer, and let the last Release recycle the storage.
-type FrameBuf struct {
-	B    []byte
-	refs atomic.Int32
-}
+// FrameBuf is wire.FrameBuf: the pool moved next to the frame layout it
+// depends on, so that package core can hold references too. The names below
+// stay for the code that only ever queues frames.
+type FrameBuf = wire.FrameBuf
 
-// Fresh pool entries carry enough capacity for a typical dispatch body, so
-// a pool miss costs one allocation instead of a second one when the encoder
-// grows B from nil.
-var frameBufPool = sync.Pool{New: func() any { return &FrameBuf{B: make([]byte, 0, 256)} }}
-
-// frameBufRefs counts FrameBufs currently out of the pool: +1 at GetFrameBuf,
-// -1 when the final Release recycles the buffer. Counting buffers instead of
-// references keeps Retain and the non-final Releases — the fan-out hot path —
-// off this shared cache line, while leak tests keep the property they need:
-// once all traffic drains, the count returns to its baseline.
-var frameBufRefs atomic.Int64
+// GetFrameBuf returns a pooled buffer for a small body; callers that know
+// the size they are about to encode use wire.GetFrameBuf.
+func GetFrameBuf() *FrameBuf { return wire.GetFrameBuf(0) }
 
 // FrameBufRefs reports the number of FrameBufs currently checked out of the
-// pool anywhere in the process. Test-only observability; racing traffic makes
-// the instantaneous value approximate.
-func FrameBufRefs() int64 { return frameBufRefs.Load() }
-
-// GetFrameBuf returns a pooled buffer holding one reference. B has zero
-// length but keeps any pooled capacity.
-func GetFrameBuf() *FrameBuf {
-	fb := frameBufPool.Get().(*FrameBuf)
-	fb.refs.Store(1)
-	frameBufRefs.Add(1)
-	return fb
-}
-
-// Retain adds a reference. The caller must already hold one — retaining a
-// released buffer is a use-after-free and panics.
-func (b *FrameBuf) Retain() {
-	if b.refs.Add(1) <= 1 {
-		panic("transport: FrameBuf.Retain on released buffer")
-	}
-}
-
-// RetainN adds n references at once — one atomic add instead of n, which
-// matters on the fan-out path where a dispatch retains once per subscriber.
-func (b *FrameBuf) RetainN(n int) {
-	if n <= 0 {
-		return
-	}
-	if b.refs.Add(int32(n)) <= int32(n) {
-		panic("transport: FrameBuf.RetainN on released buffer")
-	}
-}
-
-// Release drops one reference; the last one returns the buffer to the pool.
-// Oversized payload storage is abandoned to the GC so one jumbo frame does
-// not pin memory in the pool, matching GetFrame/PutFrame's policy.
-func (b *FrameBuf) Release() {
-	switch n := b.refs.Add(-1); {
-	case n < 0:
-		panic("transport: FrameBuf.Release without a reference")
-	case n == 0:
-		frameBufRefs.Add(-1)
-		if cap(b.B) > pooledPayloadCap {
-			b.B = nil
-		} else {
-			b.B = b.B[:0]
-		}
-		frameBufPool.Put(b)
-	}
-}
+// pool anywhere in the process (see wire.FrameBufRefs).
+func FrameBufRefs() int64 { return wire.FrameBufRefs() }
 
 // EgressMeter accumulates egress counters, typically shared by every
 // subscriber ring a broker owns. All fields are atomic.

@@ -7,9 +7,10 @@
 // is the steady-state-allocation-free alternative: the caller owns the Frame
 // and its variable-length fields are either reused (ModeCopy) or aliased
 // into the read buffer (ModeAlias). The Append*Body helpers are the encode
-// side of the same idea: they build a frame body once, so the broker can fan
+// side of the same idea: they build a frame body once, so a sender can fan
 // the identical bytes out to every subscriber instead of re-encoding per
-// connection (see transport.Conn.SendEncoded).
+// connection (see FrameBuf, and FrameBuf.Reframe for the broker's way of not
+// encoding at all).
 package wire
 
 import (
@@ -32,8 +33,8 @@ const (
 	// ModeAlias points Payload directly into buf: zero copies, but the
 	// frame is only valid until the caller reuses buf (e.g. the next
 	// transport read into the same receive buffer). Whoever retains the
-	// message beyond that point must copy the payload first — the engine's
-	// Message/Backup Buffers do (see core.OnPublish/OnReplica).
+	// message beyond that point must copy the payload first — the broker's
+	// sessions do, once, with CopyMessage.
 	ModeAlias
 )
 
@@ -154,9 +155,9 @@ func AppendMessageBody(dst []byte, t Type, m *Message) []byte {
 
 // AppendDispatchBody appends the body of a Dispatch frame for m — exactly
 // the bytes Encode produces for Frame{Type: TypeDispatch, Msg: m,
-// Dispatched: dispatched}. The broker builds this once per message and fans
-// the same bytes out to every subscriber via Conn.SendEncoded. Size limits
-// are enforced where Encode enforces them: on the transport's send path.
+// Dispatched: dispatched}. The gateway builds this once per message and fans
+// the same bytes out to every client. Size limits are enforced where Encode
+// enforces them: on the transport's send path.
 func AppendDispatchBody(dst []byte, m *Message, dispatched time.Duration) []byte {
 	dst = append(dst, byte(TypeDispatch))
 	dst = encodeMessage(dst, m)
