@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race short cover cover-check bench bench-compare bench-json bench-regress repro fuzz chaos chaos-shard chaos-gateway chaos-durable chaos-smoke shard-smoke gateway-smoke gateway-churn durable-smoke shardscale fmt fmtcheck vet ci clean
+.PHONY: all build loc test race short cover cover-check bench bench-compare bench-json bench-regress repro fuzz chaos chaos-shard chaos-gateway chaos-durable chaos-smoke shard-smoke gateway-smoke gateway-churn durable-smoke shardscale fmt fmtcheck vet ci clean
 
 all: build vet fmtcheck test
 
@@ -11,6 +11,13 @@ ci: build vet fmtcheck test race chaos-smoke shard-smoke gateway-smoke durable-s
 
 build:
 	$(GO) build ./...
+
+# Go line counts outside bench/ (the repository benchmark), split into
+# non-test and test files: the "net LoC" measure a subtraction is judged by.
+LOC_FILES = find . -name '*.go' -not -path './bench/*' -not -path './.git/*'
+loc:
+	@printf 'non-test Go lines (excluding bench/): %s\n' "$$($(LOC_FILES) -not -name '*_test.go' -exec cat {} + | wc -l)"
+	@printf 'test Go lines (excluding bench/): %s\n' "$$($(LOC_FILES) -name '*_test.go' -exec cat {} + | wc -l)"
 
 test:
 	$(GO) test ./...
@@ -41,7 +48,7 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Hot-path regression guard: repeat BenchmarkDispatchLanes{1,4,8},
-# BenchmarkFanout{1,8,64} (+ the FanoutAsync/Egress variants),
+# BenchmarkFanoutAsync{8,64,64Stalled}, BenchmarkEgressWritev,
 # BenchmarkDurablePublishAck, BenchmarkRecvBatched{64B,16KiB},
 # BenchmarkReplicateEnqueue, BenchmarkPublishBurst{16B,16KiB} and
 # BenchmarkBrokerRelay{16B,16KiB}, with allocation reporting and summarize
@@ -65,7 +72,7 @@ bench-compare:
 # BENCH_EGRESS.json. Commit the refreshed file when the egress hot path
 # changes deliberately; allocs_per_op must stay 0.
 bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkFanoutAsync|BenchmarkEgressWritev|BenchmarkFanout64$$' -benchmem -count 1 . | tee egress.bench
+	$(GO) test -run '^$$' -bench 'BenchmarkFanoutAsync|BenchmarkEgressWritev' -benchmem -count 1 . | tee egress.bench
 	@awk 'BEGIN { print "[" } \
 		/^Benchmark/ { \
 			if (n++) printf ",\n"; \

@@ -273,20 +273,33 @@ func BenchmarkTable1StrategyComparison(b *testing.B) {
 		// the ringbuf micro-bench; here we report the replication hop and
 		// disk numbers that dominate the comparison).
 		hop := simcluster.DefaultCostModel().Replicate // calibrated in-memory hop
-		noSync, err := diskstore.AppendLatency(b.TempDir(), diskstore.SyncNever, n, 16)
-		if err != nil {
-			b.Fatal(err)
-		}
-		always, err := diskstore.AppendLatency(b.TempDir(), diskstore.SyncAlways, n, 16)
-		if err != nil {
-			b.Fatal(err)
-		}
+		noSync := appendLatency(b, diskstore.SyncNever, n)
+		always := appendLatency(b, diskstore.SyncAlways, n)
 		fmt.Printf("\nTable 1 strategies — per-message cost of a loss-tolerance copy\n")
 		fmt.Printf("  backup broker (in-memory hop, calibrated): %10v\n", hop)
 		fmt.Printf("  local disk, OS-buffered append:            %10v\n", noSync.Round(time.Nanosecond))
 		fmt.Printf("  local disk, fsync per message:             %10v\n", always.Round(time.Nanosecond))
 		b.ReportMetric(float64(always)/float64(hop), "fsync-vs-hop-x")
 	}
+}
+
+// appendLatency is the mean latency of n appends of a 16-byte message to the
+// durable mode's segmented log under the policy.
+func appendLatency(b *testing.B, policy diskstore.SyncPolicy, n int) time.Duration {
+	l, _, err := diskstore.OpenSegmented(b.TempDir(), diskstore.SegmentOptions{Policy: policy, RetainBytes: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+	m := wire.Message{Topic: 1, Payload: make([]byte, 16)}
+	start := time.Now()
+	for i := 1; i <= n; i++ {
+		m.Seq = uint64(i)
+		if err := l.Append(m); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return time.Since(start) / time.Duration(n)
 }
 
 // benchmarkDispatchLanes drives the sharded engine exactly the way the
@@ -447,7 +460,7 @@ func BenchmarkDispatchLanes4(b *testing.B) { benchmarkDispatchLanes(b, 4) }
 func BenchmarkDispatchLanes8(b *testing.B) { benchmarkDispatchLanes(b, 8) }
 
 // discardConn is a net.Conn whose writes vanish, so the fan-out benches
-// measure the broker-side encode+send cost without a kernel or a peer.
+// measure the broker-side encode+enqueue cost without a kernel or a peer.
 type discardConn struct{ n atomic.Uint64 }
 
 func (d *discardConn) Read([]byte) (int, error)        { return 0, io.EOF }
@@ -460,44 +473,6 @@ func (d *discardConn) SetReadDeadline(time.Time) error { return nil }
 func (d *discardConn) SetWriteDeadline(t time.Time) error {
 	return nil
 }
-
-// benchmarkFanout measures the encode-once fan-out: one dispatch frame body
-// built per message (wire.AppendDispatchBody into a reused buffer) and the
-// identical bytes pushed to `subs` subscriber connections via
-// transport.SendEncoded. This is the per-message broker-side dispatch cost
-// Lemma 1's delivery-module utilization term models; acceptance is 0
-// allocs/op at every fan-out width.
-func benchmarkFanout(b *testing.B, subs int) {
-	conns := make([]*transport.Conn, subs)
-	sink := &discardConn{}
-	for i := range conns {
-		conns[i] = transport.NewConn(sink)
-	}
-	m := wire.Message{Topic: 7, Seq: 0, Created: time.Millisecond, Payload: make([]byte, 16)}
-	var body []byte
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Seq++
-		body = wire.AppendDispatchBody(body[:0], &m, time.Duration(i))
-		for _, c := range conns {
-			if err := c.SendEncoded(body); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.StopTimer()
-	if sink.n.Load() == 0 {
-		b.Fatal("fan-out wrote nothing")
-	}
-}
-
-// BenchmarkFanout{1,8,64} sweep subscriber counts: the body build amortizes
-// across the fan-out, so ns/op should grow sub-linearly in subscribers and
-// allocs/op must stay 0 — that is the whole point of encode-once.
-func BenchmarkFanout1(b *testing.B)  { benchmarkFanout(b, 1) }
-func BenchmarkFanout8(b *testing.B)  { benchmarkFanout(b, 8) }
-func BenchmarkFanout64(b *testing.B) { benchmarkFanout(b, 64) }
 
 // blockingConn is a net.Conn whose writes wedge until its gate closes or
 // the conn is closed — the bench-side stand-in for a subscriber socket that
@@ -530,14 +505,13 @@ func (c *blockingConn) SetDeadline(time.Time) error      { return nil }
 func (c *blockingConn) SetReadDeadline(time.Time) error  { return nil }
 func (c *blockingConn) SetWriteDeadline(time.Time) error { return nil }
 
-// benchmarkFanoutAsync is the asynchronous counterpart of benchmarkFanout:
-// the dispatch loop encodes once into a pooled FrameBuf and enqueues a
+// benchmarkFanoutAsync measures the broker's fan-out: the dispatch loop
+// encodes once into a pooled FrameBuf and enqueues a
 // retained reference onto each subscriber's egress ring; a shared flusher
 // pool (the broker's default egress mode) drains the rings with vectored
 // writes. This is exactly what broker.dispatch does per Work item, so the
 // measured cost is the EDF lane's per-message share. Acceptance: 0
-// allocs/op and 0 B/op steady state, and ns/op at 64 subscribers no worse
-// than the synchronous BenchmarkFanout64.
+// allocs/op and 0 B/op steady state.
 func benchmarkFanoutAsync(b *testing.B, subs int, stalled bool) {
 	sink := &discardConn{}
 	gate := make(chan struct{})
@@ -570,13 +544,7 @@ func benchmarkFanoutAsync(b *testing.B, subs int, stalled bool) {
 		fb.Release()
 	}
 	b.StopTimer()
-	for _, eg := range egs {
-		eg.Close()
-		eg.Conn().Close()
-	}
-	for _, eg := range egs {
-		eg.Wait()
-	}
+	transport.Retire(egs...)
 	pool.Close()
 	if meter.Enqueued.Load() == 0 {
 		b.Fatal("async fan-out enqueued nothing")
@@ -622,9 +590,7 @@ func drainAndCloseEgress(b *testing.B, eg *transport.Egress, meter *transport.Eg
 	for deadline := time.Now().Add(5 * time.Second); meter.Flushed.Load() < uint64(b.N) && time.Now().Before(deadline); {
 		time.Sleep(100 * time.Microsecond)
 	}
-	eg.Close()
-	eg.Conn().Close()
-	eg.Wait()
+	transport.Retire(eg)
 	if got := meter.Flushed.Load(); got != uint64(b.N) {
 		b.Fatalf("flushed %d frames, want %d (blocking mode must not drop)", got, b.N)
 	}
@@ -1025,27 +991,18 @@ func TestStalledSubscriberFanoutIsolation(t *testing.T) {
 		}
 		return egs
 	}
-	shut := func(egs []*transport.Egress) {
-		for _, eg := range egs {
-			eg.Close()
-			eg.Conn().Close()
-		}
-		for _, eg := range egs {
-			eg.Wait()
-		}
-	}
 
 	base := newSet(nil)
 	fanoutP99(base, rounds) // warm pools and writers
 	p99Base := fanoutP99(base, rounds)
-	shut(base)
+	transport.Retire(base...)
 
 	gate := make(chan struct{})
 	defer close(gate)
 	stalled := newSet(newBlockingConn(gate))
 	fanoutP99(stalled, rounds)
 	p99Stalled := fanoutP99(stalled, rounds)
-	shut(stalled)
+	transport.Retire(stalled...)
 
 	limit := 2 * p99Base
 	if floor := time.Millisecond; limit < floor {

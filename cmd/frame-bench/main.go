@@ -51,7 +51,6 @@ func run() error {
 		lanes   = flag.String("lanes", "", "lanescale: comma-separated lane counts to sweep (default 1,2,4,8)")
 		shards  = flag.String("shards", "", "shardscale: comma-separated shard counts to sweep (default 1,2,4)")
 		minSpd  = flag.Float64("min-speedup", 0, "shardscale: fail unless last/first throughput reaches this factor (skipped when CPUs < largest shard count)")
-		batch   = flag.Duration("batch", 0, "lanescale: write-batch window for the swept brokers (0 = off)")
 		subs    = flag.Int("subs", 0, "egress: healthy subscriber count (default 4)")
 		depth   = flag.Int("egress-depth", 0, "egress: per-subscriber outbound ring depth (default 256)")
 		clients = flag.Int("clients", 0, "gateway: sustained simulated client population (default 10000)")
@@ -117,7 +116,7 @@ func run() error {
 			if err != nil {
 				return nil, err
 			}
-			return experiments.RunLaneScale(cfg, experiments.LaneScaleOptions{Lanes: sweep, Batch: *batch})
+			return experiments.RunLaneScale(cfg, experiments.LaneScaleOptions{Lanes: sweep})
 		}, false},
 		{"egress", func() (formatter, error) {
 			return experiments.RunEgress(cfg, experiments.EgressOptions{Subs: *subs, Depth: *depth})

@@ -47,7 +47,6 @@ func run() error {
 		shards      = flag.Int("shards", 2, "number of Primary+Backup pairs")
 		topicsPath  = flag.String("topics", "", "topic spec file (required)")
 		config      = flag.String("config", "frame", "scheduling configuration: frame, fcfs, or fcfs-")
-		workers     = flag.Int("workers", 0, "deprecated and ignored: every lane runs one dispatcher; size with -lanes")
 		egressDepth = flag.Int("egress-depth", 1024, "per-subscriber outbound ring capacity per broker")
 		period      = flag.Duration("detect-period", 5*time.Millisecond, "failure detector polling period")
 		timeout     = flag.Duration("detect-timeout", 10*time.Millisecond, "failure detector probe timeout")
@@ -97,7 +96,6 @@ func run() error {
 		Engine:      engine,
 		Network:     frame.NewTCPNetwork(2 * time.Second),
 		Clock:       frame.NewClock(),
-		Workers:     *workers,
 		Detector:    failover.Config{Period: *period, Timeout: *timeout, Misses: *misses},
 		EgressDepth: *egressDepth,
 		Logger:      logger,

@@ -56,7 +56,7 @@ func run() error {
 		name       = flag.String("name", "frame-gateway", "gateway name in upstream Hello frames")
 		depth      = flag.Int("depth", 0, "per-client egress ring capacity in frames (0 = default 64)")
 		stall      = flag.Duration("client-write-timeout", 2*time.Second, "fail a client flush write making no progress for this long and drop the session (0 = unbounded)")
-		flushers   = flag.Int("flushers", 0, "shared flusher goroutines sweeping all client rings (0 = default 4, negative = one writer goroutine per subscribed client)")
+		flushers   = flag.Int("flushers", 0, "shared flusher goroutines sweeping all client rings (0 = default 4)")
 		busyPoll   = flag.Bool("busy-poll", false, "spin idle flushers briefly before parking: lower client wakeup latency, higher idle CPU")
 		uring      = flag.Bool("uring", true, "submit each flusher sweep's client writes with one io_uring syscall; falls back to one writev per client automatically where io_uring is unavailable (false forces the fallback)")
 		pinFlush   = flag.String("pin-flushers", "", "pin flusher i to CPU list[i mod len], taskset-style list e.g. 0-3,8 (Linux only; empty = no pinning)")

@@ -38,7 +38,6 @@ import (
 	"repro/internal/client"
 	"repro/internal/clocksync"
 	"repro/internal/core"
-	"repro/internal/diskstore"
 	"repro/internal/failover"
 	"repro/internal/simcluster"
 	"repro/internal/spec"
@@ -153,19 +152,6 @@ func FCFSConfig(p Params) CoreConfig { return core.FCFSConfig(p) }
 
 // FCFSMinusConfig returns FCFS without dispatch–replicate coordination.
 func FCFSMinusConfig(p Params) CoreConfig { return core.FCFSMinusConfig(p) }
-
-// DiskSyncPolicy controls the durability of the optional Backup disk log
-// (BrokerOptions.DiskBackupDir): the Table 1 "local disk" strategy.
-type DiskSyncPolicy = diskstore.SyncPolicy
-
-// Disk log durability policies.
-const (
-	// DiskSyncAlways fsyncs every persisted replica (durable, slow).
-	DiskSyncAlways = diskstore.SyncAlways
-	// DiskSyncNever leaves flushing to the OS (fast; survives process
-	// crashes but not power loss).
-	DiskSyncNever = diskstore.SyncNever
-)
 
 // Durability-plane defaults (the opt-in BrokerOptions.Durable mode: a
 // segmented append log with a group-commit writer, acking publishes with

@@ -79,7 +79,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	backup, err := NewBroker(BrokerOptions{
 		Engine: FRAMEConfig(lanParams()), Role: RoleBackup,
 		ListenAddr: "backup", PeerAddr: "primary",
-		Network: network, Clock: clock, Workers: 2, Detector: det,
+		Network: network, Clock: clock, Detector: det,
 		Topics: topics, Logger: quiet(),
 	})
 	if err != nil {
@@ -88,7 +88,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	primary, err := NewBroker(BrokerOptions{
 		Engine: FRAMEConfig(lanParams()), Role: RolePrimary,
 		ListenAddr: "primary", PeerAddr: "backup",
-		Network: network, Clock: clock, Workers: 2, Detector: det,
+		Network: network, Clock: clock, Detector: det,
 		Topics: topics, Logger: quiet(),
 	})
 	if err != nil {

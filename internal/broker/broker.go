@@ -78,9 +78,10 @@ type Options struct {
 	// Clock is the broker's timebase; all brokers and clients in one
 	// deployment must be synchronized (see package clocksync).
 	Clock clocksync.Clock
-	// Workers is deprecated and ignored: every lane runs one dispatcher and
-	// Lanes is the one parallelism knob. New logs one line when it names
-	// anything but zero or the lane count, and still rejects a negative value.
+	// Workers is ignored: every lane runs one dispatcher and Lanes is the
+	// one parallelism knob. The field stays only because the repository
+	// benchmark (bench/workload.go) still sets it; New logs one line when it
+	// names anything but zero or the lane count, and rejects a negative value.
 	Workers int
 	// Lanes shards the engine's EDF queue and topic state into this many
 	// parallel dispatch lanes (see core.Config.Lanes): topics hash onto
@@ -89,16 +90,6 @@ type Options struct {
 	// GOMAXPROCS under the EDF policy and 1 otherwise; 1 restores the
 	// single global queue.
 	Lanes int
-	// BatchWindow enables write batching on broker-owned connections
-	// (subscriber fan-out and the replication link): dispatch, replicate,
-	// and prune frames coalesce for up to this long — or until
-	// BatchMaxBytes are pending — and leave in one write. The window is
-	// added latency on the data plane, so keep it below the minimum
-	// per-topic slack. Zero disables batching.
-	BatchWindow time.Duration
-	// BatchMaxBytes is the flush-on-size threshold for BatchWindow
-	// batching; zero means transport.DefaultBatchMaxBytes.
-	BatchMaxBytes int
 	// Detector tunes the Backup's failure detector; zero-value means
 	// failover.DefaultConfig.
 	Detector failover.Config
@@ -106,13 +97,6 @@ type Options struct {
 	Topics []spec.Topic
 	// Logger receives operational events; nil means slog.Default.
 	Logger *slog.Logger
-	// DiskBackupDir, when non-empty on a Backup, additionally persists
-	// every replica to an append-only log in that directory (the paper's
-	// Table 1 "local disk" strategy, offered as a belt-and-braces option)
-	// and reloads surviving copies into the Backup Buffer at startup.
-	DiskBackupDir string
-	// DiskSync selects the log's durability; zero means diskstore.SyncNever.
-	DiskSync diskstore.SyncPolicy
 	// Obs receives runtime observability events (counters, stage latency
 	// histograms, lifecycle traces). Nil means a private instrument set;
 	// recording is always on — every instrument is an atomic add.
@@ -127,8 +111,8 @@ type Options struct {
 	// is called on every scrape and must be safe for concurrent use.
 	ExtraGauges func() []obsv.Sample
 	// EgressDepth sizes each subscriber's outbound ring (frames). Dispatch
-	// enqueues into the ring and a per-subscriber writer goroutine drains it
-	// with vectored writes, so a slow socket never blocks a dispatch lane.
+	// enqueues into the ring and the shared flusher pool drains it with
+	// vectored writes, so a slow socket never blocks a dispatch lane.
 	// Zero or negative means transport.DefaultEgressDepth: there is no
 	// synchronous fan-out to fall back to, because one blocking send on a
 	// lane's only dispatcher would stall every topic on the lane.
@@ -165,7 +149,7 @@ type Options struct {
 	// Flushers sizes the shared egress flusher pool: subscriber rings are
 	// assigned round-robin to this many writer goroutines, each sweeping
 	// every ready ring per wakeup. Zero means transport.DefaultFlushers;
-	// negative restores one writer goroutine per subscriber.
+	// negative is an error.
 	Flushers int
 	// BusyPoll keeps idle lane dispatchers and egress flushers spinning briefly
 	// before parking, trading CPU for wakeup latency on latency-critical
@@ -271,9 +255,8 @@ type Broker struct {
 
 	lanes []*dispatchLane
 
-	// pool is the shared egress flusher set subscriber rings drain through;
-	// nil when Options.Flushers is negative (per-subscriber writers) or the
-	// egress path is off.
+	// pool is the shared egress flusher set every broker-side ring drains
+	// through: subscribers, the replication link and the PubAck rings.
 	pool *transport.FlusherPool
 
 	subsMu     sync.Mutex
@@ -298,9 +281,6 @@ type Broker struct {
 	// afterPop is a test seam between a lane's pop and its egress enqueue;
 	// nil outside tests.
 	afterPop func(core.Work)
-
-	diskMu sync.Mutex
-	disk   *diskstore.Log // optional durable replica log (Backup role)
 
 	// committer owns the durable mode's segmented log (nil without
 	// Options.Durable): sessions stage publish records and return to their
@@ -427,8 +407,8 @@ func New(opts Options) (*Broker, error) {
 	if opts.IntakeDepth < 0 {
 		return nil, fmt.Errorf("broker: negative intake depth %d", opts.IntakeDepth)
 	}
-	if opts.BatchWindow < 0 {
-		return nil, fmt.Errorf("broker: negative batch window %v", opts.BatchWindow)
+	if opts.Flushers < 0 {
+		return nil, fmt.Errorf("broker: negative flushers %d", opts.Flushers)
 	}
 	if opts.Detector == (failover.Config{}) {
 		opts.Detector = failover.DefaultConfig()
@@ -500,31 +480,6 @@ func New(opts Options) (*Broker, error) {
 		}
 		b.admin = admin
 	}
-	if opts.Role == RoleBackup && opts.DiskBackupDir != "" {
-		policy := opts.DiskSync
-		if policy == 0 {
-			policy = diskstore.SyncNever
-		}
-		disk, recovered, err := diskstore.Open(opts.DiskBackupDir, "replicas.log", policy)
-		if err != nil {
-			ln.Close()
-			if b.admin != nil {
-				b.admin.Close()
-			}
-			return nil, fmt.Errorf("broker: disk backup: %w", err)
-		}
-		b.disk = disk
-		reloaded := 0
-		for _, m := range recovered {
-			// Replicas for topics no longer configured are skipped.
-			if err := b.storeReplica(m, 0); err == nil {
-				reloaded++
-			}
-		}
-		if reloaded > 0 {
-			b.log.Info("reloaded persisted replicas", "count", reloaded)
-		}
-	}
 	if opts.Durable {
 		if opts.LogDir == "" {
 			ln.Close()
@@ -568,14 +523,12 @@ func New(opts Options) (*Broker, error) {
 				"messages", b.recoveredMsgs, "prunes", b.recoveredPrunes)
 		}
 	}
-	if opts.Flushers >= 0 {
-		b.pool = transport.NewFlusherPool(transport.FlusherPoolConfig{
-			Flushers:     opts.Flushers,
-			BusyPoll:     opts.BusyPoll,
-			KernelSubmit: !opts.NoUring,
-			PinCPUs:      opts.PinFlushers,
-		})
-	}
+	b.pool = transport.NewFlusherPool(transport.FlusherPoolConfig{
+		Flushers:     opts.Flushers,
+		BusyPoll:     opts.BusyPoll,
+		KernelSubmit: !opts.NoUring,
+		PinCPUs:      opts.PinFlushers,
+	})
 	return b, nil
 }
 
@@ -666,13 +619,11 @@ func (b *Broker) egressQueued() (queued, subs int) {
 // (sequential writev calls + io_uring_enter calls).
 func (b *Broker) EgressStats() transport.EgressStats {
 	s := b.egress.Snapshot()
-	if b.pool != nil {
-		ps := b.pool.Stats()
-		s.SubmittedBatches = ps.Sweeps
-		s.SweepConns = ps.SweepConns
-		s.WriteSyscalls += ps.Syscalls
-		s.KernelSubmit = ps.Kernel
-	}
+	ps := b.pool.Stats()
+	s.SubmittedBatches = ps.Sweeps
+	s.SweepConns = ps.SweepConns
+	s.WriteSyscalls += ps.Syscalls
+	s.KernelSubmit = ps.Kernel
 	return s
 }
 
@@ -754,30 +705,26 @@ func (b *Broker) scrapeGauges() []obsv.Sample {
 		obsv.Sample{Name: "frame_peer_ring_depth", Value: float64(depth),
 			Help: "Frames currently queued on the replication ring."},
 	)
-	writeSyscalls := es.WriteSyscalls
-	if b.pool != nil {
-		ps := b.pool.Stats()
-		kernel := 0.0
-		if ps.Kernel {
-			kernel = 1
-		}
-		samples = append(samples,
-			obsv.Sample{Name: "frame_egress_flushers", Value: float64(b.pool.Size()),
-				Help: "Shared egress flusher goroutines (0 when per-subscriber writers are in use)."},
-			obsv.Sample{Name: "frame_egress_escalations_total", Counter: true,
-				Value: float64(b.pool.Escalations()), Help: "Replacement flushers spawned to route around wedged subscriber writes."},
-			obsv.Sample{Name: "frame_egress_uring", Value: kernel,
-				Help: "1 when the kernel-batched (io_uring) egress submission backend is active."},
-			obsv.Sample{Name: "frame_egress_submitted_batches_total", Counter: true,
-				Value: float64(ps.Sweeps), Help: "Kernel-batched sweep submissions (many connections per submission)."},
-			obsv.Sample{Name: "frame_egress_sweep_conns_total", Counter: true,
-				Value: float64(ps.SweepConns), Help: "Connection writes carried by kernel-batched sweeps (per-sweep batching = sweep_conns/submitted_batches)."},
-		)
-		writeSyscalls += ps.Syscalls
+	ps := b.pool.Stats()
+	kernel := 0.0
+	if ps.Kernel {
+		kernel = 1
 	}
-	samples = append(samples, obsv.Sample{Name: "frame_egress_write_syscalls_total", Counter: true,
-		Value: float64(writeSyscalls),
-		Help:  "Kernel crossings spent writing egress frames: sequential writev calls plus io_uring_enter calls."})
+	samples = append(samples,
+		obsv.Sample{Name: "frame_egress_flushers", Value: float64(b.pool.Size()),
+			Help: "Shared egress flusher goroutines."},
+		obsv.Sample{Name: "frame_egress_escalations_total", Counter: true,
+			Value: float64(b.pool.Escalations()), Help: "Replacement flushers spawned to route around wedged subscriber writes."},
+		obsv.Sample{Name: "frame_egress_uring", Value: kernel,
+			Help: "1 when the kernel-batched (io_uring) egress submission backend is active."},
+		obsv.Sample{Name: "frame_egress_submitted_batches_total", Counter: true,
+			Value: float64(ps.Sweeps), Help: "Kernel-batched sweep submissions (many connections per submission)."},
+		obsv.Sample{Name: "frame_egress_sweep_conns_total", Counter: true,
+			Value: float64(ps.SweepConns), Help: "Connection writes carried by kernel-batched sweeps (per-sweep batching = sweep_conns/submitted_batches)."},
+		obsv.Sample{Name: "frame_egress_write_syscalls_total", Counter: true,
+			Value: float64(es.WriteSyscalls + ps.Syscalls),
+			Help:  "Kernel crossings spent writing egress frames: sequential writev calls plus io_uring_enter calls."},
+	)
 	for i, l := range b.lanes {
 		label := fmt.Sprintf("lane=%q", fmt.Sprint(i))
 		samples = append(samples,
@@ -941,27 +888,15 @@ func (b *Broker) shutdown(drain bool) {
 			b.log.Warn("admin close failed", "err", err)
 		}
 	}
-	if ring := b.peer(); ring != nil {
-		closeRing(ring)
-	}
+	transport.Retire(b.peer())
 	b.closeSubscribers()
 	b.closeAckRings()
-	if b.pool != nil {
-		// Every registered egress was closed and waited above (dialPeer,
-		// addSubscriber and openAckRing refuse registrations once stopping
-		// is set), so the pool drains clean.
-		b.pool.Close()
-	}
+	// Every registered egress was closed and waited above (dialPeer,
+	// addSubscriber and openAckRing refuse registrations once stopping is
+	// set), so the pool drains clean.
+	b.pool.Close()
 	b.wg.Wait()
 	b.releaseBuffers()
-	b.diskMu.Lock()
-	if b.disk != nil {
-		if err := b.disk.Close(); err != nil {
-			b.log.Warn("disk backup close failed", "err", err)
-		}
-		b.disk = nil
-	}
-	b.diskMu.Unlock()
 	if b.committer != nil {
 		// After wg.Wait no session or dispatcher can enqueue again. A drain
 		// (Stop) commits what is queued and seals the log; a crash (Kill)
@@ -992,22 +927,14 @@ func (b *Broker) releaseBuffers() {
 
 func (b *Broker) closeSubscribers() {
 	b.subsMu.Lock()
-	all := make([]*subscriber, 0, len(b.subsByConn))
+	rings := make([]*transport.Egress, 0, len(b.subsByConn))
 	for _, s := range b.subsByConn {
-		all = append(all, s)
+		rings = append(rings, s.eg)
 	}
 	b.subsMu.Unlock()
-	// Close egresses first so their writers stop pulling frames, then the
-	// conns (unsticking any in-flight write), then wait for every writer.
-	// The session goroutines' own removeSubscriber/Wait defers run after
+	// The session goroutines' own removeSubscriber/Retire defers run after
 	// this, against already-stopped egresses — Wait is multi-waiter safe.
-	for _, s := range all {
-		s.eg.Close()
-		s.conn.Close()
-	}
-	for _, s := range all {
-		s.eg.Wait()
-	}
+	transport.Retire(rings...)
 }
 
 // acceptLoop admits sessions until the listener closes.
@@ -1023,7 +950,6 @@ func (b *Broker) acceptLoop(ctx context.Context) {
 		conn := transport.NewConn(nc)
 		conn.SetMeter(&b.meter)
 		conn.SetZeroCopy(true) // sessions copy what they keep: see onPublish
-		b.enableBatching(conn)
 		b.wg.Add(1)
 		go func() {
 			defer b.wg.Done()
@@ -1041,21 +967,12 @@ func (b *Broker) acceptLoop(ctx context.Context) {
 func (b *Broker) serveConn(ctx context.Context, conn *transport.Conn) {
 	s := &session{conn: conn}
 	defer func() {
-		// Unregister before closing so no new frames enqueue, then close the
-		// conn (failing any in-flight write) and wait for the egress writers —
-		// the broker's WaitGroup thus transitively waits for every writer.
-		eg := b.removeSubscriber(conn)
-		if eg != nil {
-			eg.Close()
-		}
-		acks := b.closeAckRing(s)
+		// Unregister before retiring so no new frames enqueue; Retire then
+		// closes the conn (failing any in-flight write) and waits for the
+		// writers — the broker's WaitGroup thus transitively waits for every
+		// writer. The conn is closed here too for sessions that own no ring.
+		transport.Retire(b.removeSubscriber(conn), b.removeAckRing(s))
 		conn.Close()
-		if eg != nil {
-			eg.Wait()
-		}
-		if acks != nil {
-			acks.Wait()
-		}
 	}()
 	// Ensure blocked reads unstick on shutdown.
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
@@ -1198,16 +1115,8 @@ func (b *Broker) drainIntakeLocked(lane *dispatchLane) {
 	}
 }
 
-// onReplica stores a replica in the Backup Buffer (Backup role), and in
-// the durable log when one is configured.
+// onReplica stores a replica in the Backup Buffer (Backup role).
 func (b *Broker) onReplica(f *wire.Frame) error {
-	b.diskMu.Lock()
-	if b.disk != nil {
-		if err := b.disk.Append(f.Msg); err != nil {
-			b.log.Warn("disk backup append failed", "err", err)
-		}
-	}
-	b.diskMu.Unlock()
 	err := b.storeReplica(f.Msg, f.ArrivedPrimary)
 	if err == nil {
 		b.obs.ReplicasStored.Inc()
@@ -1258,8 +1167,8 @@ func (b *Broker) addSubscriber(conn *transport.Conn, topics []spec.TopicID) {
 
 // removeSubscriber drops a dead session from every topic's fan-out list so
 // Dispatchers stop attempting sends to it. It returns the session's egress
-// (nil for non-subscriber sessions) so the caller can Close and Wait for the writer goroutine after closing the conn;
-// repeated calls for the same conn return nil.
+// (nil for non-subscriber sessions) for the caller to retire; repeated calls
+// for the same conn return nil.
 func (b *Broker) removeSubscriber(conn *transport.Conn) *transport.Egress {
 	b.subsMu.Lock()
 	defer b.subsMu.Unlock()
@@ -1478,7 +1387,6 @@ func (b *Broker) dialPeer() (*transport.Egress, error) {
 	conn := transport.NewConn(nc)
 	conn.SetMeter(&b.meter)
 	conn.SetZeroCopy(true)
-	b.enableBatching(conn)
 	if err := conn.Send(&wire.Frame{Type: wire.TypeHello, Role: wire.RoleBrokerPeer, Name: b.Addr()}); err != nil {
 		conn.Close()
 		return nil, err
@@ -1502,24 +1410,6 @@ func (b *Broker) dialPeer() (*transport.Egress, error) {
 	return b.peerRing, nil
 }
 
-// closeRing stops a ring, closes its connection (unsticking any write in
-// flight) and waits for its writer.
-func closeRing(ring *transport.Egress) {
-	ring.Close()
-	ring.Conn().Close()
-	ring.Wait()
-}
-
-// enableBatching turns on write coalescing for a broker-owned data-plane
-// connection when Options.BatchWindow is set. The failure-detector polling
-// link stays unbatched: its frames are control-plane and write through
-// anyway.
-func (b *Broker) enableBatching(conn *transport.Conn) {
-	if b.opts.BatchWindow > 0 {
-		conn.EnableBatching(b.opts.BatchWindow, b.opts.BatchMaxBytes)
-	}
-}
-
 // connectPeer serves the replication link — dialing the Backup with retries
 // first when ring is nil — by draining its read side (poll/time replies)
 // until it dies, then retires the ring. A dead Backup is not replaced within
@@ -1537,7 +1427,7 @@ func (b *Broker) connectPeer(ctx context.Context, ring *transport.Egress) {
 	b.peerMu.Lock()
 	b.peerRing = nil
 	b.peerMu.Unlock()
-	closeRing(ring)
+	transport.Retire(ring)
 	if b.peerMeter.Stalls.Load() > 0 {
 		// The Backup accepted the link but stopped draining it: replication
 		// stops instead of wedging the lanes behind one socket.

@@ -84,7 +84,6 @@ func startCluster(t *testing.T, n transport.Network, primaryAddr, backupAddr str
 		PeerAddr:   primaryAddr,
 		Network:    n,
 		Clock:      clock,
-		Workers:    4,
 		Detector:   fastDetector(),
 		Topics:     topics,
 		Logger:     quietLogger(),
@@ -99,7 +98,6 @@ func startCluster(t *testing.T, n transport.Network, primaryAddr, backupAddr str
 		PeerAddr:   backup.Addr(),
 		Network:    n,
 		Clock:      clock,
-		Workers:    4,
 		Detector:   fastDetector(),
 		Topics:     topics,
 		Logger:     quietLogger(),
@@ -344,6 +342,7 @@ func TestBrokerOptionValidation(t *testing.T) {
 		{"negative workers", func(o *Options) { o.Workers = -1 }},
 		{"negative lanes", func(o *Options) { o.Lanes = -1 }},
 		{"negative intake depth", func(o *Options) { o.IntakeDepth = -1 }},
+		{"negative flushers", func(o *Options) { o.Flushers = -1 }},
 		{"inadmissible topic", func(o *Options) {
 			bad := lanTopic(1, 0)
 			bad.Deadline = time.Microsecond // < ΔBS
@@ -497,73 +496,6 @@ func TestBrokerAnswersTimeSync(t *testing.T) {
 	}
 }
 
-// TestDiskBackupPersistsAndReloads exercises the Table 1 "local disk"
-// strategy option: replicas survive a Backup restart and are available for
-// recovery dispatch after promotion.
-func TestDiskBackupPersistsAndReloads(t *testing.T) {
-	dir := t.TempDir()
-	n := transport.NewMem()
-	clock := testClock()
-	topics := []spec.Topic{{
-		ID: 1, Category: -1, Period: 20 * time.Millisecond, Deadline: time.Second,
-		LossTolerance: 0, Retention: 3, Destination: spec.DestEdge, PayloadSize: 16,
-	}}
-	cfg := core.FRAMEConfig(lanParams())
-	cfg.MessageBufferCap = 1024
-	// Disable coordination so replicas stay unpruned in the log's working
-	// set for this test.
-	cfg.Coordination = false
-	newBackup := func(addr string) *Broker {
-		b, err := New(Options{
-			Engine: cfg, Role: RoleBackup, ListenAddr: addr, PeerAddr: "",
-			Network: n, Clock: clock, Workers: 2, Detector: fastDetector(),
-			Topics: topics, Logger: quietLogger(),
-			DiskBackupDir: dir,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	backup := newBackup("backup1")
-	primary, err := New(Options{
-		Engine: cfg, Role: RolePrimary, ListenAddr: "primary1", PeerAddr: "backup1",
-		Network: n, Clock: clock, Workers: 2, Detector: fastDetector(),
-		Topics: topics, Logger: quietLogger(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	backup.Start()
-	primary.Start()
-
-	pub, err := client.NewPublisher(client.PublisherOptions{
-		Name: "pub", Topics: topics, PrimaryAddr: "primary1",
-		Network: n, Clock: clock, Logger: quietLogger(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if _, err := pub.Publish(1, []byte("persist-me-16byt")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitFor(t, 2*time.Second, "replicas persisted", func() bool {
-		return backup.Stats().ReplicasStored >= 5
-	})
-	pub.Close()
-	primary.Stop()
-	backup.Stop() // graceful stop syncs the log
-
-	// Restart the Backup from the same directory: replicas reload.
-	backup2 := newBackup("backup2")
-	if got := backup2.Stats().ReplicasStored; got < 5 {
-		t.Fatalf("reloaded replicas = %d, want ≥ 5", got)
-	}
-	backup2.Stop()
-}
-
 // TestConcurrentLoadManyClients soaks the broker with several publishers
 // and subscribers under the race detector.
 func TestConcurrentLoadManyClients(t *testing.T) {
@@ -684,7 +616,6 @@ func TestShardBrokerRedirectsUnknownTopic(t *testing.T) {
 		ListenAddr: "shard0",
 		Network:    n,
 		Clock:      clock,
-		Workers:    2,
 		Topics:     []spec.Topic{lanTopic(1, 3)},
 		Logger:     quietLogger(),
 		ShardEpoch: func() uint64 { return 42 },

@@ -101,7 +101,7 @@ func (l *deliveryLog) checkNoDuplicates(t *testing.T, cycle int) {
 }
 
 // TestChaosSoak repeatedly brings up a Primary+Backup pair with sharded
-// lanes and write batching on, pumps publishes from concurrent publishers,
+// lanes, pumps publishes from concurrent publishers,
 // fail-stops the Primary mid-stream, and asserts the FRAME recovery
 // guarantees after every promotion:
 //
@@ -110,7 +110,7 @@ func (l *deliveryLog) checkNoDuplicates(t *testing.T, cycle int) {
 //   - no duplicate delivery to the application after recovery.
 //
 // Run it under -race: the point of the soak is to shake scheduling windows
-// in the lane workers, the batcher's timers, and the promotion path.
+// in the lane workers, the egress rings, and the promotion path.
 func TestChaosSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test skipped in -short")
@@ -145,19 +145,17 @@ func runChaosCycle(t *testing.T, cycle int, rng *rand.Rand) {
 	cfg.MessageBufferCap = 2048
 	newBroker := func(role Role, listen, peer string) *Broker {
 		b, err := New(Options{
-			Engine:      cfg,
-			Role:        role,
-			ListenAddr:  listen,
-			PeerAddr:    peer,
-			Network:     n,
-			Clock:       clock,
-			Workers:     8,
-			Lanes:       4,
-			BatchWindow: 200 * time.Microsecond,
-			BusyPoll:    soakBusyPoll(),
-			Detector:    fastDetector(),
-			Topics:      topics,
-			Logger:      quietLogger(),
+			Engine:     cfg,
+			Role:       role,
+			ListenAddr: listen,
+			PeerAddr:   peer,
+			Network:    n,
+			Clock:      clock,
+			Lanes:      4,
+			BusyPoll:   soakBusyPoll(),
+			Detector:   fastDetector(),
+			Topics:     topics,
+			Logger:     quietLogger(),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -231,7 +229,7 @@ func runChaosCycle(t *testing.T, cycle int, rng *rand.Rand) {
 
 	// Let load build, then fail-stop the Primary. The window is jittered
 	// from the soak seed so successive cycles kill at different phases of
-	// the batcher timers and lane workers.
+	// the egress flushes and lane workers.
 	time.Sleep(time.Duration(60+rng.Intn(80)) * time.Millisecond)
 	primary.Stop()
 	primaryStopped = true

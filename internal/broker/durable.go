@@ -77,36 +77,25 @@ func (b *Broker) openAckRing(s *session) {
 	b.ackRings[s] = struct{}{}
 }
 
-// closeAckRing retires the session's ack ring, if it has one, and returns
-// it for the caller to Wait on after closing the connection.
-func (b *Broker) closeAckRing(s *session) *transport.Egress {
+// removeAckRing unregisters the session's ack ring and returns it (nil if
+// it never opened one) for the caller to retire.
+func (b *Broker) removeAckRing(s *session) *transport.Egress {
 	b.ackMu.Lock()
-	eg := s.acks
+	defer b.ackMu.Unlock()
 	delete(b.ackRings, s)
-	b.ackMu.Unlock()
-	if eg != nil {
-		eg.Close()
-	}
-	return eg
+	return s.acks
 }
 
 // closeAckRings is shutdown's sweep over every live ack ring, mirroring
-// closeSubscribers: close the rings, close the conns (unsticking any write
-// in flight), wait for the writers.
+// closeSubscribers.
 func (b *Broker) closeAckRings() {
 	b.ackMu.Lock()
-	all := make([]*session, 0, len(b.ackRings))
+	rings := make([]*transport.Egress, 0, len(b.ackRings))
 	for s := range b.ackRings {
-		all = append(all, s)
+		rings = append(rings, s.acks)
 	}
 	b.ackMu.Unlock()
-	for _, s := range all {
-		s.acks.Close()
-		s.conn.Close()
-	}
-	for _, s := range all {
-		s.acks.Wait()
-	}
+	transport.Retire(rings...)
 }
 
 // onDurable is the committer's completion callback: it runs on the

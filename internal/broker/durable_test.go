@@ -26,7 +26,6 @@ func startDurable(t *testing.T, n transport.Network, dir string, topics []spec.T
 		ListenAddr: "",
 		Network:    n,
 		Clock:      testClock(),
-		Workers:    4,
 		Topics:     topics,
 		Logger:     quietLogger(),
 		Durable:    true,

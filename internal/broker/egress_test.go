@@ -32,7 +32,6 @@ func hookedPrimary(t *testing.T, n transport.Network, topics []spec.Topic, mutat
 		ListenAddr: "primary",
 		Network:    n,
 		Clock:      clock,
-		Workers:    4,
 		Topics:     topics,
 		Logger:     quietLogger(),
 	}

@@ -27,7 +27,7 @@ func startAdminCluster(t *testing.T, topics []spec.Topic) *cluster {
 	backup, err := New(Options{
 		Engine: cfg, Role: RoleBackup,
 		ListenAddr: "backup", PeerAddr: "primary",
-		Network: n, Clock: clock, Workers: 4,
+		Network: n, Clock: clock,
 		Detector: fastDetector(), Topics: topics,
 		Logger:    quietLogger(),
 		AdminAddr: "127.0.0.1:0",
@@ -38,7 +38,7 @@ func startAdminCluster(t *testing.T, topics []spec.Topic) *cluster {
 	primary, err := New(Options{
 		Engine: cfg, Role: RolePrimary,
 		ListenAddr: "primary", PeerAddr: backup.Addr(),
-		Network: n, Clock: clock, Workers: 4,
+		Network: n, Clock: clock,
 		Detector: fastDetector(), Topics: topics,
 		Logger:    quietLogger(),
 		AdminAddr: "127.0.0.1:0",

@@ -267,15 +267,6 @@ func newUplink(conn *transport.Conn) *transport.Egress {
 	return transport.NewEgress(conn, transport.EgressConfig{Depth: uplinkDepth})
 }
 
-// closeUplink stops a link for good: the ring drops what is still queued,
-// closing the connection unsticks a write in flight, and the writer is
-// waited for.
-func closeUplink(link *transport.Egress) {
-	link.Close()
-	link.Conn().Close()
-	link.Wait()
-}
-
 func dialHello(n transport.Network, addr, name string, role wire.Role) (*transport.Conn, error) {
 	nc, err := n.Dial(addr)
 	if err != nil {
@@ -535,8 +526,8 @@ func (p *Publisher) failOver() {
 	}
 	// Before the lock, not under it: a Publish waiting for room on the dead
 	// link's ring holds p.mu, and closing the ring is what releases it.
-	p.primary.Close()
-	p.primary.Conn().Close()
+	// Closing the conn unsticks the link's writer, so the wait is short.
+	transport.Retire(p.primary)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.link == p.backup {
@@ -572,10 +563,7 @@ func (p *Publisher) Close() {
 	link.Drain(closeFlushWait)
 	p.cancel()
 	p.wg.Wait()
-	closeUplink(p.primary)
-	if p.backup != nil {
-		closeUplink(p.backup)
-	}
+	transport.Retire(p.primary, p.backup)
 }
 
 // Delivery is one received message with measurement context.

@@ -1,7 +1,6 @@
 package client
 
 import (
-	"encoding/binary"
 	"errors"
 	"math/rand"
 	"net"
@@ -54,14 +53,14 @@ func newAckingBroker(t *testing.T, n transport.Network, addr string, acking bool
 func (ab *ackingBroker) serve(conn *transport.Conn) {
 	f := transport.GetFrame()
 	defer transport.PutFrame(f)
-	var body []byte
+	var reply wire.Frame
 	for {
 		if err := conn.RecvInto(f); err != nil {
 			return
 		}
 		switch f.Type {
 		case wire.TypePoll:
-			body = binary.LittleEndian.AppendUint64(append(body[:0], byte(wire.TypePollReply)), f.Nonce)
+			reply = wire.Frame{Type: wire.TypePollReply, Nonce: f.Nonce}
 		case wire.TypePublish, wire.TypeResend:
 			select {
 			case ab.seen <- f.Type:
@@ -73,11 +72,11 @@ func (ab *ackingBroker) serve(conn *transport.Conn) {
 			if !acking {
 				continue
 			}
-			body = wire.AppendPubAckBody(body[:0], f.Msg.Topic, f.Msg.Seq)
+			reply = wire.Frame{Type: wire.TypePubAck, Topic: f.Msg.Topic, Seq: f.Msg.Seq}
 		default:
 			continue
 		}
-		if conn.SendEncoded(body) != nil {
+		if conn.Send(&reply) != nil {
 			return
 		}
 	}

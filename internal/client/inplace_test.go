@@ -118,7 +118,8 @@ func TestDeliveryPayloadDiesWithTheCallback(t *testing.T) {
 		delivered <- string(d.Msg.Payload)
 	})
 	for seq, payload := range []string{"kept-past-return", "the-next-message"} {
-		if err := conn.SendEncoded(dispatchBody(uint64(seq+1), payload)); err != nil {
+		m := wire.Message{Topic: 7, Seq: uint64(seq + 1), Created: 1, Payload: []byte(payload)}
+		if err := conn.Send(&wire.Frame{Type: wire.TypeDispatch, Msg: m, Dispatched: 2}); err != nil {
 			t.Fatal(err)
 		}
 		select {

@@ -48,9 +48,6 @@ type Config struct {
 	Mem bool
 	// Clock is the shared timebase.
 	Clock clocksync.Clock
-	// Workers is passed to broker.Options.Workers, which is deprecated and
-	// ignored: every lane runs one dispatcher.
-	Workers int
 	// Detector tunes each pair's failure detector.
 	Detector failover.Config
 	// EgressDepth is passed through to every broker.
@@ -130,7 +127,6 @@ func New(cfg Config) (*Cluster, error) {
 			PeerAddr:    "pending", // fixed up once the Primary binds
 			Network:     netFor(BackupNode(i)),
 			Clock:       cfg.Clock,
-			Workers:     cfg.Workers,
 			Detector:    cfg.Detector,
 			Topics:      parts[i],
 			Logger:      cfg.Logger,
@@ -147,7 +143,6 @@ func New(cfg Config) (*Cluster, error) {
 			PeerAddr:    bk.Addr(),
 			Network:     netFor(PrimaryNode(i)),
 			Clock:       cfg.Clock,
-			Workers:     cfg.Workers,
 			Detector:    cfg.Detector,
 			Topics:      parts[i],
 			Logger:      cfg.Logger,

@@ -59,7 +59,6 @@ func startTestCluster(t *testing.T, n transport.Network, shards int, topics []sp
 		Network:  n,
 		Mem:      true,
 		Clock:    testClock(),
-		Workers:  2,
 		Detector: fastDetector(),
 		Logger:   quietLog(),
 	})

@@ -1,7 +1,6 @@
 package diskstore
 
 import (
-	"encoding/binary"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -16,209 +15,82 @@ func msg(seq uint64, payload string) wire.Message {
 	return wire.Message{Topic: 3, Seq: seq, Created: time.Duration(seq) * time.Millisecond, Payload: []byte(payload)}
 }
 
-func TestAppendRecoverRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	l, got, err := Open(dir, "t.log", SyncNever)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Fatalf("fresh log recovered %d messages", len(got))
-	}
-	for i := uint64(1); i <= 100; i++ {
-		if err := l.Append(msg(i, "0123456789abcdef")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if l.Count() != 100 {
-		t.Errorf("Count = %d", l.Count())
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	l2, recovered, err := Open(dir, "t.log", SyncAlways)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if len(recovered) != 100 {
-		t.Fatalf("recovered %d messages, want 100", len(recovered))
-	}
-	for i, m := range recovered {
-		if m.Seq != uint64(i+1) || string(m.Payload) != "0123456789abcdef" {
-			t.Fatalf("recovered[%d] = %+v", i, m)
-		}
-	}
-	if l2.Count() != 100 {
-		t.Errorf("reopened Count = %d", l2.Count())
-	}
-	// Appending after recovery continues the log.
-	if err := l2.Append(msg(101, "tail")); err != nil {
-		t.Fatal(err)
-	}
-	if err := l2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, again, err := Open(dir, "t.log", SyncNever)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(again) != 101 || again[100].Seq != 101 {
-		t.Fatalf("after reopen-append: %d messages", len(again))
-	}
-}
-
-func TestRecoveryTruncatesTornTail(t *testing.T) {
-	dir := t.TempDir()
-	l, _, err := Open(dir, "t.log", SyncNever)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(1); i <= 10; i++ {
-		if err := l.Append(msg(i, "payload")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	goodSize := l.Size()
-	if err := l.Append(msg(11, "doomed")); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Crash mid-append: chop the last record in half.
-	path := filepath.Join(dir, "t.log")
-	full, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	torn := full[:goodSize+(int64(len(full))-goodSize)/2]
-	if err := os.WriteFile(path, torn, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	l2, recovered, err := Open(dir, "t.log", SyncNever)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if len(recovered) != 10 {
-		t.Fatalf("recovered %d messages after torn write, want 10", len(recovered))
-	}
-	if l2.Size() != goodSize {
-		t.Errorf("Size after recovery = %d, want %d", l2.Size(), goodSize)
-	}
-}
-
-func TestRecoveryRejectsBitFlip(t *testing.T) {
-	dir := t.TempDir()
-	l, _, err := Open(dir, "t.log", SyncNever)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(1); i <= 5; i++ {
-		if err := l.Append(msg(i, "payload")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "t.log")
-	full, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full[len(full)-3] ^= 0x40 // corrupt the last record's payload
-	if err := os.WriteFile(path, full, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, recovered, err := Open(dir, "t.log", SyncNever)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recovered) != 4 {
-		t.Fatalf("recovered %d messages after bit flip, want 4 (corrupt record dropped)", len(recovered))
-	}
-}
-
-func TestRecoveryStopsAtGarbageLength(t *testing.T) {
-	dir := t.TempDir()
-	l, _, err := Open(dir, "t.log", SyncNever)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append(msg(1, "ok")); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "t.log")
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var junk [8]byte
-	binary.LittleEndian.PutUint32(junk[0:4], 0xFFFFFFFF) // absurd length
-	if _, err := f.Write(junk[:]); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	_, recovered, err := Open(dir, "t.log", SyncNever)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recovered) != 1 {
-		t.Fatalf("recovered %d, want 1", len(recovered))
-	}
-}
-
-func TestOpenRejectsBadPolicy(t *testing.T) {
-	if _, _, err := Open(t.TempDir(), "t.log", SyncPolicy(0)); err == nil {
-		t.Error("bad policy accepted")
-	}
-}
-
+// TestSyncAlwaysDurable: under SyncAlways every Append and AppendPrune has
+// its own fsync behind it before it returns; under SyncNever the log never
+// syncs on its own (the group-commit writer calls Sync).
 func TestSyncAlwaysDurable(t *testing.T) {
-	dir := t.TempDir()
-	l, _, err := Open(dir, "t.log", SyncAlways)
-	if err != nil {
-		t.Fatal(err)
+	for _, policy := range []SyncPolicy{SyncAlways, SyncNever} {
+		l, _ := openSeg(t, t.TempDir(), SegmentOptions{Policy: policy, RetainBytes: -1})
+		syncs := 0
+		l.beforeSync = func() { syncs++ }
+		for i := uint64(1); i <= 5; i++ {
+			if err := l.Append(msg(i, "durable")); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.AppendPrune(3, i); err != nil {
+				t.Fatal(err)
+			}
+			if want := int(2 * i); policy == SyncAlways && syncs != want {
+				t.Fatalf("SyncAlways: %d fsyncs after %d records, want one each", syncs, want)
+			}
+		}
+		if policy == SyncNever && syncs != 0 {
+			t.Errorf("SyncNever: %d fsyncs issued by appends, want none", syncs)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := l.Append(msg(1, "durable")); err != nil {
-		t.Fatal(err)
-	}
-	// Without Close (simulating a crash): the record must still be there.
-	_, recovered, err := Open(dir, "t2.log", SyncNever) // unrelated open works
-	if err != nil || len(recovered) != 0 {
-		t.Fatal(err)
-	}
-	_, recovered, err = Open(dir+"x", "t.log", SyncNever)
-	if err != nil || len(recovered) != 0 {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(filepath.Join(dir, "t.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(raw) == 0 {
-		t.Fatal("SyncAlways append not on disk")
-	}
-	l.Close()
 }
 
-// TestRecoveryPrefixProperty: for any append sequence and any truncation
-// point, recovery yields a prefix of the appended messages.
-func TestRecoveryPrefixProperty(t *testing.T) {
+// TestSyncAndSize: Size counts exactly the bytes written — one record's
+// header and frame after one append, and the sum of the segment files after
+// many rolls.
+func TestSyncAndSize(t *testing.T) {
 	dir := t.TempDir()
+	l, _ := openSeg(t, dir, SegmentOptions{SegmentBytes: 256, RetainBytes: -1})
+	if l.Size() != 0 {
+		t.Errorf("fresh Size = %d", l.Size())
+	}
+	if err := l.Append(msg(1, "x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	// record hdr(8) + type(1) + topic(4) + seq(8) + created(8) +
+	// payload len(4) + payload(1) + arrivedPrimary(8 — TypeReplicate).
+	if want := int64(8 + 1 + 4 + 8 + 8 + 4 + 1 + 8); l.Size() != want {
+		t.Errorf("Size = %d, want %d", l.Size(), want)
+	}
+	appendRange(t, l, 2, 40, false)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	names, err := listSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var onDisk int64
+	for _, name := range names {
+		fi, err := os.Stat(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		onDisk += fi.Size()
+	}
+	if len(names) < 2 || l.Size() != onDisk {
+		t.Errorf("Size = %d across %d segments, want the %d bytes on disk across several", l.Size(), len(names), onDisk)
+	}
+}
+
+// TestRecoveryPrefixProperty: for any append sequence and any truncation of
+// the active segment, replay yields a prefix of the appended messages.
+func TestRecoveryPrefixProperty(t *testing.T) {
 	f := func(seed int64, cut uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
-		name := "p.log"
-		os.Remove(filepath.Join(dir, name))
-		l, _, err := Open(dir, name, SyncNever)
+		dir := t.TempDir()
+		l, _, err := OpenSegmented(dir, SegmentOptions{RetainBytes: -1})
 		if err != nil {
 			return false
 		}
@@ -233,101 +105,29 @@ func TestRecoveryPrefixProperty(t *testing.T) {
 		if err := l.Close(); err != nil {
 			return false
 		}
-		path := filepath.Join(dir, name)
+		path := filepath.Join(dir, segName(0))
 		full, err := os.ReadFile(path)
 		if err != nil {
 			return false
 		}
-		keep := int(cut) % (len(full) + 1)
-		if err := os.WriteFile(path, full[:keep], 0o644); err != nil {
+		if err := os.WriteFile(path, full[:int(cut)%(len(full)+1)], 0o644); err != nil {
 			return false
 		}
-		l2, recovered, err := Open(dir, name, SyncNever)
+		l2, rep, err := OpenSegmented(dir, SegmentOptions{RetainBytes: -1})
 		if err != nil {
 			return false
 		}
 		defer l2.Close()
-		// Prefix property: recovered = messages 1..k for some k.
-		for i, m := range recovered {
+		// Prefix property: replayed = messages 1..k for some k.
+		for i, m := range rep.Messages {
 			if m.Seq != uint64(i+1) {
 				return false
 			}
 		}
-		return len(recovered) <= n
+		return len(rep.Messages) <= n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-func BenchmarkAppendSyncNever(b *testing.B) {
-	l, _, err := Open(b.TempDir(), "b.log", SyncNever)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer l.Close()
-	m := wire.Message{Topic: 1, Payload: make([]byte, 16)}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Seq = uint64(i + 1)
-		if err := l.Append(m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAppendSyncAlways(b *testing.B) {
-	l, _, err := Open(b.TempDir(), "b.log", SyncAlways)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer l.Close()
-	m := wire.Message{Topic: 1, Payload: make([]byte, 16)}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Seq = uint64(i + 1)
-		if err := l.Append(m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func TestSyncAndSize(t *testing.T) {
-	dir := t.TempDir()
-	l, _, err := Open(dir, "t.log", SyncNever)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	if l.Size() != 0 {
-		t.Errorf("fresh Size = %d", l.Size())
-	}
-	if err := l.Append(msg(1, "x")); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	// record hdr(8) + type(1) + topic(4) + seq(8) + created(8) +
-	// payload len(4) + payload(1) + arrivedPrimary(8 — TypeReplicate).
-	want := int64(8 + 1 + 4 + 8 + 8 + 4 + 1 + 8)
-	if l.Size() != want {
-		t.Errorf("Size = %d, want %d", l.Size(), want)
-	}
-}
-
-func TestAppendLatencyHelper(t *testing.T) {
-	d, err := AppendLatency(t.TempDir(), SyncNever, 32, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d <= 0 || d > time.Second {
-		t.Errorf("mean append latency = %v", d)
-	}
-	if _, err := AppendLatency(t.TempDir(), SyncPolicy(9), 1, 16); err == nil {
-		t.Error("bad policy accepted")
 	}
 }
 
@@ -339,7 +139,29 @@ func TestOpenFailsOnUnwritableDir(t *testing.T) {
 	if err := os.Chmod(dir, 0o500); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Open(filepath.Join(dir, "sub"), "t.log", SyncNever); err == nil {
+	if _, _, err := OpenSegmented(filepath.Join(dir, "sub"), SegmentOptions{}); err == nil {
 		t.Error("unwritable dir accepted")
 	}
 }
+
+// benchmarkAppend measures one SegLog.Append of a 16-byte message under the
+// policy: the local-disk row of the paper's Table 1 comparison.
+func benchmarkAppend(b *testing.B, policy SyncPolicy) {
+	l, _, err := OpenSegmented(b.TempDir(), SegmentOptions{Policy: policy, RetainBytes: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+	m := wire.Message{Topic: 1, Payload: make([]byte, 16)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Seq = uint64(i + 1)
+		if err := l.Append(m); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkAppendSyncNever(b *testing.B)  { benchmarkAppend(b, SyncNever) }
+func BenchmarkAppendSyncAlways(b *testing.B) { benchmarkAppend(b, SyncAlways) }

@@ -1,10 +1,10 @@
 // Segmented append log: the durability plane under the broker's opt-in
-// "ACK = durable" publish mode. Where Log is one append file, SegLog is a
-// directory of CRC-framed segment files that roll at a byte threshold and
-// are retired by byte/age retention, so a long-lived broker neither grows
-// one unbounded file nor loses crash recovery.
+// "ACK = durable" publish mode. SegLog is a directory of CRC-framed segment
+// files that roll at a byte threshold and are retired by byte/age
+// retention, so a long-lived broker neither grows one unbounded file nor
+// loses crash recovery.
 //
-// Two record kinds share the Log record framing (uint32 length |
+// Two record kinds share the record framing (uint32 length |
 // uint32 crc32c | wire frame):
 //
 //   - TypeReplicate frames carry published messages;
@@ -81,8 +81,8 @@ type Replay struct {
 	Prunes   []Pruned
 }
 
-// SegLog is a segmented append log. Like Log it is not safe for
-// concurrent use — the group-commit Committer is its single owner in the
+// SegLog is a segmented append log. It is not safe for concurrent
+// use — the group-commit Committer is its single owner in the
 // broker; tests and replay-only callers may use it directly from one
 // goroutine.
 type SegLog struct {

@@ -441,8 +441,8 @@ func TestCommitterAlwaysMode(t *testing.T) {
 // TestCommitterConcurrentHammer is the -race proof for the concurrency
 // fix: dozens of goroutines hammer Enqueue and EnqueuePrune against one
 // committer while Stats is scraped, and every committed record survives
-// a reopen. Before the committer, diskstore.Log was documented
-// single-owner and the broker serialized with a mutex.
+// a reopen. SegLog itself is single-owner; the committer is what makes
+// concurrent producers safe.
 func TestCommitterConcurrentHammer(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openSeg(t, dir, SegmentOptions{SegmentBytes: 4 << 10, RetainBytes: -1})

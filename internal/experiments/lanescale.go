@@ -31,9 +31,6 @@ import (
 type LaneScaleOptions struct {
 	// Lanes are the lane counts to sweep; nil means {1, 2, 4, 8}.
 	Lanes []int
-	// Batch is the write-batch window applied to every swept broker
-	// (0 disables batching).
-	Batch time.Duration
 	// Topics is the topic count, spread evenly over the publishers;
 	// 0 means 64.
 	Topics int
@@ -70,7 +67,6 @@ type LaneScalePoint struct {
 
 // LaneScaleResult is the sweep outcome.
 type LaneScaleResult struct {
-	Batch  time.Duration
 	Points []LaneScalePoint
 }
 
@@ -81,12 +77,12 @@ type LaneScaleResult struct {
 func RunLaneScale(cfg Config, opts LaneScaleOptions) (*LaneScaleResult, error) {
 	cfg = cfg.withDefaults()
 	opts = opts.withDefaults()
-	res := &LaneScaleResult{Batch: opts.Batch}
+	res := &LaneScaleResult{}
 	for _, lanes := range opts.Lanes {
 		if lanes < 1 {
 			return nil, fmt.Errorf("experiments: lane count %d must be ≥ 1", lanes)
 		}
-		cfg.progress("lanescale: lanes=%d batch=%v", lanes, opts.Batch)
+		cfg.progress("lanescale: lanes=%d", lanes)
 		p, err := runLanePoint(lanes, opts)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: lanescale lanes=%d: %w", lanes, err)
@@ -141,7 +137,6 @@ func runLanePoint(lanes int, opts LaneScaleOptions) (LaneScalePoint, error) {
 		Network:     net,
 		Clock:       clock,
 		Lanes:       lanes,
-		BatchWindow: opts.Batch,
 		EgressDepth: egressDepth,
 		Topics:      topics,
 		Logger:      quietLogger(),
@@ -248,7 +243,7 @@ func received(sub *client.Subscriber, ids []spec.TopicID) uint64 {
 // Format renders the sweep as a small table with speedup over one lane.
 func (r *LaneScaleResult) Format() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "Lane scaling: delivery throughput vs dispatch lanes (batch window %v)\n", r.Batch)
+	sb.WriteString("Lane scaling: delivery throughput vs dispatch lanes\n")
 	fmt.Fprintf(&sb, "%8s  %10s  %10s  %12s  %8s\n", "lanes", "messages", "elapsed", "msgs/sec", "speedup")
 	var base float64
 	for i, p := range r.Points {

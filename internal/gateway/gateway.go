@@ -77,8 +77,7 @@ type Options struct {
 	// ClientWriteTimeout bounds each flush write to a client socket.
 	ClientWriteTimeout time.Duration
 	// Flushers sizes the shared flusher pool draining the per-client rings:
-	// zero means transport.DefaultFlushers, negative restores one writer
-	// goroutine per subscribed client.
+	// zero means transport.DefaultFlushers; negative is an error.
 	Flushers int
 	// BusyPoll keeps idle flushers spinning briefly before parking, trading
 	// CPU for client wakeup latency.
@@ -98,7 +97,7 @@ type Options struct {
 
 // session is one thin client connection. The egress ring attaches lazily
 // on the first Subscribe frame: publisher-only and probe sessions never
-// pay for a writer goroutine.
+// pay for a ring.
 type session struct {
 	conn       *transport.Conn
 	eg         *transport.Egress
@@ -136,8 +135,7 @@ type Gateway struct {
 
 	meter  transport.Meter
 	egress transport.EgressMeter
-	// pool is the shared flusher set the client rings drain through; nil
-	// when Options.Flushers is negative (per-client writer goroutines).
+	// pool is the shared flusher set the client rings drain through.
 	pool *transport.FlusherPool
 
 	delivered   atomic.Uint64 // distinct upstream deliveries fanned out
@@ -177,6 +175,9 @@ func New(opts Options) (*Gateway, error) {
 	}
 	if opts.ClientDepth <= 0 {
 		opts.ClientDepth = DefaultClientDepth
+	}
+	if opts.Flushers < 0 {
+		return nil, fmt.Errorf("gateway: negative flushers %d", opts.Flushers)
 	}
 
 	g := &Gateway{
@@ -249,14 +250,12 @@ func New(opts Options) (*Gateway, error) {
 			return nil, err
 		}
 	}
-	if opts.Flushers >= 0 {
-		g.pool = transport.NewFlusherPool(transport.FlusherPoolConfig{
-			Flushers:     opts.Flushers,
-			BusyPoll:     opts.BusyPoll,
-			KernelSubmit: !opts.NoUring,
-			PinCPUs:      opts.PinFlushers,
-		})
-	}
+	g.pool = transport.NewFlusherPool(transport.FlusherPoolConfig{
+		Flushers:     opts.Flushers,
+		BusyPoll:     opts.BusyPoll,
+		KernelSubmit: !opts.NoUring,
+		PinCPUs:      opts.PinFlushers,
+	})
 	return g, nil
 }
 
@@ -300,11 +299,9 @@ func (g *Gateway) Stop() {
 	g.cancel()
 	g.ln.Close()
 	g.closeSessions()
-	if g.pool != nil {
-		// Every attached ring was closed and waited above (subscribe refuses
-		// attachments once closed is set), so the pool drains clean.
-		g.pool.Close()
-	}
+	// Every attached ring was closed and waited above (subscribe refuses
+	// attachments once closed is set), so the pool drains clean.
+	g.pool.Close()
 	g.closeUpstream()
 	g.closePubLinks()
 	if g.admin != nil {
@@ -322,28 +319,20 @@ func (g *Gateway) closeUpstream() {
 	}
 }
 
-// closeSessions mirrors broker.closeSubscribers: snapshot, close every
-// egress (stops accepting frames, drains), close every conn (fails the
-// in-flight write), then wait for the writers.
+// closeSessions mirrors broker.closeSubscribers: snapshot, retire every
+// ring, then close the conns of sessions that never subscribed.
 func (g *Gateway) closeSessions() {
 	g.mu.Lock()
-	sessions := make([]*session, 0, len(g.sessByConn))
+	conns := make([]*transport.Conn, 0, len(g.sessByConn))
+	rings := make([]*transport.Egress, 0, len(g.sessByConn))
 	for _, s := range g.sessByConn {
-		sessions = append(sessions, s)
+		conns = append(conns, s.conn)
+		rings = append(rings, s.eg)
 	}
 	g.mu.Unlock()
-	for _, s := range sessions {
-		if s.eg != nil {
-			s.eg.Close()
-		}
-	}
-	for _, s := range sessions {
-		s.conn.Close()
-	}
-	for _, s := range sessions {
-		if s.eg != nil {
-			s.eg.Wait()
-		}
+	transport.Retire(rings...)
+	for _, c := range conns {
+		c.Close()
 	}
 }
 
@@ -380,23 +369,16 @@ func (g *Gateway) acceptLoop() {
 }
 
 // serveClient runs one thin client session read loop on a pooled frame,
-// exactly like broker.serveConn: unregister before closing so no new
-// frames enqueue, close the conn to fail any in-flight write, then wait
-// for the egress writer.
+// exactly like broker.serveConn: unregister before retiring the ring so no
+// new frames enqueue, and close the conn whether or not it had one.
 func (g *Gateway) serveClient(conn *transport.Conn) {
 	s := &session{conn: conn, subscribed: make(map[spec.TopicID]bool)}
 	g.mu.Lock()
 	g.sessByConn[conn] = s
 	g.mu.Unlock()
 	defer func() {
-		eg := g.removeSession(conn)
-		if eg != nil {
-			eg.Close()
-		}
+		transport.Retire(g.removeSession(conn))
 		conn.Close()
-		if eg != nil {
-			eg.Wait()
-		}
 	}()
 	stop := context.AfterFunc(g.ctx, func() { conn.Close() })
 	defer stop()
@@ -500,7 +482,7 @@ func (g *Gateway) subscribe(s *session, topics []spec.TopicID) {
 }
 
 // removeSession drops a dead session from its topics' fan-out lists and
-// returns its egress (nil if none) for the caller to Close and Wait.
+// returns its egress (nil if none) for the caller to retire.
 // Unlike the broker it walks only the session's own topics — at gateway
 // churn rates a full topic-table sweep per disconnect would dominate.
 func (g *Gateway) removeSession(conn *transport.Conn) *transport.Egress {
@@ -726,13 +708,11 @@ func (g *Gateway) queued() (frames, subs int) {
 // the flusher pool's kernel-submission counters (see broker.EgressStats).
 func (g *Gateway) EgressStats() transport.EgressStats {
 	s := g.egress.Snapshot()
-	if g.pool != nil {
-		ps := g.pool.Stats()
-		s.SubmittedBatches = ps.Sweeps
-		s.SweepConns = ps.SweepConns
-		s.WriteSyscalls += ps.Syscalls
-		s.KernelSubmit = ps.Kernel
-	}
+	ps := g.pool.Stats()
+	s.SubmittedBatches = ps.Sweeps
+	s.SweepConns = ps.SweepConns
+	s.WriteSyscalls += ps.Syscalls
+	s.KernelSubmit = ps.Kernel
 	return s
 }
 
@@ -827,27 +807,24 @@ func (g *Gateway) scrapeGauges() []obsv.Sample {
 		{Name: "frame_transport_bytes_recv_total", Counter: true, Value: float64(g.meter.BytesRecv.Load()),
 			Help: "Wire bytes received on gateway-owned connections."},
 	}
-	if g.pool != nil {
-		ps := g.pool.Stats()
-		kernel := 0.0
-		if ps.Kernel {
-			kernel = 1
-		}
-		samples = append(samples,
-			obsv.Sample{Name: "frame_egress_flushers", Value: float64(g.pool.Size()),
-				Help: "Shared egress flusher goroutines (0 when per-client writers are in use)."},
-			obsv.Sample{Name: "frame_egress_escalations_total", Counter: true,
-				Value: float64(g.pool.Escalations()), Help: "Replacement flushers spawned to route around wedged client writes."},
-			obsv.Sample{Name: "frame_egress_uring", Value: kernel,
-				Help: "1 when the kernel-batched (io_uring) egress submission backend is active."},
-			obsv.Sample{Name: "frame_egress_submitted_batches_total", Counter: true,
-				Value: float64(ps.Sweeps), Help: "Kernel-batched sweep submissions (many client connections per submission)."},
-			obsv.Sample{Name: "frame_egress_sweep_conns_total", Counter: true,
-				Value: float64(ps.SweepConns), Help: "Client connection writes carried by kernel-batched sweeps."},
-			obsv.Sample{Name: "frame_egress_write_syscalls_total", Counter: true,
-				Value: float64(es.WriteSyscalls + ps.Syscalls),
-				Help:  "Kernel crossings spent writing client egress frames."},
-		)
+	ps := g.pool.Stats()
+	kernel := 0.0
+	if ps.Kernel {
+		kernel = 1
 	}
-	return samples
+	return append(samples,
+		obsv.Sample{Name: "frame_egress_flushers", Value: float64(g.pool.Size()),
+			Help: "Shared egress flusher goroutines."},
+		obsv.Sample{Name: "frame_egress_escalations_total", Counter: true,
+			Value: float64(g.pool.Escalations()), Help: "Replacement flushers spawned to route around wedged client writes."},
+		obsv.Sample{Name: "frame_egress_uring", Value: kernel,
+			Help: "1 when the kernel-batched (io_uring) egress submission backend is active."},
+		obsv.Sample{Name: "frame_egress_submitted_batches_total", Counter: true,
+			Value: float64(ps.Sweeps), Help: "Kernel-batched sweep submissions (many client connections per submission)."},
+		obsv.Sample{Name: "frame_egress_sweep_conns_total", Counter: true,
+			Value: float64(ps.SweepConns), Help: "Client connection writes carried by kernel-batched sweeps."},
+		obsv.Sample{Name: "frame_egress_write_syscalls_total", Counter: true,
+			Value: float64(es.WriteSyscalls + ps.Syscalls),
+			Help:  "Kernel crossings spent writing client egress frames."},
+	)
 }

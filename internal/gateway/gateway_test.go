@@ -13,6 +13,7 @@ import (
 	"log/slog"
 	"math/rand"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -586,7 +587,6 @@ func TestGatewayDirectoryMode(t *testing.T) {
 		Network: net,
 		Mem:     true,
 		Clock:   clock,
-		Workers: 2,
 		Detector: failover.Config{
 			Period: 5 * time.Millisecond, Timeout: 20 * time.Millisecond, Misses: 3,
 		},
@@ -811,18 +811,24 @@ func TestGatewayOptionValidation(t *testing.T) {
 	cases := []struct {
 		name string
 		opts gateway.Options
+		want string // a substring the error must carry; empty accepts any error
 	}{
-		{"nil network", gateway.Options{ListenAddr: "gw", Topics: topics, BrokerAddrs: []string{"x"}}},
-		{"no topics", gateway.Options{ListenAddr: "gw", Network: net, BrokerAddrs: []string{"x"}}},
-		{"no upstream", gateway.Options{ListenAddr: "gw", Topics: topics, Network: net}},
+		{"nil network", gateway.Options{ListenAddr: "gw", Topics: topics, BrokerAddrs: []string{"x"}}, ""},
+		{"no topics", gateway.Options{ListenAddr: "gw", Network: net, BrokerAddrs: []string{"x"}}, ""},
+		{"no upstream", gateway.Options{ListenAddr: "gw", Topics: topics, Network: net}, ""},
 		{"both upstreams", gateway.Options{ListenAddr: "gw", Topics: topics, Network: net,
-			BrokerAddrs: []string{"x"}, DirectoryAddr: "y"}},
+			BrokerAddrs: []string{"x"}, DirectoryAddr: "y"}, ""},
 		{"bad broker addr", gateway.Options{ListenAddr: "gw", Topics: topics, Network: net,
-			BrokerAddrs: []string{"nowhere"}}},
+			BrokerAddrs: []string{"nowhere"}}, ""},
+		{"negative flushers", gateway.Options{ListenAddr: "gw", Topics: topics, Network: net,
+			BrokerAddrs: []string{"x"}, Flushers: -1}, "negative flushers"},
 	}
 	for _, tc := range cases {
-		if _, err := gateway.New(tc.opts); err == nil {
+		_, err := gateway.New(tc.opts)
+		if err == nil {
 			t.Errorf("%s: New accepted invalid options", tc.name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: New = %v, want an error naming %q", tc.name, err, tc.want)
 		}
 	}
 }

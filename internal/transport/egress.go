@@ -1,5 +1,6 @@
-// Asynchronous egress: per-subscriber outbound rings drained by dedicated
-// writer goroutines with vectored writes.
+// Asynchronous egress: per-connection outbound rings drained with vectored
+// writes by a shared flusher pool (broker and gateway) or by a ring's own
+// writer goroutine (a client's uplink).
 //
 // The broker's fan-out used to write to every subscriber synchronously under
 // each connection's write lock, so one wedged socket head-of-line-blocked the
@@ -147,8 +148,8 @@ type EgressConfig struct {
 	// Meter receives counters; nil disables counting.
 	Meter *EgressMeter
 	// Pool, when non-nil, drains this ring with the pool's shared flushers
-	// instead of a dedicated writer goroutine (see FlusherPool). Nil keeps
-	// the per-subscriber writer.
+	// instead of a dedicated writer goroutine (see FlusherPool). Nil gives
+	// the ring its own writer, as a client's uplink has.
 	Pool *FlusherPool
 }
 
@@ -454,7 +455,7 @@ func (e *Egress) drainLocked() {
 // Close stops the egress: queued frames are released (the connection is
 // about to close anyway) and the writer exits once any in-flight write
 // returns. Idempotent. Close does not close the connection — owners close
-// the conn themselves, then Wait for the writer.
+// the conn themselves, then Wait for the writer (Retire does all three).
 func (e *Egress) Close() {
 	e.mu.Lock()
 	if e.closed {
@@ -503,6 +504,29 @@ func (e *Egress) Drain(wait time.Duration) {
 // Wait blocks until the egress has fully stopped: the dedicated writer
 // exited, or — pooled — its flusher (or Close) finalized it.
 func (e *Egress) Wait() { <-e.done }
+
+// Retire stops rings for good, in the order every owner needs: close every
+// ring first, so no writer picks up another frame and queued frames are
+// released; then close every ring's connection, which unsticks a write in
+// flight; then wait for every writer. Nil rings are skipped, so owners may
+// pass a session's rings whether or not they were ever opened.
+func Retire(rings ...*Egress) {
+	for _, e := range rings {
+		if e != nil {
+			e.Close()
+		}
+	}
+	for _, e := range rings {
+		if e != nil {
+			e.conn.Close()
+		}
+	}
+	for _, e := range rings {
+		if e != nil {
+			e.Wait()
+		}
+	}
+}
 
 // finalize performs the one-time terminal transition of a pooled egress:
 // an evicted connection is closed (the dedicated-writer path does the same

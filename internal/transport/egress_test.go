@@ -398,3 +398,51 @@ func TestEgressDrainGivesUpOnWedgedPeer(t *testing.T) {
 	}
 	eg.Drain(time.Hour) // stopped: returns at once
 }
+
+// TestRetireReleasesEveryRing: Retire stops pooled and dedicated rings in one
+// call and skips nil ones. A pooled ring's writer is wedged in a write to a
+// peer that never reads, a second pooled ring queues behind that flusher, and
+// a dedicated ring has frames queued: Retire must close the rings before
+// their connections (the close is what frees the wedged writer), wait for
+// every writer, and leave no frame reference behind.
+func TestRetireReleasesEveryRing(t *testing.T) {
+	base := FrameBufRefs()
+	pool := NewFlusherPool(FlusherPoolConfig{Flushers: 1})
+	t.Cleanup(pool.Close) // runs after the pipes close, so it cannot hang on a wedged write
+	ring := func(pooled bool) *Egress {
+		a, b := net.Pipe() // nobody reads b
+		t.Cleanup(func() { b.Close() })
+		cfg := EgressConfig{Depth: 8}
+		if pooled {
+			cfg.Pool = pool
+		}
+		return NewEgress(NewConn(a), cfg)
+	}
+	wedged, behind, dedicated := ring(true), ring(true), ring(false)
+	wedged.Enqueue(pruneBuf(4, 1), 4, 0)
+	// The flusher has taken the frame and is stuck writing it.
+	watchdog := time.NewTimer(5 * time.Second)
+	defer watchdog.Stop()
+	for wedged.Depth() > 0 {
+		select {
+		case <-watchdog.C:
+			t.Fatal("the flusher never took the batch")
+		default:
+			runtime.Gosched()
+		}
+	}
+	for seq := uint64(2); seq <= 4; seq++ {
+		wedged.Enqueue(pruneBuf(4, seq), 4, 0)
+		behind.Enqueue(pruneBuf(5, seq), 5, 0)
+		dedicated.Enqueue(pruneBuf(6, seq), 6, 0)
+	}
+	Retire(wedged, nil, behind, dedicated, nil)
+	for _, eg := range []*Egress{wedged, behind, dedicated} {
+		if r := eg.Enqueue(pruneBuf(7, 1), 7, 0); r != EnqueueClosed {
+			t.Fatalf("Enqueue after Retire = %v, want EnqueueClosed", r)
+		}
+	}
+	if refs := FrameBufRefs(); refs != base {
+		t.Fatalf("leaked %d FrameBuf references", refs-base)
+	}
+}

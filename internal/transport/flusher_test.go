@@ -61,13 +61,7 @@ func TestFlusherPoolDeliversManyConnsInOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, eg := range egs {
-		eg.Close()
-		eg.Conn().Close()
-	}
-	for _, eg := range egs {
-		eg.Wait()
-	}
+	Retire(egs...)
 	pool.Close()
 	if refs := FrameBufRefs(); refs != base {
 		t.Fatalf("leaked %d FrameBuf references", refs-base)
@@ -246,9 +240,7 @@ func TestFlusherEscalationIsolatesWedgedConn(t *testing.T) {
 	healthySender.Close()
 	healthy.Wait()
 	close(gate) // the deposed flusher's write fails once the pipe closes
-	wedged.Close()
-	wedged.Conn().Close()
-	wedged.Wait()
+	Retire(wedged)
 	pool.Close()
 	if refs := FrameBufRefs(); refs != base {
 		t.Fatalf("leaked %d FrameBuf references", refs-base)

@@ -1,9 +1,10 @@
 package transport
 
 import (
-	"bytes"
+	"encoding/binary"
 	"errors"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -19,108 +20,6 @@ func pipePair(t *testing.T) (*Conn, *Conn) {
 	ca, cb := NewConn(a), NewConn(b)
 	t.Cleanup(func() { ca.Close(); cb.Close() })
 	return ca, cb
-}
-
-// TestSendEncodedMatchesSend: a frame sent as pre-encoded bytes must arrive
-// exactly as the same frame sent through Send — receivers cannot tell which
-// path the broker took.
-func TestSendEncodedMatchesSend(t *testing.T) {
-	msg := wire.Message{Topic: 5, Seq: 77, Created: 3 * time.Millisecond, Payload: []byte("payload-bytes")}
-	frame := &wire.Frame{Type: wire.TypeDispatch, Msg: msg, Dispatched: 9 * time.Millisecond}
-
-	viaSend := make(chan *wire.Frame, 1)
-	{
-		ca, cb := pipePair(t)
-		go func() { ca.Send(frame) }()
-		f, err := cb.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		viaSend <- f
-	}
-
-	ca, cb := pipePair(t)
-	body := wire.AppendDispatchBody(nil, &msg, 9*time.Millisecond)
-	errc := make(chan error, 1)
-	go func() { errc <- ca.SendEncoded(body) }()
-	got, err := cb.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := <-errc; err != nil {
-		t.Fatal(err)
-	}
-	want := <-viaSend
-	ge, _ := wire.Encode(nil, got)
-	we, _ := wire.Encode(nil, want)
-	if !bytes.Equal(ge, we) {
-		t.Errorf("SendEncoded delivered a different frame:\n got  %+v\n want %+v", got, want)
-	}
-}
-
-// TestSendEncodedDoesNotRetainBody: the caller may scribble over the body
-// buffer the moment SendEncoded returns, even on a batching connection where
-// the bytes leave much later.
-func TestSendEncodedDoesNotRetainBody(t *testing.T) {
-	sender, cc, frames := batchPair(t, time.Hour, 0)
-	_ = cc
-	msg := wire.Message{Topic: 1, Seq: 1, Payload: []byte("original")}
-	body := wire.AppendDispatchBody(nil, &msg, 0)
-	if err := sender.SendEncoded(body); err != nil {
-		t.Fatal(err)
-	}
-	for i := range body {
-		body[i] = 0xFF // reuse the buffer before the batch flushes
-	}
-	if err := sender.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	got := collect(t, frames, 1)
-	if string(got[0].Msg.Payload) != "original" {
-		t.Errorf("payload = %q: SendEncoded aliased the caller's buffer into the batch", got[0].Msg.Payload)
-	}
-}
-
-// TestSendEncodedBatchesAndKeepsOrder: pre-encoded dispatch frames ride the
-// same coalescing path as Send, interleaved with it, in order.
-func TestSendEncodedBatchesAndKeepsOrder(t *testing.T) {
-	sender, cc, frames := batchPair(t, 2*time.Millisecond, 0)
-	const n = 100
-	var body []byte
-	for i := uint64(1); i <= n; i++ {
-		m := wire.Message{Topic: 7, Seq: i, Created: time.Duration(i), Payload: []byte("0123456789abcdef")}
-		if i%2 == 0 {
-			if err := sender.Send(&wire.Frame{Type: wire.TypeDispatch, Msg: m}); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		body = wire.AppendDispatchBody(body[:0], &m, 0)
-		if err := sender.SendEncoded(body); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := collect(t, frames, n)
-	for i, f := range got {
-		if f.Msg.Seq != uint64(i+1) {
-			t.Fatalf("frame %d has seq %d: SendEncoded broke per-conn order", i, f.Msg.Seq)
-		}
-	}
-	if w := cc.writes.Load(); w >= n/2 {
-		t.Errorf("%d frames took %d writes; SendEncoded should coalesce", n, w)
-	}
-}
-
-func TestSendEncodedRejectsEmptyAndOversized(t *testing.T) {
-	ca, _ := pipePair(t)
-	if err := ca.SendEncoded(nil); err == nil {
-		t.Error("empty body accepted")
-	}
-	huge := make([]byte, MaxFrameSize+1)
-	huge[0] = byte(wire.TypeDispatch)
-	if err := ca.SendEncoded(huge); !errors.Is(err, ErrFrameTooLarge) {
-		t.Errorf("err = %v, want ErrFrameTooLarge", err)
-	}
 }
 
 // feedFrames starts a goroutine sending payloads of the given sizes and
@@ -279,8 +178,7 @@ func TestPutFrameCapsRetainedCapacity(t *testing.T) {
 }
 
 // blockableConn wedges Write until released, simulating a peer that has
-// stopped reading — the scenario where Close used to silently drop a
-// pending batch because TryLock failed against the stuck writer.
+// stopped reading while a writer holds the connection's write lock.
 type blockableConn struct {
 	net.Conn
 	gate chan struct{} // closed to release writes
@@ -291,90 +189,81 @@ func (c *blockableConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// TestCloseWaitsForWriterThenFailsLaterSends provokes the Close/Send race:
-// a Send wedged inside Write holds the write lock while Close runs. Close
-// must not hang forever, and every Send after Close must fail instead of
-// silently enqueueing.
+// TestCloseWaitsForWriterThenFailsLaterSends provokes the Close/write race:
+// a Send or a ring's WriteBuffers is wedged inside Write holding the write
+// lock while Close runs. Close must return at once, without waiting for the
+// lock or leaving a goroutine behind; the wedged write, once released, and
+// every later Send and WriteBuffers must fail with net.ErrClosed.
 func TestCloseWaitsForWriterThenFailsLaterSends(t *testing.T) {
-	a, b := net.Pipe()
-	bc := &blockableConn{Conn: a, gate: make(chan struct{})}
-	sender := NewConn(bc)
-	go func() { // drain so the pipe itself never blocks once the gate opens
-		rc := NewConn(b)
-		for {
-			if _, err := rc.Recv(); err != nil {
-				return
+	frame := &wire.Frame{Type: wire.TypeDispatch, Msg: wire.Message{Topic: 1, Seq: 1, Payload: []byte("0123456789abcdef")}}
+	body, err := wire.Encode(nil, frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := net.Buffers{binary.LittleEndian.AppendUint32(nil, uint32(len(body))), body}
+	writers := map[string]func(*Conn) error{
+		"Send":         func(c *Conn) error { return c.Send(frame) },
+		"WriteBuffers": func(c *Conn) error { return c.WriteBuffers(batch, 1, 4+len(body)) },
+	}
+	for name, write := range writers {
+		t.Run(name, func(t *testing.T) {
+			watchdog := time.NewTimer(5 * time.Second)
+			defer watchdog.Stop()
+			baseline := runtime.NumGoroutine()
+
+			a, b := net.Pipe()
+			bc := &blockableConn{Conn: a, gate: make(chan struct{})}
+			sender := NewConn(bc)
+			go func() { // drain so the pipe never blocks; exits when a closes
+				rc := NewConn(b)
+				defer rc.Close()
+				for {
+					if _, err := rc.Recv(); err != nil {
+						return
+					}
+				}
+			}()
+			wedged := make(chan error, 1)
+			go func() { wedged <- write(sender) }()
+			// Wait until the writer is provably wedged inside Write holding writeMu.
+			for sender.writeMu.TryLock() {
+				sender.writeMu.Unlock()
+				select {
+				case <-watchdog.C:
+					t.Fatal("writer never took the write lock")
+				default:
+					runtime.Gosched()
+				}
 			}
-		}
-	}()
 
-	sendErr := make(chan error, 1)
-	go func() { sendErr <- sender.Send(dispatchFrame(1, 1)) }()
-	// Wait until the sender is provably wedged inside Write holding writeMu.
-	deadline := time.After(2 * time.Second)
-	for sender.writeMu.TryLock() {
-		sender.writeMu.Unlock()
-		select {
-		case <-deadline:
-			t.Fatal("sender never took the write lock")
-		case <-time.After(time.Millisecond):
-		}
-	}
-
-	closed := make(chan error, 1)
-	go func() { closed <- sender.Close() }()
-	select {
-	case err := <-closed:
-		if err != nil {
-			t.Fatalf("Close: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close hung on a wedged writer")
-	}
-	close(bc.gate) // release the wedged Write; it fails against the closed pipe
-	select {
-	case <-sendErr: // wedged send finished either way; what matters is below
-	case <-time.After(5 * time.Second):
-		t.Fatal("wedged Send never returned after Close")
-	}
-	if err := sender.Send(dispatchFrame(1, 2)); !errors.Is(err, net.ErrClosed) {
-		t.Errorf("Send after Close = %v, want net.ErrClosed", err)
-	}
-	if err := sender.SendEncoded(wire.AppendPruneBody(nil, 1, 1)); !errors.Is(err, net.ErrClosed) {
-		t.Errorf("SendEncoded after Close = %v, want net.ErrClosed", err)
-	}
-}
-
-// TestCloseFlushesBatchHeldByConcurrentSender provokes the exact bug the
-// bounded lock wait fixes: Close arrives while another goroutine holds the
-// write lock (as a mid-enqueue Send does). The old TryLock-only Close gave
-// up immediately and the pending batch died with the conn; now Close waits
-// for the lock and flushes.
-func TestCloseFlushesBatchHeldByConcurrentSender(t *testing.T) {
-	sender, _, frames := batchPair(t, time.Hour, 0)
-	const n = 5
-	for i := uint64(1); i <= n; i++ {
-		if err := sender.Send(dispatchFrame(3, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Hold the write lock exactly as a concurrent Send would, long enough
-	// that Close's TryLock fast path must fail.
-	sender.writeMu.Lock()
-	closed := make(chan error, 1)
-	go func() { closed <- sender.Close() }()
-	time.Sleep(10 * time.Millisecond) // let Close hit the contended path
-	sender.writeMu.Unlock()
-	got := collect(t, frames, n)
-	if got[n-1].Msg.Seq != n {
-		t.Fatalf("last flushed seq %d, want %d", got[n-1].Msg.Seq, n)
-	}
-	select {
-	case err := <-closed:
-		if err != nil {
-			t.Fatalf("Close: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close never returned")
+			if err := sender.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			if sender.writeMu.TryLock() {
+				t.Fatal("the wedged writer released the lock before it was let go: Close must not have waited for it")
+			}
+			close(bc.gate) // release the wedged Write; it fails against the closed pipe
+			select {
+			case err := <-wedged:
+				if !errors.Is(err, net.ErrClosed) {
+					t.Errorf("wedged %s = %v, want net.ErrClosed", name, err)
+				}
+			case <-watchdog.C:
+				t.Fatalf("wedged %s never returned after Close", name)
+			}
+			for later, w := range writers {
+				if err := w(sender); !errors.Is(err, net.ErrClosed) {
+					t.Errorf("%s after Close = %v, want net.ErrClosed", later, err)
+				}
+			}
+			for runtime.NumGoroutine() > baseline {
+				select {
+				case <-watchdog.C:
+					t.Fatalf("%d goroutines after the write was released, want the %d before the test", runtime.NumGoroutine(), baseline)
+				default:
+					runtime.Gosched()
+				}
+			}
+		})
 	}
 }

@@ -69,45 +69,6 @@ func TestSendIsOneWrite(t *testing.T) {
 	}
 }
 
-// TestSendEncodedIsOneWrite: the pre-encoded path obeys the same rule. Below
-// a conn that cannot writev the prefix and body are gathered into one Write;
-// over TCP they leave as one vectored write, checked here from the far end.
-func TestSendEncodedIsOneWrite(t *testing.T) {
-	sc := &scriptConn{}
-	c := NewConn(sc)
-	for i, f := range sendCases {
-		want := framed(t, f)
-		if err := c.SendEncoded(want[4:]); err != nil {
-			t.Fatalf("SendEncoded %v: %v", f.Type, err)
-		}
-		if len(sc.writes) != i+1 {
-			t.Fatalf("after %d sends: %d writes, want one per frame", i+1, len(sc.writes))
-		}
-		if !bytes.Equal(sc.writes[i], want) {
-			t.Errorf("SendEncoded %v wrote %d bytes, want len‖body (%d bytes)", f.Type, len(sc.writes[i]), len(want))
-		}
-	}
-
-	sender, receiver := tcpPair(t)
-	if !sender.vectored {
-		t.Fatal("a TCP connection must take vectored writes")
-	}
-	go func() {
-		for _, f := range sendCases {
-			sender.SendEncoded(framed(t, f)[4:])
-		}
-	}()
-	for _, f := range sendCases {
-		got, err := receiver.Recv()
-		if err != nil {
-			t.Fatalf("Recv %v: %v", f.Type, err)
-		}
-		if got.Type != f.Type || got.Msg.Seq != f.Msg.Seq || !bytes.Equal(got.Msg.Payload, f.Msg.Payload) {
-			t.Errorf("received %v seq %d, want %v seq %d", got.Type, got.Msg.Seq, f.Type, f.Msg.Seq)
-		}
-	}
-}
-
 // TestOversizedFrameWritesNothing: a frame above MaxFrameSize is refused
 // before any byte reaches the connection, which stays usable.
 func TestOversizedFrameWritesNothing(t *testing.T) {
@@ -117,13 +78,8 @@ func TestOversizedFrameWritesNothing(t *testing.T) {
 	if err := c.Send(huge); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("Send: err = %v, want ErrFrameTooLarge", err)
 	}
-	body := make([]byte, MaxFrameSize+1)
-	body[0] = byte(wire.TypePublish)
-	if err := c.SendEncoded(body); !errors.Is(err, ErrFrameTooLarge) {
-		t.Errorf("SendEncoded: err = %v, want ErrFrameTooLarge", err)
-	}
 	if len(sc.writes) != 0 {
-		t.Fatalf("%d writes for refused frames, want none", len(sc.writes))
+		t.Fatalf("%d writes for a refused frame, want none", len(sc.writes))
 	}
 	if err := c.Send(sendCases[1]); err != nil || len(sc.writes) != 1 {
 		t.Errorf("Send after a refusal: err = %v, %d writes; the connection must stay usable", err, len(sc.writes))
@@ -133,9 +89,11 @@ func TestOversizedFrameWritesNothing(t *testing.T) {
 // TestFailedWriteIsSticky: once a write fails the framing is unknown, so
 // every later send fails with the same error without touching the conn.
 func TestFailedWriteIsSticky(t *testing.T) {
+	poll := framed(t, sendCases[1])
+	writeBuffers := func(c *Conn) error { return c.WriteBuffers(net.Buffers{poll[:4], poll[4:]}, 1, len(poll)) }
 	for name, send := range map[string]func(*Conn) error{
-		"Send":        func(c *Conn) error { return c.Send(sendCases[1]) },
-		"SendEncoded": func(c *Conn) error { return c.SendEncoded(framed(t, sendCases[1])[4:]) },
+		"Send":         func(c *Conn) error { return c.Send(sendCases[1]) },
+		"WriteBuffers": writeBuffers,
 	} {
 		sc := &scriptConn{failAt: 2}
 		c := NewConn(sc)
@@ -149,8 +107,8 @@ func TestFailedWriteIsSticky(t *testing.T) {
 		if err := c.Send(sendCases[0]); !errors.Is(err, errScripted) {
 			t.Errorf("%s: send after failure: err = %v, want the sticky failure", name, err)
 		}
-		if err := c.SendEncoded(framed(t, sendCases[0])[4:]); !errors.Is(err, errScripted) {
-			t.Errorf("%s: SendEncoded after failure: err = %v, want the sticky failure", name, err)
+		if err := writeBuffers(c); !errors.Is(err, errScripted) {
+			t.Errorf("%s: WriteBuffers after failure: err = %v, want the sticky failure", name, err)
 		}
 		if len(sc.writes) != 2 {
 			t.Errorf("%s: %d writes, want 2: nothing is written after a failure", name, len(sc.writes))

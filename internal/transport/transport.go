@@ -75,20 +75,12 @@ type Conn struct {
 	writeMu sync.Mutex
 	wbuf    []byte      // one frame with its length prefix (Send), or a gathered batch
 	wv      net.Buffers // vectored-write scratch; a local would escape through WriteTo
-	wvOne   [2][]byte   // SendEncoded's header and body, the backing array wv takes
 	// vectored: nc turns net.Buffers.WriteTo into one writev. Any other
 	// net.Conn (an in-process pipe, a fault injector, a counting wrapper)
 	// would get one Write per buffer from it, so there the buffers are
 	// gathered into wbuf first and leave in one Write.
 	vectored bool
-
-	// Write batching (see EnableBatching); all fields guarded by writeMu.
-	batchWin      time.Duration
-	batchMax      int
-	pending       []byte // encoded frames (header+body) awaiting one Write
-	pendingFrames int
-	timer         *time.Timer
-	werr          error // sticky write failure
+	werr     error // sticky write failure; guarded by writeMu
 
 	// writeStall bounds each write syscall (see SetWriteStall); guarded by
 	// writeMu.
@@ -103,8 +95,8 @@ type Conn struct {
 	rShrink    int  // consecutive sub-cap frames while rbuf is oversized
 	zeroCopy   bool // RecvInto aliases payloads into rbuf (see SetZeroCopy)
 
-	// closed flips before the underlying conn closes so Send cannot accept
-	// (and silently drop) frames into a batch nobody will ever flush.
+	// closed flips before the underlying conn closes, so a send after Close
+	// and a write that the close unsticks both fail with net.ErrClosed.
 	closed atomic.Bool
 }
 
@@ -118,10 +110,9 @@ func NewConn(nc net.Conn) *Conn {
 // between goroutines; a nil meter disables counting.
 func (c *Conn) SetMeter(m *Meter) { c.meter = m }
 
-// Send encodes and writes one frame. Safe for concurrent use. On a batching
-// connection (EnableBatching), data-plane frames are coalesced and may leave
-// later, in order; all other frames drain the batch first and write through,
-// length prefix and body in one Write.
+// Send encodes and writes one frame, length prefix and body in one Write.
+// Safe for concurrent use. A frame above MaxFrameSize is refused before any
+// byte reaches the connection.
 func (c *Conn) Send(f *wire.Frame) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
@@ -134,9 +125,8 @@ func (c *Conn) Send(f *wire.Frame) error {
 		return fmt.Errorf("transport: encode %v: %w", f.Type, err)
 	}
 	c.wbuf = framed // reuse the grown buffer next time
-	through, err := c.routeLocked(f.Type, framed[4:])
-	if !through {
-		return err
+	if n := len(framed) - 4; n > MaxFrameSize {
+		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
 	binary.LittleEndian.PutUint32(framed, uint32(len(framed)-4))
 	c.armWriteStallLocked()
@@ -145,36 +135,6 @@ func (c *Conn) Send(f *wire.Frame) error {
 		return c.stickyWriteLocked("write frame", err)
 	}
 	c.countSentLocked(1, len(framed))
-	return nil
-}
-
-// SendEncoded writes one pre-encoded frame body (the bytes wire.Encode or a
-// wire.Append*Body helper produces) through the same ordering, batching, and
-// size rules as Send; written through, prefix and body leave in one vectored
-// write, the body uncopied. The caller keeps ownership of body: it is fully
-// consumed — copied into the batch buffer or written to the conn — before
-// SendEncoded returns, so the caller may reuse it immediately.
-func (c *Conn) SendEncoded(body []byte) error {
-	if len(body) == 0 {
-		return errors.New("transport: empty frame body")
-	}
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	if err := c.sendableLocked(); err != nil {
-		return err
-	}
-	through, err := c.routeLocked(wire.Type(body[0]), body)
-	if !through {
-		return err
-	}
-	c.wbuf = binary.LittleEndian.AppendUint32(c.wbuf[:0], uint32(len(body)))
-	c.wvOne = [2][]byte{c.wbuf, body}
-	err = c.writeBuffersLocked(c.wvOne[:])
-	c.wvOne[1] = nil // don't pin the caller's body past the write
-	if err != nil {
-		return err
-	}
-	c.countSentLocked(1, 4+len(body))
 	return nil
 }
 
@@ -219,25 +179,6 @@ func (c *Conn) sendableLocked() error {
 	return nil
 }
 
-// routeLocked applies the rules every frame obeys before its bytes may reach
-// the socket and reports whether the caller is to write it through now. An
-// oversized frame is refused before any byte is written; a batchable frame
-// on a batching connection joins the pending batch (through == false, err is
-// the outcome); every other frame keeps per-conn order by draining anything
-// pending first.
-func (c *Conn) routeLocked(t wire.Type, body []byte) (through bool, err error) {
-	if len(body) > MaxFrameSize {
-		return false, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(body))
-	}
-	if c.batchWin > 0 && batchable(t) {
-		return false, c.enqueueLocked(body)
-	}
-	if err := c.flushLocked(); err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
 // stickyWriteLocked records a write failure so every later send fails fast:
 // a failed or partial write leaves the stream's framing in an unknown state,
 // so the connection must not carry further frames. A failure on an
@@ -254,8 +195,7 @@ func (c *Conn) stickyWriteLocked(op string, err error) error {
 }
 
 // WriteBuffers writes a pre-assembled sequence of length-prefixed frames in
-// one vectored write (writev on TCP), draining any pending batch first so
-// per-connection frame order holds. bufs alternates header and body slices;
+// one vectored write (writev on TCP). bufs alternates header and body slices;
 // frames and nbytes are the frame count and total byte length it carries, for
 // metering. The slice header is copied before the write because
 // net.Buffers.WriteTo consumes it in place; the caller keeps ownership of
@@ -275,18 +215,13 @@ func (c *Conn) WriteBuffers(bufs net.Buffers, frames, nbytes int) error {
 
 // lockSubmit prepares the connection for an externally performed write —
 // a sequential vectored write or a kernel-batched submission on the
-// connection's raw fd: it takes the write lock, fails fast on a sticky
-// error or a closed connection, and drains any pending Send batch so
-// per-connection frame order holds. On success the caller owns the lock
-// (and with it the byte stream) until unlockSubmit; on error the lock is
-// already released.
+// connection's raw fd: it takes the write lock and fails fast on a sticky
+// error or a closed connection. On success the caller owns the lock (and
+// with it the byte stream) until unlockSubmit; on error the lock is already
+// released.
 func (c *Conn) lockSubmit() error {
 	c.writeMu.Lock()
 	if err := c.sendableLocked(); err != nil {
-		c.writeMu.Unlock()
-		return err
-	}
-	if err := c.flushLocked(); err != nil {
 		c.writeMu.Unlock()
 		return err
 	}
@@ -324,8 +259,6 @@ func (c *Conn) writeBuffersLocked(bufs net.Buffers) error {
 // of small frames is one Write. A buffer larger than that goes out as it is,
 // uncopied, and wbuf never grows past the cap here.
 func (c *Conn) writeGatheredLocked(bufs net.Buffers) error {
-	// bufs[0] may be wbuf itself (SendEncoded's prefix): appending it to
-	// wbuf[:0] copies it onto itself, and a growing append carries it over.
 	packed := c.wbuf[:0]
 	for _, b := range bufs {
 		if len(packed)+len(b) > RbufSoftCap {
@@ -522,58 +455,13 @@ func (c *Conn) countRecv(n int) {
 // SetReadDeadline bounds the next Recv.
 func (c *Conn) SetReadDeadline(t time.Time) error { return c.nc.SetReadDeadline(t) }
 
-// closeLockWait bounds how long Close waits for a concurrent writer before
-// giving up on the final flush; closing the net.Conn then unsticks any
-// writer blocked inside Write.
-const closeLockWait = 100 * time.Millisecond
-
-// Close closes the underlying connection; a blocked Recv returns an error.
-// A pending batch gets one bounded best-effort flush first, so orderly
-// shutdowns do not drop coalesced frames. Unlike a bare TryLock, Close
-// waits (bounded) for a concurrent writer to release the write lock — a
-// Send mid-enqueue no longer causes the whole pending batch to be silently
-// dropped — and marks the connection closed first, so a Send racing with
-// Close returns an error instead of enqueueing onto a batch nobody will
-// flush.
+// Close marks the connection closed and closes the underlying connection; a
+// blocked Recv returns an error. It never waits for the write lock: nothing
+// is ever pending on a Conn, and a writer wedged inside Write is unstuck by
+// the close and fails with net.ErrClosed, as does every later send.
 func (c *Conn) Close() error {
 	c.closed.Store(true)
-	if c.writeMu.TryLock() {
-		// Uncontended fast path: flush and mark inline.
-		c.closeLocked()
-		c.writeMu.Unlock()
-		return c.nc.Close()
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		c.writeMu.Lock()
-		defer c.writeMu.Unlock()
-		c.closeLocked()
-	}()
-	select {
-	case <-done:
-	case <-time.After(closeLockWait):
-		// A writer is wedged inside Write holding the lock; closing the
-		// conn below unsticks it, and the goroutine above then finishes the
-		// bookkeeping (its flush fails fast against the closed conn).
-	}
 	return c.nc.Close()
-}
-
-// closeLocked drains the pending batch best-effort, stops the batch timer,
-// and makes the write error sticky so later Sends fail fast.
-func (c *Conn) closeLocked() {
-	if len(c.pending) > 0 && c.werr == nil {
-		c.nc.SetWriteDeadline(time.Now().Add(closeLockWait))
-		c.flushLocked()
-		c.nc.SetWriteDeadline(time.Time{})
-	}
-	if c.timer != nil {
-		c.timer.Stop()
-	}
-	if c.werr == nil {
-		c.werr = fmt.Errorf("transport: connection closed: %w", net.ErrClosed)
-	}
 }
 
 // RemoteAddr exposes the peer address for logs.
