@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build loc test race short cover cover-check bench bench-compare bench-json bench-regress repro fuzz chaos chaos-shard chaos-gateway chaos-durable chaos-smoke shard-smoke gateway-smoke gateway-churn durable-smoke shardscale fmt fmtcheck vet ci clean
+.PHONY: all build loc test race short cover cover-check bench bench-compare repro fuzz chaos chaos-shard chaos-gateway chaos-durable chaos-smoke shard-smoke gateway-smoke gateway-churn durable-smoke shardscale fmt fmtcheck vet ci clean
 
 all: build vet fmtcheck test
 
@@ -66,41 +66,6 @@ bench-compare:
 		echo "benchstat not installed; raw samples are in dispatch_lanes.bench"; \
 		echo "(go install golang.org/x/perf/cmd/benchstat@latest to summarize)"; \
 	fi
-
-# Machine-readable egress baseline: run the egress-path benches once and
-# record {name, ns_per_op, bytes_per_op, allocs_per_op} rows in
-# BENCH_EGRESS.json. Commit the refreshed file when the egress hot path
-# changes deliberately; allocs_per_op must stay 0.
-bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkFanoutAsync|BenchmarkEgressWritev' -benchmem -count 1 . | tee egress.bench
-	@awk 'BEGIN { print "[" } \
-		/^Benchmark/ { \
-			if (n++) printf ",\n"; \
-			printf "  {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", $$1, $$2, $$3, $$5, $$7 \
-		} \
-		END { print "\n]" }' egress.bench > BENCH_EGRESS.json
-	@echo "wrote BENCH_EGRESS.json"
-	$(GO) run ./cmd/frame-bench -exp opoints -quiet -opoints-msgs 1024 -bench-json BENCH_OPOINTS.json
-	$(GO) run ./cmd/frame-bench -exp durable -quiet -bench-json BENCH_DURABLE.json
-
-# Fail if a fresh bench-json run regresses >BENCH_REGRESS_MAX% in ns/op
-# against the committed BENCH_EGRESS.json (or allocates where the
-# baseline did not). The CI bench-baseline job runs this on every PR.
-# The opoints grid measures a live broker end to end, so its budget is
-# far looser: single-run cells on a loaded box swing ±30-40%. The durable
-# rows are p99 publish latencies dominated by the fsync window and the
-# disk, so their budget is looser still.
-BENCH_REGRESS_MAX ?= 10
-OPOINTS_REGRESS_MAX ?= 50
-DURABLE_REGRESS_MAX ?= 75
-bench-regress:
-	cp BENCH_EGRESS.json bench_baseline.json
-	cp BENCH_OPOINTS.json opoints_baseline.json
-	cp BENCH_DURABLE.json durable_baseline.json
-	$(MAKE) bench-json
-	$(GO) run ./cmd/frame-benchdiff -base bench_baseline.json -new BENCH_EGRESS.json -max-regress $(BENCH_REGRESS_MAX)
-	$(GO) run ./cmd/frame-benchdiff -base opoints_baseline.json -new BENCH_OPOINTS.json -max-regress $(OPOINTS_REGRESS_MAX)
-	$(GO) run ./cmd/frame-benchdiff -base durable_baseline.json -new BENCH_DURABLE.json -max-regress $(DURABLE_REGRESS_MAX)
 
 # Same via the CLI harness, with CSV artifacts.
 repro:
@@ -191,4 +156,4 @@ vet:
 	$(GO) vet ./...
 
 clean:
-	rm -rf artifacts test_output.txt bench_output.txt coverage.out dispatch_lanes.bench egress.bench bench_baseline.json opoints_baseline.json durable_baseline.json
+	rm -rf artifacts test_output.txt bench_output.txt coverage.out dispatch_lanes.bench

@@ -47,7 +47,7 @@ func main() {
 
 func run() error {
 	var (
-		exp     = flag.String("exp", "all", "experiment: table4, table5, fig7, fig8, fig9, multiedge, lanescale, egress, shardscale, gateway, opoints, submitcompare, durable, or all")
+		exp     = flag.String("exp", "all", "experiment: table4, table5, fig7, fig8, fig9, multiedge, lanescale, egress, shardscale, gateway, durable, or all")
 		lanes   = flag.String("lanes", "", "lanescale: comma-separated lane counts to sweep (default 1,2,4,8)")
 		shards  = flag.String("shards", "", "shardscale: comma-separated shard counts to sweep (default 1,2,4)")
 		minSpd  = flag.Float64("min-speedup", 0, "shardscale: fail unless last/first throughput reaches this factor (skipped when CPUs < largest shard count)")
@@ -63,23 +63,12 @@ func run() error {
 		quiet   = flag.Bool("quiet", false, "suppress per-run progress")
 		csvDir  = flag.String("csv", "", "also write each experiment's data as CSV into this directory")
 		scrape  = flag.String("scrape", "", "scrape a live broker's /metrics (host:port or URL) into the CSV artifacts")
-		paylds  = flag.String("payloads", "", "opoints: comma-separated payload sizes in bytes (default 64,1024,65536)")
-		fanouts = flag.String("fanouts", "", "opoints: comma-separated subscriber fan-outs (default 1,8,64)")
-		opMsgs  = flag.Int("opoints-msgs", 0, "opoints: messages per cell before the byte budget clamps (default 256)")
-		opNet   = flag.String("opoints-net", "", "opoints: transport, mem or tcp (default mem; tcp engages the kernel submission backend where available)")
-		opUring = flag.Bool("opoints-uring", true, "opoints: allow the kernel submission backend over tcp (false forces the sequential fallback)")
-		subCmp  = flag.Bool("submit-compare", false, "run the submitcompare experiment: the 64B/fanout=64 cell over TCP with the uring backend and the sequential fallback, gated on the write-syscall ratio")
-		subMin  = flag.Float64("min-submit-ratio", 4, "submitcompare: fail unless the fallback spends this many times more write syscalls per message than the uring backend (negative disables; auto-skipped without io_uring)")
-		benchJS = flag.String("bench-json", "", "opoints/durable: also write the result as BenchRow JSON to this path (benchdiff-comparable)")
 		durPubs = flag.Int("durable-pubs", 0, "durable: concurrent publisher count (default 32)")
 		durMsgs = flag.Int("durable-msgs", 0, "durable: publishes per publisher (default 100)")
 		durSync = flag.Duration("durable-fsync", 0, "durable: group-commit window for the group mode (default: broker default)")
 		durGate = flag.Bool("durable-gate", true, "durable: fail unless p99 ordering mem < group < always holds")
 	)
 	flag.Parse()
-	if *subCmp {
-		*exp = "submitcompare"
-	}
 
 	cfg := experiments.Config{
 		Runs:         *runs,
@@ -136,54 +125,13 @@ func run() error {
 			}
 			return experiments.RunShardScale(cfg, experiments.ShardScaleOptions{Shards: sweep, MinSpeedup: *minSpd})
 		}, false},
-		{"opoints", func() (formatter, error) {
-			pay, err := parseCounts("payloads", *paylds)
-			if err != nil {
-				return nil, err
-			}
-			fan, err := parseCounts("fanouts", *fanouts)
-			if err != nil {
-				return nil, err
-			}
-			res, err := experiments.RunOpoints(cfg, experiments.OpointsOptions{
-				Payloads: pay,
-				Fanouts:  fan,
-				Messages: *opMsgs,
-				Net:      *opNet,
-				NoUring:  !*opUring,
-			})
-			if err != nil {
-				return nil, err
-			}
-			if *benchJS != "" {
-				if err := writeBenchJSON(*benchJS, res); err != nil {
-					return nil, err
-				}
-			}
-			return res, nil
-		}, true},
-		{"submitcompare", func() (formatter, error) {
-			return experiments.RunSubmitCompare(cfg, experiments.SubmitCompareOptions{
-				Messages: *opMsgs,
-				MinRatio: *subMin,
-			})
-		}, true},
 		{"durable", func() (formatter, error) {
-			res, err := experiments.RunDurable(cfg, experiments.DurableOptions{
+			return experiments.RunDurable(cfg, experiments.DurableOptions{
 				Publishers:    *durPubs,
 				Messages:      *durMsgs,
 				FsyncInterval: *durSync,
 				Gate:          *durGate,
 			})
-			if err != nil {
-				return nil, err
-			}
-			if *benchJS != "" {
-				if err := writeBenchJSON(*benchJS, res); err != nil {
-					return nil, err
-				}
-			}
-			return res, nil
 		}, true},
 	}
 
@@ -209,7 +157,7 @@ func run() error {
 		}
 	}
 	if !matched {
-		return fmt.Errorf("unknown -exp %q (want table4, table5, fig7, fig8, fig9, multiedge, lanescale, egress, shardscale, gateway, opoints, submitcompare, durable, all, or none)", *exp)
+		return fmt.Errorf("unknown -exp %q (want table4, table5, fig7, fig8, fig9, multiedge, lanescale, egress, shardscale, gateway, durable, all, or none)", *exp)
 	}
 	if *scrape != "" {
 		if err := scrapeMetrics(*scrape, *csvDir); err != nil {
@@ -294,29 +242,6 @@ func scrapeMetrics(target, dir string) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// writeBenchJSON stores a result's BenchRow JSON at path, creating parent
-// directories as needed.
-func writeBenchJSON(path string, res interface{ WriteBenchJSON(io.Writer) error }) error {
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := res.WriteBenchJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-	return nil
 }
 
 // writeCSV stores one experiment's data under dir/<name>.csv.

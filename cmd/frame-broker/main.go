@@ -22,7 +22,6 @@ import (
 
 	frame "repro"
 	"repro/internal/spec"
-	"repro/internal/transport/submit"
 )
 
 func main() {
@@ -50,11 +49,8 @@ func run() error {
 		egressStall = flag.Duration("egress-stall", 0, "fail an egress flush write making no progress for this long and drop the subscriber (0 = unbounded; the ring + shed policy already isolate the lanes)")
 		peerStall   = flag.Duration("peer-write-timeout", 0, "fail a replication-link write making no progress for this long so a wedged Backup drops the link instead of stalling the lanes behind a full replication ring (0 = default 2s, negative = unbounded)")
 		intakeDepth = flag.Int("intake-depth", 0, "per-lane lock-free publish intake ring capacity in messages; publisher sessions push without the lane lock and the lane's dispatcher drains in batches (0 = default 1024)")
-		flushers    = flag.Int("flushers", 0, "shared egress flusher goroutines sweeping all subscriber rings (0 = default 4)")
+		flushers    = flag.Int("flushers", 0, "shared egress flusher goroutines draining all subscriber rings, one writev per collected batch (0 = default 4)")
 		busyPoll    = flag.Bool("busy-poll", false, "spin idle lane dispatchers and egress flushers briefly before parking: lower wakeup latency, higher idle CPU")
-		uring       = flag.Bool("uring", true, "submit each flusher sweep's writes to every ready subscriber ring with one io_uring syscall; falls back to one writev per connection automatically where io_uring is unavailable (false forces the fallback)")
-		pinFlushers = flag.String("pin-flushers", "", "pin egress flusher i to CPU list[i mod len], taskset-style list e.g. 0-3,8 (Linux only; empty = no pinning)")
-		pinLanes    = flag.String("pin-lanes", "", "pin dispatch lane i's dispatcher to CPU list[i mod len], taskset-style list (Linux only; empty = no pinning)")
 		durable     = flag.Bool("durable", false, "ACK = durable mode: append every publish to a segmented group-commit log under -log-dir, ack with PubAck after fsync, and replay the log into the recovery path on restart")
 		logDir      = flag.String("log-dir", "", "durable log directory (required with -durable)")
 		fsyncEvery  = flag.Duration("fsync-interval", 0, "group-commit window: one fsync acknowledges every publish that arrived within it (0 = default 2ms, negative = fsync per publish)")
@@ -124,13 +120,6 @@ func run() error {
 		IntakeDepth:        *intakeDepth,
 		Flushers:           *flushers,
 		BusyPoll:           *busyPoll,
-		NoUring:            !*uring,
-	}
-	if opts.PinFlushers, err = submit.ParseCPUList(*pinFlushers); err != nil {
-		return fmt.Errorf("-pin-flushers: %w", err)
-	}
-	if opts.PinLanes, err = submit.ParseCPUList(*pinLanes); err != nil {
-		return fmt.Errorf("-pin-lanes: %w", err)
 	}
 	if *durable {
 		if *logDir == "" {

@@ -37,7 +37,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/gateway"
 	"repro/internal/spec"
-	"repro/internal/transport/submit"
 )
 
 func main() {
@@ -56,10 +55,8 @@ func run() error {
 		name       = flag.String("name", "frame-gateway", "gateway name in upstream Hello frames")
 		depth      = flag.Int("depth", 0, "per-client egress ring capacity in frames (0 = default 64)")
 		stall      = flag.Duration("client-write-timeout", 2*time.Second, "fail a client flush write making no progress for this long and drop the session (0 = unbounded)")
-		flushers   = flag.Int("flushers", 0, "shared flusher goroutines sweeping all client rings (0 = default 4)")
+		flushers   = flag.Int("flushers", 0, "shared flusher goroutines draining all client rings, one writev per collected batch (0 = default 4)")
 		busyPoll   = flag.Bool("busy-poll", false, "spin idle flushers briefly before parking: lower client wakeup latency, higher idle CPU")
-		uring      = flag.Bool("uring", true, "submit each flusher sweep's client writes with one io_uring syscall; falls back to one writev per client automatically where io_uring is unavailable (false forces the fallback)")
-		pinFlush   = flag.String("pin-flushers", "", "pin flusher i to CPU list[i mod len], taskset-style list e.g. 0-3,8 (Linux only; empty = no pinning)")
 		adminAddr  = flag.String("admin-addr", "", "bind an HTTP admin endpoint here serving /metrics, /healthz, and /debug/pprof (empty = disabled)")
 		duration   = flag.Duration("duration", 0, "how long to serve (0 = until interrupted)")
 	)
@@ -92,12 +89,8 @@ func run() error {
 		ClientWriteTimeout: *stall,
 		Flushers:           *flushers,
 		BusyPoll:           *busyPoll,
-		NoUring:            !*uring,
 		AdminAddr:          *adminAddr,
 		Logger:             logger,
-	}
-	if opts.PinFlushers, err = submit.ParseCPUList(*pinFlush); err != nil {
-		return fmt.Errorf("-pin-flushers: %w", err)
 	}
 
 	// Discipline the gateway clock to a broker so the tc timestamps it

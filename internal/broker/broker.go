@@ -37,7 +37,6 @@ import (
 	"repro/internal/queue"
 	"repro/internal/spec"
 	"repro/internal/transport"
-	"repro/internal/transport/submit"
 	"repro/internal/wire"
 )
 
@@ -155,23 +154,6 @@ type Options struct {
 	// before parking, trading CPU for wakeup latency on latency-critical
 	// deployments (-busy-poll).
 	BusyPoll bool
-	// NoUring disables the kernel-batched egress submission backend
-	// (-uring=false): flushers keep the portable one-writev-per-connection
-	// path instead of sweeping every ready ring into a single io_uring
-	// submission. The zero value enables the backend — it degrades to the
-	// portable path automatically on kernels without io_uring, under
-	// seccomp policies that refuse it, or with FRAME_NO_URING set.
-	NoUring bool
-	// PinFlushers pins egress flusher i (and any escalation replacement
-	// taking over its ring) to CPU PinFlushers[i mod len] via LockOSThread
-	// + sched_setaffinity (-pin-flushers; Linux only, no-op elsewhere).
-	PinFlushers []int
-	// PinLanes pins the dispatcher of lane i to CPU
-	// PinLanes[i mod len] (-pin-lanes; Linux only, no-op elsewhere). With
-	// PinFlushers on disjoint cores this parks the delivery threads and
-	// the egress writers on dedicated cores for the busy-poll
-	// configuration.
-	PinLanes []int
 	// Durable turns on the "ACK = durable" publish mode (-durable): every
 	// accepted publish is appended to a segmented log in LogDir through a
 	// group-commit writer, and the publisher's PubAck is sent only after
@@ -524,10 +506,8 @@ func New(opts Options) (*Broker, error) {
 		}
 	}
 	b.pool = transport.NewFlusherPool(transport.FlusherPoolConfig{
-		Flushers:     opts.Flushers,
-		BusyPoll:     opts.BusyPoll,
-		KernelSubmit: !opts.NoUring,
-		PinCPUs:      opts.PinFlushers,
+		Flushers: opts.Flushers,
+		BusyPoll: opts.BusyPoll,
 	})
 	return b, nil
 }
@@ -614,18 +594,8 @@ func (b *Broker) egressQueued() (queued, subs int) {
 }
 
 // EgressStats snapshots the aggregate egress counters across all subscriber
-// rings, merging in the flusher pool's kernel-submission counters so
-// WriteSyscalls totals every kernel crossing spent writing frames
-// (sequential writev calls + io_uring_enter calls).
-func (b *Broker) EgressStats() transport.EgressStats {
-	s := b.egress.Snapshot()
-	ps := b.pool.Stats()
-	s.SubmittedBatches = ps.Sweeps
-	s.SweepConns = ps.SweepConns
-	s.WriteSyscalls += ps.Syscalls
-	s.KernelSubmit = ps.Kernel
-	return s
-}
+// rings.
+func (b *Broker) EgressStats() transport.EgressStats { return b.egress.Snapshot() }
 
 // PeerStalls reports replication writes failed by the peer write-stall bound.
 func (b *Broker) PeerStalls() uint64 { return b.peerMeter.Stalls.Load() }
@@ -705,25 +675,13 @@ func (b *Broker) scrapeGauges() []obsv.Sample {
 		obsv.Sample{Name: "frame_peer_ring_depth", Value: float64(depth),
 			Help: "Frames currently queued on the replication ring."},
 	)
-	ps := b.pool.Stats()
-	kernel := 0.0
-	if ps.Kernel {
-		kernel = 1
-	}
 	samples = append(samples,
 		obsv.Sample{Name: "frame_egress_flushers", Value: float64(b.pool.Size()),
 			Help: "Shared egress flusher goroutines."},
 		obsv.Sample{Name: "frame_egress_escalations_total", Counter: true,
 			Value: float64(b.pool.Escalations()), Help: "Replacement flushers spawned to route around wedged subscriber writes."},
-		obsv.Sample{Name: "frame_egress_uring", Value: kernel,
-			Help: "1 when the kernel-batched (io_uring) egress submission backend is active."},
-		obsv.Sample{Name: "frame_egress_submitted_batches_total", Counter: true,
-			Value: float64(ps.Sweeps), Help: "Kernel-batched sweep submissions (many connections per submission)."},
-		obsv.Sample{Name: "frame_egress_sweep_conns_total", Counter: true,
-			Value: float64(ps.SweepConns), Help: "Connection writes carried by kernel-batched sweeps (per-sweep batching = sweep_conns/submitted_batches)."},
 		obsv.Sample{Name: "frame_egress_write_syscalls_total", Counter: true,
-			Value: float64(es.WriteSyscalls + ps.Syscalls),
-			Help:  "Kernel crossings spent writing egress frames: sequential writev calls plus io_uring_enter calls."},
+			Value: float64(es.WriteSyscalls), Help: "Vectored writes spent writing subscriber egress frames."},
 	)
 	for i, l := range b.lanes {
 		label := fmt.Sprintf("lane=%q", fmt.Sprint(i))
@@ -1202,11 +1160,6 @@ func (b *Broker) removeSubscriber(conn *transport.Conn) *transport.Egress {
 // sequence, so per-topic FIFO holds by construction. Lanes share nothing on
 // this path, so GOMAXPROCS lanes drive GOMAXPROCS cores without contending.
 func (b *Broker) dispatchLoop(laneIdx int) {
-	if cpus := b.opts.PinLanes; len(cpus) > 0 {
-		// Best effort: an offline or out-of-range CPU leaves this dispatcher
-		// unpinned rather than dead.
-		_ = submit.Pin(cpus[laneIdx%len(cpus)])
-	}
 	lane := b.lanes[laneIdx]
 	qm := b.engine.QueueMeter()
 	// ready gates parking: work exists when the engine's lane has jobs or

@@ -31,11 +31,10 @@ func soakBudget() time.Duration {
 func soakBusyPoll() bool { return os.Getenv("FRAME_SOAK_BUSY_POLL") != "" }
 
 // soakNetwork picks the soak transport: the deterministic in-memory
-// network by default, real loopback TCP when FRAME_SOAK_TCP is set. TCP
-// conns carry file descriptors, so the TCP soak drives egress through the
-// kernel-batched io_uring submission backend wherever the kernel allows it
-// (falling back to sequential writev elsewhere) — this is how the nightly
-// busy-poll leg exercises the uring sweep/escalation paths under -race.
+// network by default, real loopback TCP when FRAME_SOAK_TCP is set. Over
+// TCP every egress batch is a real writev on a real socket, with partial
+// writes and full socket buffers — this is how the nightly busy-poll leg
+// exercises the flusher pool's write and escalation paths under -race.
 func soakNetwork() (transport.Network, bool) {
 	if os.Getenv("FRAME_SOAK_TCP") != "" {
 		return &transport.TCP{DialTimeout: 2 * time.Second}, true
@@ -266,12 +265,4 @@ func runChaosCycle(t *testing.T, cycle int, rng *rand.Rand) {
 		}
 	}
 	log.checkNoDuplicates(t, cycle)
-	if tcp {
-		// Surface whether the promoted broker's egress actually ran kernel
-		// sweeps this cycle, so the nightly log shows which backend the TCP
-		// soak covered (sequential fallback on kernels without io_uring).
-		es := backup.EgressStats()
-		t.Logf("cycle %d: tcp egress: kernel=%v sweeps=%d write-syscalls=%d",
-			cycle, es.KernelSubmit, es.SubmittedBatches, es.WriteSyscalls)
-	}
 }

@@ -22,7 +22,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -317,28 +316,4 @@ func (r *DurableResult) WriteCSV(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// WriteBenchJSON serializes the durable modes in the BenchRow shape the
-// other committed baselines use, one row per mode named Durable/mode=X,
-// so frame-benchdiff gates BENCH_DURABLE.json exactly like the Go
-// benchmark baseline. ns_per_op is the publish p99 in nanoseconds. The
-// mem mode is deliberately absent: a sub-50µs in-memory p99 is scheduler
-// noise, not a plane property, and would flap any regression budget; the
-// fsync-dominated modes are the axes worth ratcheting.
-func (r *DurableResult) WriteBenchJSON(w io.Writer) error {
-	rows := make([]BenchRow, 0, len(r.Cells))
-	for _, c := range r.Cells {
-		if c.Mode == "mem" {
-			continue
-		}
-		rows = append(rows, BenchRow{
-			Name:       fmt.Sprintf("Durable/mode=%s", c.Mode),
-			Iterations: int64(c.Published),
-			NsPerOp:    float64(c.P99.Nanoseconds()),
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rows)
 }

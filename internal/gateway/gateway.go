@@ -82,13 +82,6 @@ type Options struct {
 	// BusyPoll keeps idle flushers spinning briefly before parking, trading
 	// CPU for client wakeup latency.
 	BusyPoll bool
-	// NoUring disables the kernel-batched egress submission backend
-	// (-uring=false); the zero value enables it, degrading automatically
-	// where io_uring is unavailable. See broker.Options.NoUring.
-	NoUring bool
-	// PinFlushers pins flusher i to CPU PinFlushers[i mod len]
-	// (-pin-flushers; Linux only, no-op elsewhere).
-	PinFlushers []int
 	// AdminAddr, when non-empty, serves /metrics, /healthz, and pprof.
 	AdminAddr string
 	// Logger receives operational events; nil means slog.Default.
@@ -251,10 +244,8 @@ func New(opts Options) (*Gateway, error) {
 		}
 	}
 	g.pool = transport.NewFlusherPool(transport.FlusherPoolConfig{
-		Flushers:     opts.Flushers,
-		BusyPoll:     opts.BusyPoll,
-		KernelSubmit: !opts.NoUring,
-		PinCPUs:      opts.PinFlushers,
+		Flushers: opts.Flushers,
+		BusyPoll: opts.BusyPoll,
 	})
 	return g, nil
 }
@@ -704,17 +695,8 @@ func (g *Gateway) queued() (frames, subs int) {
 	return frames, subs
 }
 
-// EgressStats snapshots the aggregate per-client ring counters, merging in
-// the flusher pool's kernel-submission counters (see broker.EgressStats).
-func (g *Gateway) EgressStats() transport.EgressStats {
-	s := g.egress.Snapshot()
-	ps := g.pool.Stats()
-	s.SubmittedBatches = ps.Sweeps
-	s.SweepConns = ps.SweepConns
-	s.WriteSyscalls += ps.Syscalls
-	s.KernelSubmit = ps.Kernel
-	return s
-}
+// EgressStats snapshots the aggregate per-client ring counters.
+func (g *Gateway) EgressStats() transport.EgressStats { return g.egress.Snapshot() }
 
 // Delivered returns distinct upstream deliveries fanned out so far.
 func (g *Gateway) Delivered() uint64 { return g.delivered.Load() }
@@ -807,24 +789,12 @@ func (g *Gateway) scrapeGauges() []obsv.Sample {
 		{Name: "frame_transport_bytes_recv_total", Counter: true, Value: float64(g.meter.BytesRecv.Load()),
 			Help: "Wire bytes received on gateway-owned connections."},
 	}
-	ps := g.pool.Stats()
-	kernel := 0.0
-	if ps.Kernel {
-		kernel = 1
-	}
 	return append(samples,
 		obsv.Sample{Name: "frame_egress_flushers", Value: float64(g.pool.Size()),
 			Help: "Shared egress flusher goroutines."},
 		obsv.Sample{Name: "frame_egress_escalations_total", Counter: true,
 			Value: float64(g.pool.Escalations()), Help: "Replacement flushers spawned to route around wedged client writes."},
-		obsv.Sample{Name: "frame_egress_uring", Value: kernel,
-			Help: "1 when the kernel-batched (io_uring) egress submission backend is active."},
-		obsv.Sample{Name: "frame_egress_submitted_batches_total", Counter: true,
-			Value: float64(ps.Sweeps), Help: "Kernel-batched sweep submissions (many client connections per submission)."},
-		obsv.Sample{Name: "frame_egress_sweep_conns_total", Counter: true,
-			Value: float64(ps.SweepConns), Help: "Client connection writes carried by kernel-batched sweeps."},
 		obsv.Sample{Name: "frame_egress_write_syscalls_total", Counter: true,
-			Value: float64(es.WriteSyscalls + ps.Syscalls),
-			Help:  "Kernel crossings spent writing client egress frames."},
+			Value: float64(es.WriteSyscalls), Help: "Vectored writes spent writing client egress frames."},
 	)
 }

@@ -1,8 +1,7 @@
 // Package metrics implements the measurement machinery of the FRAME
-// evaluation (§VI): end-to-end latency distributions, per-topic consecutive
-// message-loss tracking (Table 4), deadline success rates (Table 5),
-// modeled CPU utilization accounting (Fig. 7), and confidence intervals
-// across repeated runs.
+// evaluation (§VI): end-to-end latency distributions, modeled CPU
+// utilization accounting (Fig. 7), and confidence intervals across repeated
+// runs. Per-topic loss accounting lives in client.DeliveryLog.
 package metrics
 
 import (
@@ -90,105 +89,6 @@ func (r *LatencyRecorder) Percentile(p float64) time.Duration {
 	}
 	return r.samples[rank]
 }
-
-// MeetRate returns the fraction of samples at or below bound.
-func (r *LatencyRecorder) MeetRate(bound time.Duration) float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.samples) == 0 {
-		return 1
-	}
-	met := 0
-	for _, s := range r.samples {
-		if s <= bound {
-			met++
-		}
-	}
-	return float64(met) / float64(len(r.samples))
-}
-
-// Samples returns a copy of the recorded samples: in insertion order if the
-// recorder has never been asked for percentiles (which sort in place),
-// ascending afterwards. Used by the Fig. 9 time-series.
-func (r *LatencyRecorder) Samples() []time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]time.Duration(nil), r.samples...)
-}
-
-// LossTracker watches one topic's delivered sequence numbers and reports the
-// longest run of consecutive losses (§III-B: a subscriber tolerates at most
-// Li consecutive losses). Duplicates are discarded, as in §VI-C ("We only
-// show results of distinct messages... Duplicated messages were discarded").
-// Sequence numbers start at 1. The zero value tracks from seq 0.
-type LossTracker struct {
-	highest    uint64
-	delivered  uint64
-	duplicates uint64
-	maxRun     int
-	// lastSeen is the highest contiguous... we track gaps via a set-free
-	// approach: because brokers deliver in near-order but recovery may
-	// reorder, we buffer out-of-order arrivals in a window.
-	seen map[uint64]bool
-}
-
-// NewLossTracker returns a tracker expecting sequences from 1.
-func NewLossTracker() *LossTracker {
-	return &LossTracker{seen: make(map[uint64]bool)}
-}
-
-// Deliver records the arrival of sequence seq. Order does not matter;
-// duplicates are counted and ignored.
-func (l *LossTracker) Deliver(seq uint64) {
-	if l.seen[seq] {
-		l.duplicates++
-		return
-	}
-	l.seen[seq] = true
-	l.delivered++
-	if seq > l.highest {
-		l.highest = seq
-	}
-}
-
-// Finalize computes loss statistics given the last sequence number the
-// publisher actually created. Sequences (highestCreated, ∞) never existed.
-func (l *LossTracker) Finalize(highestCreated uint64) LossStats {
-	maxRun, run := 0, 0
-	var lost uint64
-	for s := uint64(1); s <= highestCreated; s++ {
-		if l.seen[s] {
-			run = 0
-			continue
-		}
-		lost++
-		run++
-		if run > maxRun {
-			maxRun = run
-		}
-	}
-	l.maxRun = maxRun
-	return LossStats{
-		Created:        highestCreated,
-		Delivered:      l.delivered,
-		Duplicates:     l.duplicates,
-		Lost:           lost,
-		MaxConsecutive: maxRun,
-	}
-}
-
-// LossStats summarizes one topic's delivery record.
-type LossStats struct {
-	Created        uint64
-	Delivered      uint64
-	Duplicates     uint64
-	Lost           uint64
-	MaxConsecutive int
-}
-
-// Meets reports whether the record satisfies loss tolerance li (with
-// li = spec.LossUnbounded semantics handled by the caller passing a huge li).
-func (s LossStats) Meets(li int) bool { return s.MaxConsecutive <= li }
 
 // Utilization models CPU accounting for one module (Fig. 7): busy time
 // accumulated against a core budget.

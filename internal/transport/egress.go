@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"repro/internal/spec"
-	"repro/internal/transport/submit"
 	"repro/internal/wire"
 )
 
@@ -69,18 +68,12 @@ type EgressMeter struct {
 	Batches   atomic.Uint64 // per-egress flush batches settled
 	Stalls    atomic.Uint64 // writes failed by the write-stall deadline
 	WriteErrs atomic.Uint64 // failed vectored writes (stalls included)
-	// WriteSyscalls counts write syscalls spent on the sequential path
-	// (one per vectored write or straggler resume). Kernel-batched sweeps
-	// cross the kernel once per sweep, not per egress, so their enter
-	// calls are counted pool-wide (FlusherPool.Stats) instead; the sum of
-	// the two is the denominator-free syscall cost the opoints rig turns
-	// into syscalls_per_msg.
+	// WriteSyscalls counts egress writes: one per vectored write of a
+	// collected batch.
 	WriteSyscalls atomic.Uint64
 }
 
-// EgressStats is a point-in-time copy of an EgressMeter, plus — when
-// filled in by a pool owner such as the broker — the kernel-submission
-// counters of the FlusherPool draining these rings.
+// EgressStats is a point-in-time copy of an EgressMeter.
 type EgressStats struct {
 	Enqueued  uint64
 	Flushed   uint64
@@ -89,17 +82,15 @@ type EgressStats struct {
 	Evictions uint64
 	Stalls    uint64
 	WriteErrs uint64
-	// WriteSyscalls totals kernel crossings spent writing frames: the
-	// meter's sequential-path writes plus (merged by the pool owner) the
-	// pool's io_uring_enter calls.
+	// WriteSyscalls counts the vectored writes spent writing frames.
 	WriteSyscalls uint64
-	// SubmittedBatches and SweepConns mirror FlusherPool.Stats: sweeps
-	// submitted via the kernel backend and the connection writes they
-	// carried. Zero when the portable path is in use.
+	// SubmittedBatches, SweepConns and KernelSubmit are always zero: the
+	// kernel-batched submission backend they described is gone, and they
+	// stay only because the repository benchmark (bench/layers.go) reads
+	// them. Removed by the next benchmark-correcting PR.
 	SubmittedBatches uint64
 	SweepConns       uint64
-	// KernelSubmit reports whether the pool's io_uring backend is active.
-	KernelSubmit bool
+	KernelSubmit     bool
 }
 
 // Snapshot copies the counters.
@@ -125,12 +116,11 @@ const (
 )
 
 // MaxEgressBatch is the hard ceiling on frames per collected flush batch.
-// Every frame contributes two iovecs (length prefix + body), and both the
-// kernel's writev and the submit layer's per-connection SQE are bound by
-// submit.IOVMax vectors, so batches are clamped to IOVMax/2 frames: any
-// batch collectLocked produces is always expressible as one vectored
-// write and one submission-queue entry, never silently split.
-const MaxEgressBatch = submit.IOVMax / 2
+// Every frame contributes two iovecs (length prefix + body) and writev
+// takes at most IOV_MAX (1024 on Linux) of them, so batches are clamped to
+// 512 frames: any batch collectLocked produces is one writev, never
+// silently split.
+const MaxEgressBatch = 512
 
 // EgressConfig parameterizes one subscriber ring.
 type EgressConfig struct {
@@ -207,14 +197,6 @@ type Egress struct {
 	state    int32
 	lingered bool
 
-	// sfd is a private dup of the connection's socket fd for kernel-batched
-	// submission, or -1 when the conn exposes none (Mem pipes, fault
-	// wrappers) or the pool's kernel backend is off. Owning a dup — closed
-	// only in finalize, when no flusher can hold this egress — means a
-	// racing Conn.Close can never recycle the fd number into some other
-	// socket while a sweep has an SQE in flight on it.
-	sfd int
-
 	// Writer-owned scratch, reused across batches. hdrs is pre-sized to
 	// 4*maxBatch so mid-batch growth can never move the header bytes that
 	// vecs already aliases. batchConsec snapshots (under mu, in
@@ -261,15 +243,11 @@ func NewEgress(conn *Conn, cfg EgressConfig) *Egress {
 		batch: make([]egressItem, 0, maxBatch),
 		hdrs:  make([]byte, 0, 4*maxBatch),
 		vecs:  make(net.Buffers, 0, 2*maxBatch),
-		sfd:   -1,
 		done:  make(chan struct{}),
 	}
 	e.cond = sync.NewCond(&e.mu)
 	if cfg.Pool != nil {
 		e.fl = cfg.Pool.assign()
-		if cfg.Pool.kernelOK.Load() {
-			e.sfd = submit.DupConnFD(conn.nc)
-		}
 	} else {
 		go e.run()
 	}
@@ -528,17 +506,14 @@ func Retire(rings ...*Egress) {
 	}
 }
 
-// finalize performs the one-time terminal transition of a pooled egress:
-// an evicted connection is closed (the dedicated-writer path does the same
-// on exit), the submission fd dup is returned to the kernel, and waiters
-// are released. finalize runs only when no flusher holds the egress, so
-// no sweep can have an SQE in flight on sfd here.
+// finalize performs the one-time terminal transition of an egress: an
+// evicted connection is closed and waiters are released. It runs only when
+// no writer holds the egress.
 func (e *Egress) finalize() {
 	e.doneOnce.Do(func() {
 		if e.Evicted() {
 			e.conn.Close()
 		}
-		submit.CloseFD(e.sfd)
 		close(e.done)
 	})
 }
@@ -622,11 +597,14 @@ func (e *Egress) collectLocked() int {
 	return n
 }
 
-// prepareBatch assembles the collected batch's wire image into the hdrs
-// and vecs scratch — two iovecs per frame, length prefix then body — and
-// returns the total byte length. The scratch (and the FrameBufs it
-// aliases) stays valid until settleBatch or failBatch consumes the batch.
-func (e *Egress) prepareBatch() int {
+// flushBatch writes the collected batch of n frames in one vectored write —
+// two iovecs per frame, length prefix then body, assembled in the hdrs and
+// vecs scratch — and settles it. References move ring→batch at collect and
+// leave the egress here: released after the write, whatever its outcome.
+// On success the shed ledger forgets the flushed topics and the flush
+// counters advance. A write error closes and drains the egress, counts the
+// failure, and closes the connection; the caller must stop draining.
+func (e *Egress) flushBatch(n int) error {
 	e.hdrs = e.hdrs[:0]
 	e.vecs = e.vecs[:0]
 	total := 0
@@ -637,17 +615,11 @@ func (e *Egress) prepareBatch() int {
 		e.vecs = append(e.vecs, e.hdrs[off:off+4], it.buf.B)
 		total += 4 + len(it.buf.B)
 	}
-	return total
-}
-
-// settleBatch completes a fully written batch: the shed ledger forgets the
-// flushed topics, the frame references the ring held are released, and the
-// flush counters advance. Only the goroutine that collected the batch may
-// settle it — this is the completion-driven half of the refcount custody
-// contract (references move ring→batch at collect, and leave the egress
-// only here or in failBatch).
-func (e *Egress) settleBatch(n int) {
-	if e.batchConsec {
+	err := e.conn.WriteBuffers(e.vecs, n, total)
+	if e.meter != nil {
+		e.meter.WriteSyscalls.Add(1)
+	}
+	if err == nil && e.batchConsec {
 		e.mu.Lock()
 		for _, it := range e.batch {
 			delete(e.consec, it.topic)
@@ -658,19 +630,12 @@ func (e *Egress) settleBatch(n int) {
 		e.batch[i].buf.Release()
 		e.batch[i] = egressItem{}
 	}
-	if e.meter != nil {
-		e.meter.Flushed.Add(uint64(n))
-		e.meter.Batches.Add(1)
-	}
-}
-
-// failBatch handles a write failure: batch and ring references are
-// released, the egress closes and drains, the failure is counted, and the
-// connection is closed. The caller must stop draining afterwards.
-func (e *Egress) failBatch(err error) {
-	for i := range e.batch {
-		e.batch[i].buf.Release()
-		e.batch[i] = egressItem{}
+	if err == nil {
+		if e.meter != nil {
+			e.meter.Flushed.Add(uint64(n))
+			e.meter.Batches.Add(1)
+		}
+		return nil
 	}
 	e.mu.Lock()
 	wasClosed := e.closed
@@ -685,24 +650,5 @@ func (e *Egress) failBatch(err error) {
 		e.meter.WriteErrs.Add(1)
 	}
 	e.conn.Close()
-}
-
-// flushBatch writes the collected batch in one vectored write and settles
-// its accounting — the sequential path, used by dedicated writers, by
-// pool flushers without a kernel backend, and for connections the kernel
-// backend cannot address. A write error closes and drains the egress,
-// counts the failure, and closes the connection; the caller must stop
-// draining.
-func (e *Egress) flushBatch(n int) error {
-	total := e.prepareBatch()
-	err := e.conn.WriteBuffers(e.vecs, n, total)
-	if e.meter != nil {
-		e.meter.WriteSyscalls.Add(1)
-	}
-	if err == nil {
-		e.settleBatch(n)
-		return nil
-	}
-	e.failBatch(err)
 	return err
 }

@@ -446,3 +446,21 @@ func TestRetireReleasesEveryRing(t *testing.T) {
 		t.Fatalf("leaked %d FrameBuf references", refs-base)
 	}
 }
+
+func TestMaxEgressBatchClamp(t *testing.T) {
+	// Two iovecs per frame: the clamp must guarantee any batch fits in one
+	// writev, whose vector count Linux bounds at IOV_MAX = 1024.
+	const iovMax = 1024
+	if MaxEgressBatch*2 != iovMax {
+		t.Fatalf("MaxEgressBatch = %d, want IOV_MAX/2 = %d", MaxEgressBatch, iovMax/2)
+	}
+	sender, _ := pipePair(t)
+	e := NewEgress(sender, EgressConfig{Depth: 4 * MaxEgressBatch, MaxBatch: 10 * MaxEgressBatch, Shed: true})
+	defer func() { e.Close(); sender.Close(); e.Wait() }()
+	if got := cap(e.batch); got != MaxEgressBatch {
+		t.Fatalf("batch scratch capacity = %d, want clamped to MaxEgressBatch = %d", got, MaxEgressBatch)
+	}
+	if got := cap(e.vecs); got != 2*MaxEgressBatch {
+		t.Fatalf("vecs scratch capacity = %d, want %d", got, 2*MaxEgressBatch)
+	}
+}

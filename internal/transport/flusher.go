@@ -39,11 +39,9 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"repro/internal/queue"
-	"repro/internal/transport/submit"
 )
 
 // Pooled-egress defaults.
@@ -62,12 +60,6 @@ const (
 	DefaultNotifyDepth = 4096
 	// flusherSpins is the busy-poll probe budget before a flusher parks.
 	flusherSpins = 4096
-	// sweepRingEntries is each flusher's io_uring SQ depth, and maxSweepConns
-	// is how many ready egresses one sweep gathers before submitting. Equal,
-	// so a full sweep fits in one submission chunk; a sweep costs one
-	// io_uring_enter regardless of how many connections it carries.
-	sweepRingEntries = 128
-	maxSweepConns    = 128
 )
 
 // Egress pooled-mode states, guarded by Egress.mu.
@@ -89,20 +81,6 @@ type FlusherPoolConfig struct {
 	// NotifyDepth sizes each flusher's notify ring (DefaultNotifyDepth
 	// when <= 0).
 	NotifyDepth int
-	// KernelSubmit turns on the kernel-batched submission backend
-	// (internal/transport/submit): each flusher sweeps every ready ring's
-	// vectored write into one io_uring submission instead of one write
-	// syscall per connection. The pool probes the kernel once at
-	// construction — an unsupported kernel, a seccomp refusal, or
-	// FRAME_NO_URING in the environment silently keeps the portable
-	// sequential path. Only fd-backed connections (real sockets) ride the
-	// kernel path; Mem pipes and wrapped conns stay sequential either way.
-	KernelSubmit bool
-	// PinCPUs pins flusher i — and any escalation replacement that takes
-	// over its notify ring — to CPU PinCPUs[i mod len(PinCPUs)]
-	// (LockOSThread + sched_setaffinity; no-op off Linux). Empty means no
-	// pinning.
-	PinCPUs []int
 }
 
 // FlusherPool drains the rings of every Egress created with Pool set to it.
@@ -114,43 +92,6 @@ type FlusherPool struct {
 	busyPoll      bool
 	escalateAfter time.Duration
 	escalations   atomic.Uint64
-
-	// kernelOK is whether the io_uring backend is available and enabled.
-	// Set once at construction after a live probe; any later ring-level
-	// failure clears it and the pool degrades to the sequential path.
-	kernelOK atomic.Bool
-	pin      []int
-	// Kernel-submission counters (see PoolStats).
-	submits       atomic.Uint64
-	enterSyscalls atomic.Uint64
-	sweepConns    atomic.Uint64
-}
-
-// PoolStats is a point-in-time copy of the pool's kernel-submission
-// counters.
-type PoolStats struct {
-	// Sweeps counts batched submissions: each covered every ready ring a
-	// flusher gathered in one pass.
-	Sweeps uint64
-	// Syscalls counts the io_uring_enter calls those sweeps spent —
-	// normally one per sweep (the whole point), more only when a sweep
-	// overflows the SQ or is interrupted.
-	Syscalls uint64
-	// SweepConns counts the connection writes the sweeps carried; divide
-	// by Sweeps for the mean batching factor.
-	SweepConns uint64
-	// Kernel reports whether the io_uring backend is currently active.
-	Kernel bool
-}
-
-// Stats snapshots the kernel-submission counters.
-func (p *FlusherPool) Stats() PoolStats {
-	return PoolStats{
-		Sweeps:     p.submits.Load(),
-		Syscalls:   p.enterSyscalls.Load(),
-		SweepConns: p.sweepConns.Load(),
-		Kernel:     p.kernelOK.Load(),
-	}
 }
 
 // NewFlusherPool starts cfg.Flushers writer goroutines.
@@ -176,21 +117,10 @@ func NewFlusherPool(cfg FlusherPoolConfig) *FlusherPool {
 		flushers:      make([]*flusher, n),
 		busyPoll:      cfg.BusyPoll,
 		escalateAfter: after,
-		pin:           cfg.PinCPUs,
-	}
-	if cfg.KernelSubmit {
-		// Probe once, eagerly: flushers open their own rings lazily, but the
-		// verdict must be known now so NewEgress can decide whether to dup
-		// connection fds (and observers can report the active backend).
-		if r, err := submit.NewRing(sweepRingEntries); err == nil {
-			r.Close()
-			p.kernelOK.Store(true)
-		}
 	}
 	for i := range p.flushers {
 		fl := &flusher{
 			pool:   p,
-			idx:    i,
 			notify: queue.NewMPSC[*Egress](depth),
 			parker: queue.NewParker(),
 		}
@@ -244,7 +174,6 @@ func (p *FlusherPool) assign() *flusher {
 // escalation protocol reads.
 type flusher struct {
 	pool   *FlusherPool
-	idx    int // position in the pool, for CPU pinning
 	notify *queue.MPSC[*Egress]
 	parker *queue.Parker
 
@@ -266,57 +195,17 @@ type flusher struct {
 }
 
 // run drains the notify ring until the pool closes or this goroutine is
-// deposed by an escalation.
-//
-// With the kernel backend, draining is a two-beat sweep: gather — pop
-// ready egresses, collect each one's batch, take its conn lock, queue its
-// vectored write on the ring — then submit the whole gathering with one
-// io_uring_enter and resolve the completions (sweepFlush). Without it (or
-// for egresses whose conns expose no fd), each popped egress is processed
-// to empty sequentially, exactly the pre-submit behavior.
-//
-// Each generation opens its own Ring: a deposed goroutine and its
-// replacement must never share SQ/CQ state, and sweepFlush is synchronous,
-// so no SQE ever outlives the goroutine that queued it.
+// deposed by an escalation: pop a ready egress, process it to empty, repeat,
+// and park when the ring is empty.
 func (fl *flusher) run(gen uint64) {
-	if cpus := fl.pool.pin; len(cpus) > 0 {
-		// Best effort: an offline or out-of-range CPU leaves the flusher
-		// unpinned rather than dead.
-		_ = submit.Pin(cpus[fl.idx%len(cpus)])
-	}
-	var ring *submit.Ring
-	if fl.pool.kernelOK.Load() {
-		if r, err := submit.NewRing(sweepRingEntries); err == nil {
-			ring = r
-			defer r.Close()
-		} else {
-			fl.pool.kernelOK.Store(false)
-		}
-	}
-	sweep := make([]sweepEntry, 0, maxSweepConns)
 	ready := func() bool {
 		return !fl.notify.Empty() || fl.pool.closed.Load() || fl.gen.Load() != gen
 	}
-	for {
-		if fl.gen.Load() != gen {
-			// Deposed mid-gather: the collected batches are this goroutine's
-			// custody — submit them before handing the notify ring over.
-			fl.sweepFlush(&sweep, ring, gen)
-			return
-		}
+	for fl.gen.Load() == gen {
 		if e := fl.popNotify(gen); e != nil {
-			if ring == nil || e.sfd < 0 {
-				fl.process(e, gen, true)
-				continue
-			}
-			fl.sweepAdd(&sweep, ring, e, gen)
-			if len(sweep) < maxSweepConns && !fl.notify.Empty() {
-				continue // keep gathering while more rings are ready
-			}
-			fl.sweepFlush(&sweep, ring, gen)
+			fl.process(e, gen, true)
 			continue
 		}
-		fl.sweepFlush(&sweep, ring, gen)
 		if fl.pool.closed.Load() {
 			return
 		}
@@ -346,7 +235,7 @@ func (fl *flusher) popNotify(gen uint64) *Egress {
 // at once; spin until the flusher (or its replacement) makes room.
 func (fl *flusher) submit(e *Egress) {
 	if fl.pool.closed.Load() {
-		// Shutdown stray: no flusher will sweep, so drain it here.
+		// Shutdown stray: no flusher will visit, so drain it here.
 		go fl.process(e, fl.gen.Load(), false)
 		return
 	}
@@ -397,8 +286,7 @@ func (fl *flusher) process(e *Egress, gen uint64, canLinger bool) {
 		}
 		e.lingered = false
 		e.mu.Unlock()
-		err := fl.stamped(e, gen, func() error { return e.flushBatch(n) })
-		if err != nil {
+		if err := fl.flushStamped(e, gen, n); err != nil {
 			// flushBatch closed and drained the egress; nothing further
 			// will be queued, so finalize here.
 			e.mu.Lock()
@@ -410,211 +298,24 @@ func (fl *flusher) process(e *Egress, gen uint64, canLinger bool) {
 	}
 }
 
-// stamped runs one potentially blocking operation on e's connection with
-// the escalation stamp armed — but only while still the owner generation,
-// so a deposed goroutine nursing a wedged connection does not retrigger
-// escalation of its replacement. Enqueues that find their ring full age
-// the stamp and depose the flusher if the operation wedges.
-func (fl *flusher) stamped(e *Egress, gen uint64, op func() error) error {
+// flushStamped writes e's collected batch of n frames with the escalation
+// stamp armed — but only while still the owner generation, so a deposed
+// goroutine nursing a wedged connection does not retrigger escalation of
+// its replacement. Enqueues that find their ring full age the stamp and
+// depose the flusher if the write wedges.
+func (fl *flusher) flushStamped(e *Egress, gen uint64, n int) error {
 	var stamp int64
 	if fl.gen.Load() == gen {
 		fl.writing.Store(e)
 		stamp = time.Now().UnixNano()
 		fl.inFlight.Store(stamp)
 	}
-	err := op()
+	err := e.flushBatch(n)
 	if stamp != 0 {
 		fl.inFlight.CompareAndSwap(stamp, 0)
 		fl.writing.CompareAndSwap(e, nil)
 	}
 	return err
-}
-
-// sweepEntry is one connection's collected batch riding the current sweep:
-// the egress's frame references sit in its batch scratch, its wire image in
-// its vecs scratch (queued on the ring), and its conn's submit lock is held
-// until the entry resolves.
-type sweepEntry struct {
-	e     *Egress
-	n     int // frames collected
-	bytes int // total wire bytes queued
-}
-
-// sweepAdd visits one ready egress for the gathering sweep: collect its
-// batch, take its conn's submit lock, and queue its vectored write on the
-// ring. Empty rings take the same linger/idle path as a sequential visit.
-// The submit lock is held from here until the entry resolves in sweepFlush
-// so nothing — control-plane Sends included — can interleave bytes into
-// the middle of a submitted frame; lock acquisition runs under the
-// escalation stamp because a Send wedged on a full socket can hold that
-// lock indefinitely, and ring-mates must be able to depose this flusher.
-func (fl *flusher) sweepAdd(sweep *[]sweepEntry, ring *submit.Ring, e *Egress, gen uint64) {
-	e.mu.Lock()
-	n := e.collectLocked()
-	if n == 0 {
-		if !e.lingered && !e.closed && !fl.pool.closed.Load() &&
-			fl.notify.PushInPlace(func(p **Egress) { *p = e }) {
-			e.lingered = true
-			e.mu.Unlock()
-			fl.parker.Unpark()
-			return
-		}
-		closed := e.closed
-		e.state = egIdle
-		e.lingered = false
-		e.mu.Unlock()
-		if closed {
-			e.finalize()
-		}
-		return
-	}
-	e.lingered = false
-	e.mu.Unlock()
-	total := e.prepareBatch()
-	if err := fl.stamped(e, gen, e.conn.lockSubmit); err != nil {
-		// Sticky error or closed conn: same terminal path as a failed flush.
-		e.failBatch(err)
-		fl.idleAndFinalize(e)
-		return
-	}
-	if !ring.Add(e.sfd, e.vecs) {
-		// Unreachable while the MaxEgressBatch clamp holds (a batch is at
-		// most IOVMax iovecs); kept as a correctness backstop — write this
-		// connection sequentially rather than split its frames across SQEs.
-		fl.resolveWrite(e, n, total, gen)
-		return
-	}
-	*sweep = append(*sweep, sweepEntry{e: e, n: n, bytes: total})
-}
-
-// sweepFlush submits every gathered batch with one kernel submission and
-// resolves the completions. Full successes settle first — their refcounts,
-// conn locks, and requeues release immediately — then the stragglers:
-// a short write resumes its remainder and an EAGAIN (socket buffer full)
-// rewrites its whole batch on the sequential blocking path under the
-// write-stall bound and the escalation stamp, which is exactly where a
-// genuinely wedged fd parks while its batch-mates have already completed.
-// Hard per-fd errors (EPIPE, ECONNRESET, ...) close that egress alone.
-func (fl *flusher) sweepFlush(sweep *[]sweepEntry, ring *submit.Ring, gen uint64) {
-	ents := *sweep
-	if len(ents) == 0 {
-		return
-	}
-	*sweep = (*sweep)[:0]
-	res, enters, err := ring.Flush()
-	fl.pool.submits.Add(1)
-	fl.pool.enterSyscalls.Add(uint64(enters))
-	fl.pool.sweepConns.Add(uint64(len(ents)))
-	if err != nil {
-		// Ring-level failure (not any one write): degrade the pool to the
-		// sequential path. Zero-valued results were never submitted and
-		// resolve below as whole-batch sequential writes.
-		fl.pool.kernelOK.Store(false)
-	}
-	for i := range ents {
-		if err == nil && res[i].Errno == 0 && res[i].N == ents[i].bytes {
-			e := ents[i].e
-			e.conn.countSentLocked(ents[i].n, ents[i].bytes)
-			e.conn.unlockSubmit()
-			e.settleBatch(ents[i].n)
-			fl.requeue(e, gen)
-			ents[i].e = nil
-		}
-	}
-	for i := range ents {
-		e := ents[i].e
-		if e == nil {
-			continue
-		}
-		ents[i].e = nil
-		var r submit.Result
-		if err == nil {
-			r = res[i]
-		}
-		switch {
-		case r.Errno == 0 && r.N > 0 && r.N < ents[i].bytes:
-			// Short write: the socket buffer filled mid-batch. Consume what
-			// the kernel wrote and resume the remainder before releasing the
-			// conn lock — a partially written frame must complete or the
-			// stream dies, never carry an interleaved frame.
-			e.vecs = consumeBuffers(e.vecs, r.N)
-			fl.resolveWrite(e, ents[i].n, ents[i].bytes, gen)
-		case r.Errno != 0 && r.Errno != syscall.EAGAIN && r.Errno != syscall.EINTR:
-			werr := e.conn.stickySubmitLocked(r.Errno)
-			e.conn.unlockSubmit()
-			e.failBatch(werr)
-			fl.idleAndFinalize(e)
-		default:
-			// EAGAIN, EINTR, or never submitted: nothing was written; push
-			// the whole batch through the sequential path.
-			fl.resolveWrite(e, ents[i].n, ents[i].bytes, gen)
-		}
-	}
-}
-
-// resolveWrite drains one sweep entry's remaining bytes through the
-// sequential blocking path under the conn lock the sweep already holds,
-// then settles the batch (metering the full frame/byte counts once) and
-// requeues the egress. Runs under the escalation stamp: this is the only
-// place a sweep can block on a slow socket.
-func (fl *flusher) resolveWrite(e *Egress, n, bytes int, gen uint64) {
-	err := fl.stamped(e, gen, func() error { return e.conn.writeBuffersLocked(e.vecs) })
-	if e.meter != nil {
-		e.meter.WriteSyscalls.Add(1)
-	}
-	if err != nil {
-		e.conn.unlockSubmit()
-		e.failBatch(err)
-		fl.idleAndFinalize(e)
-		return
-	}
-	e.conn.countSentLocked(n, bytes)
-	e.conn.unlockSubmit()
-	e.settleBatch(n)
-	fl.requeue(e, gen)
-}
-
-// requeue settles an egress's queue state after a successful sweep flush.
-// A still-hot ring goes back onto the notify ring for the next sweep (or
-// drains inline when the notify ring is full); an empty one takes the
-// usual linger-once-then-idle path, finalizing if closed.
-func (fl *flusher) requeue(e *Egress, gen uint64) {
-	e.mu.Lock()
-	if e.count > 0 {
-		if !fl.pool.closed.Load() && fl.notify.PushInPlace(func(p **Egress) { *p = e }) {
-			e.lingered = false
-			e.mu.Unlock()
-			fl.parker.Unpark()
-			return
-		}
-		e.mu.Unlock()
-		fl.process(e, gen, false)
-		return
-	}
-	if !e.lingered && !e.closed && !fl.pool.closed.Load() &&
-		fl.notify.PushInPlace(func(p **Egress) { *p = e }) {
-		e.lingered = true
-		e.mu.Unlock()
-		fl.parker.Unpark()
-		return
-	}
-	closed := e.closed
-	e.state = egIdle
-	e.lingered = false
-	e.mu.Unlock()
-	if closed {
-		e.finalize()
-	}
-}
-
-// idleAndFinalize performs the terminal transition after a failed sweep
-// write: failBatch already closed and drained the egress, so nothing will
-// be queued again and the egress reaches its terminal state here.
-func (fl *flusher) idleAndFinalize(e *Egress) {
-	e.mu.Lock()
-	e.state = egIdle
-	e.mu.Unlock()
-	e.finalize()
 }
 
 // maybeEscalate spawns a replacement flusher when the owner's current

@@ -154,3 +154,29 @@ func TestWriteBuffersGathersBelowPlainConn(t *testing.T) {
 		t.Errorf("gather buffer grew to %d bytes, want about the %d-byte window", cap(c.wbuf), RbufSoftCap)
 	}
 }
+
+func TestWriteBuffersStickyAfterError(t *testing.T) {
+	sender, receiver := pipePair(t)
+	receiver.Close() // the peer is gone: the first write must fail
+	bufs := net.Buffers{[]byte{1, 2, 3, 4}}
+	err := sender.WriteBuffers(bufs, 1, 4)
+	if err == nil {
+		t.Fatal("WriteBuffers to a closed peer succeeded")
+	}
+	// The failure is sticky: later writes fail fast without touching the
+	// socket — a partial vectored write leaves the framing unknown.
+	if err2 := sender.WriteBuffers(net.Buffers{[]byte{5}}, 1, 1); err2 == nil {
+		t.Fatal("WriteBuffers after sticky error succeeded")
+	}
+	if err3 := sender.Send(&wire.Frame{Type: wire.TypePrune, Topic: 1, Seq: 1}); err3 == nil {
+		t.Fatal("Send after sticky error succeeded")
+	}
+}
+
+func TestWriteBuffersAfterCloseFailsFast(t *testing.T) {
+	sender, _ := pipePair(t)
+	sender.Close()
+	if err := sender.WriteBuffers(net.Buffers{[]byte{1}}, 1, 1); err == nil {
+		t.Fatal("WriteBuffers on a closed conn succeeded")
+	}
+}

@@ -197,44 +197,15 @@ func (c *Conn) stickyWriteLocked(op string, err error) error {
 // WriteBuffers writes a pre-assembled sequence of length-prefixed frames in
 // one vectored write (writev on TCP). bufs alternates header and body slices;
 // frames and nbytes are the frame count and total byte length it carries, for
-// metering. The slice header is copied before the write because
-// net.Buffers.WriteTo consumes it in place; the caller keeps ownership of
-// bufs and its backing arrays. Errors are sticky, exactly like a direct
-// frame write: a partial vectored write corrupts the framing.
+// metering. The caller keeps ownership of bufs and its backing arrays.
+// Errors are sticky, exactly like a direct frame write: a partial vectored
+// write corrupts the framing.
 func (c *Conn) WriteBuffers(bufs net.Buffers, frames, nbytes int) error {
-	if err := c.lockSubmit(); err != nil {
-		return err
-	}
-	defer c.unlockSubmit()
-	if err := c.writeBuffersLocked(bufs); err != nil {
-		return err
-	}
-	c.countSentLocked(frames, nbytes)
-	return nil
-}
-
-// lockSubmit prepares the connection for an externally performed write —
-// a sequential vectored write or a kernel-batched submission on the
-// connection's raw fd: it takes the write lock and fails fast on a sticky
-// error or a closed connection. On success the caller owns the lock (and
-// with it the byte stream) until unlockSubmit; on error the lock is already
-// released.
-func (c *Conn) lockSubmit() error {
 	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
 	if err := c.sendableLocked(); err != nil {
-		c.writeMu.Unlock()
 		return err
 	}
-	return nil
-}
-
-// unlockSubmit releases the write lock taken by lockSubmit.
-func (c *Conn) unlockSubmit() { c.writeMu.Unlock() }
-
-// writeBuffersLocked performs the vectored write under an already-held
-// submit lock, without metering — callers that mix kernel-written and
-// sequentially written bytes meter once at the end. Errors are sticky.
-func (c *Conn) writeBuffersLocked(bufs net.Buffers) error {
 	c.armWriteStallLocked()
 	defer c.disarmWriteStallLocked()
 	var err error
@@ -251,6 +222,7 @@ func (c *Conn) writeBuffersLocked(bufs net.Buffers) error {
 	if err != nil {
 		return c.stickyWriteLocked("vectored write", err)
 	}
+	c.countSentLocked(frames, nbytes)
 	return nil
 }
 
@@ -285,38 +257,12 @@ func (c *Conn) writeGatheredLocked(bufs net.Buffers) error {
 	return err
 }
 
-// stickySubmitLocked records a kernel-reported write failure exactly like
-// a failed direct write: the stream's framing is in an unknown state, so
-// the connection must not carry further frames. Caller holds the submit
-// lock.
-func (c *Conn) stickySubmitLocked(err error) error {
-	return c.stickyWriteLocked("batched submit", err)
-}
-
-// countSentLocked meters frames/bytes that a submit-lock holder delivered
-// (by whatever combination of kernel and sequential writes).
+// countSentLocked meters frames/bytes a write-lock holder delivered.
 func (c *Conn) countSentLocked(frames, nbytes int) {
 	if c.meter != nil {
 		c.meter.FramesSent.Add(uint64(frames))
 		c.meter.BytesSent.Add(uint64(nbytes))
 	}
-}
-
-// consumeBuffers advances bufs past n already-written bytes, returning the
-// remaining suffix. The returned slice aliases the input's backing array
-// (the first remaining buffer may be resliced in place); callers that
-// resume a short write pass the result straight back to a write.
-func consumeBuffers(bufs net.Buffers, n int) net.Buffers {
-	i := 0
-	for i < len(bufs) && n >= len(bufs[i]) {
-		n -= len(bufs[i])
-		i++
-	}
-	bufs = bufs[i:]
-	if len(bufs) > 0 && n > 0 {
-		bufs[0] = bufs[0][n:]
-	}
-	return bufs
 }
 
 // Recv reads one frame, blocking until a frame arrives, the deadline set via
