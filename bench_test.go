@@ -474,36 +474,15 @@ func (d *discardConn) SetWriteDeadline(t time.Time) error {
 	return nil
 }
 
-// blockingConn is a net.Conn whose writes wedge until its gate closes or
-// the conn is closed — the bench-side stand-in for a subscriber socket that
-// stopped reading.
-type blockingConn struct {
-	gate   <-chan struct{}
-	closed chan struct{}
-	once   sync.Once
+// stalledConn returns one end of an in-process pipe whose peer never reads
+// — the bench-side stand-in for a subscriber socket that stopped reading.
+// Like a real socket's, its writes block until their deadline passes or the
+// conn closes.
+func stalledConn(tb testing.TB) net.Conn {
+	a, b := net.Pipe()
+	tb.Cleanup(func() { a.Close(); b.Close() })
+	return a
 }
-
-func newBlockingConn(gate <-chan struct{}) *blockingConn {
-	return &blockingConn{gate: gate, closed: make(chan struct{})}
-}
-
-func (c *blockingConn) Read([]byte) (int, error) { return 0, io.EOF }
-func (c *blockingConn) Write(p []byte) (int, error) {
-	select {
-	case <-c.gate:
-	case <-c.closed:
-	}
-	return 0, io.ErrClosedPipe
-}
-func (c *blockingConn) Close() error {
-	c.once.Do(func() { close(c.closed) })
-	return nil
-}
-func (c *blockingConn) LocalAddr() net.Addr              { return nil }
-func (c *blockingConn) RemoteAddr() net.Addr             { return nil }
-func (c *blockingConn) SetDeadline(time.Time) error      { return nil }
-func (c *blockingConn) SetReadDeadline(time.Time) error  { return nil }
-func (c *blockingConn) SetWriteDeadline(time.Time) error { return nil }
 
 // benchmarkFanoutAsync measures the broker's fan-out: the dispatch loop
 // encodes once into a pooled FrameBuf and enqueues a
@@ -514,8 +493,6 @@ func (c *blockingConn) SetWriteDeadline(time.Time) error { return nil }
 // allocs/op and 0 B/op steady state.
 func benchmarkFanoutAsync(b *testing.B, subs int, stalled bool) {
 	sink := &discardConn{}
-	gate := make(chan struct{})
-	defer close(gate)
 	pool := transport.NewFlusherPool(transport.FlusherPoolConfig{})
 	egs := make([]*transport.Egress, 0, subs+1)
 	var meter transport.EgressMeter
@@ -525,9 +502,9 @@ func benchmarkFanoutAsync(b *testing.B, subs int, stalled bool) {
 	}
 	if stalled {
 		// One ring wedged behind a socket that never completes a write: it
-		// must absorb, shed, and eventually escalate its flusher without
-		// slowing the loop below.
-		egs = append(egs, transport.NewEgress(transport.NewConn(newBlockingConn(gate)),
+		// must absorb and shed, and its write is handed off from its
+		// flusher, without slowing the loop below.
+		egs = append(egs, transport.NewEgress(transport.NewConn(stalledConn(b)),
 			transport.EgressConfig{Depth: 64, Shed: true, Meter: &meter, Pool: pool}))
 	}
 	m := wire.Message{Topic: 7, Seq: 0, Created: time.Millisecond, Payload: make([]byte, 16)}
@@ -793,7 +770,7 @@ func BenchmarkPublishBurst16KiB(b *testing.B) { benchmarkPublishBurst(b, 16<<10)
 // the broker has stopped. MB/s counts published payload bytes; each is
 // delivered four times.
 func benchmarkBrokerRelay(b *testing.B, payload int) {
-	const subscribers, inFlight = 4, 16
+	const subscribers, outstanding = 4, 16
 	base := transport.FrameBufRefs()
 	mem := transport.NewMem()
 	start := time.Now()
@@ -802,7 +779,7 @@ func benchmarkBrokerRelay(b *testing.B, payload int) {
 		DeltaBSEdge: time.Millisecond, DeltaBSCloud: time.Millisecond,
 		DeltaBB: time.Millisecond, Failover: 50 * time.Millisecond,
 	})
-	cfg.MessageBufferCap = 4 * inFlight
+	cfg.MessageBufferCap = 4 * outstanding
 	bk, err := broker.New(broker.Options{
 		Engine: cfg, Role: broker.RolePrimary, ListenAddr: "relay-bench",
 		Network: mem, Clock: clock, EgressNoShed: true,
@@ -858,13 +835,13 @@ func benchmarkBrokerRelay(b *testing.B, payload int) {
 		}
 	}
 	for i := 0; i < 32; i++ {
-		round(inFlight) // size the receive windows and fill the pools
+		round(outstanding) // size the receive windows and fill the pools
 	}
 	b.SetBytes(int64(payload))
 	b.ReportAllocs()
 	b.ResetTimer()
-	for left := b.N; left > 0; left -= inFlight {
-		round(min(left, inFlight))
+	for left := b.N; left > 0; left -= outstanding {
+		round(min(left, outstanding))
 	}
 	b.StopTimer()
 	transport.PutFrame(in)
@@ -889,7 +866,7 @@ func BenchmarkBrokerRelay16KiB(b *testing.B) { benchmarkBrokerRelay(b, 16<<10) }
 // numbers are allocs/op and B/op, which must stay 0 — the path runs per
 // message at ten thousand messages a second between collections.
 func BenchmarkDurablePublishAck(b *testing.B) {
-	const inFlight = 16
+	const outstanding = 16
 	mem := transport.NewMem()
 	start := time.Now()
 	clock := func() time.Duration { return time.Since(start) }
@@ -940,12 +917,12 @@ func BenchmarkDurablePublishAck(b *testing.B) {
 		}
 	}
 	for i := 0; i < 32; i++ {
-		round(inFlight)
+		round(outstanding)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	for left := b.N; left > 0; left -= inFlight {
-		round(min(left, inFlight))
+	for left := b.N; left > 0; left -= outstanding {
+		round(min(left, outstanding))
 	}
 }
 
@@ -997,9 +974,7 @@ func TestStalledSubscriberFanoutIsolation(t *testing.T) {
 	p99Base := fanoutP99(base, rounds)
 	transport.Retire(base...)
 
-	gate := make(chan struct{})
-	defer close(gate)
-	stalled := newSet(newBlockingConn(gate))
+	stalled := newSet(stalledConn(t))
 	fanoutP99(stalled, rounds)
 	p99Stalled := fanoutP99(stalled, rounds)
 	transport.Retire(stalled...)

@@ -50,7 +50,6 @@ func run() error {
 		peerStall   = flag.Duration("peer-write-timeout", 0, "fail a replication-link write making no progress for this long so a wedged Backup drops the link instead of stalling the lanes behind a full replication ring (0 = default 2s, negative = unbounded)")
 		intakeDepth = flag.Int("intake-depth", 0, "per-lane lock-free publish intake ring capacity in messages; publisher sessions push without the lane lock and the lane's dispatcher drains in batches (0 = default 1024)")
 		flushers    = flag.Int("flushers", 0, "shared egress flusher goroutines draining all subscriber rings, one writev per collected batch (0 = default 4)")
-		busyPoll    = flag.Bool("busy-poll", false, "spin idle lane dispatchers and egress flushers briefly before parking: lower wakeup latency, higher idle CPU")
 		durable     = flag.Bool("durable", false, "ACK = durable mode: append every publish to a segmented group-commit log under -log-dir, ack with PubAck after fsync, and replay the log into the recovery path on restart")
 		logDir      = flag.String("log-dir", "", "durable log directory (required with -durable)")
 		fsyncEvery  = flag.Duration("fsync-interval", 0, "group-commit window: one fsync acknowledges every publish that arrived within it (0 = default 2ms, negative = fsync per publish)")
@@ -119,7 +118,6 @@ func run() error {
 		PeerWriteTimeout:   *peerStall,
 		IntakeDepth:        *intakeDepth,
 		Flushers:           *flushers,
-		BusyPoll:           *busyPoll,
 	}
 	if *durable {
 		if *logDir == "" {

@@ -56,7 +56,6 @@ func run() error {
 		depth      = flag.Int("depth", 0, "per-client egress ring capacity in frames (0 = default 64)")
 		stall      = flag.Duration("client-write-timeout", 2*time.Second, "fail a client flush write making no progress for this long and drop the session (0 = unbounded)")
 		flushers   = flag.Int("flushers", 0, "shared flusher goroutines draining all client rings, one writev per collected batch (0 = default 4)")
-		busyPoll   = flag.Bool("busy-poll", false, "spin idle flushers briefly before parking: lower client wakeup latency, higher idle CPU")
 		adminAddr  = flag.String("admin-addr", "", "bind an HTTP admin endpoint here serving /metrics, /healthz, and /debug/pprof (empty = disabled)")
 		duration   = flag.Duration("duration", 0, "how long to serve (0 = until interrupted)")
 	)
@@ -88,7 +87,6 @@ func run() error {
 		ClientDepth:        *depth,
 		ClientWriteTimeout: *stall,
 		Flushers:           *flushers,
-		BusyPoll:           *busyPoll,
 		AdminAddr:          *adminAddr,
 		Logger:             logger,
 	}

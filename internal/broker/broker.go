@@ -150,10 +150,6 @@ type Options struct {
 	// every ready ring per wakeup. Zero means transport.DefaultFlushers;
 	// negative is an error.
 	Flushers int
-	// BusyPoll keeps idle lane dispatchers and egress flushers spinning briefly
-	// before parking, trading CPU for wakeup latency on latency-critical
-	// deployments (-busy-poll).
-	BusyPoll bool
 	// Durable turns on the "ACK = durable" publish mode (-durable): every
 	// accepted publish is appended to a segmented log in LogDir through a
 	// group-commit writer, and the publisher's PubAck is sent only after
@@ -204,10 +200,6 @@ const DefaultIntakeDepth = 1024
 // engine per lock acquisition, so one publish burst cannot starve the
 // dispatch side of the same lane lock.
 const intakeDrainBatch = 256
-
-// dispatcherSpins is the lane dispatcher's busy-poll probe budget before
-// parking (Options.BusyPoll).
-const dispatcherSpins = 4096
 
 // Broker runs one FRAME broker.
 type Broker struct {
@@ -505,10 +497,7 @@ func New(opts Options) (*Broker, error) {
 				"messages", b.recoveredMsgs, "prunes", b.recoveredPrunes)
 		}
 	}
-	b.pool = transport.NewFlusherPool(transport.FlusherPoolConfig{
-		Flushers: opts.Flushers,
-		BusyPoll: opts.BusyPoll,
-	})
+	b.pool = transport.NewFlusherPool(transport.FlusherPoolConfig{Flushers: opts.Flushers})
 	return b, nil
 }
 
@@ -678,8 +667,8 @@ func (b *Broker) scrapeGauges() []obsv.Sample {
 	samples = append(samples,
 		obsv.Sample{Name: "frame_egress_flushers", Value: float64(b.pool.Size()),
 			Help: "Shared egress flusher goroutines."},
-		obsv.Sample{Name: "frame_egress_escalations_total", Counter: true,
-			Value: float64(b.pool.Escalations()), Help: "Replacement flushers spawned to route around wedged subscriber writes."},
+		obsv.Sample{Name: "frame_egress_handoffs_total", Counter: true,
+			Value: float64(b.pool.Handoffs()), Help: "Subscriber writes handed to their own goroutine after 2 ms."},
 		obsv.Sample{Name: "frame_egress_write_syscalls_total", Counter: true,
 			Value: float64(es.WriteSyscalls), Help: "Vectored writes spent writing subscriber egress frames."},
 	)
@@ -1189,9 +1178,7 @@ func (b *Broker) dispatchLoop(laneIdx int) {
 			// Idle: sleep outside the lane lock so publishers keep moving;
 			// the parker's ready() re-check closes the check-to-sleep race.
 			lane.mu.Unlock()
-			if !b.opts.BusyPoll || !lane.parker.Spin(ready, dispatcherSpins) {
-				lane.parker.Park(ready)
-			}
+			lane.parker.Park(ready)
 			lane.mu.Lock()
 		}
 		lane.mu.Unlock()

@@ -25,16 +25,11 @@ func soakBudget() time.Duration {
 	return 4 * time.Second
 }
 
-// soakBusyPoll arms Options.BusyPoll in the soak brokers when
-// FRAME_SOAK_BUSY_POLL is set, so the nightly covers the spin-then-park
-// drain mode under -race without a separate harness.
-func soakBusyPoll() bool { return os.Getenv("FRAME_SOAK_BUSY_POLL") != "" }
-
 // soakNetwork picks the soak transport: the deterministic in-memory
 // network by default, real loopback TCP when FRAME_SOAK_TCP is set. Over
 // TCP every egress batch is a real writev on a real socket, with partial
-// writes and full socket buffers — this is how the nightly busy-poll leg
-// exercises the flusher pool's write and escalation paths under -race.
+// writes and full socket buffers — this is how the nightly TCP leg
+// exercises the flusher pool's write and hand-off paths under -race.
 func soakNetwork() (transport.Network, bool) {
 	if os.Getenv("FRAME_SOAK_TCP") != "" {
 		return &transport.TCP{DialTimeout: 2 * time.Second}, true
@@ -151,7 +146,6 @@ func runChaosCycle(t *testing.T, cycle int, rng *rand.Rand) {
 			Network:    n,
 			Clock:      clock,
 			Lanes:      4,
-			BusyPoll:   soakBusyPoll(),
 			Detector:   fastDetector(),
 			Topics:     topics,
 			Logger:     quietLogger(),

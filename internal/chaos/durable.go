@@ -187,7 +187,7 @@ func RunDurable(sc DurableScenario, opts RunOptions) (*Result, error) {
 		backup.Stop()
 		return nil, fmt.Errorf("chaos: subscriber: %w", err)
 	}
-	conns, inFlight := max(sc.Conns, 1), max(sc.InFlight, 1)
+	conns, pending := max(sc.Conns, 1), max(sc.InFlight, 1)
 	pubs := make([]*client.Publisher, conns)
 	owned := make([][]spec.Topic, conns) // topic i rides connection i mod conns
 	for i, tp := range sc.Topics {
@@ -233,7 +233,7 @@ func RunDurable(sc DurableScenario, opts RunOptions) (*Result, error) {
 	var pumps sync.WaitGroup
 	pumpStop := make(chan struct{})
 	for c := range pubs {
-		for g := 0; g < inFlight; g++ {
+		for g := 0; g < pending; g++ {
 			pub, topics := pubs[c], owned[c]
 			pumps.Add(1)
 			go func() {

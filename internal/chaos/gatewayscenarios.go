@@ -99,9 +99,8 @@ func gatewaySlowClient() GatewayScenario {
 		Topics:      gatewayTopics(4, 8),
 		Load:        Load{Count: 150, Interval: 2 * time.Millisecond, PayloadSize: 16},
 		ClientDepth: 32,
-		// Mem pipes block on an unread write; the stall bound turns a
-		// wedged in-flight flush into a failed write instead of a hung
-		// egress goroutine.
+		// Mem pipes block on an unread write; the wedged flush is handed
+		// off after 2 ms, and the stall bound then fails it.
 		ClientWriteTimeout: 200 * time.Millisecond,
 		Clients: []GatewayClient{
 			{Name: "healthy-a", RequireAll: true, MaxConsecutiveLoss: 0, AllowedRewinds: 0},

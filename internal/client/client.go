@@ -8,10 +8,10 @@
 // The Publish contract. Publish returns once the message is queued on the
 // link's uplink ring, not once it is written: the payload was copied (into
 // the frame and into the topic's retention slot), so the caller may reuse its
-// buffer on return. A dedicated writer per link drains the ring with one
-// vectored write per batch, so whatever a burst queued while the writer was
-// waking or writing crosses the kernel together, and the publisher's lock is
-// never held across a socket write. A full ring blocks Publish, as a full
+// buffer on return. Each link's ring has a one-flusher pool of its own,
+// which drains it with one vectored write per batch, so whatever a burst
+// queued while the flusher was waking or writing crosses the kernel
+// together, and the publisher's lock is never held across a socket write. A full ring blocks Publish, as a full
 // socket would. A failed write closes the ring: the next Publish on that link
 // fails with an error wrapping net.ErrClosed, and durable publishes parked on
 // a PubAck are released as for any lost link. A fail-over drops what was
@@ -100,8 +100,8 @@ type Publisher struct {
 	wg     sync.WaitGroup
 
 	// primary and backup are the two broker links, each an uplink ring with
-	// its own writer (backup is nil without a Backup); fixed once NewPublisher
-	// returns.
+	// its own flusher (backup is nil without a Backup); fixed once
+	// NewPublisher returns.
 	primary, backup *transport.Egress
 
 	mu     sync.Mutex
@@ -261,8 +261,9 @@ func (p *Publisher) startRecvLoop(ctx context.Context, conn *transport.Conn) {
 }
 
 // newUplink puts conn behind its uplink ring. No shedding: a publisher never
-// drops its own messages, so a full ring makes Publish wait. No flusher pool
-// either, a client process owns none: the ring's dedicated writer drains it.
+// drops its own messages, so a full ring makes Publish wait. No shared
+// flusher pool either, a client process owns none: the ring's private
+// one-flusher pool drains it.
 func newUplink(conn *transport.Conn) *transport.Egress {
 	return transport.NewEgress(conn, transport.EgressConfig{Depth: uplinkDepth})
 }

@@ -22,6 +22,7 @@ type ackingBroker struct {
 
 	mu     sync.Mutex
 	conns  []*transport.Conn
+	killed bool
 	acking bool
 	seen   chan wire.Type // one token per Publish/Resend received
 }
@@ -41,6 +42,12 @@ func newAckingBroker(t *testing.T, n transport.Network, addr string, acking bool
 			}
 			conn := transport.NewConn(nc)
 			ab.mu.Lock()
+			if ab.killed {
+				// Accepted concurrently with kill: it must not survive it.
+				ab.mu.Unlock()
+				conn.Close()
+				return
+			}
 			ab.conns = append(ab.conns, conn)
 			ab.mu.Unlock()
 			go ab.serve(conn)
@@ -86,6 +93,7 @@ func (ab *ackingBroker) kill() {
 	ab.ln.Close()
 	ab.mu.Lock()
 	defer ab.mu.Unlock()
+	ab.killed = true
 	for _, c := range ab.conns {
 		c.Close()
 	}
@@ -164,7 +172,8 @@ func TestPublisherFailoverResendAcksParkedPublishes(t *testing.T) {
 	n := transport.NewMem()
 	primary := newAckingBroker(t, n, "primary", false)
 	newAckingBroker(t, n, "backup", true)
-	pub := durablePublisher(t, n, "backup", time.Hour)
+	// A fail-over that never fires fails the test instead of hanging it.
+	pub := durablePublisher(t, n, "backup", 10*time.Second)
 	defer pub.Close()
 	outcomes := parkPublishes(pub, primary, 4) // retention 4: all four are re-sent
 	primary.kill()

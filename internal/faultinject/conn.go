@@ -2,6 +2,7 @@ package faultinject
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -185,7 +186,11 @@ func (c *faultConn) reset() {
 
 // Write parses frames out of the byte stream and hands each complete frame
 // to the egress direction. Partial frames wait in the parse buffer for the
-// next Write; the transport always completes them.
+// next Write; the transport always completes them. A write that fails part
+// way — its deadline passed while the direction was full — reports the
+// bytes of p it took, as io.Writer requires, and keeps only those: the
+// writer resumes from there and no frame is delivered twice. Only a failure
+// other than the deadline is sticky.
 func (c *faultConn) Write(p []byte) (int, error) {
 	c.wmu.Lock()
 	if c.werr != nil {
@@ -193,9 +198,11 @@ func (c *faultConn) Write(p []byte) (int, error) {
 		c.wmu.Unlock()
 		return 0, err
 	}
+	held := len(c.wparse) // bytes of earlier writes waiting in the parse buffer
 	var frames [][]byte
 	if c.wraw {
-		frames = [][]byte{append([]byte(nil), p...)}
+		frames = [][]byte{append(c.wparse, p...)}
+		c.wparse = nil
 	} else {
 		c.wparse = append(c.wparse, p...)
 		for {
@@ -219,15 +226,24 @@ func (c *faultConn) Write(p []byte) (int, error) {
 		}
 	}
 	c.wmu.Unlock()
-	for _, fr := range frames {
+	taken := 0 // bytes of the parse buffer, held ones first, enqueued so far
+	for i, fr := range frames {
 		if err := c.eg.enqueue(fr); err != nil {
 			c.wmu.Lock()
-			if c.werr == nil {
+			if errors.Is(err, os.ErrDeadlineExceeded) {
+				// Keep what this write took, nothing more: held bytes not
+				// yet enqueued go back to the parse buffer, the rest of p is
+				// the writer's to resume with, and raw mode stands only if
+				// the failed frame is the raw chunk (always the last).
+				c.wparse = append([]byte(nil), fr[:max(held-taken, 0)]...)
+				c.wraw = c.wraw && i == len(frames)-1
+			} else if c.werr == nil {
 				c.werr = err
 			}
 			c.wmu.Unlock()
-			return 0, err
+			return max(taken-held, 0), err
 		}
+		taken += len(fr)
 	}
 	return len(p), nil
 }
@@ -399,10 +415,13 @@ func (d *direction) enqueue(data []byte) error {
 		if d.c.down() || d.srcDone {
 			return net.ErrClosed
 		}
-		if ddl := d.c.writeDeadline(); !ddl.IsZero() && !time.Now().Before(ddl) {
-			return os.ErrDeadlineExceeded
+		wait := 5 * time.Millisecond
+		if ddl := d.c.writeDeadline(); !ddl.IsZero() {
+			if wait = min(wait, time.Until(ddl)); wait <= 0 {
+				return os.ErrDeadlineExceeded
+			}
 		}
-		t := time.AfterFunc(5*time.Millisecond, d.cond.Broadcast)
+		t := time.AfterFunc(wait, d.cond.Broadcast)
 		d.cond.Wait()
 		t.Stop()
 	}

@@ -460,3 +460,51 @@ func TestWriteBufferBytesBackpressures(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteResumesAfterDeadline: a write whose deadline passes part way
+// through p reports the bytes it took, and a writer that resumes from there
+// gets every frame delivered exactly once — with a frame split across the
+// earlier write and this one, and frames left on both sides of the cut.
+func TestWriteResumesAfterDeadline(t *testing.T) {
+	n, cli, srv := pair(t, 12)
+	n.SetLink("cli", "srv", Faults{Stall: true, WriteBufferBytes: 256})
+
+	const frames = 8
+	var stream []byte
+	for i := 0; i < frames; i++ {
+		payload := make([]byte, 100)
+		payload[0] = byte(i)
+		stream = append(stream, frame(payload)...)
+	}
+	// Half a frame first: it waits in the parse buffer.
+	if w, err := cli.Write(stream[:50]); err != nil || w != 50 {
+		t.Fatalf("partial write = %d, %v", w, err)
+	}
+	rest := stream[50:]
+	cli.SetWriteDeadline(time.Now().Add(50 * time.Millisecond))
+	w, err := cli.Write(rest)
+	if !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("write into a full stalled link = %d, %v; want os.ErrDeadlineExceeded", w, err)
+	}
+	if w <= 0 || w >= len(rest) {
+		t.Fatalf("write took %d of %d bytes, want the deadline to cut p part way", w, len(rest))
+	}
+	cli.SetWriteDeadline(time.Time{})
+	n.ClearLink("cli", "srv")
+	if w2, err := cli.Write(rest[w:]); err != nil || w2 != len(rest)-w {
+		t.Fatalf("resumed write = %d, %v; want %d bytes and no error", w2, err, len(rest)-w)
+	}
+	for i := 0; i < frames; i++ {
+		got, err := readFrame(srv)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if len(got) != 100 || got[0] != byte(i) {
+			t.Fatalf("frame %d arrived as %d bytes tagged %d: lost or duplicated", i, len(got), got[0])
+		}
+	}
+	srv.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+	if got, err := readFrame(srv); err == nil {
+		t.Fatalf("an extra frame tagged %d arrived: delivered twice", got[0])
+	}
+}

@@ -79,9 +79,6 @@ type Options struct {
 	// Flushers sizes the shared flusher pool draining the per-client rings:
 	// zero means transport.DefaultFlushers; negative is an error.
 	Flushers int
-	// BusyPoll keeps idle flushers spinning briefly before parking, trading
-	// CPU for client wakeup latency.
-	BusyPoll bool
 	// AdminAddr, when non-empty, serves /metrics, /healthz, and pprof.
 	AdminAddr string
 	// Logger receives operational events; nil means slog.Default.
@@ -243,10 +240,7 @@ func New(opts Options) (*Gateway, error) {
 			return nil, err
 		}
 	}
-	g.pool = transport.NewFlusherPool(transport.FlusherPoolConfig{
-		Flushers: opts.Flushers,
-		BusyPoll: opts.BusyPoll,
-	})
+	g.pool = transport.NewFlusherPool(transport.FlusherPoolConfig{Flushers: opts.Flushers})
 	return g, nil
 }
 
@@ -792,8 +786,8 @@ func (g *Gateway) scrapeGauges() []obsv.Sample {
 	return append(samples,
 		obsv.Sample{Name: "frame_egress_flushers", Value: float64(g.pool.Size()),
 			Help: "Shared egress flusher goroutines."},
-		obsv.Sample{Name: "frame_egress_escalations_total", Counter: true,
-			Value: float64(g.pool.Escalations()), Help: "Replacement flushers spawned to route around wedged client writes."},
+		obsv.Sample{Name: "frame_egress_handoffs_total", Counter: true,
+			Value: float64(g.pool.Handoffs()), Help: "Client writes handed to their own goroutine after 2 ms."},
 		obsv.Sample{Name: "frame_egress_write_syscalls_total", Counter: true,
 			Value: float64(es.WriteSyscalls), Help: "Vectored writes spent writing client egress frames."},
 	)

@@ -28,7 +28,6 @@
 package queue
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -52,8 +51,8 @@ type mpscSlot[T any] struct {
 //
 // Any number of goroutines may call PushInPlace concurrently. PopInto must
 // be serialized by the caller — in the broker that serialization already
-// exists (the lane worker holds its lane mutex; the flusher owns its notify
-// ring via a consume mutex). Empty and Len are safe from any goroutine:
+// exists (the lane worker holds its lane mutex; a flusher's notify ring is
+// popped only by that flusher's goroutine). Empty and Len are safe from any goroutine:
 // broker workers probe a lane's intake from park ready() checks while a
 // sibling worker may be popping under the lane mutex.
 //
@@ -198,20 +197,4 @@ func (p *Parker) Unpark() {
 	p.mu.Lock()
 	p.cond.Broadcast()
 	p.mu.Unlock()
-}
-
-// Spin is a bounded busy-poll helper: it calls ready() up to spins times,
-// yielding the processor between probes, and reports whether ready fired.
-// Callers opt in for latency-critical deployments (-busy-poll); the default
-// path goes straight to Park.
-func (p *Parker) Spin(ready func() bool, spins int) bool {
-	for i := 0; i < spins; i++ {
-		if ready() {
-			return true
-		}
-		if i&63 == 63 {
-			runtime.Gosched()
-		}
-	}
-	return false
 }

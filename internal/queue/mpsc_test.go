@@ -196,23 +196,6 @@ func TestParkerNeverMissesWakeup(t *testing.T) {
 	<-done
 }
 
-// TestParkerSpinSeesWork covers the busy-poll path: Spin returns true as
-// soon as ready fires and false when it never does.
-func TestParkerSpinSeesWork(t *testing.T) {
-	p := NewParker()
-	var flag atomic.Bool
-	if p.Spin(flag.Load, 64) {
-		t.Fatal("Spin reported work with none present")
-	}
-	go func() {
-		time.Sleep(100 * time.Microsecond)
-		flag.Store(true)
-	}()
-	if !p.Spin(flag.Load, 1<<24) {
-		t.Fatal("Spin never observed ready going true")
-	}
-}
-
 // FuzzMPSCInterleaving replays fuzz-chosen producer/consumer schedules over
 // a tiny ring and checks conservation (nothing lost, nothing duplicated,
 // per-producer order). The schedule byte string is the fuzz vector: two

@@ -1,14 +1,13 @@
 // Asynchronous egress: per-connection outbound rings drained with vectored
-// writes by a shared flusher pool (broker and gateway) or by a ring's own
-// writer goroutine (a client's uplink).
+// writes by a flusher pool — the broker's or gateway's shared one, or a
+// ring's private one-flusher pool (a client's uplink).
 //
 // The broker's fan-out used to write to every subscriber synchronously under
 // each connection's write lock, so one wedged socket head-of-line-blocked the
 // whole dispatch lane and every other topic's deadline in it. An Egress
 // decouples the two: dispatch becomes a non-blocking enqueue of a refcounted,
-// encode-once frame buffer, and a per-connection writer goroutine drains the
-// ring with net.Buffers (writev on TCP), coalescing many frames into one
-// syscall.
+// encode-once frame buffer, and a flusher drains the ring with net.Buffers
+// (writev on TCP), coalescing many frames into one syscall.
 //
 // When a ring fills, the shed policy is deadline-aware: the oldest frame is
 // dropped, but a topic never loses more than its loss tolerance Li in
@@ -130,16 +129,16 @@ type EgressConfig struct {
 	// each topic's Li budget and evicts past it; false blocks the enqueuer
 	// (legacy backpressure, used by benchmarks that need a lossless pipe).
 	Shed bool
-	// Stall bounds each flush write via Conn.SetWriteStall; zero leaves the
-	// connection's existing bound untouched.
+	// Stall bounds each flush write via Conn.SetWriteStall, a handed-off one
+	// included; zero leaves the connection's existing bound untouched.
 	Stall time.Duration
 	// MaxBatch caps frames per vectored write (DefaultEgressBatch when <= 0).
 	MaxBatch int
 	// Meter receives counters; nil disables counting.
 	Meter *EgressMeter
-	// Pool, when non-nil, drains this ring with the pool's shared flushers
-	// instead of a dedicated writer goroutine (see FlusherPool). Nil gives
-	// the ring its own writer, as a client's uplink has.
+	// Pool drains this ring with the pool's shared flushers (see
+	// FlusherPool). Nil gives the ring a private one-flusher pool, stopped
+	// when the ring stops, as a client's uplink has.
 	Pool *FlusherPool
 }
 
@@ -167,7 +166,7 @@ type egressItem struct {
 }
 
 // Egress owns one subscriber connection's outbound path: a bounded ring of
-// refcounted frames and the writer goroutine that drains it.
+// refcounted frames, drained by its flusher.
 type Egress struct {
 	conn  *Conn
 	meter *EgressMeter
@@ -189,31 +188,35 @@ type Egress struct {
 	closed   bool
 	evicted  bool
 
-	// Pooled mode (fl non-nil): state is the idle/queued handoff word of
-	// the flusher protocol, guarded by mu like the ring it describes.
-	// lingered marks an egress whose last flusher visit found it empty but
-	// kept it queued for one more sweep; the second empty visit idles it.
+	// state is the idle/queued handoff word of the flusher protocol,
+	// guarded by mu like the ring it describes. lingered marks an egress
+	// whose last flusher visit found it empty but kept it queued for one
+	// more sweep; the second empty visit idles it. private marks fl's pool
+	// as this ring's own, stopped when the ring stops.
 	fl       *flusher
 	state    int32
 	lingered bool
+	private  bool
 
 	// Writer-owned scratch, reused across batches. hdrs is pre-sized to
 	// 4*maxBatch so mid-batch growth can never move the header bytes that
-	// vecs already aliases. batchConsec snapshots (under mu, in
-	// collectLocked) whether the shed ledger had entries, so the common
-	// no-shed flush skips relocking to settle it.
+	// vecs already aliases; tail is the part of vecs not yet written.
+	// batchConsec snapshots (under mu, in collectLocked) whether the shed
+	// ledger had entries, so the common no-shed flush skips relocking to
+	// settle it.
 	batch       []egressItem
 	hdrs        []byte
 	vecs        net.Buffers
+	tail        net.Buffers
 	batchConsec bool
 
 	done     chan struct{}
 	doneOnce sync.Once
 }
 
-// NewEgress wraps conn with an outbound ring and arranges its draining: a
-// dedicated writer goroutine by default, or cfg.Pool's shared flushers when
-// a pool is given. The egress owns all writes on conn from here on; callers
+// NewEgress wraps conn with an outbound ring drained by cfg.Pool's shared
+// flushers, or by a private one-flusher pool when none is given. The
+// egress owns all writes on conn from here on; callers
 // route every frame through Enqueue (control replies on a subscriber conn
 // keep using Send, which serializes with the flusher on the conn's write
 // lock).
@@ -246,11 +249,12 @@ func NewEgress(conn *Conn, cfg EgressConfig) *Egress {
 		done:  make(chan struct{}),
 	}
 	e.cond = sync.NewCond(&e.mu)
-	if cfg.Pool != nil {
-		e.fl = cfg.Pool.assign()
-	} else {
-		go e.run()
+	pool := cfg.Pool
+	if pool == nil {
+		// One egress is queued at most once: the smallest notify ring holds it.
+		pool, e.private = newFlusherPool(1, 1), true
 	}
+	e.fl = pool.assign()
 	return e
 }
 
@@ -280,17 +284,12 @@ func (e *Egress) Enqueue(buf *FrameBuf, topic spec.TopicID, li int) EnqueueResul
 			if e.count > e.highWater {
 				e.highWater = e.count
 			}
-			submit := false
-			if e.fl != nil {
-				// Pooled mode: hand the egress to its flusher only on the
-				// idle→queued edge; while queued, the flusher re-checks the
-				// ring before going idle, so this enqueue is already covered.
-				if e.state == egIdle {
-					e.state = egQueued
-					submit = true
-				}
-			} else {
-				e.cond.Broadcast() // wake the dedicated writer
+			// Hand the egress to its flusher only on the idle→queued edge;
+			// while queued, the flusher re-checks the ring before going
+			// idle, so this enqueue is already covered.
+			submit := e.state == egIdle
+			if submit {
+				e.state = egQueued
 			}
 			e.pendEnq++
 			e.mu.Unlock()
@@ -298,12 +297,6 @@ func (e *Egress) Enqueue(buf *FrameBuf, topic spec.TopicID, li int) EnqueueResul
 				e.fl.submit(e)
 			}
 			return result
-		}
-		// Ring full. In pooled mode that can mean the flusher is wedged in
-		// a write on a sibling connection; age the in-flight write and
-		// spawn a replacement flusher past the escalation bound.
-		if e.fl != nil {
-			e.fl.maybeEscalate(e)
 		}
 		if !e.shed {
 			e.cond.Wait() // blocking backpressure mode
@@ -318,7 +311,7 @@ func (e *Egress) Enqueue(buf *FrameBuf, topic spec.TopicID, li int) EnqueueResul
 			e.closed, e.evicted = true, true
 			e.drainLocked()
 			e.cond.Broadcast()
-			idle := e.fl != nil && e.state == egIdle
+			idle := e.state == egIdle
 			e.mu.Unlock()
 			buf.Release()
 			if e.meter != nil {
@@ -329,8 +322,8 @@ func (e *Egress) Enqueue(buf *FrameBuf, topic spec.TopicID, li int) EnqueueResul
 			// blocking the dispatch lane here.
 			go e.conn.Close()
 			if idle {
-				// Pooled and not queued: no flusher will visit, so the
-				// terminal bookkeeping happens here.
+				// Not queued: no flusher will visit, so the terminal
+				// bookkeeping happens here.
 				e.finalize()
 			}
 			return EnqueueEvicted
@@ -382,12 +375,9 @@ func (e *Egress) EnqueueBatch(bufs []*FrameBuf, li int) EnqueueResult {
 		e.highWater = e.count
 	}
 	e.pendEnq += uint64(len(bufs))
-	submit := false
-	if e.fl == nil {
-		e.cond.Broadcast() // wake the dedicated writer
-	} else if e.state == egIdle && len(bufs) > 0 {
+	submit := e.state == egIdle && len(bufs) > 0
+	if submit {
 		e.state = egQueued
-		submit = true
 	}
 	e.mu.Unlock()
 	if submit {
@@ -431,9 +421,9 @@ func (e *Egress) drainLocked() {
 }
 
 // Close stops the egress: queued frames are released (the connection is
-// about to close anyway) and the writer exits once any in-flight write
+// about to close anyway) and the egress stops once any in-flight write
 // returns. Idempotent. Close does not close the connection — owners close
-// the conn themselves, then Wait for the writer (Retire does all three).
+// the conn themselves, then Wait for the egress (Retire does all three).
 func (e *Egress) Close() {
 	e.mu.Lock()
 	if e.closed {
@@ -443,19 +433,20 @@ func (e *Egress) Close() {
 	e.closed = true
 	e.drainLocked()
 	e.cond.Broadcast()
-	idle := e.fl != nil && e.state == egIdle
+	idle := e.state == egIdle
 	e.mu.Unlock()
 	if idle {
-		// Pooled and not queued anywhere: the flushers will never visit
-		// this egress again, so it reaches its terminal state here. When
-		// queued, the owning flusher finds the drained ring and finalizes.
+		// Not queued anywhere: no flusher will visit this egress again, so
+		// it reaches its terminal state here. When queued, the owning
+		// flusher (or handed-off write) finds the drained ring and
+		// finalizes.
 		e.finalize()
 	}
 }
 
 // Drain is the orderly stop: unlike Close it drops nothing. New frames are
 // refused from here on (EnqueueClosed), what is already queued stays with
-// the writer, and Drain returns once that has been written, a write has
+// the flusher, and Drain returns once that has been written, a write has
 // failed, or wait has passed — whichever comes first. The owner then closes
 // the connection, which fails whatever a wedged peer left unwritten, and
 // Waits, exactly as after Close.
@@ -464,12 +455,12 @@ func (e *Egress) Drain(wait time.Duration) {
 	idle := false
 	if !e.closed {
 		e.closed = true
-		e.cond.Broadcast() // the writer, to finish up; blocked enqueuers, to give up
-		idle = e.fl != nil && e.state == egIdle
+		e.cond.Broadcast() // blocked enqueuers, to give up
+		idle = e.state == egIdle
 	}
 	e.mu.Unlock()
 	if idle {
-		e.finalize() // pooled and not queued, so empty: see Close
+		e.finalize() // not queued, so empty: see Close
 	}
 	t := time.NewTimer(wait)
 	defer t.Stop()
@@ -479,14 +470,14 @@ func (e *Egress) Drain(wait time.Duration) {
 	}
 }
 
-// Wait blocks until the egress has fully stopped: the dedicated writer
-// exited, or — pooled — its flusher (or Close) finalized it.
+// Wait blocks until the egress has fully stopped: its flusher, its
+// handed-off write or Close finalized it.
 func (e *Egress) Wait() { <-e.done }
 
 // Retire stops rings for good, in the order every owner needs: close every
-// ring first, so no writer picks up another frame and queued frames are
-// released; then close every ring's connection, which unsticks a write in
-// flight; then wait for every writer. Nil rings are skipped, so owners may
+// ring first, so no flusher picks up another frame and queued frames are
+// released; then close every ring's connection, which fails a write in
+// flight or handed off; then wait for every ring. Nil rings are skipped, so owners may
 // pass a session's rings whether or not they were ever opened.
 func Retire(rings ...*Egress) {
 	for _, e := range rings {
@@ -507,12 +498,15 @@ func Retire(rings ...*Egress) {
 }
 
 // finalize performs the one-time terminal transition of an egress: an
-// evicted connection is closed and waiters are released. It runs only when
-// no writer holds the egress.
+// evicted connection is closed, a private pool is stopped and waiters are
+// released. It runs only when no flusher holds the egress.
 func (e *Egress) finalize() {
 	e.doneOnce.Do(func() {
 		if e.Evicted() {
 			e.conn.Close()
+		}
+		if e.private {
+			e.fl.pool.stop()
 		}
 		close(e.done)
 	})
@@ -539,30 +533,10 @@ func (e *Egress) HighWater() int {
 	return e.highWater
 }
 
-// run is the dedicated writer (pool-less mode): drain up to maxBatch frames,
-// flush them in one vectored write, release, repeat until closed and empty.
-func (e *Egress) run() {
-	defer e.finalize()
-	for {
-		e.mu.Lock()
-		for e.count == 0 && !e.closed {
-			e.cond.Wait()
-		}
-		n := e.collectLocked()
-		e.mu.Unlock()
-		if n == 0 {
-			return // closed and drained; finalize closes an evicted conn
-		}
-		if err := e.flushBatch(n); err != nil {
-			return
-		}
-	}
-}
-
 // collectLocked moves up to maxBatch frames from the ring into the batch
 // scratch and wakes enqueuers blocked on a full ring. Caller holds e.mu;
-// the batch belongs to that caller until its flushBatch returns (the
-// idle/queued handoff keeps pooled collectors from overlapping).
+// the batch belongs to that caller until it is settled (the idle/queued
+// handoff keeps collectors from overlapping).
 func (e *Egress) collectLocked() int {
 	n := e.count
 	if n == 0 {
@@ -590,21 +564,17 @@ func (e *Egress) collectLocked() int {
 	}
 	e.count -= n
 	e.flushMeterLocked()
-	// Snapshot whether the shed ledger has entries: flushBatch (outside the
-	// mutex, same goroutine) skips its settle-locking round-trip when not.
+	// Snapshot whether the shed ledger has entries: settle (outside the
+	// mutex) skips its locking round-trip when not.
 	e.batchConsec = len(e.consec) != 0
 	e.cond.Broadcast() // wake enqueuers blocked on a full ring
 	return n
 }
 
-// flushBatch writes the collected batch of n frames in one vectored write —
-// two iovecs per frame, length prefix then body, assembled in the hdrs and
-// vecs scratch — and settles it. References move ring→batch at collect and
-// leave the egress here: released after the write, whatever its outcome.
-// On success the shed ledger forgets the flushed topics and the flush
-// counters advance. A write error closes and drains the egress, counts the
-// failure, and closes the connection; the caller must stop draining.
-func (e *Egress) flushBatch(n int) error {
+// frameBatch lays the collected batch out for one vectored write — two
+// iovecs per frame, length prefix then body, assembled in the hdrs and vecs
+// scratch, with tail covering all of it — and returns its byte length.
+func (e *Egress) frameBatch() int {
 	e.hdrs = e.hdrs[:0]
 	e.vecs = e.vecs[:0]
 	total := 0
@@ -615,7 +585,18 @@ func (e *Egress) flushBatch(n int) error {
 		e.vecs = append(e.vecs, e.hdrs[off:off+4], it.buf.B)
 		total += 4 + len(it.buf.B)
 	}
-	err := e.conn.WriteBuffers(e.vecs, n, total)
+	e.tail = e.vecs
+	return total
+}
+
+// settle ends the write of the collected batch of n frames, whose outcome
+// is err. References move ring→batch at collect and leave the egress here:
+// released after the write, whatever its outcome. On success the shed
+// ledger forgets the flushed topics and the flush counters advance. A write
+// error closes and drains the egress, counts the failure, and closes the
+// connection; the caller must stop draining.
+func (e *Egress) settle(n int, err error) error {
+	e.tail = nil
 	if e.meter != nil {
 		e.meter.WriteSyscalls.Add(1)
 	}

@@ -293,7 +293,6 @@ func TestEgressCloseReleasesQueuedFrames(t *testing.T) {
 	a, b := net.Pipe()
 	defer b.Close()
 	gate := make(chan struct{})
-	defer close(gate)
 	sender := NewConn(&blockableConn{Conn: a, gate: gate})
 	eg := NewEgress(sender, EgressConfig{Depth: 8, Shed: true})
 
@@ -309,6 +308,9 @@ func TestEgressCloseReleasesQueuedFrames(t *testing.T) {
 		t.Fatalf("Depth after Close = %d, want 0", d)
 	}
 	sender.Close()
+	// The flusher may have collected a frame before Close and be waiting on
+	// the gate, which closing the conn does not open: open it before Wait.
+	close(gate)
 	eg.Wait()
 	if refs := FrameBufRefs(); refs != base {
 		t.Fatalf("leaked %d FrameBuf references", refs-base)
@@ -318,7 +320,8 @@ func TestEgressCloseReleasesQueuedFrames(t *testing.T) {
 // TestEgressDrainFlushesQueuedFrames: Drain is the stop that drops nothing.
 // With the writer held inside a Write and frames queued behind it, Drain
 // refuses new frames at once, returns only after the writer has written the
-// rest, and leaves the ring stopped — on a dedicated writer and on the pool.
+// rest, and leaves the ring stopped — on a ring's private pool and on a
+// shared one.
 func TestEgressDrainFlushesQueuedFrames(t *testing.T) {
 	for _, pooled := range []bool{false, true} {
 		base := FrameBufRefs()
@@ -399,12 +402,13 @@ func TestEgressDrainGivesUpOnWedgedPeer(t *testing.T) {
 	eg.Drain(time.Hour) // stopped: returns at once
 }
 
-// TestRetireReleasesEveryRing: Retire stops pooled and dedicated rings in one
-// call and skips nil ones. A pooled ring's writer is wedged in a write to a
-// peer that never reads, a second pooled ring queues behind that flusher, and
-// a dedicated ring has frames queued: Retire must close the rings before
-// their connections (the close is what frees the wedged writer), wait for
-// every writer, and leave no frame reference behind.
+// TestRetireReleasesEveryRing: Retire stops rings on a shared pool and on a
+// private one in one call and skips nil ones. A shared-pool ring's write is
+// stuck to a peer that never reads (and soon handed off), a second one
+// shares its flusher, and a private-pool ring has frames queued: Retire
+// must close the rings before their connections (the close is what fails
+// the stuck write), wait for every ring, and leave no frame reference
+// behind.
 func TestRetireReleasesEveryRing(t *testing.T) {
 	base := FrameBufRefs()
 	pool := NewFlusherPool(FlusherPoolConfig{Flushers: 1})
@@ -418,7 +422,7 @@ func TestRetireReleasesEveryRing(t *testing.T) {
 		}
 		return NewEgress(NewConn(a), cfg)
 	}
-	wedged, behind, dedicated := ring(true), ring(true), ring(false)
+	wedged, behind, private := ring(true), ring(true), ring(false)
 	wedged.Enqueue(pruneBuf(4, 1), 4, 0)
 	// The flusher has taken the frame and is stuck writing it.
 	watchdog := time.NewTimer(5 * time.Second)
@@ -434,10 +438,10 @@ func TestRetireReleasesEveryRing(t *testing.T) {
 	for seq := uint64(2); seq <= 4; seq++ {
 		wedged.Enqueue(pruneBuf(4, seq), 4, 0)
 		behind.Enqueue(pruneBuf(5, seq), 5, 0)
-		dedicated.Enqueue(pruneBuf(6, seq), 6, 0)
+		private.Enqueue(pruneBuf(6, seq), 6, 0)
 	}
-	Retire(wedged, nil, behind, dedicated, nil)
-	for _, eg := range []*Egress{wedged, behind, dedicated} {
+	Retire(wedged, nil, behind, private, nil)
+	for _, eg := range []*Egress{wedged, behind, private} {
 		if r := eg.Enqueue(pruneBuf(7, 1), 7, 0); r != EnqueueClosed {
 			t.Fatalf("Enqueue after Retire = %v, want EnqueueClosed", r)
 		}

@@ -1,22 +1,17 @@
-// Shared egress flushers: a small pool of writer goroutines sweeping many
-// subscriber rings per wakeup.
-//
-// PR 5's egress gave every subscriber its own writer goroutine. That keeps
-// sockets isolated, but at high fan-out the cost moved into the scheduler:
-// N hot subscribers mean N cond.Broadcast wakeups and N runnable goroutines
-// per dispatched message. A FlusherPool inverts the ratio: egresses are
-// assigned round-robin to a fixed set of flushers, an egress is handed to
-// its flusher only on an idle→queued edge (one atomic-free state check per
-// enqueue, under the ring mutex the enqueue already holds), and each
-// flusher drains every ready ring per wakeup — so N hot subscribers cost
-// O(flushers) wakeups instead of O(N).
+// Egress flushers: a small pool of writer goroutines sweeping many rings
+// per wakeup. Egresses are assigned round-robin to a fixed set of
+// flushers, an egress is handed to its flusher only on an idle→queued edge
+// (one state check per enqueue, under the ring mutex the enqueue already
+// holds), and each flusher drains every ready ring per wakeup — so N hot
+// subscribers cost O(flushers) wakeups and runnable goroutines, not O(N).
 //
 // Ownership protocol (all transitions under the egress's own mutex):
 //
 //	state == egIdle   → no flusher holds the egress; the next enqueue
 //	                    flips it to egQueued and submits it exactly once.
-//	state == egQueued → the egress sits in its flusher's notify ring (or
-//	                    is being processed); further enqueues do nothing.
+//	state == egQueued → the egress sits in its flusher's notify ring, is
+//	                    being processed, or has a write handed off; further
+//	                    enqueues do nothing.
 //
 // The flusher returns an egress to egIdle only after finding its ring
 // empty under the mutex, so an enqueue racing that transition either lands
@@ -25,14 +20,14 @@
 // one processor per egress at any time — which is also what keeps the
 // per-connection frame order intact.
 //
-// Wedged-socket escalation: a flusher stuck in a write on one wedged
-// connection would head-of-line-block its other rings — exactly the
-// coupling PR 5 removed. Enqueues that find their ring full while their
-// flusher's in-flight write is older than EscalateAfter bump the flusher's
-// generation and spawn a replacement goroutine that takes over the notify
-// ring. The deposed goroutine keeps sole ownership of the egress it is
-// stuck on (it became that connection's de-facto dedicated writer), and
-// exits once that egress drains or dies.
+// Stalled writes: a flusher never waits on one socket for longer than
+// HandoffAfter. A batch still unwritten by then keeps the connection's
+// write lock and is handed, with its unwritten tail, to a goroutine of its
+// own, which finishes it under the ring's stall bound, settles it and puts
+// the egress back on the notify ring. The flusher goes on with its other
+// rings at once, so a subscriber that stops reading cannot delay a
+// ring-mate, whether or not more traffic arrives. A healthy connection
+// costs no goroutine.
 package transport
 
 import (
@@ -44,25 +39,22 @@ import (
 	"repro/internal/queue"
 )
 
-// Pooled-egress defaults.
 const (
 	// DefaultFlushers is the pool size when FlusherPoolConfig.Flushers <= 0:
 	// enough parallelism to keep several NICs busy, few enough that wakeup
 	// coalescing still wins at high fan-out.
 	DefaultFlushers = 4
-	// DefaultEscalateAfter is the in-flight write age past which a full-ring
-	// enqueue escalates its flusher. Two orders above a healthy writev,
+	// HandoffAfter is how long a flusher waits on one socket before it hands
+	// the write to a goroutine of its own. Two orders above a healthy writev,
 	// three under the write-stall bounds deployments actually set.
-	DefaultEscalateAfter = 2 * time.Millisecond
-	// DefaultNotifyDepth sizes each flusher's notify ring. An egress is
-	// queued at most once, so this bounds the egresses per flusher before
+	HandoffAfter = 2 * time.Millisecond
+	// notifyDepth sizes a shared flusher's notify ring. An egress is queued
+	// at most once, so this bounds the ready egresses per flusher before
 	// submit briefly spins.
-	DefaultNotifyDepth = 4096
-	// flusherSpins is the busy-poll probe budget before a flusher parks.
-	flusherSpins = 4096
+	notifyDepth = 4096
 )
 
-// Egress pooled-mode states, guarded by Egress.mu.
+// Egress states, guarded by Egress.mu.
 const (
 	egIdle int32 = iota
 	egQueued
@@ -72,52 +64,28 @@ const (
 type FlusherPoolConfig struct {
 	// Flushers is the number of writer goroutines (DefaultFlushers when <= 0).
 	Flushers int
-	// BusyPoll keeps idle flushers spinning briefly before parking,
-	// trading CPU for wakeup latency (-busy-poll).
-	BusyPoll bool
-	// EscalateAfter is the in-flight write age that triggers a replacement
-	// flusher (DefaultEscalateAfter when <= 0).
-	EscalateAfter time.Duration
-	// NotifyDepth sizes each flusher's notify ring (DefaultNotifyDepth
-	// when <= 0).
-	NotifyDepth int
 }
 
 // FlusherPool drains the rings of every Egress created with Pool set to it.
 type FlusherPool struct {
-	flushers      []*flusher
-	next          atomic.Uint64
-	closed        atomic.Bool
-	wg            sync.WaitGroup
-	busyPoll      bool
-	escalateAfter time.Duration
-	escalations   atomic.Uint64
+	flushers []*flusher
+	next     atomic.Uint64
+	closed   atomic.Bool
+	wg       sync.WaitGroup // the flushers and every handed-off write
+	handoffs atomic.Uint64
 }
 
 // NewFlusherPool starts cfg.Flushers writer goroutines.
 func NewFlusherPool(cfg FlusherPoolConfig) *FlusherPool {
-	// Deliberately not capped at GOMAXPROCS: extra flushers on a small box
-	// cost context switches, but they are also the only thing standing
-	// between a wedged connection and its ring-mates during the window
-	// before escalation fires — a pool of one couples every subscriber to
-	// the first stuck socket.
 	n := cfg.Flushers
 	if n <= 0 {
 		n = DefaultFlushers
 	}
-	after := cfg.EscalateAfter
-	if after <= 0 {
-		after = DefaultEscalateAfter
-	}
-	depth := cfg.NotifyDepth
-	if depth <= 0 {
-		depth = DefaultNotifyDepth
-	}
-	p := &FlusherPool{
-		flushers:      make([]*flusher, n),
-		busyPoll:      cfg.BusyPoll,
-		escalateAfter: after,
-	}
+	return newFlusherPool(n, notifyDepth)
+}
+
+func newFlusherPool(n, depth int) *FlusherPool {
+	p := &FlusherPool{flushers: make([]*flusher, n)}
 	for i := range p.flushers {
 		fl := &flusher{
 			pool:   p,
@@ -128,38 +96,39 @@ func NewFlusherPool(cfg FlusherPoolConfig) *FlusherPool {
 		p.wg.Add(1)
 		go func() {
 			defer p.wg.Done()
-			fl.run(0)
+			fl.run()
 		}()
 	}
 	return p
 }
 
-// Size returns the configured flusher count (replacements excluded).
+// Size returns the configured flusher count.
 func (p *FlusherPool) Size() int { return len(p.flushers) }
 
-// Escalations reports how many replacement flushers wedged writes forced.
-func (p *FlusherPool) Escalations() uint64 { return p.escalations.Load() }
+// Handoffs reports how many writes were handed to their own goroutine.
+func (p *FlusherPool) Handoffs() uint64 { return p.handoffs.Load() }
 
-// Close stops every flusher and waits for them (deposed replacements
-// included). Callers must Close and Wait every pooled Egress first — the
-// broker and gateway shut subscribers down before their pool — so the only
-// notify entries left are strays from enqueues racing the shutdown; those
-// are swept inline.
+// Close stops every flusher and waits for them and for every handed-off
+// write. Callers must Close and Wait every pooled Egress first — the broker
+// and gateway shut subscribers down before their pool — so the only notify
+// entries left are strays from enqueues racing the shutdown; those are
+// swept inline.
 func (p *FlusherPool) Close() {
+	p.stop()
+	p.wg.Wait()
+	for _, fl := range p.flushers {
+		for e := fl.pop(); e != nil; e = fl.pop() {
+			fl.process(e, 0)
+		}
+	}
+}
+
+// stop tells every flusher to exit once its notify ring is empty, without
+// waiting: a ring's private pool is stopped from that ring's own flusher.
+func (p *FlusherPool) stop() {
 	p.closed.Store(true)
 	for _, fl := range p.flushers {
 		fl.parker.Unpark()
-	}
-	p.wg.Wait()
-	for _, fl := range p.flushers {
-		gen := fl.gen.Load()
-		for {
-			e := fl.popNotify(gen)
-			if e == nil {
-				break
-			}
-			fl.process(e, gen, false)
-		}
 	}
 }
 
@@ -170,77 +139,46 @@ func (p *FlusherPool) assign() *flusher {
 }
 
 // flusher is one pool member: a notify ring of egresses with pending
-// frames, the parker it sleeps on, and the generation/in-flight state the
-// escalation protocol reads.
+// frames and the parker its goroutine sleeps on.
 type flusher struct {
 	pool   *FlusherPool
 	notify *queue.MPSC[*Egress]
 	parker *queue.Parker
-
-	// consumeMu serializes notify.PopInto across generations: the MPSC
-	// consumer side is single-owner, and ownership moves from a deposed
-	// goroutine to its replacement.
-	consumeMu sync.Mutex
-	// gen is the current owner generation; a goroutine whose generation
-	// fell behind has been deposed and must stop touching the notify ring.
-	gen atomic.Uint64
-	// inFlight is the UnixNano start time of the owner's current write
-	// (0 when none); enqueues compare it against EscalateAfter.
-	inFlight atomic.Int64
-	// writing is the egress the in-flight write is for. A full-ring enqueue
-	// on that same egress skips escalation: at most one goroutine processes
-	// an egress, so a replacement flusher could not drain that ring either —
-	// the producer's only options are the ones it already has (shed or wait).
-	writing atomic.Pointer[Egress]
 }
 
-// run drains the notify ring until the pool closes or this goroutine is
-// deposed by an escalation: pop a ready egress, process it to empty, repeat,
-// and park when the ring is empty.
-func (fl *flusher) run(gen uint64) {
-	ready := func() bool {
-		return !fl.notify.Empty() || fl.pool.closed.Load() || fl.gen.Load() != gen
-	}
-	for fl.gen.Load() == gen {
-		if e := fl.popNotify(gen); e != nil {
-			fl.process(e, gen, true)
-			continue
-		}
-		if fl.pool.closed.Load() {
+// run drains the notify ring until the pool closes: pop a ready egress,
+// process it to empty, repeat, and park when the ring is empty.
+func (fl *flusher) run() {
+	ready := func() bool { return !fl.notify.Empty() || fl.pool.closed.Load() }
+	for {
+		if e := fl.pop(); e != nil {
+			fl.process(e, HandoffAfter)
+		} else if fl.pool.closed.Load() {
 			return
+		} else {
+			fl.parker.Park(ready)
 		}
-		if fl.pool.busyPoll && fl.parker.Spin(ready, flusherSpins) {
-			continue
-		}
-		fl.parker.Park(ready)
 	}
 }
 
-// popNotify takes one queued egress, or nil when the ring is empty or gen
-// was deposed.
-func (fl *flusher) popNotify(gen uint64) *Egress {
-	fl.consumeMu.Lock()
-	defer fl.consumeMu.Unlock()
-	if fl.gen.Load() != gen {
-		return nil
-	}
+// pop takes one queued egress, or nil when the ring is empty. Only the
+// flusher's goroutine pops, and Close only once that goroutine has exited.
+func (fl *flusher) pop() *Egress {
 	var e *Egress
 	fl.notify.PopInto(func(p **Egress) { e, *p = *p, nil })
 	return e
 }
 
-// submit hands an egress that just flipped idle→queued to the flusher.
-// Callers hold no locks. The notify ring holds each egress at most once,
-// so a full ring means more assigned egresses than NotifyDepth went ready
-// at once; spin until the flusher (or its replacement) makes room.
+// submit hands an egress that just flipped idle→queued, or whose handed-off
+// write finished, to the flusher. Callers hold no locks. A full notify ring
+// means more egresses than its depth went ready at once: spin for room.
 func (fl *flusher) submit(e *Egress) {
 	if fl.pool.closed.Load() {
 		// Shutdown stray: no flusher will visit, so drain it here.
-		go fl.process(e, fl.gen.Load(), false)
+		go fl.process(e, 0)
 		return
 	}
 	for !fl.notify.PushInPlace(func(p **Egress) { *p = e }) {
-		fl.maybeEscalate(e)
 		runtime.Gosched()
 	}
 	fl.parker.Unpark()
@@ -250,29 +188,23 @@ func (fl *flusher) submit(e *Egress) {
 // write outside it, repeat. Exactly one goroutine runs process per egress
 // at a time (the egQueued handoff guarantees it).
 //
-// With canLinger, a drained egress is not idled on the spot: the first
-// empty visit keeps it egQueued and re-pushes it onto the notify ring, so
-// a connection that was hot this sweep gets one more look after the rest
-// of the ready rings. While it lingers, producers skip the submit and
-// unpark — the flusher is already coming back, and the run loop will not
-// park while the notify ring is non-empty. The second consecutive empty
-// visit idles it for real. Custody stays in the shared ring the whole
-// time, so escalation hands lingering egresses to the replacement flusher
-// like any other queued entry.
-func (fl *flusher) process(e *Egress, gen uint64, canLinger bool) {
+// The flusher's own goroutine passes HandoffAfter as patience: it hands
+// writes stalled that long off (see handOff), and it lingers: a drained
+// egress stays egQueued and goes back on the notify ring, so a connection
+// hot this sweep gets one more look after the other ready rings. Meanwhile
+// producers skip the submit and unpark — the flusher is coming back, and
+// does not park while its ring is non-empty. The second empty visit in a
+// row idles it. Shutdown strays (zero patience) write under the stall
+// bound alone.
+func (fl *flusher) process(e *Egress, patience time.Duration) {
 	for {
 		e.mu.Lock()
 		n := e.collectLocked()
 		if n == 0 {
-			if canLinger && !e.lingered && !e.closed && !fl.pool.closed.Load() &&
+			if patience > 0 && !e.lingered && !e.closed && !fl.pool.closed.Load() &&
 				fl.notify.PushInPlace(func(p **Egress) { *p = e }) {
 				e.lingered = true
 				e.mu.Unlock()
-				// Usually the requeuer is the ring's owner and cannot be
-				// parked, but a deposed goroutine requeues into a ring its
-				// replacement owns — and that owner may already be asleep.
-				// Unpark is one atomic load when nobody is.
-				fl.parker.Unpark()
 				return
 			}
 			closed := e.closed
@@ -286,74 +218,33 @@ func (fl *flusher) process(e *Egress, gen uint64, canLinger bool) {
 		}
 		e.lingered = false
 		e.mu.Unlock()
-		if err := fl.flushStamped(e, gen, n); err != nil {
-			// flushBatch closed and drained the egress; nothing further
-			// will be queued, so finalize here.
-			e.mu.Lock()
-			e.state = egIdle
-			e.mu.Unlock()
-			e.finalize()
+		total := e.frameBatch()
+		pending, err := e.conn.writeBuffersWithin(&e.tail, n, total, patience)
+		if pending {
+			fl.handOff(e, n, total)
+			return
+		}
+		if e.settle(n, err) != nil {
+			e.finalize() // settle closed and drained the egress
 			return
 		}
 	}
 }
 
-// flushStamped writes e's collected batch of n frames with the escalation
-// stamp armed — but only while still the owner generation, so a deposed
-// goroutine nursing a wedged connection does not retrigger escalation of
-// its replacement. Enqueues that find their ring full age the stamp and
-// depose the flusher if the write wedges.
-func (fl *flusher) flushStamped(e *Egress, gen uint64, n int) error {
-	var stamp int64
-	if fl.gen.Load() == gen {
-		fl.writing.Store(e)
-		stamp = time.Now().UnixNano()
-		fl.inFlight.Store(stamp)
-	}
-	err := e.flushBatch(n)
-	if stamp != 0 {
-		fl.inFlight.CompareAndSwap(stamp, 0)
-		fl.writing.CompareAndSwap(e, nil)
-	}
-	return err
-}
-
-// maybeEscalate spawns a replacement flusher when the owner's current
-// write has been in flight past the pool's EscalateAfter bound. The CAS on
-// gen makes exactly one caller win per wedge. from is the caller's own
-// egress: when the aged write is on that very ring, escalation is skipped —
-// a replacement could not touch it either (one processor per egress), and
-// spawning one per full-ring probe under a fast producer is pure goroutine
-// churn.
-func (fl *flusher) maybeEscalate(from *Egress) {
-	ts := fl.inFlight.Load()
-	if ts == 0 {
-		return
-	}
-	if fl.writing.Load() == from {
-		return
-	}
-	if time.Now().UnixNano()-ts < int64(fl.pool.escalateAfter) {
-		return
-	}
-	// The stamp may be aged only because the flusher lost its CPU — on a
-	// saturated or single-core box a preempted goroutine easily sits
-	// runnable past EscalateAfter with its stamp still set. Yield first: a
-	// merely-descheduled flusher gets the processor, finishes its write,
-	// and clears (or replaces) the stamp; one parked in a wedged write
-	// cannot. Only an unchanged stamp after the yield means a real wedge.
-	runtime.Gosched()
-	gen := fl.gen.Load()
-	if fl.inFlight.Load() != ts {
-		return // the write finished (or a new one started); re-age later
-	}
-	if !fl.gen.CompareAndSwap(gen, gen+1) {
-		return // another enqueue escalated first
-	}
-	fl.pool.escalations.Add(1)
+// handOff gives a batch whose write outlasted HandoffAfter a goroutine of
+// its own. The egress stays egQueued and the connection's write lock stays
+// held while the goroutine finishes the tail under the remaining stall
+// bound and settles the batch; the egress then goes back onto the notify
+// ring, or is finalized if the write failed.
+func (fl *flusher) handOff(e *Egress, n, total int) {
+	fl.pool.handoffs.Add(1)
 	fl.pool.wg.Add(1)
 	go func() {
 		defer fl.pool.wg.Done()
-		fl.run(gen + 1)
+		if e.settle(n, e.conn.finishBuffers(&e.tail, n, total)) != nil {
+			e.finalize()
+			return
+		}
+		fl.submit(e)
 	}()
 }

@@ -3,8 +3,8 @@ package transport
 import (
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -169,91 +169,140 @@ func TestFlusherPoolBlockingModeBackpressures(t *testing.T) {
 	}
 }
 
-// TestFlusherEscalationIsolatesWedgedConn is the pool's head-of-line
-// contract: with a single flusher wedged in a write on one dead
-// connection, a healthy sibling's full ring must escalate — spawning a
-// replacement flusher — and keep delivering, instead of stalling behind
-// the wedge the way a shared writer naively would.
-func TestFlusherEscalationIsolatesWedgedConn(t *testing.T) {
-	base := FrameBufRefs()
-	pool := NewFlusherPool(FlusherPoolConfig{Flushers: 1, EscalateAfter: time.Millisecond})
-	var meter EgressMeter
-
-	a, b := net.Pipe()
-	defer b.Close()
-	gate := make(chan struct{})
-	wedged := NewEgress(NewConn(&blockableConn{Conn: a, gate: gate}),
-		EgressConfig{Depth: 4, Shed: true, Meter: &meter, Pool: pool})
-
-	healthySender, healthyReceiver := pipePair(t)
-	healthy := NewEgress(healthySender, EgressConfig{Depth: 4, Shed: true, Meter: &meter, Pool: pool})
-
-	// Wedge the only flusher: the first frame reaches its write and blocks.
-	wedged.Enqueue(pruneBuf(1, 1), 1, spec.LossUnbounded)
-	deadline := time.Now().Add(5 * time.Second)
-	for pool.flushers[0].inFlight.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("flusher never entered the wedged write")
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	// Escalation is only ever triggered by an Enqueue that finds its ring
-	// full (ROADMAP item 4), and the 500 below take well under a
-	// millisecond: let the wedged write age past EscalateAfter first, or
-	// every one of them can come too early and nothing comes after.
-	time.Sleep(5 * time.Millisecond)
-
-	// Drive the healthy sibling until its ring overflows: the full-ring
-	// path finds the wedged write older than EscalateAfter and escalates.
-	const n = 500
-	got := make(chan error, 1)
+// recvSeqs reads frames off receiver and sends each one's Seq, until the
+// connection fails.
+func recvSeqs(receiver *Conn) <-chan uint64 {
+	seqs := make(chan uint64, 64)
 	go func() {
+		defer close(seqs)
 		f := GetFrame()
 		defer PutFrame(f)
-		last := uint64(0)
-		for {
-			if err := healthyReceiver.RecvInto(f); err != nil {
-				got <- fmt.Errorf("after seq %d: %w", last, err)
-				return
-			}
-			if f.Seq <= last {
-				got <- fmt.Errorf("reordered: %d after %d", f.Seq, last)
-				return
-			}
-			last = f.Seq
-			if last == n {
-				got <- nil
-				return
-			}
+		for receiver.RecvInto(f) == nil {
+			seqs <- f.Seq
 		}
 	}()
-	for seq := uint64(1); seq <= n; seq++ {
-		switch r := healthy.Enqueue(pruneBuf(2, seq), 2, spec.LossUnbounded); r {
-		case EnqueueOK, EnqueueShed:
-		default:
-			t.Fatalf("healthy Enqueue(%d) = %v", seq, r)
+	return seqs
+}
+
+// awaitSeq waits up to within for the frame with sequence want.
+func awaitSeq(t *testing.T, seqs <-chan uint64, want uint64, within time.Duration) {
+	t.Helper()
+	timeout := time.After(within)
+	for {
+		select {
+		case seq, ok := <-seqs:
+			if !ok {
+				t.Fatalf("connection failed before seq %d arrived", want)
+			}
+			if seq == want {
+				return
+			}
+		case <-timeout:
+			t.Fatalf("seq %d not delivered within %v: starved behind a stalled ring-mate", want, within)
 		}
 	}
-	select {
-	case err := <-got:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("healthy subscriber starved behind the wedged connection")
-	}
-	if pool.Escalations() == 0 {
-		t.Fatal("no escalation recorded despite delivery past a wedged flusher")
+}
+
+// TestFlusherHandsOffStalledWriteToIdleSibling is the pool's head-of-line
+// contract with no traffic to lean on: the only flusher is in a write to a
+// peer that never reads, and a ring-mate gets exactly one frame. That frame
+// must arrive within a second — the stalled write is handed to a goroutine
+// of its own after HandoffAfter — with no later enqueue to rescue it and
+// no sleep to age anything.
+func TestFlusherHandsOffStalledWriteToIdleSibling(t *testing.T) {
+	base := FrameBufRefs()
+	pool := NewFlusherPool(FlusherPoolConfig{Flushers: 1})
+	a, b := net.Pipe() // nobody reads b
+	defer b.Close()
+	stalled := NewEgress(NewConn(a), EgressConfig{Depth: 4, Pool: pool})
+	sender, receiver := pipePair(t)
+	sibling := NewEgress(sender, EgressConfig{Depth: 4, Pool: pool})
+	seqs := recvSeqs(receiver)
+
+	stalled.Enqueue(pruneBuf(1, 1), 1, spec.LossUnbounded)
+	// The flusher holds the write lock from its first attempt on.
+	waitWriteLocked(t, stalled.conn)
+	sibling.Enqueue(pruneBuf(2, 1), 2, spec.LossUnbounded)
+	awaitSeq(t, seqs, 1, time.Second)
+	// At least the stalled write; the sibling's own can outlast 2 ms too
+	// when a loaded box deschedules the flusher mid-write.
+	if h := pool.Handoffs(); h < 1 {
+		t.Fatalf("Handoffs = %d, want the stalled write handed off", h)
 	}
 
-	healthy.Close()
-	healthySender.Close()
-	healthy.Wait()
-	close(gate) // the deposed flusher's write fails once the pipe closes
-	Retire(wedged)
+	Retire(stalled, sibling)
 	pool.Close()
 	if refs := FrameBufRefs(); refs != base {
 		t.Fatalf("leaked %d FrameBuf references", refs-base)
+	}
+}
+
+// waitWriteLocked waits until a writer holds c's write lock.
+func waitWriteLocked(t *testing.T, c *Conn) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for c.writeMu.TryLock() {
+		c.writeMu.Unlock()
+		if time.Now().After(deadline) {
+			t.Fatal("the flusher never started the write")
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestFlusherHandoffObeysStallBound: a handed-off write is still bounded by
+// its ring's stall bound. On a peer that never reads, a Stall: 20ms ring's
+// write is handed off after HandoffAfter, fails when the bound passes
+// (counted once as a stall) and closes the ring. A second ring without a
+// bound stays in its hand-off until Retire frees it. Nothing is leaked:
+// no goroutine, no FrameBuf reference.
+func TestFlusherHandoffObeysStallBound(t *testing.T) {
+	base, goroutines := FrameBufRefs(), runtime.NumGoroutine()
+	pool := NewFlusherPool(FlusherPoolConfig{Flushers: 1})
+	var meter EgressMeter
+	ring := func(stall time.Duration) *Egress {
+		a, b := net.Pipe() // nobody reads b
+		t.Cleanup(func() { b.Close() })
+		return NewEgress(NewConn(a), EgressConfig{Depth: 8, Stall: stall, Meter: &meter, Pool: pool})
+	}
+	bounded, unbounded := ring(20*time.Millisecond), ring(0)
+	bounded.Enqueue(pruneBuf(1, 1), 1, 0)
+	unbounded.Enqueue(pruneBuf(2, 1), 2, 0)
+
+	waitDone := make(chan struct{})
+	go func() { bounded.Wait(); close(waitDone) }()
+	select {
+	case <-waitDone:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the handed-off write outlived its stall bound")
+	}
+	if s := meter.Stalls.Load(); s != 1 {
+		t.Fatalf("Stalls = %d, want 1", s)
+	}
+	if r := bounded.Enqueue(pruneBuf(1, 2), 1, 0); r != EnqueueClosed {
+		t.Fatalf("Enqueue after the stall = %v, want EnqueueClosed", r)
+	}
+	// The unbounded ring's write is handed off, and stays so.
+	deadline := time.Now().Add(5 * time.Second)
+	for pool.Handoffs() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("Handoffs = %d, want both writes handed off", pool.Handoffs())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if d := unbounded.Depth(); d != 0 {
+		t.Fatalf("Depth = %d with the write handed off, want 0", d)
+	}
+	Retire(unbounded)
+	pool.Close()
+	if refs := FrameBufRefs(); refs != base {
+		t.Fatalf("leaked %d FrameBuf references", refs-base)
+	}
+	for deadline = time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Retire and Close, want the %d before the test", runtime.NumGoroutine(), goroutines)
+		}
+		runtime.Gosched()
 	}
 }
 
@@ -344,107 +393,40 @@ func TestFlusherPoolShortWritesKeepFramesIntact(t *testing.T) {
 	}
 }
 
-// TestFlusherEscalationIsolatesWedgedTCPConn is the escalation contract on
-// real sockets: one connection's peer stops reading, both socket buffers
-// fill, and the only flusher parks in that connection's writev while a
-// ring-mate keeps producing. The mate's full-ring enqueues must depose the
-// stuck flusher and keep flowing through the replacement.
-func TestFlusherEscalationIsolatesWedgedTCPConn(t *testing.T) {
+// TestFlusherHandsOffStalledTCPWrite is the hand-off on real sockets: one
+// connection's peer stops reading, both 4 KiB socket buffers fill, and the
+// only flusher's writev makes no progress. A sentinel frame on a ring-mate
+// must still arrive within a second.
+func TestFlusherHandsOffStalledTCPWrite(t *testing.T) {
 	base := FrameBufRefs()
-	pool := NewFlusherPool(FlusherPoolConfig{Flushers: 1, EscalateAfter: time.Millisecond})
-	var meter EgressMeter
+	pool := NewFlusherPool(FlusherPoolConfig{Flushers: 1})
 
-	wedgedSender, wedgedReceiver := pair(t, &TCP{})
-	if tc, ok := wedgedSender.nc.(*net.TCPConn); ok {
+	stalledSender, stalledReceiver := pair(t, &TCP{})
+	if tc, ok := stalledSender.nc.(*net.TCPConn); ok {
 		_ = tc.SetWriteBuffer(4096)
 	}
-	if tc, ok := wedgedReceiver.nc.(*net.TCPConn); ok {
+	if tc, ok := stalledReceiver.nc.(*net.TCPConn); ok {
 		_ = tc.SetReadBuffer(4096)
 	}
-	// The wedged receiver never reads: once both socket buffers fill, the
+	// The stalled receiver never reads: once both socket buffers fill, the
 	// flusher's writev on this connection can make no progress.
-	wedged := NewEgress(wedgedSender, EgressConfig{Depth: 64, Shed: true, Meter: &meter, Pool: pool})
-
-	healthySender, healthyReceiver := pair(t, &TCP{})
-	healthy := NewEgress(healthySender, EgressConfig{Depth: 4, Shed: true, Meter: &meter, Pool: pool})
+	stalled := NewEgress(stalledSender, EgressConfig{Depth: 64, Pool: pool})
+	sender, receiver := pair(t, &TCP{})
+	sibling := NewEgress(sender, EgressConfig{Depth: 4, Pool: pool})
+	seqs := recvSeqs(receiver)
 
 	payload := make([]byte, 8192)
 	for seq := uint64(1); seq <= 64; seq++ {
-		wedged.Enqueue(dispatchBuf(1, seq, payload), 1, spec.LossUnbounded)
+		stalled.Enqueue(dispatchBuf(1, seq, payload), 1, spec.LossUnbounded)
 	}
-	// Wait for the flusher to park in the wedged write.
-	deadline := time.Now().Add(5 * time.Second)
-	for pool.flushers[0].inFlight.Load() == 0 || pool.flushers[0].writing.Load() != wedged {
-		if time.Now().After(deadline) {
-			t.Fatal("flusher never parked in the wedged write")
-		}
-		time.Sleep(100 * time.Microsecond)
+	waitWriteLocked(t, stalledSender)
+	sibling.Enqueue(pruneBuf(2, 1), 2, spec.LossUnbounded)
+	awaitSeq(t, seqs, 1, time.Second)
+	if pool.Handoffs() == 0 {
+		t.Fatal("no write was handed off, yet the sentinel passed a stalled batch")
 	}
 
-	// The healthy subscriber: frames may be shed (Depth 4, a wedged
-	// flusher), but whatever arrives must arrive in order, and the sentinel
-	// enqueued after escalation must make it through the replacement.
-	var lastSeen atomic.Uint64
-	recvErr := make(chan error, 1)
-	go func() {
-		f := GetFrame()
-		defer PutFrame(f)
-		last := uint64(0)
-		for {
-			if err := healthyReceiver.RecvInto(f); err != nil {
-				recvErr <- fmt.Errorf("after seq %d: %w", last, err)
-				return
-			}
-			if f.Seq <= last {
-				recvErr <- fmt.Errorf("reordered: %d after %d", f.Seq, last)
-				return
-			}
-			last = f.Seq
-			lastSeen.Store(last)
-		}
-	}()
-	// Drive full-ring enqueues until one of them ages the wedged write past
-	// EscalateAfter and deposes the flusher.
-	seq := uint64(0)
-	deadline = time.Now().Add(5 * time.Second)
-	for pool.Escalations() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no escalation despite sustained full-ring enqueues behind a wedged write")
-		}
-		seq++
-		switch r := healthy.Enqueue(pruneBuf(2, seq), 2, spec.LossUnbounded); r {
-		case EnqueueOK, EnqueueShed:
-		default:
-			t.Fatalf("healthy Enqueue(%d) = %v", seq, r)
-		}
-	}
-	seq++
-	final := seq
-	if r := healthy.Enqueue(pruneBuf(2, final), 2, spec.LossUnbounded); r != EnqueueOK && r != EnqueueShed {
-		t.Fatalf("sentinel Enqueue(%d) = %v", final, r)
-	}
-	deadline = time.Now().Add(10 * time.Second)
-	for lastSeen.Load() < final {
-		select {
-		case err := <-recvErr:
-			t.Fatal(err)
-		default:
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("sentinel seq %d starved behind the wedged batch-mate (got up to %d)",
-				final, lastSeen.Load())
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	healthy.Close()
-	healthySender.Close()
-	healthy.Wait()
-	// Unstick the deposed flusher: closing the peer fails the blocked write.
-	wedgedReceiver.Close()
-	wedged.Close()
-	wedgedSender.Close()
-	wedged.Wait()
+	Retire(stalled, sibling)
 	pool.Close()
 	if refs := FrameBufRefs(); refs != base {
 		t.Fatalf("leaked %d FrameBuf references", refs-base)

@@ -4,7 +4,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"net"
+	"os"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -178,14 +180,38 @@ func TestPutFrameCapsRetainedCapacity(t *testing.T) {
 }
 
 // blockableConn wedges Write until released, simulating a peer that has
-// stopped reading while a writer holds the connection's write lock.
+// stopped reading while a writer holds the connection's write lock. Like a
+// real socket's, a wedged write fails once its write deadline passes.
 type blockableConn struct {
 	net.Conn
 	gate chan struct{} // closed to release writes
+
+	mu       sync.Mutex
+	deadline time.Time
+}
+
+func (c *blockableConn) SetWriteDeadline(t time.Time) error {
+	c.mu.Lock()
+	c.deadline = t
+	c.mu.Unlock()
+	return c.Conn.SetWriteDeadline(t)
 }
 
 func (c *blockableConn) Write(p []byte) (int, error) {
-	<-c.gate
+	c.mu.Lock()
+	deadline := c.deadline
+	c.mu.Unlock()
+	var expired <-chan time.Time
+	if !deadline.IsZero() {
+		t := time.NewTimer(time.Until(deadline))
+		defer t.Stop()
+		expired = t.C
+	}
+	select {
+	case <-c.gate:
+	case <-expired:
+		return 0, os.ErrDeadlineExceeded
+	}
 	return c.Conn.Write(p)
 }
 

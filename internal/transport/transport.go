@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -82,9 +83,11 @@ type Conn struct {
 	vectored bool
 	werr     error // sticky write failure; guarded by writeMu
 
-	// writeStall bounds each write syscall (see SetWriteStall); guarded by
-	// writeMu.
+	// writeStall bounds each write (see SetWriteStall); tailBy is when the
+	// stall bound ends for a write left pending by writeBuffersWithin (zero:
+	// never). Both guarded by writeMu.
 	writeStall time.Duration
+	tailBy     time.Time
 
 	// read state: single reader assumed. rbuf[rpos:rend] is the receive
 	// window's unread bytes — zero or more whole frames, then at most one
@@ -129,8 +132,10 @@ func (c *Conn) Send(f *wire.Frame) error {
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
 	binary.LittleEndian.PutUint32(framed, uint32(len(framed)-4))
-	c.armWriteStallLocked()
-	defer c.disarmWriteStallLocked()
+	if by := c.stallByLocked(); !by.IsZero() {
+		c.nc.SetWriteDeadline(by)
+		defer c.nc.SetWriteDeadline(time.Time{})
+	}
 	if _, err := c.nc.Write(framed); err != nil {
 		return c.stickyWriteLocked("write frame", err)
 	}
@@ -150,19 +155,14 @@ func (c *Conn) SetWriteStall(d time.Duration) {
 	c.writeMu.Unlock()
 }
 
-// armWriteStallLocked sets the per-write deadline when a stall bound is
-// configured; disarmWriteStallLocked clears it so reads sharing the socket's
-// deadline machinery are unaffected between writes.
-func (c *Conn) armWriteStallLocked() {
-	if c.writeStall > 0 {
-		c.nc.SetWriteDeadline(time.Now().Add(c.writeStall))
+// stallByLocked is when the stall bound ends for a write starting now (zero:
+// never). Every write path arms its own deadline and clears it when done, so
+// a stale deadline never fails a later write, whatever its path.
+func (c *Conn) stallByLocked() time.Time {
+	if c.writeStall <= 0 {
+		return time.Time{}
 	}
-}
-
-func (c *Conn) disarmWriteStallLocked() {
-	if c.writeStall > 0 {
-		c.nc.SetWriteDeadline(time.Time{})
-	}
+	return time.Now().Add(c.writeStall)
 }
 
 // sendableLocked reports whether the connection can accept another frame,
@@ -206,19 +206,68 @@ func (c *Conn) WriteBuffers(bufs net.Buffers, frames, nbytes int) error {
 	if err := c.sendableLocked(); err != nil {
 		return err
 	}
-	c.armWriteStallLocked()
-	defer c.disarmWriteStallLocked()
-	var err error
-	if c.vectored {
-		// WriteTo reslices its receiver, so write through the conn's scratch
-		// header: it keeps the caller's slice intact without heap-escaping a
-		// fresh one per call (WriteTo's pointer receiver escapes a local).
-		c.wv = bufs
-		_, err = c.wv.WriteTo(c.nc)
-		c.wv = nil // don't pin the caller's arrays past the write
-	} else {
-		err = c.writeGatheredLocked(bufs)
+	// The write consumes its receiver, so write through the conn's scratch
+	// header: it keeps the caller's slice intact without heap-escaping a
+	// fresh one per call.
+	c.wv = bufs
+	err := c.writeVecsLocked(&c.wv, c.stallByLocked())
+	c.wv = nil // don't pin the caller's arrays past the write
+	return c.wroteLocked(err, frames, nbytes)
+}
+
+// writeBuffersWithin is WriteBuffers for a writer that must not wait on one
+// connection: it writes *bufs, consuming what it wrote, and gives up after
+// patience if that ends before the stall bound (zero: no patience). Then
+// pending is true: the connection stays usable, *bufs is the unwritten
+// tail, and the write lock stays held, so nothing interleaves with the
+// half-written batch, until finishBuffers (from any goroutine) completes
+// it. Otherwise the lock is released and err is as WriteBuffers.
+func (c *Conn) writeBuffersWithin(bufs *net.Buffers, frames, nbytes int, patience time.Duration) (pending bool, err error) {
+	c.writeMu.Lock()
+	if err = c.sendableLocked(); err != nil {
+		c.writeMu.Unlock()
+		return false, err
 	}
+	by := c.stallByLocked()
+	if patience <= 0 || (c.writeStall > 0 && c.writeStall <= patience) {
+		err = c.writeVecsLocked(bufs, by) // the stall bound ends first
+	} else {
+		err = c.writeVecsLocked(bufs, time.Now().Add(patience))
+		if errors.Is(err, os.ErrDeadlineExceeded) && !c.closed.Load() {
+			c.tailBy = by
+			return true, nil
+		}
+	}
+	err = c.wroteLocked(err, frames, nbytes)
+	c.writeMu.Unlock()
+	return false, err
+}
+
+// finishBuffers completes a write that writeBuffersWithin left pending,
+// under what is left of the stall bound, and releases the write lock.
+func (c *Conn) finishBuffers(bufs *net.Buffers, frames, nbytes int) error {
+	defer c.writeMu.Unlock()
+	by := c.tailBy
+	c.tailBy = time.Time{}
+	return c.wroteLocked(c.writeVecsLocked(bufs, by), frames, nbytes)
+}
+
+// writeVecsLocked writes *bufs by the deadline by (zero: none), consuming
+// what it wrote, so after a failure *bufs is the unwritten tail.
+func (c *Conn) writeVecsLocked(bufs *net.Buffers, by time.Time) error {
+	if !by.IsZero() {
+		c.nc.SetWriteDeadline(by)
+		defer c.nc.SetWriteDeadline(time.Time{})
+	}
+	if c.vectored {
+		_, err := bufs.WriteTo(c.nc)
+		return err
+	}
+	return c.writeGatheredLocked(bufs)
+}
+
+// wroteLocked makes a failed vectored write sticky and meters a good one.
+func (c *Conn) wroteLocked(err error, frames, nbytes int) error {
 	if err != nil {
 		return c.stickyWriteLocked("vectored write", err)
 	}
@@ -229,32 +278,39 @@ func (c *Conn) WriteBuffers(bufs net.Buffers, frames, nbytes int) error {
 // writeGatheredLocked is the vectored write below a conn without writev: the
 // buffers leave packed into wbuf, one Write per RbufSoftCap bytes, so a batch
 // of small frames is one Write. A buffer larger than that goes out as it is,
-// uncopied, and wbuf never grows past the cap here.
-func (c *Conn) writeGatheredLocked(bufs net.Buffers) error {
-	packed := c.wbuf[:0]
-	for _, b := range bufs {
-		if len(packed)+len(b) > RbufSoftCap {
-			if len(packed) > 0 {
-				if _, err := c.nc.Write(packed); err != nil {
-					return err
+// uncopied, and wbuf never grows past the cap here. Like writev it consumes
+// what each Write took.
+func (c *Conn) writeGatheredLocked(bufs *net.Buffers) error {
+	for len(*bufs) > 0 {
+		chunk := (*bufs)[0]
+		if len(chunk) <= RbufSoftCap {
+			packed := c.wbuf[:0]
+			for _, b := range *bufs {
+				if len(packed)+len(b) > RbufSoftCap {
+					break
 				}
-				packed = packed[:0]
+				packed = append(packed, b...)
 			}
-			if len(b) > RbufSoftCap {
-				if _, err := c.nc.Write(b); err != nil {
-					return err
-				}
-				continue
-			}
+			c.wbuf, chunk = packed[:0], packed
 		}
-		packed = append(packed, b...)
+		n, err := c.nc.Write(chunk)
+		consume(bufs, n)
+		if err != nil {
+			return err
+		}
 	}
-	c.wbuf = packed[:0]
-	if len(packed) == 0 {
-		return nil
+	return nil
+}
+
+// consume drops the first n bytes of *v, as net.Buffers does after a write.
+func consume(v *net.Buffers, n int) {
+	for len(*v) > 0 && n >= len((*v)[0]) {
+		n -= len((*v)[0])
+		*v = (*v)[1:]
 	}
-	_, err := c.nc.Write(packed)
-	return err
+	if n > 0 {
+		(*v)[0] = (*v)[0][n:]
+	}
 }
 
 // countSentLocked meters frames/bytes a write-lock holder delivered.
@@ -494,8 +550,8 @@ func (m *Mem) Dial(addr string) (net.Conn, error) {
 	}
 	client, server := net.Pipe()
 	select {
-	case ln.accept <- server:
-		return client, nil
+	case ln.accept <- &memConn{Conn: server}:
+		return &memConn{Conn: client}, nil
 	case <-ln.done:
 		return nil, fmt.Errorf("%w: %s (closed)", ErrConnRefused, addr)
 	}
@@ -505,6 +561,47 @@ func (m *Mem) remove(addr string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	delete(m.listeners, addr)
+}
+
+// memConn is one end of an in-process pipe whose write deadline allocates
+// nothing: net.Pipe starts a timer per future deadline, and a flusher arms
+// one per batch. memConn keeps one timer and, when it fires, hands the pipe
+// a deadline already past.
+type memConn struct {
+	net.Conn
+	mu    sync.Mutex
+	due   time.Time // the write deadline; zero: none
+	timer *time.Timer
+}
+
+func (c *memConn) SetDeadline(t time.Time) error {
+	c.Conn.SetReadDeadline(t)
+	return c.SetWriteDeadline(t)
+}
+
+func (c *memConn) SetWriteDeadline(t time.Time) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.due = t
+	if c.timer == nil {
+		c.timer = time.AfterFunc(time.Hour, c.expire)
+	}
+	c.timer.Stop()
+	if wait := time.Until(t); !t.IsZero() && wait > 0 {
+		c.timer.Reset(wait)
+		t = time.Time{} // lift an earlier expiry until then
+	}
+	return c.Conn.SetWriteDeadline(t)
+}
+
+// expire fails blocked writes once the deadline has passed; a firing that
+// lost a race with a later SetWriteDeadline finds it moved and does nothing.
+func (c *memConn) expire() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.due.IsZero() && !time.Now().Before(c.due) {
+		c.Conn.SetWriteDeadline(c.due)
+	}
 }
 
 type memAddr string
