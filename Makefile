@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build loc test race short cover cover-check bench bench-compare repro fuzz chaos chaos-shard chaos-gateway chaos-durable chaos-smoke shard-smoke gateway-smoke gateway-churn durable-smoke shardscale fmt fmtcheck vet ci clean
+.PHONY: all build loc test race short cover cover-check bench bench-compare repro fuzz chaos chaos-smoke shard-smoke gateway-smoke gateway-churn durable-smoke shardscale fmt fmtcheck vet ci clean
 
 all: build vet fmtcheck test
 
@@ -79,22 +79,19 @@ fuzz:
 	$(GO) test -fuzz FuzzSegmentReplay -fuzztime 30s ./internal/diskstore/
 	$(GO) test -fuzz FuzzRecvChunking -fuzztime 30s ./internal/transport/
 
-# Scripted fault-injection scenarios over real TCP (internal/chaos).
-# chaos-smoke is the PR gate (Smoke subset, well under two minutes);
-# chaos is the full suite the nightly workflow runs under -race.
-# Replay a failure with FRAME_CHAOS_SEED=<seed from the failure log>.
+# Scripted fault-injection scenarios (internal/chaos): one harness runs
+# every scenario of every plane — pair, shard, gateway, durable and their
+# compositions. chaos-smoke is the PR gate (the Smoke subset of every
+# plane, well under two minutes); chaos is the full suite the nightly
+# workflow runs under -race. Replay a failure with
+# FRAME_CHAOS_SEED=<seed from the failure log>, or
+# `go run ./cmd/frame-chaos -scenario NAME -seed SEED`.
 chaos:
-	$(GO) test -race -count=1 -v -run 'TestChaosScenarios|TestScenarioNames' ./internal/chaos/
+	$(GO) test -race -count=1 -v ./internal/chaos/
 
-# Shard-level scenarios: full multi-pair cluster + routing Directory
-# (kill-one-pair, routing-plane partition). chaos-shard is the nightly
-# -race form; shard-smoke is the PR gate, which also runs the cluster
+# The shard plane's PR gate beyond its chaos smoke scenarios: the cluster
 # package tests and the 1→4 shard throughput-scaling sweep.
-chaos-shard:
-	$(GO) test -race -count=1 -v -run 'TestShardChaosScenarios|TestShardScenarioRegistry' ./internal/chaos/
-
 shard-smoke:
-	$(GO) test -short -count=1 -run 'TestShard' ./internal/chaos/
 	$(GO) test -count=1 ./internal/cluster/
 	$(MAKE) shardscale
 
@@ -104,38 +101,28 @@ shard-smoke:
 shardscale:
 	$(GO) run ./cmd/frame-bench -exp shardscale -shards 1,2,4 -min-speedup 2.5
 
-# Gateway-level scenarios: the connection plane terminating thin clients
-# in front of a broker pair (crash/restart mid-stream, wedged client).
-# chaos-gateway is the nightly -race form; gateway-smoke is the PR gate,
-# which also runs the gateway package's model-equivalence and churn-soak
-# tests under -race and a CI-sized connection-churn run with its
-# connects/s gate (the acceptance-scale run is `frame-bench -exp gateway`
-# bare: 10k clients, ≥500 connects/s).
-chaos-gateway:
-	$(GO) test -race -count=1 -v -run 'TestGatewayChaosScenarios|TestGatewayScenarioRegistry' ./internal/chaos/
-
+# The connection plane's PR gate beyond its chaos smoke scenarios: the
+# gateway package's model-equivalence and churn-soak tests under -race and
+# a CI-sized connection-churn run with its connects/s gate (the
+# acceptance-scale run is `frame-bench -exp gateway` bare: 10k clients,
+# ≥500 connects/s).
 gateway-smoke:
-	$(GO) test -short -count=1 -run 'TestGateway' ./internal/chaos/
 	$(GO) test -race -count=1 ./internal/gateway/
 	$(MAKE) gateway-churn
 
 gateway-churn:
 	$(GO) run ./cmd/frame-bench -exp gateway -clients 2000 -churn 500 -measure 2s -min-churn 400
 
-# Durability-plane scenarios: the entire pair fail-stops mid-load and a
-# broker restarted from the group-commit log segments is judged against
-# the crashed log's ground truth (no acked publish lost, no on-disk
-# prune re-dispatched, orphan backlog recovered exactly once).
-# chaos-durable is the nightly -race form; durable-smoke is the PR gate:
-# the acceptance scenario through the real CLI, then — under -race, three
+# The durability plane's PR gate: the dual-crash acceptance scenario (the
+# entire pair fail-stops mid-load and a broker restarted from the
+# group-commit log segments is judged against the crashed log's ground
+# truth: no acked publish lost, no on-disk prune re-dispatched, orphan
+# backlog recovered exactly once) through the real CLI, then — under -race, three
 # times over, because the pipeline's interesting interleavings are between
 # the session, committer and flusher goroutines — the diskstore package
 # (segment replay, crash tables, committer hammer and pipeline tests), the
 # broker's durable-mode tests and the client package (pooled ack waiters,
 # release on Close and on a dead link, the delivery log).
-chaos-durable:
-	$(GO) test -race -count=1 -v -run 'TestDurableChaosScenarios|TestDurableScenarioRegistry' ./internal/chaos/
-
 durable-smoke:
 	$(GO) run ./cmd/frame-chaos -scenario kill-both-brokers
 	$(GO) test -race -count=3 ./internal/diskstore/ ./internal/client/

@@ -1,19 +1,15 @@
-// Command frame-chaos runs the scripted chaos scenarios from
-// internal/chaos against a real Primary+Backup cluster over the
-// fault-injected TCP transport, and judges the FRAME invariants: bounded
-// consecutive loss, per-topic FIFO, the Table 3 prune/recovery discipline,
-// and promotion within the polling bound. Shard-level scenarios bring up
-// a full multi-pair cluster with its routing Directory and additionally
-// judge the promotion blast radius and the routing plane's outage
-// behavior. Gateway-level scenarios bring up the connection plane — a
-// gateway terminating reconnecting thin clients in front of a broker
-// pair — and judge its isolation contract: client-side faults and
-// gateway crashes stay inside the thin clients' Li budgets and never
-// reach the brokers. Dual-crash durability scenarios fail-stop the
-// ENTIRE pair mid-load and judge a broker restarted from the Primary's
-// group-commit log segments: no acked publish lost, no on-disk-pruned
-// message re-dispatched, and the unpruned backlog recovery-dispatched
-// exactly once.
+// Command frame-chaos runs the scripted chaos scenarios of internal/chaos
+// — one harness over one deployment description — against a real FRAME
+// deployment over the fault-injected transport, and judges the FRAME
+// invariants: each receiver's consecutive-loss and FIFO budget, promotion
+// of the expected shard within the polling bound and of no other, the
+// Table 3 prune/recovery discipline on every Backup, the gateway's
+// isolation contract, and after a dual crash the durable log's ground
+// truth (no acked publish lost, no on-disk-pruned message re-dispatched,
+// the unpruned backlog recovery-dispatched exactly once). A scenario's
+// deployment names its planes: one broker pair or a sharded cluster
+// behind its routing Directory, optionally a gateway terminating
+// reconnecting thin clients, optionally a durable Primary log.
 //
 // Every fault decision is driven by the seed, so a failed run replays
 // exactly:
@@ -22,13 +18,10 @@
 //
 // Usage:
 //
-//	frame-chaos -list                         # show shipped scenarios
+//	frame-chaos -list                         # shipped scenarios and their planes
 //	frame-chaos                               # run everything
 //	frame-chaos -smoke                        # PR-gate subset only
-//	frame-chaos -shard                        # shard-level scenarios only
-//	frame-chaos -gateway                      # gateway-level scenarios only
-//	frame-chaos -durable                      # dual-crash durability only
-//	frame-chaos -scenario kill-both-brokers   # one scenario (any kind)
+//	frame-chaos -scenario kill-both-brokers   # one scenario
 //	frame-chaos -artifacts out/               # transcripts for failures
 //
 // The seed defaults to FRAME_CHAOS_SEED when set, else a per-scenario
@@ -38,8 +31,8 @@ package main
 import (
 	"flag"
 	"fmt"
-	"hash/fnv"
 	"os"
+	"strings"
 
 	"repro/internal/chaos"
 	"repro/internal/faultinject"
@@ -52,123 +45,66 @@ func main() {
 	}
 }
 
-// entry is one runnable scenario of any kind.
-type entry struct {
-	name, desc string
-	smoke      bool
-	kind       string // "pair", "shard", or "gw"
-	run        func(chaos.RunOptions) (*chaos.Result, error)
-}
-
-func registry() []entry {
-	var out []entry
-	for _, sc := range chaos.All() {
-		sc := sc
-		out = append(out, entry{
-			name: sc.Name, desc: sc.Description, smoke: sc.Smoke, kind: "pair",
-			run: func(o chaos.RunOptions) (*chaos.Result, error) { return chaos.Run(sc, o) },
-		})
-	}
-	for _, sc := range chaos.ShardAll() {
-		sc := sc
-		out = append(out, entry{
-			name: sc.Name, desc: sc.Description, smoke: sc.Smoke, kind: "shard",
-			run: func(o chaos.RunOptions) (*chaos.Result, error) { return chaos.RunShard(sc, o) },
-		})
-	}
-	for _, sc := range chaos.GatewayAll() {
-		sc := sc
-		out = append(out, entry{
-			name: sc.Name, desc: sc.Description, smoke: sc.Smoke, kind: "gw",
-			run: func(o chaos.RunOptions) (*chaos.Result, error) { return chaos.RunGateway(sc, o) },
-		})
-	}
-	for _, sc := range chaos.DurableAll() {
-		sc := sc
-		out = append(out, entry{
-			name: sc.Name, desc: sc.Description, smoke: sc.Smoke, kind: "dur",
-			run: func(o chaos.RunOptions) (*chaos.Result, error) { return chaos.RunDurable(sc, o) },
-		})
-	}
-	return out
-}
-
 func run() error {
 	var (
 		scenario  = flag.String("scenario", "", "run only the named scenario (default: all)")
 		seedFlag  = flag.Int64("seed", 0, "fault lottery seed (0: FRAME_CHAOS_SEED or per-scenario default)")
 		list      = flag.Bool("list", false, "list shipped scenarios and exit")
 		smoke     = flag.Bool("smoke", false, "run only the Smoke subset (the PR gate)")
-		shardOnly = flag.Bool("shard", false, "run only the shard-level scenarios")
-		gwOnly    = flag.Bool("gateway", false, "run only the gateway-level scenarios")
-		durOnly   = flag.Bool("durable", false, "run only the dual-crash durability scenarios")
 		artifacts = flag.String("artifacts", "", "directory for failure transcripts")
 	)
 	flag.Parse()
 
-	all := registry()
 	if *list {
-		for _, e := range all {
+		for _, sc := range chaos.All() {
 			gate := " "
-			if e.smoke {
+			if sc.Smoke {
 				gate = "*"
 			}
-			fmt.Printf("%s %-5s %-24s %s\n", gate, e.kind, e.name, e.desc)
+			fmt.Printf("%s %-15s %-27s %s\n", gate, strings.Join(sc.Planes(), "+"), sc.Name, sc.Description)
 		}
 		fmt.Println("\n* = PR-gate smoke subset")
 		return nil
 	}
 
-	var selected []entry
+	var selected []chaos.Scenario
 	if *scenario != "" {
-		for _, e := range all {
-			if e.name == *scenario {
-				selected = append(selected, e)
-			}
+		sc, err := chaos.Find(*scenario)
+		if err != nil {
+			return fmt.Errorf("%w (see -list)", err)
 		}
-		if len(selected) == 0 {
-			return fmt.Errorf("unknown scenario %q (see -list)", *scenario)
-		}
+		selected = append(selected, sc)
 	} else {
-		for _, e := range all {
-			if *smoke && !e.smoke {
-				continue
+		for _, sc := range chaos.All() {
+			if !*smoke || sc.Smoke {
+				selected = append(selected, sc)
 			}
-			if *shardOnly && e.kind != "shard" {
-				continue
-			}
-			if *gwOnly && e.kind != "gw" {
-				continue
-			}
-			if *durOnly && e.kind != "dur" {
-				continue
-			}
-			selected = append(selected, e)
 		}
 	}
 
 	failed := 0
-	for _, e := range selected {
+	for _, sc := range selected {
 		seed := *seedFlag
 		if seed == 0 {
-			seed = faultinject.SeedFromEnv(defaultSeed(e.name))
+			seed = faultinject.SeedFromEnv(chaos.DefaultSeed(sc.Name))
 		}
-		res, err := e.run(chaos.RunOptions{Seed: seed, ArtifactsDir: *artifacts})
+		res, err := chaos.Run(sc, chaos.RunOptions{Seed: seed, ArtifactsDir: *artifacts})
 		if err != nil {
-			return fmt.Errorf("%s: %w", e.name, err)
+			return err
 		}
 		status := "PASS"
 		if !res.Passed() {
 			status = "FAIL"
 			failed++
 		}
-		fmt.Printf("%s %-24s seed=%d published=%d delivered=%d dups=%d publishErrs=%d elapsed=%v\n",
-			status, e.name, res.Seed, res.Published, res.Delivered, res.Duplicates, res.PublishErrs, res.Elapsed)
+		fmt.Printf("%s %-27s seed=%d published=%d acked=%d delivered=%d dups=%d publishErrs=%d pruned=%d recovered=%d elapsed=%v\n",
+			status, sc.Name, res.Seed, res.Published, res.Acked, res.Delivered, res.Duplicates, res.PublishErrs,
+			res.Pruned, res.Recovered, res.Elapsed)
 		if !res.Passed() {
 			for _, f := range res.Failures {
 				fmt.Printf("     invariant violated: %s\n", f)
 			}
-			fmt.Printf("     replay: frame-chaos -scenario %s -seed %d\n", e.name, res.Seed)
+			fmt.Printf("     replay: frame-chaos -scenario %s -seed %d\n", sc.Name, res.Seed)
 			if res.ArtifactPath != "" {
 				fmt.Printf("     artifact: %s\n", res.ArtifactPath)
 			}
@@ -178,12 +114,4 @@ func run() error {
 		return fmt.Errorf("%d of %d scenarios failed", failed, len(selected))
 	}
 	return nil
-}
-
-// defaultSeed mirrors the chaos test driver: a stable per-name seed so bare
-// runs are reproducible without any flags.
-func defaultSeed(name string) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	return int64(h.Sum64()>>1) ^ 0x5eed
 }

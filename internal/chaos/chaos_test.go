@@ -1,7 +1,6 @@
 package chaos_test
 
 import (
-	"hash/fnv"
 	"os"
 	"testing"
 
@@ -9,41 +8,35 @@ import (
 	"repro/internal/faultinject"
 )
 
-// defaultSeed gives each scenario a stable per-name seed so runs are
-// reproducible by default; FRAME_CHAOS_SEED overrides it for replay.
-func defaultSeed(name string) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	return int64(h.Sum64()>>1) ^ 0x5eed
-}
-
-// TestChaosScenarios runs every shipped scenario over the real TCP
-// transport. Under -short only the Smoke subset runs (the PR-gating
-// configuration); the nightly chaos workflow runs everything.
-func TestChaosScenarios(t *testing.T) {
+// runPlane runs every shipped scenario whose outermost plane is plane
+// ("pair", "shard", "gateway" or "durable"). Under -short only the Smoke
+// subset runs (the PR-gating configuration); `make chaos` runs everything
+// under -race.
+func runPlane(t *testing.T, plane string) {
 	artifacts := os.Getenv("FRAME_CHAOS_ARTIFACTS")
 	for _, sc := range chaos.All() {
+		if planes := sc.Planes(); planes[len(planes)-1] != plane {
+			continue
+		}
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
 			if testing.Short() && !sc.Smoke {
 				t.Skip("not in the -short smoke subset")
 			}
-			seed := faultinject.SeedFromEnv(defaultSeed(sc.Name))
+			seed := faultinject.SeedFromEnv(chaos.DefaultSeed(sc.Name))
 			res, err := chaos.Run(sc, chaos.RunOptions{Seed: seed, ArtifactsDir: artifacts})
 			if err != nil {
 				t.Fatalf("seed=%d setup: %v (replay: FRAME_CHAOS_SEED=%d)", seed, err, seed)
 			}
-			t.Logf("seed=%d published=%d delivered=%d dups=%d frames=%d publishErrs=%d elapsed=%v",
-				res.Seed, res.Published, res.Delivered, res.Duplicates, res.Frames, res.PublishErrs, res.Elapsed)
+			t.Logf("seed=%d published=%d acked=%d delivered=%d dups=%d publishErrs=%d pruned=%d recovered=%d elapsed=%v",
+				res.Seed, res.Published, res.Acked, res.Delivered, res.Duplicates, res.PublishErrs,
+				res.Pruned, res.Recovered, res.Elapsed)
 			if !res.Passed() {
-				t.Logf("replay: FRAME_CHAOS_SEED=%d go test -count=1 -run 'TestChaosScenarios/%s' ./internal/chaos/",
-					res.Seed, sc.Name)
+				t.Logf("replay: FRAME_CHAOS_SEED=%d go test -count=1 -run '%s' ./internal/chaos/", res.Seed, t.Name())
 				if res.ArtifactPath != "" {
 					t.Logf("artifact: %s", res.ArtifactPath)
 				}
-				for _, line := range res.Transcript.Tail(40) {
-					t.Log(line)
-				}
+				t.Log(res.Transcript.String())
 				for _, f := range res.Failures {
 					t.Errorf("invariant violated: %s", f)
 				}
@@ -52,243 +45,51 @@ func TestChaosScenarios(t *testing.T) {
 	}
 }
 
-// TestShardChaosScenarios runs every shard-level scenario against a full
-// multi-pair cluster with its routing Directory. All shipped shard
-// scenarios are Smoke (the `shard smoke` CI job runs this file under
-// -short); the nightly chaos workflow runs them with more seeds.
-func TestShardChaosScenarios(t *testing.T) {
-	artifacts := os.Getenv("FRAME_CHAOS_ARTIFACTS")
-	for _, sc := range chaos.ShardAll() {
-		sc := sc
-		t.Run(sc.Name, func(t *testing.T) {
-			if testing.Short() && !sc.Smoke {
-				t.Skip("not in the -short smoke subset")
-			}
-			seed := faultinject.SeedFromEnv(defaultSeed(sc.Name))
-			res, err := chaos.RunShard(sc, chaos.RunOptions{Seed: seed, ArtifactsDir: artifacts})
-			if err != nil {
-				t.Fatalf("seed=%d setup: %v (replay: FRAME_CHAOS_SEED=%d)", seed, err, seed)
-			}
-			t.Logf("seed=%d published=%d delivered=%d dups=%d frames=%d publishErrs=%d elapsed=%v",
-				res.Seed, res.Published, res.Delivered, res.Duplicates, res.Frames, res.PublishErrs, res.Elapsed)
-			if !res.Passed() {
-				t.Logf("replay: FRAME_CHAOS_SEED=%d go test -count=1 -run 'TestShardChaosScenarios/%s' ./internal/chaos/",
-					res.Seed, sc.Name)
-				if res.ArtifactPath != "" {
-					t.Logf("artifact: %s", res.ArtifactPath)
-				}
-				for _, line := range res.Transcript.Tail(40) {
-					t.Log(line)
-				}
-				for _, f := range res.Failures {
-					t.Errorf("invariant violated: %s", f)
-				}
-			}
-		})
-	}
-}
-
-// TestGatewayChaosScenarios runs every gateway-level scenario against the
-// three-plane topology (broker pair, gateway, thin clients) over the Mem
-// transport. All shipped gateway scenarios are Smoke (the `gateway smoke`
-// CI job runs this file under -short).
-func TestGatewayChaosScenarios(t *testing.T) {
-	artifacts := os.Getenv("FRAME_CHAOS_ARTIFACTS")
-	for _, sc := range chaos.GatewayAll() {
-		sc := sc
-		t.Run(sc.Name, func(t *testing.T) {
-			if testing.Short() && !sc.Smoke {
-				t.Skip("not in the -short smoke subset")
-			}
-			seed := faultinject.SeedFromEnv(defaultSeed(sc.Name))
-			res, err := chaos.RunGateway(sc, chaos.RunOptions{Seed: seed, ArtifactsDir: artifacts})
-			if err != nil {
-				t.Fatalf("seed=%d setup: %v (replay: FRAME_CHAOS_SEED=%d)", seed, err, seed)
-			}
-			t.Logf("seed=%d published=%d delivered=%d dups=%d frames=%d publishErrs=%d elapsed=%v",
-				res.Seed, res.Published, res.Delivered, res.Duplicates, res.Frames, res.PublishErrs, res.Elapsed)
-			if !res.Passed() {
-				t.Logf("replay: FRAME_CHAOS_SEED=%d go test -count=1 -run 'TestGatewayChaosScenarios/%s' ./internal/chaos/",
-					res.Seed, sc.Name)
-				if res.ArtifactPath != "" {
-					t.Logf("artifact: %s", res.ArtifactPath)
-				}
-				for _, line := range res.Transcript.Tail(40) {
-					t.Log(line)
-				}
-				for _, f := range res.Failures {
-					t.Errorf("invariant violated: %s", f)
-				}
-			}
-		})
-	}
-}
-
-// TestDurableChaosScenarios runs every dual-crash scenario: both brokers
-// of a durable pair are fail-stopped mid-load and the second life is
-// judged against the crashed log's ground truth. kill-both-brokers is
-// Smoke (the `durable-smoke` CI job runs this file under -short); the
-// nightly chaos-durable workflow runs everything under -race.
-func TestDurableChaosScenarios(t *testing.T) {
-	artifacts := os.Getenv("FRAME_CHAOS_ARTIFACTS")
-	for _, sc := range chaos.DurableAll() {
-		sc := sc
-		t.Run(sc.Name, func(t *testing.T) {
-			if testing.Short() && !sc.Smoke {
-				t.Skip("not in the -short smoke subset")
-			}
-			seed := faultinject.SeedFromEnv(defaultSeed(sc.Name))
-			res, err := chaos.RunDurable(sc, chaos.RunOptions{Seed: seed, ArtifactsDir: artifacts})
-			if err != nil {
-				t.Fatalf("seed=%d setup: %v (replay: FRAME_CHAOS_SEED=%d)", seed, err, seed)
-			}
-			t.Logf("seed=%d acked=%d delivered=%d frames=%d publishErrs=%d elapsed=%v",
-				res.Seed, res.Published, res.Delivered, res.Frames, res.PublishErrs, res.Elapsed)
-			if !res.Passed() {
-				t.Logf("replay: FRAME_CHAOS_SEED=%d go test -count=1 -run 'TestDurableChaosScenarios/%s' ./internal/chaos/",
-					res.Seed, sc.Name)
-				if res.ArtifactPath != "" {
-					t.Logf("artifact: %s", res.ArtifactPath)
-				}
-				for _, line := range res.Transcript.Tail(40) {
-					t.Log(line)
-				}
-				for _, f := range res.Failures {
-					t.Errorf("invariant violated: %s", f)
-				}
-			}
-		})
-	}
-}
-
-// TestDurableScenarioRegistry guards the durable registry the CI
-// durable-smoke job depends on: unique names, resolvable by DurableFind,
-// and kill-both-brokers in the smoke subset.
-func TestDurableScenarioRegistry(t *testing.T) {
-	seen := map[string]bool{}
-	smoke := 0
-	all := chaos.DurableAll()
-	if len(all) < 2 {
-		t.Fatalf("%d durable scenarios shipped, want >= 2", len(all))
-	}
-	for _, sc := range all {
-		if seen[sc.Name] {
-			t.Errorf("duplicate durable scenario name %q", sc.Name)
-		}
-		seen[sc.Name] = true
-		if sc.Smoke {
-			smoke++
-		}
-		if sc.KillAt <= 0 {
-			t.Errorf("durable scenario %q never kills the pair — not a dual-crash test", sc.Name)
-		}
-		if _, err := chaos.DurableFind(sc.Name); err != nil {
-			t.Errorf("DurableFind(%q): %v", sc.Name, err)
-		}
-	}
-	if smoke == 0 {
-		t.Error("no Smoke durable scenarios — the durable-smoke gate would run nothing")
-	}
-	if _, err := chaos.DurableFind("kill-both-brokers"); err != nil {
-		t.Errorf("kill-both-brokers missing from the registry: %v", err)
-	}
-	if _, err := chaos.DurableFind("no-such-scenario"); err == nil {
-		t.Error("DurableFind accepted an unknown name")
-	}
-}
-
-// TestGatewayScenarioRegistry guards the gateway registry the CI
-// gateway-smoke job depends on: unique names, resolvable by GatewayFind,
-// a non-empty smoke subset, and every scenario shipping thin clients.
-func TestGatewayScenarioRegistry(t *testing.T) {
-	seen := map[string]bool{}
-	smoke := 0
-	all := chaos.GatewayAll()
-	if len(all) < 2 {
-		t.Fatalf("%d gateway scenarios shipped, want >= 2", len(all))
-	}
-	for _, sc := range all {
-		if seen[sc.Name] {
-			t.Errorf("duplicate gateway scenario name %q", sc.Name)
-		}
-		seen[sc.Name] = true
-		if sc.Smoke {
-			smoke++
-		}
-		if len(sc.Clients) == 0 {
-			t.Errorf("gateway scenario %q has no thin clients — not a connection-plane test", sc.Name)
-		}
-		if _, err := chaos.GatewayFind(sc.Name); err != nil {
-			t.Errorf("GatewayFind(%q): %v", sc.Name, err)
-		}
-	}
-	if smoke == 0 {
-		t.Error("no Smoke gateway scenarios — the gateway-smoke gate would run nothing")
-	}
-	if _, err := chaos.GatewayFind("no-such-scenario"); err == nil {
-		t.Error("GatewayFind accepted an unknown name")
-	}
-}
-
-// TestShardScenarioRegistry guards the shard registry the CI shard-smoke
-// job depends on: unique names, resolvable by ShardFind, and a non-empty
-// smoke subset.
-func TestShardScenarioRegistry(t *testing.T) {
-	seen := map[string]bool{}
-	smoke := 0
-	all := chaos.ShardAll()
-	if len(all) < 2 {
-		t.Fatalf("%d shard scenarios shipped, want >= 2", len(all))
-	}
-	for _, sc := range all {
-		if seen[sc.Name] {
-			t.Errorf("duplicate shard scenario name %q", sc.Name)
-		}
-		seen[sc.Name] = true
-		if sc.Smoke {
-			smoke++
-		}
-		if sc.Shards < 2 {
-			t.Errorf("shard scenario %q runs on %d shards — not a sharding test", sc.Name, sc.Shards)
-		}
-		if _, err := chaos.ShardFind(sc.Name); err != nil {
-			t.Errorf("ShardFind(%q): %v", sc.Name, err)
-		}
-	}
-	if smoke == 0 {
-		t.Error("no Smoke shard scenarios — the shard-smoke gate would run nothing")
-	}
-	if _, err := chaos.ShardFind("no-such-scenario"); err == nil {
-		t.Error("ShardFind accepted an unknown name")
-	}
-}
+// The four entry points split the one registry by outermost plane; the
+// composed shard+gateway scenario runs with the gateway ones.
+func TestChaosScenarios(t *testing.T)        { runPlane(t, "pair") }
+func TestShardChaosScenarios(t *testing.T)   { runPlane(t, "shard") }
+func TestGatewayChaosScenarios(t *testing.T) { runPlane(t, "gateway") }
+func TestDurableChaosScenarios(t *testing.T) { runPlane(t, "durable") }
 
 // TestScenarioNamesUniqueAndSmokeSubset guards the registry shape the CI
-// pipelines depend on: unique names, at least six scenarios, and a
-// non-empty smoke subset for PR gating.
+// pipelines depend on: unique names, Find resolving every name and
+// rejecting an unknown one, a Smoke scenario on every plane, and
+// kill-both-brokers present (`make durable-smoke` runs it by name).
 func TestScenarioNamesUniqueAndSmokeSubset(t *testing.T) {
 	seen := map[string]bool{}
-	smoke := 0
-	all := chaos.All()
-	if len(all) < 6 {
-		t.Fatalf("%d scenarios shipped, want >= 6", len(all))
-	}
-	for _, sc := range all {
+	smoke := map[string]bool{}
+	for _, sc := range chaos.All() {
 		if seen[sc.Name] {
 			t.Errorf("duplicate scenario name %q", sc.Name)
 		}
 		seen[sc.Name] = true
 		if sc.Smoke {
-			smoke++
+			for _, p := range sc.Planes() {
+				smoke[p] = true
+			}
 		}
-		if _, err := chaos.Find(sc.Name); err != nil {
-			t.Errorf("Find(%q): %v", sc.Name, err)
+		if got, err := chaos.Find(sc.Name); err != nil || got.Name != sc.Name {
+			t.Errorf("Find(%q) = %q, %v", sc.Name, got.Name, err)
 		}
 	}
-	if smoke == 0 {
-		t.Error("no Smoke scenarios — the PR gate would run nothing")
+	for _, p := range []string{"pair", "shard", "gateway", "durable"} {
+		if !smoke[p] {
+			t.Errorf("no Smoke scenario on the %s plane — its PR gate would run nothing", p)
+		}
+	}
+	if !seen["kill-both-brokers"] {
+		t.Error("kill-both-brokers missing from the registry")
 	}
 	if _, err := chaos.Find("no-such-scenario"); err == nil {
 		t.Error("Find accepted an unknown name")
+	}
+}
+
+// TestDefaultSeedPinned pins the per-name default seed: replay commands in
+// old failure artifacts must still replay the same fault lottery.
+func TestDefaultSeedPinned(t *testing.T) {
+	if got, want := chaos.DefaultSeed("crash-promote"), int64(1459199967707422195); got != want {
+		t.Fatalf("DefaultSeed(crash-promote) = %d, want %d", got, want)
 	}
 }

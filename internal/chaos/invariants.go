@@ -4,39 +4,39 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/broker"
 	"repro/internal/client"
 	"repro/internal/spec"
 )
 
-// linkID identifies one delivery stream: a topic arriving over one broker
-// link. FIFO is a per-link property — the two broker connections a
-// subscriber holds may legitimately interleave.
+// linkID identifies one delivery stream: a topic arriving over one link.
+// FIFO is per link — a subscriber's two broker links may interleave.
 type linkID struct {
 	topic  spec.TopicID
 	source string
 }
 
 // linkRecord tracks the arrival order on one delivery stream. A "rewind" is
-// an arrival whose sequence is below its predecessor's: zero on a healthy
-// link; crash recovery plus publisher resend legitimately restart the
-// ascending run a bounded number of times.
+// an arrival below its predecessor: zero on a healthy link; crash recovery
+// and publisher resend restart the ascending run a bounded number of times.
 type linkRecord struct {
 	frames  int
 	prev    uint64
 	rewinds int
 }
 
-// Recorder sees every dispatch frame the subscriber receives (duplicates
-// included, via client.SubscriberOptions.OnFrame) and maintains the
-// per-link order records the FIFO invariant is checked against.
+// Recorder sees every dispatch frame a subscriber receives (duplicates
+// included, via OnFrame) and keeps the per-link order records the FIFO
+// invariant is checked against and the sequences seen per topic.
 type Recorder struct {
 	mu    sync.Mutex
 	links map[linkID]*linkRecord
+	seen  map[spec.TopicID]map[uint64]bool
 }
 
 // NewRecorder returns an empty frame recorder.
 func NewRecorder() *Recorder {
-	return &Recorder{links: make(map[linkID]*linkRecord)}
+	return &Recorder{links: make(map[linkID]*linkRecord), seen: make(map[spec.TopicID]map[uint64]bool)}
 }
 
 // Note ingests one received frame. Safe for concurrent use; wire it as the
@@ -53,21 +53,19 @@ func (r *Recorder) Note(d client.Delivery) {
 	if d.Msg.Seq < lr.prev {
 		lr.rewinds++
 	}
-	if d.Msg.Seq > lr.prev {
-		lr.prev = d.Msg.Seq
+	lr.prev = max(lr.prev, d.Msg.Seq)
+	if r.seen[d.Msg.Topic] == nil {
+		r.seen[d.Msg.Topic] = make(map[uint64]bool)
 	}
+	r.seen[d.Msg.Topic][d.Msg.Seq] = true
 	r.mu.Unlock()
 }
 
-// TotalFrames returns how many dispatch frames arrived across all links.
-func (r *Recorder) TotalFrames() int {
+// has reports whether a frame of (topic, seq) arrived.
+func (r *Recorder) has(topic spec.TopicID, seq uint64) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	n := 0
-	for _, lr := range r.links {
-		n += lr.frames
-	}
-	return n
+	return r.seen[topic][seq]
 }
 
 // fifoViolations returns one message per link whose rewind count exceeds
@@ -85,81 +83,95 @@ func (r *Recorder) fifoViolations(allowed int) []string {
 	return v
 }
 
-// checkInvariants evaluates every post-run assertion and returns the
-// failures (empty means the scenario passed).
-func (e *Env) checkInvariants(sc Scenario, rec *Recorder, traces *traceRecorder) []string {
+// judge evaluates every post-run assertion, in the package comment's
+// order, and returns the failures (empty means the scenario passed).
+func (e *Env) judge() []string {
+	sc := e.sc
 	var failures []string
-	inv := sc.Invariants
-
-	e.mu.Lock()
-	faultAt, faultSet := e.faultAt, e.faultSet
-	promoted, promotedAt := e.promoted, e.promotedAt
-	e.mu.Unlock()
-
+	fail := func(format string, args ...any) { failures = append(failures, fmt.Sprintf(format, args...)) }
 	for _, tp := range sc.Topics {
-		last := e.Pub.LastSeq(tp.ID)
-		got := e.Sub.Received(tp.ID)
-		if last == 0 {
-			failures = append(failures, fmt.Sprintf("topic %d: nothing was published — load pump broken", tp.ID))
-			continue
-		}
-		if got == 0 {
-			failures = append(failures, fmt.Sprintf("topic %d: published %d, delivered none", tp.ID, last))
-			continue
-		}
-		if inv.RequireAll && got != last {
-			failures = append(failures, fmt.Sprintf("topic %d: published %d, delivered %d distinct", tp.ID, last, got))
-		}
-		if loss := e.Sub.MaxConsecutiveLoss(tp.ID, last); loss > inv.MaxConsecutiveLoss {
-			failures = append(failures, fmt.Sprintf("topic %d: max consecutive loss %d exceeds Li bound %d",
-				tp.ID, loss, inv.MaxConsecutiveLoss))
+		if e.lastSeq(tp.ID) == 0 {
+			fail("topic %d: nothing was published — load pump broken", tp.ID)
 		}
 	}
 
-	failures = append(failures, rec.fifoViolations(inv.AllowedRewinds)...)
-	failures = append(failures, traces.violations()...)
-
-	// Extra subscribers are judged against their own budgets; negative
-	// bounds skip a check for the deliberately degraded parties.
-	for _, xr := range e.extras {
+	// Per-receiver budgets; negative bounds skip a check for the
+	// deliberately degraded parties, and wedged receivers carry none.
+	for _, r := range e.recv {
 		for _, tp := range sc.Topics {
-			last := e.Pub.LastSeq(tp.ID)
-			got := xr.sub.Received(tp.ID)
-			if xr.spec.RequireAll && got != last {
-				failures = append(failures, fmt.Sprintf("extra sub %s, topic %d: published %d, delivered %d distinct",
-					xr.spec.Name, tp.ID, last, got))
+			last := e.lastSeq(tp.ID)
+			if r.sub == nil || last == 0 {
+				continue
 			}
-			if xr.spec.MaxConsecutiveLoss >= 0 && last > 0 {
-				if loss := xr.sub.MaxConsecutiveLoss(tp.ID, last); loss > xr.spec.MaxConsecutiveLoss {
-					failures = append(failures, fmt.Sprintf("extra sub %s, topic %d: max consecutive loss %d exceeds bound %d",
-						xr.spec.Name, tp.ID, loss, xr.spec.MaxConsecutiveLoss))
+			got := r.sub.Received(tp.ID)
+			if r.MaxConsecutiveLoss >= 0 && got == 0 {
+				fail("%s, topic %d: published %d, delivered none", r.Name, tp.ID, last)
+				continue
+			}
+			if r.RequireAll && got != last {
+				fail("%s, topic %d: published %d, delivered %d distinct", r.Name, tp.ID, last, got)
+			}
+			if loss := r.sub.MaxConsecutiveLoss(tp.ID, last); r.MaxConsecutiveLoss >= 0 && loss > r.MaxConsecutiveLoss {
+				fail("%s, topic %d: max consecutive loss %d exceeds Li bound %d", r.Name, tp.ID, loss, r.MaxConsecutiveLoss)
+			}
+		}
+		if r.sub != nil && r.AllowedRewinds >= 0 {
+			for _, v := range r.rec.fifoViolations(r.AllowedRewinds) {
+				fail("%s: %s", r.Name, v)
+			}
+		}
+	}
+
+	// Promotion: the expected shard within the detector bound of the first
+	// broker fault, and no other shard at all — a promotion anywhere else
+	// means the blast radius leaked.
+	e.mu.Lock()
+	bound := e.sc.Detector.WorstCaseDetection() + PromotionSlack
+	if at, ok := e.promoted[sc.PromoteShard]; sc.ExpectPromotion {
+		switch {
+		case !ok:
+			fail("shard %d backup never promoted", sc.PromoteShard)
+		case !e.faultSet:
+			fail("scenario expects promotion but scripted no broker fault")
+		case at-e.faultAt > bound:
+			fail("shard %d promotion took %v after the fault, bound %v (detector worst case %v + %v slack)",
+				sc.PromoteShard, at-e.faultAt, bound, e.sc.Detector.WorstCaseDetection(), PromotionSlack)
+		}
+	}
+	for _, p := range e.Pairs {
+		if at, ok := e.promoted[p.Index]; ok && (!sc.ExpectPromotion || p.Index != sc.PromoteShard) {
+			fail("shard %d backup promoted at %v in a scenario that must not promote it", p.Index, at)
+		}
+	}
+	publishErrs := e.publishErrs
+	e.mu.Unlock()
+
+	for _, t := range e.traces {
+		failures = append(failures, t.violations()...)
+	}
+
+	// Gateway isolation: connection-plane faults must be invisible one
+	// plane up — no publish errors on the direct broker path and clean
+	// broker-side egress.
+	if sc.Gateway != nil && !sc.ExpectPromotion {
+		if publishErrs > 0 {
+			fail("publisher saw %d errors on the direct broker path — the gateway fault leaked into the durability plane", publishErrs)
+		}
+		for _, p := range e.Pairs {
+			for _, b := range []*broker.Broker{p.Primary, p.Backup} {
+				if es := b.EgressStats(); es.Shed > 0 || es.Evictions > 0 {
+					fail("shard %d %s broker shed %d / evicted %d on its own egress — client backpressure leaked past the gateway",
+						p.Index, b.Role(), es.Shed, es.Evictions)
 				}
 			}
 		}
-		if xr.spec.AllowedRewinds >= 0 {
-			for _, v := range xr.rec.fifoViolations(xr.spec.AllowedRewinds) {
-				failures = append(failures, fmt.Sprintf("extra sub %s: %s", xr.spec.Name, v))
-			}
-		}
 	}
 
+	if sc.Durable != nil {
+		failures = append(failures, e.durableViolations()...)
+	}
 	if sc.Check != nil {
 		failures = append(failures, sc.Check(e)...)
-	}
-
-	bound := e.detector.WorstCaseDetection() + PromotionSlack
-	switch {
-	case inv.ExpectPromotion && !promoted:
-		failures = append(failures, "backup never promoted")
-	case inv.ExpectPromotion && !faultSet:
-		failures = append(failures, "scenario expects promotion but scripted no broker fault")
-	case inv.ExpectPromotion:
-		if d := promotedAt - faultAt; d > bound {
-			failures = append(failures, fmt.Sprintf("promotion took %v after the fault, bound %v (detector worst case %v + %v slack)",
-				d, bound, e.detector.WorstCaseDetection(), PromotionSlack))
-		}
-	case !inv.ExpectPromotion && promoted:
-		failures = append(failures, "backup promoted in a scenario that must not promote")
 	}
 	return failures
 }

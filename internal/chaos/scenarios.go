@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/faultinject"
+	"repro/internal/gateway"
 	"repro/internal/spec"
 )
 
-// All returns every shipped scenario. Names are stable — CI artifacts and
-// replay commands reference them.
+// All returns every shipped scenario of every plane. Names are stable —
+// CI artifacts and replay commands reference them.
 func All() []Scenario {
 	return []Scenario{
 		crashPromote(),
@@ -20,6 +22,13 @@ func All() []Scenario {
 		resetStorm(),
 		dropReplication(),
 		slowSubscriberEgress(),
+		shardKillPair(),
+		shardRoutingPartition(),
+		gatewayCrash(),
+		gatewaySlowClient(),
+		shardKillBehindGateway(),
+		killBothBrokers(),
+		killBothGroupCommitStorm(),
 	}
 }
 
@@ -44,14 +53,10 @@ func crashPromote() Scenario {
 		Topics:      []spec.Topic{chaosTopic(1, 256)},
 		Load:        Load{Count: 250, Interval: 2 * time.Millisecond, PayloadSize: 16},
 		Script: []Step{
-			{At: 150 * time.Millisecond, Desc: "crash primary", Do: CrashPrimary()},
+			{At: 150 * time.Millisecond, Desc: "crash primary", Do: CrashPrimary(0)},
 		},
-		Invariants: Invariants{
-			RequireAll:         true,
-			MaxConsecutiveLoss: 0,
-			AllowedRewinds:     2, // recovery run + resend run restart the sequence
-			ExpectPromotion:    true,
-		},
+		Receivers:       []Receiver{directSub(2)}, // recovery run + resend run restart the sequence
+		ExpectPromotion: true,
 	}
 }
 
@@ -72,12 +77,8 @@ func partitionReplication() Scenario {
 				Do: RaisePartition("repl", []string{NodePrimary}, []string{NodeBackup})},
 			{At: 400 * time.Millisecond, Desc: "heal partition", Do: HealPartition("repl")},
 		},
-		Invariants: Invariants{
-			RequireAll:         true,
-			MaxConsecutiveLoss: 0,
-			AllowedRewinds:     2, // the promoted Backup's recovery run rewinds its link once
-			ExpectPromotion:    true,
-		},
+		Receivers:       []Receiver{directSub(2)}, // the promoted Backup's recovery run rewinds its link once
+		ExpectPromotion: true,
 	}
 }
 
@@ -93,7 +94,7 @@ func flapRecovery() Scenario {
 		Topics:      []spec.Topic{chaosTopic(1, 256)},
 		Load:        Load{Count: 300, Interval: 2 * time.Millisecond, PayloadSize: 16},
 		Script: []Step{
-			{At: 120 * time.Millisecond, Desc: "crash primary", Do: CrashPrimary()},
+			{At: 120 * time.Millisecond, Desc: "crash primary", Do: CrashPrimary(0)},
 			{At: 170 * time.Millisecond, Desc: "stall pub->backup", Do: SetLink(NodePub, NodeBackup, stall)},
 			{At: 220 * time.Millisecond, Desc: "unstall pub->backup", Do: ClearLink(NodePub, NodeBackup)},
 			{At: 250 * time.Millisecond, Desc: "stall backup->sub", Do: SetLink(NodeBackup, NodeSub, stall)},
@@ -101,12 +102,8 @@ func flapRecovery() Scenario {
 			{At: 350 * time.Millisecond, Desc: "stall pub->backup again", Do: SetLink(NodePub, NodeBackup, stall)},
 			{At: 420 * time.Millisecond, Desc: "unstall pub->backup again", Do: ClearLink(NodePub, NodeBackup)},
 		},
-		Invariants: Invariants{
-			RequireAll:         true,
-			MaxConsecutiveLoss: 0,
-			AllowedRewinds:     2,
-			ExpectPromotion:    true,
-		},
+		Receivers:       []Receiver{directSub(2)},
+		ExpectPromotion: true,
 	}
 }
 
@@ -123,14 +120,10 @@ func deltaBBLatency() Scenario {
 		Script: []Step{
 			{At: 0, Desc: "add 15ms±10ms to primary->backup",
 				Do: SetLink(NodePrimary, NodeBackup, faultinject.Faults{Latency: 15 * time.Millisecond, Jitter: 10 * time.Millisecond})},
-			{At: 200 * time.Millisecond, Desc: "crash primary", Do: CrashPrimary()},
+			{At: 200 * time.Millisecond, Desc: "crash primary", Do: CrashPrimary(0)},
 		},
-		Invariants: Invariants{
-			RequireAll:         true,
-			MaxConsecutiveLoss: 0,
-			AllowedRewinds:     2,
-			ExpectPromotion:    true,
-		},
+		Receivers:       []Receiver{directSub(2)},
+		ExpectPromotion: true,
 	}
 }
 
@@ -150,12 +143,7 @@ func bandwidthSubscriber() Scenario {
 			{At: 0, Desc: "cap primary->sub at 64KiB/s",
 				Do: SetLink(NodePrimary, NodeSub, faultinject.Faults{BandwidthBps: 64 << 10})},
 		},
-		Invariants: Invariants{
-			RequireAll:         true,
-			MaxConsecutiveLoss: 0,
-			AllowedRewinds:     0,
-			ExpectPromotion:    false,
-		},
+		Receivers: []Receiver{directSub(0)},
 	}
 }
 
@@ -179,23 +167,16 @@ func resetStorm() Scenario {
 		Topics:      []spec.Topic{chaosTopic(1, 512)},
 		Load:        Load{Count: 300, Interval: 2 * time.Millisecond, PayloadSize: 16},
 		Script:      steps,
-		Invariants: Invariants{
-			RequireAll:         true,
-			MaxConsecutiveLoss: 0,
-			AllowedRewinds:     1, // the resend run restarts the backup link's sequence once
-			ExpectPromotion:    false,
-		},
+		Receivers:   []Receiver{directSub(1)}, // the resend run restarts the backup link's sequence once
 	}
 }
 
 // slowSubscriberEgress exercises the asynchronous egress under degraded
-// subscribers: one subscriber's delivery link is stalled behind a tiny
-// write buffer (its egress ring must absorb, shed within Li, and finally
-// evict it), another is squeezed through a bandwidth trickle (paced but
-// lossless). The healthy main subscriber must sail through with zero loss
-// and strict per-link FIFO — the isolation the per-subscriber rings exist
-// to provide. Runs over Mem so backpressure reaches the broker's writer
-// synchronously instead of pooling in kernel socket buffers.
+// subscribers: one link stalled behind a tiny write buffer (its ring must
+// absorb, shed within Li, and finally evict it), one paced through a
+// lossless trickle. The healthy subscriber keeps zero loss and strict
+// FIFO — the isolation per-subscriber rings exist for. Mem makes the
+// backpressure reach the broker's writer instead of kernel buffers.
 func slowSubscriberEgress() Scenario {
 	stalledTopic := func(id spec.TopicID) spec.Topic {
 		tp := chaosTopic(id, 256)
@@ -206,11 +187,11 @@ func slowSubscriberEgress() Scenario {
 		Name:        "slow-subscriber-egress",
 		Description: "stalled + trickle subscribers behind small egress rings; healthy subscriber keeps zero-loss FIFO",
 		Smoke:       true,
-		Mem:         true,
-		EgressDepth: 64,
+		Deployment:  Deployment{Mem: true, EgressDepth: 64},
 		Topics:      []spec.Topic{stalledTopic(1), stalledTopic(2)},
 		Load:        Load{Count: 300, Interval: time.Millisecond, PayloadSize: 64},
-		ExtraSubs: []ExtraSub{
+		Receivers: []Receiver{
+			directSub(0),
 			// The wedged one: may lose anything, and dies by eviction.
 			{Name: "slow-sub", MaxConsecutiveLoss: -1, AllowedRewinds: -1},
 			// The trickle one: paced, never overflows its ring, loses nothing.
@@ -222,14 +203,8 @@ func slowSubscriberEgress() Scenario {
 			{At: 0, Desc: "trickle primary->trickle-sub at 32KiB/s",
 				Do: SetLink(NodePrimary, "trickle-sub", faultinject.Faults{BandwidthBps: 32 << 10})},
 		},
-		Invariants: Invariants{
-			RequireAll:         true,
-			MaxConsecutiveLoss: 0,
-			AllowedRewinds:     0,
-			ExpectPromotion:    false,
-		},
 		Check: func(e *Env) []string {
-			es := e.Primary.EgressStats()
+			es := e.Pairs[0].Primary.EgressStats()
 			var v []string
 			if es.Shed == 0 {
 				v = append(v, "egress never shed despite a stalled subscriber behind a full ring")
@@ -255,13 +230,284 @@ func dropReplication() Scenario {
 		Script: []Step{
 			{At: 0, Desc: "drop 35% of primary->backup frames",
 				Do: SetLink(NodePrimary, NodeBackup, faultinject.Faults{Drop: 0.35})},
-			{At: 200 * time.Millisecond, Desc: "crash primary", Do: CrashPrimary()},
+			{At: 200 * time.Millisecond, Desc: "crash primary", Do: CrashPrimary(0)},
 		},
-		Invariants: Invariants{
-			RequireAll:         true,
-			MaxConsecutiveLoss: 0,
-			AllowedRewinds:     2,
-			ExpectPromotion:    true,
+		Receivers:       []Receiver{directSub(2)},
+		ExpectPromotion: true,
+	}
+}
+
+// shardKillPair fail-stops one shard's Primary mid-load in a three-pair
+// cluster. Its Backup promotes within the bound and the Directory records
+// it keeping the shard (epoch bump, same index); fail-over plus resend
+// covers the shard's topics, and the survivors' topics never notice.
+func shardKillPair() Scenario {
+	const shards = 3
+	topics := chaosTopics(9, 256)
+	// Kill the shard that owns topic 1, so the scenario deterministically
+	// exercises both a hit shard and untouched survivors.
+	victim := cluster.ShardOf(topics[0].ID, shards)
+	return Scenario{
+		Name:        "shard-kill-pair",
+		Description: "fail-stop one shard's Primary in a 3-pair cluster; its Backup keeps the shard, survivors never notice",
+		Smoke:       true,
+		Deployment:  Deployment{Shards: shards},
+		Topics:      topics,
+		Load:        Load{Count: 200, Interval: 2 * time.Millisecond, PayloadSize: 16},
+		Script: []Step{
+			{At: 150 * time.Millisecond, Desc: fmt.Sprintf("crash shard %d primary", victim),
+				Do: CrashPrimary(victim)},
 		},
+		Receivers:       []Receiver{directSub(2)}, // recovery run + resend run on the hit pair's links
+		ExpectPromotion: true,
+		PromoteShard:    victim,
+		Check: func(e *Env) []string {
+			var v []string
+			// The routing table must have recorded exactly this promotion:
+			// epoch bumped once, the pair keeps the shard with the promoted
+			// Backup as Primary and no Backup.
+			tab := e.Cluster.Dir.Table()
+			if tab.Epoch != 2 {
+				v = append(v, fmt.Sprintf("directory epoch %d after one promotion, want 2", tab.Epoch))
+			}
+			pair := e.Pairs[victim]
+			entry := tab.Shards[victim]
+			if entry.Primary != pair.Backup.Addr() || entry.Backup != "" {
+				v = append(v, fmt.Sprintf("shard %d entry %+v does not show the promoted backup owning the shard", victim, entry))
+			}
+			// Survivors' entries are untouched.
+			for _, p := range e.Pairs {
+				if p.Index == victim {
+					continue
+				}
+				entry := tab.Shards[p.Index]
+				if entry.Primary != p.Primary.Addr() || entry.Backup != p.Backup.Addr() {
+					v = append(v, fmt.Sprintf("surviving shard %d entry %+v changed", p.Index, entry))
+				}
+			}
+			return v
+		},
+	}
+}
+
+// shardRoutingPartition cuts the routing Directory off from the publisher
+// and subscriber for most of the load window. Stale routes beat no
+// routes: the cached table keeps the data plane running untouched — zero
+// loss, strict FIFO, no promotion anywhere — while every poll of the
+// Directory fails.
+func shardRoutingPartition() Scenario {
+	const shards = 3
+	return Scenario{
+		Name:        "shard-routing-partition",
+		Description: "partition the routing plane from the clients; cached routes keep the data plane lossless",
+		Smoke:       true,
+		Deployment:  Deployment{Shards: shards},
+		Topics:      chaosTopics(9, 64),
+		Load:        Load{Count: 200, Interval: 2 * time.Millisecond, PayloadSize: 16},
+		Script: []Step{
+			{At: 50 * time.Millisecond, Desc: "partition routing | clients",
+				Do: RaisePartition("routing-out", []string{cluster.NodeRouting}, []string{NodePub, NodeSub})},
+			{At: 400 * time.Millisecond, Desc: "heal routing partition",
+				Do: HealPartition("routing-out")},
+		},
+		Receivers: []Receiver{directSub(0)},
+		Check: func(e *Env) []string {
+			var v []string
+			pub := e.pubs[0].(*cluster.Publisher)
+			// No redirects and no re-homes: the outage never touched routing
+			// correctness, only availability of the refresh path.
+			if n := pub.Rehomed(); n != 0 {
+				v = append(v, fmt.Sprintf("%d topics re-homed during a pure routing-plane outage", n))
+			}
+			if pub.Epoch() != 1 {
+				v = append(v, fmt.Sprintf("publisher epoch %d, want untouched 1", pub.Epoch()))
+			}
+			return v
+		},
+	}
+}
+
+// gatewayTopics builds topics with a real Li (the per-client shed/evict
+// budget under test) and retention for the load window.
+func gatewayTopics(n, li int) []spec.Topic {
+	out := chaosTopics(n, 64)
+	for i := range out {
+		out[i].LossTolerance = li
+	}
+	return out
+}
+
+// gatewayCrash fail-stops the gateway mid-stream and restarts it 140ms
+// later. The publisher drives the brokers directly throughout, so the
+// outage is a gap the thin clients absorb within Li as they reconnect,
+// while the brokers see no publish error and no promotion.
+func gatewayCrash() Scenario {
+	return Scenario{
+		Name:        "gateway-crash",
+		Description: "kill and restart the gateway mid-stream; thin clients reconnect within Li, brokers never notice",
+		Smoke:       true,
+		Deployment:  Deployment{Mem: true, Gateway: &GatewayPlane{}},
+		Topics:      gatewayTopics(4, 256),
+		Load:        Load{Count: 250, Interval: 2 * time.Millisecond, PayloadSize: 16},
+		Receivers: []Receiver{
+			{Name: "phone-a", Gateway: true, MaxConsecutiveLoss: 256, AllowedRewinds: 2},
+			{Name: "phone-b", Gateway: true, MaxConsecutiveLoss: 256, AllowedRewinds: 2},
+		},
+		Script: []Step{
+			{At: 120 * time.Millisecond, Desc: "crash the gateway", Do: CrashGateway()},
+			{At: 260 * time.Millisecond, Desc: "restart the gateway", Do: RestartGateway()},
+		},
+		Check: reconnected,
+	}
+}
+
+// reconnected fails every thin client that never reconnected across the
+// gateway restart.
+func reconnected(e *Env) []string {
+	var v []string
+	for _, r := range e.recv {
+		if ts, ok := r.sub.(*gateway.ThinSubscriber); ok && ts.Reconnects() == 0 {
+			v = append(v, fmt.Sprintf("client %s never reconnected across the gateway restart", r.Name))
+		}
+	}
+	return v
+}
+
+// gatewaySlowClient wedges one phone — it subscribes, its downlink stalls
+// behind a tiny write buffer, and it never reads — while two healthy
+// clients carry full load. Its private ring absorbs the backpressure: the
+// gateway sheds within Li and then evicts it, the healthy clients get
+// every message in order, and the brokers' egress never sheds a frame.
+func gatewaySlowClient() Scenario {
+	return Scenario{
+		Name:        "gateway-slow-client",
+		Description: "a wedged phone fills its ring; the gateway sheds then evicts it, healthy clients and brokers never notice",
+		Smoke:       true,
+		Deployment: Deployment{Mem: true, Gateway: &GatewayPlane{
+			ClientDepth: 32,
+			// Mem pipes block on an unread write; the wedged flush is
+			// handed off after 2 ms, and the stall bound then fails it.
+			ClientWriteTimeout: 200 * time.Millisecond,
+		}},
+		Topics: gatewayTopics(4, 8),
+		Load:   Load{Count: 150, Interval: 2 * time.Millisecond, PayloadSize: 16},
+		Receivers: []Receiver{
+			{Name: "healthy-a", Gateway: true, RequireAll: true, MaxConsecutiveLoss: 0, AllowedRewinds: 0},
+			{Name: "healthy-b", Gateway: true, RequireAll: true, MaxConsecutiveLoss: 0, AllowedRewinds: 0},
+			{Name: "wedge", Gateway: true, Wedged: true},
+		},
+		Script: []Step{
+			{At: 0, Desc: "stall gateway->wedge behind a 4KiB buffer",
+				Do: SetLink(NodeGateway, "wedge", faultinject.Faults{Stall: true, WriteBufferBytes: 4 << 10})},
+		},
+		Check: func(e *Env) []string {
+			var v []string
+			gw := e.Gateway
+			es := gw.EgressStats()
+			if es.Shed == 0 {
+				v = append(v, "gateway never shed for the wedged client — the ring should have filled")
+			}
+			if gw.Evictions() == 0 {
+				v = append(v, "gateway never evicted the wedged client past its Li budget")
+			}
+			if gw.Clients() != 2 {
+				v = append(v, fmt.Sprintf("%d clients still attached, want exactly the 2 healthy ones", gw.Clients()))
+			}
+			return v
+		},
+	}
+}
+
+// shardKillBehindGateway composes two planes' faults: the Directory-mode
+// gateway in front of a 3-pair cluster is crashed and restarted (as in
+// gateway-crash) around a crash of the Primary owning topic 1. Only that
+// shard promotes, within the bound; the thin clients stay within Li and
+// reconnect to a gateway that finds the promoted Backup in the Directory.
+func shardKillBehindGateway() Scenario {
+	const shards = 3
+	topics := gatewayTopics(9, 256)
+	// Proposition 1 replicates only while (Ni+Li)·Ti − Di is under the
+	// fail-over budget: a 10 s Di makes these topics replicate, and dropped
+	// prunes leave the victim's Backup a backlog to recovery-dispatch, so
+	// Table 3 is exercised, not vacuously true.
+	for i := range topics {
+		topics[i].Deadline = 10 * time.Second
+	}
+	victim := cluster.ShardOf(topics[0].ID, shards)
+	return Scenario{
+		Name:        "shard-kill-behind-gateway",
+		Description: "crash one shard's Primary while the Directory-mode gateway in front of the cluster is down; thin clients reconnect within Li",
+		Smoke:       true,
+		Deployment:  Deployment{Shards: shards, Mem: true, Gateway: &GatewayPlane{}},
+		Topics:      topics,
+		Load:        Load{Count: 250, Interval: 2 * time.Millisecond, PayloadSize: 16},
+		Receivers: []Receiver{
+			{Name: "phone-a", Gateway: true, MaxConsecutiveLoss: 256, AllowedRewinds: 2},
+			{Name: "phone-b", Gateway: true, MaxConsecutiveLoss: 256, AllowedRewinds: 2},
+		},
+		Script: []Step{
+			{At: 0, Desc: fmt.Sprintf("drop 35%% of shard %d primary->backup frames", victim),
+				Do: SetLink(cluster.PrimaryNode(victim), cluster.BackupNode(victim), faultinject.Faults{Drop: 0.35})},
+			{At: 120 * time.Millisecond, Desc: "crash the gateway", Do: CrashGateway()},
+			{At: 160 * time.Millisecond, Desc: fmt.Sprintf("crash shard %d primary", victim), Do: CrashPrimary(victim)},
+			{At: 260 * time.Millisecond, Desc: "restart the gateway", Do: RestartGateway()},
+		},
+		ExpectPromotion: true,
+		PromoteShard:    victim,
+		Check:           reconnected,
+	}
+}
+
+// lifeOneSub is the first life's subscriber: the kill cuts it off, so the
+// durable ground truth, not a budget, judges what it delivered.
+var lifeOneSub = Receiver{Name: NodeSub, MaxConsecutiveLoss: -1, AllowedRewinds: -1}
+
+// killBothBrokers is the durability plane's acceptance run: the whole pair
+// fail-stops mid-load, and a broker restarted on the Primary's log must
+// deliver every acked publish, recovery-dispatch exactly the unpruned
+// backlog, and never re-dispatch a message whose prune record survived.
+func killBothBrokers() Scenario {
+	return Scenario{
+		Name:        "kill-both-brokers",
+		Description: "fail-stop the entire pair mid-load; a restart from log segments loses no acked publish",
+		Smoke:       true,
+		Deployment: Deployment{Mem: true, Durable: &DurablePlane{
+			// Forty records whose prune markers were lost: the second life
+			// must recovery-dispatch all of them, not just stay quiet.
+			Orphans: 40,
+		}},
+		Topics:    chaosTopics(2, 512),
+		Load:      Load{Count: 400, Interval: 2 * time.Millisecond, PayloadSize: 16},
+		Receivers: []Receiver{lifeOneSub},
+		Script:    []Step{{At: 250 * time.Millisecond, Desc: "kill the entire pair", Do: KillPair()}},
+	}
+}
+
+// killBothGroupCommitStorm repeats the dual crash at the group commit's
+// worst operating point: two connections with sixteen publishes in flight
+// on each, a long fsync window and tiny segments, so the kill lands with
+// records staged, batches of acks in flight and the log mid-roll. Every
+// acked publish must still be covered: batching delays acks, never
+// falsifies them.
+func killBothGroupCommitStorm() Scenario {
+	return Scenario{
+		Name:        "kill-both-groupcommit-storm",
+		Description: "dual crash, 2 connections x 16 in flight, 5ms fsync window, 4KiB segments; batched acks stay truthful mid-roll",
+		Deployment: Deployment{Mem: true, Durable: &DurablePlane{
+			Conns:    2,
+			InFlight: 16,
+			// A wide window keeps commits pending at the kill; tiny segments
+			// force rolls throughout, so batches straddle rolls and replay
+			// crosses many boundaries.
+			FsyncInterval: 5 * time.Millisecond,
+			SegmentBytes:  4 << 10,
+			// The orphan segment lands amid dozens of tiny sealed segments,
+			// so replay-for-recovery crosses many roll boundaries.
+			Orphans: 64,
+		}},
+		Topics:    chaosTopics(4, 512),
+		Load:      Load{Count: 400, Interval: time.Millisecond, PayloadSize: 64},
+		Receivers: []Receiver{lifeOneSub},
+		Script:    []Step{{At: 300 * time.Millisecond, Desc: "kill the entire pair", Do: KillPair()}},
 	}
 }

@@ -309,7 +309,7 @@ func (p *Publisher) Publish(topic spec.TopicID, payload []byte) (uint64, error) 
 	}
 	pt.retain(&m)
 	var ack *ackWaiter
-	if p.acks != nil {
+	if p.opts.DurableAcks { // not p.acks: releaseAcks swaps it under ackMu alone
 		// Register before the frame is queued so the receive loop cannot see
 		// the PubAck before the waiter exists.
 		p.ackMu.Lock()

@@ -149,6 +149,30 @@ func TestPublisherCloseReleasesParkedPublishes(t *testing.T) {
 	}
 }
 
+// TestPublisherCloseRacesPublish: publishes acked one after another keep
+// starting while Close releases the ack table; every one must end, and
+// under -race none may touch the table outside ackMu.
+func TestPublisherCloseRacesPublish(t *testing.T) {
+	n := transport.NewMem()
+	newAckingBroker(t, n, "primary", true)
+	pub := durablePublisher(t, n, "", time.Hour)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				if _, err := pub.Publish(1, []byte("racing")); err != nil {
+					return
+				}
+			}
+		}()
+	}
+	time.Sleep(20 * time.Millisecond)
+	pub.Close()
+	wg.Wait()
+}
+
 // TestPublisherDeadLinkWithoutBackupReleasesParkedPublishes: with no Backup
 // to fail over to, losing the broker link releases the parked publishes.
 func TestPublisherDeadLinkWithoutBackupReleasesParkedPublishes(t *testing.T) {
