@@ -1,7 +1,10 @@
 package chaos_test
 
 import (
+	"fmt"
 	"os"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/chaos"
@@ -54,8 +57,7 @@ func TestDurableChaosScenarios(t *testing.T) { runPlane(t, "durable") }
 
 // TestScenarioNamesUniqueAndSmokeSubset guards the registry shape the CI
 // pipelines depend on: unique names, Find resolving every name and
-// rejecting an unknown one, a Smoke scenario on every plane, and
-// kill-both-brokers present (`make durable-smoke` runs it by name).
+// rejecting an unknown one, and a Smoke scenario on every plane.
 func TestScenarioNamesUniqueAndSmokeSubset(t *testing.T) {
 	seen := map[string]bool{}
 	smoke := map[string]bool{}
@@ -78,12 +80,76 @@ func TestScenarioNamesUniqueAndSmokeSubset(t *testing.T) {
 			t.Errorf("no Smoke scenario on the %s plane — its PR gate would run nothing", p)
 		}
 	}
-	if !seen["kill-both-brokers"] {
-		t.Error("kill-both-brokers missing from the registry")
-	}
 	if _, err := chaos.Find("no-such-scenario"); err == nil {
 		t.Error("Find accepted an unknown name")
 	}
+}
+
+// checkPlane guards one plane's slice of the registry: at least two
+// scenarios deploy it, at least one is Smoke, and each passes isPlaneTest,
+// which names what is missing for the scenario to exercise the plane.
+func checkPlane(t *testing.T, plane string, isPlaneTest func(chaos.Scenario) string) {
+	t.Helper()
+	n, smoke := 0, 0
+	for _, sc := range chaos.All() {
+		if !slices.Contains(sc.Planes(), plane) {
+			continue
+		}
+		n++
+		if sc.Smoke {
+			smoke++
+		}
+		if why := isPlaneTest(sc); why != "" {
+			t.Errorf("%s scenario %q %s", plane, sc.Name, why)
+		}
+	}
+	if n < 2 {
+		t.Errorf("%d %s scenarios shipped, want >= 2", n, plane)
+	}
+	if smoke == 0 {
+		t.Errorf("no Smoke %s scenarios — the %s-smoke gate would run nothing", plane, plane)
+	}
+}
+
+// TestDurableScenarioRegistry guards the dual-crash scenarios `make
+// durable-smoke` depends on: each scripts a kill of the whole pair, and
+// kill-both-brokers (run by name) is present.
+func TestDurableScenarioRegistry(t *testing.T) {
+	checkPlane(t, "durable", func(sc chaos.Scenario) string {
+		for _, st := range sc.Script {
+			if st.At > 0 && st.Do != nil && strings.Contains(st.Desc, "kill the entire pair") {
+				return ""
+			}
+		}
+		return "never kills the pair — not a dual-crash test"
+	})
+	if sc, err := chaos.Find("kill-both-brokers"); err != nil || sc.Durable == nil {
+		t.Errorf("kill-both-brokers missing from the durable plane: %v", err)
+	}
+}
+
+// TestGatewayScenarioRegistry guards the gateway scenarios: each attaches
+// thin clients through the gateway.
+func TestGatewayScenarioRegistry(t *testing.T) {
+	checkPlane(t, "gateway", func(sc chaos.Scenario) string {
+		for _, r := range sc.Receivers {
+			if r.Gateway {
+				return ""
+			}
+		}
+		return "has no thin clients — not a connection-plane test"
+	})
+}
+
+// TestShardScenarioRegistry guards the shard scenarios: each runs on a
+// cluster of at least two pairs.
+func TestShardScenarioRegistry(t *testing.T) {
+	checkPlane(t, "shard", func(sc chaos.Scenario) string {
+		if sc.Shards < 2 {
+			return fmt.Sprintf("runs on %d shards — not a sharding test", sc.Shards)
+		}
+		return ""
+	})
 }
 
 // TestDefaultSeedPinned pins the per-name default seed: replay commands in
