@@ -142,8 +142,9 @@ type Receiver struct {
 	Name string
 	// Gateway attaches it through the gateway as a reconnecting thin client.
 	Gateway bool
-	// Wedged connects a raw gateway session that subscribes and never
-	// reads; it has no budget, the scenario's Check judges what it suffered.
+	// Wedged instead connects a raw gateway session that subscribes and
+	// never reads; it implies Gateway and has no budget — the scenario's
+	// Check judges what it suffered.
 	Wedged bool
 	// RequireAll asserts every published sequence arrived; the drain waits.
 	RequireAll bool
@@ -153,6 +154,9 @@ type Receiver struct {
 	MaxConsecutiveLoss int
 	AllowedRewinds     int
 }
+
+// viaGateway reports whether the receiver attaches through the gateway.
+func (r Receiver) viaGateway() bool { return r.Gateway || r.Wedged }
 
 // directSub is the strict direct subscriber most scenarios judge: every
 // message delivered, no loss, and at most rewinds FIFO restarts per link.
@@ -297,8 +301,16 @@ func RestartGateway() func(*Env) error {
 // retention window (Ni) large enough that publisher resend can cover any
 // realistic crash window on a CI runner.
 func chaosTopic(id spec.TopicID, retention int) spec.Topic {
-	return spec.Topic{ID: id, Category: -1, Period: 20 * time.Millisecond, Deadline: time.Second,
-		LossTolerance: 0, Retention: retention, Destination: spec.DestEdge, PayloadSize: 16}
+	return spec.Topic{
+		ID:            id,
+		Category:      -1,
+		Period:        20 * time.Millisecond,
+		Deadline:      time.Second,
+		LossTolerance: 0,
+		Retention:     retention,
+		Destination:   spec.DestEdge,
+		PayloadSize:   16,
+	}
 }
 
 // chaosTopics builds n standard chaos topics, IDs 1..n.
@@ -323,8 +335,12 @@ type traceRecorder struct {
 
 // traceBroker installs a fresh recorder as a broker's tracer.
 func (e *Env) traceBroker(name string, m *obsv.BrokerMetrics) *traceRecorder {
-	r := &traceRecorder{broker: name, pruned: make(map[[2]uint64]bool), recovered: make(map[[2]uint64]int),
-		dispatched: make(map[[2]uint64]bool)}
+	r := &traceRecorder{
+		broker:     name,
+		pruned:     make(map[[2]uint64]bool),
+		recovered:  make(map[[2]uint64]int),
+		dispatched: make(map[[2]uint64]bool),
+	}
 	m.SetTracer(r.note)
 	e.traces = append(e.traces, r)
 	return r

@@ -33,7 +33,9 @@ func KillPair() func(*Env) error {
 		e.Net.ResetNode(NodePrimary)
 		p.Backup.Kill()
 		p.Primary.Kill()
-		e.crashed[p.Backup], e.crashed[p.Primary], e.killed = true, true, true
+		e.crashed[p.Backup] = true
+		e.crashed[p.Primary] = true
+		e.killed = true
 		e.endLoad()
 		for _, r := range e.recv {
 			r.close()
@@ -76,8 +78,12 @@ func (e *Env) runSecondLife() error {
 	if err != nil {
 		return fmt.Errorf("reading crashed log: %w", err)
 	}
-	s := &secondLife{logged: make(map[spec.TopicID]map[uint64]bool), pruned: make(map[spec.TopicID]map[uint64]bool),
-		segments: seg.Segments(), rec: NewRecorder()}
+	s := &secondLife{
+		logged:   make(map[spec.TopicID]map[uint64]bool),
+		pruned:   make(map[spec.TopicID]map[uint64]bool),
+		segments: seg.Segments(),
+		rec:      NewRecorder(),
+	}
 	if err := seg.Close(); err != nil {
 		return fmt.Errorf("closing crashed log: %w", err)
 	}
@@ -106,8 +112,13 @@ func (e *Env) runSecondLife() error {
 	primary.Start()
 	ids := topicIDs(e.topics)
 	s.sub, err = client.NewSubscriber(client.SubscriberOptions{
-		Name: "sub2", Topics: ids, BrokerAddrs: []string{primary.Addr()}, Network: e.Net.Node("sub2"),
-		Clock: e.Clock, OnFrame: s.rec.Note, Logger: e.log,
+		Name:        "sub2",
+		Topics:      ids,
+		BrokerAddrs: []string{primary.Addr()},
+		Network:     e.Net.Node("sub2"),
+		Clock:       e.Clock,
+		OnFrame:     s.rec.Note,
+		Logger:      e.log,
 	})
 	if err != nil {
 		return fmt.Errorf("second-life subscriber: %w", err)
@@ -229,7 +240,7 @@ func (e *Env) durableViolations() []string {
 // crashed log, and whether the first life's Primary had dispatched it — so
 // a lost-ack failure names its cause without a rerun.
 func (e *Env) diagnoseLost(id spec.TopicID, lost []uint64) {
-	primary := e.traces[1] // the first life's Primary, traced after its Backup
+	primary := e.lifeOne
 	for i, seq := range lost {
 		if i == maxDiagnosed {
 			e.Tr.Logf(e.Clock(), "lost topic %d: %d more lost seqs not listed", id, len(lost)-i)

@@ -118,6 +118,7 @@ type Env struct {
 	pubTopics [][]spec.Topic // the topics each publisher pumps
 	recv      []*receiver
 	traces    []*traceRecorder
+	lifeOne   *traceRecorder // the durable first-life Primary's, for the lost-ack diagnosis
 	second    *secondLife
 	faultAt   time.Duration // first broker-affecting fault
 	faultSet  bool
@@ -143,6 +144,11 @@ func Run(sc Scenario, opts RunOptions) (*Result, error) {
 	}
 	if sc.Durable != nil && sc.Shards >= 2 {
 		return nil, fmt.Errorf("chaos: %s: the durable plane runs on a single pair", sc.Name)
+	}
+	for _, r := range sc.Receivers {
+		if r.viaGateway() && sc.Gateway == nil {
+			return nil, fmt.Errorf("chaos: %s: receiver %s attaches through a gateway the deployment lacks", sc.Name, r.Name)
+		}
 	}
 	var inner transport.Network = &transport.TCP{DialTimeout: 2 * time.Second}
 	if sc.Mem {
@@ -234,8 +240,14 @@ func (e *Env) bringUp(watchDone chan struct{}) error {
 	}
 	if g := e.sc.Gateway; g != nil {
 		e.gwOpts = gateway.Options{
-			ListenAddr: NodeGateway, Topics: e.topics, Network: e.Net.Node(NodeGateway), Clock: e.Clock,
-			Name: NodeGateway, ClientDepth: g.ClientDepth, ClientWriteTimeout: g.ClientWriteTimeout, Logger: e.log,
+			ListenAddr:         NodeGateway,
+			Topics:             e.topics,
+			Network:            e.Net.Node(NodeGateway),
+			Clock:              e.Clock,
+			Name:               NodeGateway,
+			ClientDepth:        g.ClientDepth,
+			ClientWriteTimeout: g.ClientWriteTimeout,
+			Logger:             e.log,
 		}
 		if e.Cluster != nil {
 			e.gwOpts.DirectoryAddr = e.Cluster.Dir.Addr()
@@ -256,7 +268,7 @@ func (e *Env) bringUp(watchDone chan struct{}) error {
 			return fmt.Errorf("receiver %s: %w", spec.Name, err)
 		}
 		e.recv = append(e.recv, r)
-		if spec.Gateway {
+		if spec.viaGateway() {
 			thin++
 		} else {
 			direct++
@@ -285,8 +297,15 @@ func (e *Env) bringUp(watchDone chan struct{}) error {
 func (e *Env) startBrokers() error {
 	if e.sc.Shards >= 2 {
 		c, err := cluster.New(cluster.Config{
-			Shards: e.sc.Shards, Topics: e.topics, Engine: e.engine, NodeNetwork: e.Net.Node, Mem: e.sc.Mem,
-			Clock: e.Clock, Detector: e.sc.Detector, EgressDepth: e.sc.EgressDepth, Logger: e.log,
+			Shards:      e.sc.Shards,
+			Topics:      e.topics,
+			Engine:      e.engine,
+			NodeNetwork: e.Net.Node,
+			Mem:         e.sc.Mem,
+			Clock:       e.Clock,
+			Detector:    e.sc.Detector,
+			EgressDepth: e.sc.EgressDepth,
+			Logger:      e.log,
 		})
 		if err != nil {
 			return fmt.Errorf("cluster: %w", err)
@@ -309,8 +328,8 @@ func (e *Env) startBrokers() error {
 		backup.Stop()
 		return fmt.Errorf("primary: %w", err)
 	}
-	if e.sc.Durable != nil { // its dispatches feed the lost-ack diagnosis
-		e.traceBroker(NodePrimary, primary.Obs())
+	if e.sc.Durable != nil {
+		e.lifeOne = e.traceBroker(NodePrimary, primary.Obs())
 	}
 	backup.SetPeerAddr(primary.Addr())
 	backup.Start()
@@ -327,11 +346,22 @@ func (e *Env) brokerOptions(role broker.Role, node, peer string) broker.Options 
 		listen = node
 	}
 	o := broker.Options{
-		Engine: e.engine, Role: role, ListenAddr: listen, PeerAddr: peer, Network: e.Net.Node(node),
-		Clock: e.Clock, Detector: e.sc.Detector, Topics: e.topics, Logger: e.log, EgressDepth: e.sc.EgressDepth,
+		Engine:      e.engine,
+		Role:        role,
+		ListenAddr:  listen,
+		PeerAddr:    peer,
+		Network:     e.Net.Node(node),
+		Clock:       e.Clock,
+		Detector:    e.sc.Detector,
+		Topics:      e.topics,
+		Logger:      e.log,
+		EgressDepth: e.sc.EgressDepth,
 	}
 	if d := e.sc.Durable; d != nil && role == broker.RolePrimary {
-		o.Durable, o.LogDir, o.FsyncInterval, o.LogSegmentBytes = true, e.logDir, d.FsyncInterval, d.SegmentBytes
+		o.Durable = true
+		o.LogDir = e.logDir
+		o.FsyncInterval = d.FsyncInterval
+		o.LogSegmentBytes = d.SegmentBytes
 	}
 	return o
 }
@@ -341,13 +371,22 @@ func (e *Env) brokerOptions(role broker.Role, node, peer string) broker.Options 
 // round-robin, with ACK = durable on a durable deployment.
 func (e *Env) startPublishers() error {
 	if e.Cluster != nil {
-		router, err := cluster.NewRouter(cluster.RouterOptions{DirectoryAddr: e.Cluster.Dir.Addr(), Network: e.Net.Node(NodePub), Logger: e.log})
+		router, err := cluster.NewRouter(cluster.RouterOptions{
+			DirectoryAddr: e.Cluster.Dir.Addr(),
+			Network:       e.Net.Node(NodePub),
+			Logger:        e.log,
+		})
 		if err != nil {
 			return err
 		}
 		pub, err := cluster.NewPublisher(cluster.PublisherOptions{
-			Name: NodePub, Topics: e.sc.Topics, Router: router, Network: e.Net.Node(NodePub), Clock: e.Clock,
-			Detector: e.sc.Detector, Logger: e.log,
+			Name:     NodePub,
+			Topics:   e.sc.Topics,
+			Router:   router,
+			Network:  e.Net.Node(NodePub),
+			Clock:    e.Clock,
+			Detector: e.sc.Detector,
+			Logger:   e.log,
 			// Poll as well as redirect-refresh, so routing-plane outage
 			// scenarios actually exercise fetch failures mid-run.
 			RefreshInterval: 50 * time.Millisecond,
@@ -355,7 +394,8 @@ func (e *Env) startPublishers() error {
 		if err != nil {
 			return err
 		}
-		e.pubs, e.pubTopics = append(e.pubs, pub), append(e.pubTopics, e.sc.Topics)
+		e.pubs = append(e.pubs, pub)
+		e.pubTopics = append(e.pubTopics, e.sc.Topics)
 		return nil
 	}
 	d := e.sc.Durable
@@ -368,14 +408,22 @@ func (e *Env) startPublishers() error {
 	}
 	for _, topics := range owned {
 		pub, err := client.NewPublisher(client.PublisherOptions{
-			Name: NodePub, Topics: topics, PrimaryAddr: e.Pairs[0].Primary.Addr(), BackupAddr: e.Pairs[0].Backup.Addr(),
-			Network: e.Net.Node(NodePub), Clock: e.Clock, Detector: e.sc.Detector, Logger: e.log,
-			DurableAcks: d != nil, AckTimeout: time.Second,
+			Name:        NodePub,
+			Topics:      topics,
+			PrimaryAddr: e.Pairs[0].Primary.Addr(),
+			BackupAddr:  e.Pairs[0].Backup.Addr(),
+			Network:     e.Net.Node(NodePub),
+			Clock:       e.Clock,
+			Detector:    e.sc.Detector,
+			Logger:      e.log,
+			DurableAcks: d != nil,
+			AckTimeout:  time.Second,
 		})
 		if err != nil {
 			return err
 		}
-		e.pubs, e.pubTopics = append(e.pubs, pub), append(e.pubTopics, topics)
+		e.pubs = append(e.pubs, pub)
+		e.pubTopics = append(e.pubTopics, topics)
 	}
 	return nil
 }
@@ -391,20 +439,42 @@ func (e *Env) startReceiver(spec Receiver) (*receiver, error) {
 		r.wedge, err = wedge(net, spec.Name, e.Gateway.Addr(), ids)
 	case spec.Gateway:
 		r.sub, err = gateway.NewThinSubscriber(gateway.ThinSubscriberOptions{
-			Name: spec.Name, Topics: ids, GatewayAddr: e.Gateway.Addr(), Network: net, Clock: e.Clock,
-			Reconnect: true, OnFrame: r.rec.Note, Logger: e.log,
+			Name:        spec.Name,
+			Topics:      ids,
+			GatewayAddr: e.Gateway.Addr(),
+			Network:     net,
+			Clock:       e.Clock,
+			Reconnect:   true,
+			OnFrame:     r.rec.Note,
+			Logger:      e.log,
 		})
 	case e.Cluster != nil:
 		var router *cluster.Router
-		if router, err = cluster.NewRouter(cluster.RouterOptions{DirectoryAddr: e.Cluster.Dir.Addr(), Network: net, Logger: e.log}); err == nil {
+		router, err = cluster.NewRouter(cluster.RouterOptions{
+			DirectoryAddr: e.Cluster.Dir.Addr(),
+			Network:       net,
+			Logger:        e.log,
+		})
+		if err == nil {
 			r.sub, err = cluster.NewSubscriber(cluster.SubscriberOptions{
-				Name: spec.Name, Topics: ids, Router: router, Network: net, Clock: e.Clock, OnFrame: r.rec.Note, Logger: e.log,
+				Name:    spec.Name,
+				Topics:  ids,
+				Router:  router,
+				Network: net,
+				Clock:   e.Clock,
+				OnFrame: r.rec.Note,
+				Logger:  e.log,
 			})
 		}
 	default:
 		r.sub, err = client.NewSubscriber(client.SubscriberOptions{
-			Name: spec.Name, Topics: ids, BrokerAddrs: []string{e.Pairs[0].Primary.Addr(), e.Pairs[0].Backup.Addr()},
-			Network: net, Clock: e.Clock, OnFrame: r.rec.Note, Logger: e.log,
+			Name:        spec.Name,
+			Topics:      ids,
+			BrokerAddrs: []string{e.Pairs[0].Primary.Addr(), e.Pairs[0].Backup.Addr()},
+			Network:     net,
+			Clock:       e.Clock,
+			OnFrame:     r.rec.Note,
+			Logger:      e.log,
 		})
 	}
 	return r, err
@@ -456,12 +526,16 @@ func (e *Env) play() error {
 	drain(func() (total uint64, complete bool) {
 		complete = true
 		for _, r := range e.recv {
+			if r.sub == nil {
+				continue
+			}
 			for _, tp := range e.sc.Topics {
-				if r.sub != nil {
-					got := r.sub.Received(tp.ID)
-					total += got
-					complete = complete && (!r.RequireAll || got >= e.lastSeq(tp.ID))
-				}
+				got := r.sub.Received(tp.ID)
+				total += got
+				// Only a RequireAll receiver can be seen to be complete; a
+				// lossy one drains until the counts go quiet, so frames
+				// still in flight are not judged as lost.
+				complete = complete && r.RequireAll && got >= e.lastSeq(tp.ID)
 			}
 		}
 		return total, complete

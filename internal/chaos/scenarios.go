@@ -394,7 +394,7 @@ func gatewaySlowClient() Scenario {
 		Receivers: []Receiver{
 			{Name: "healthy-a", Gateway: true, RequireAll: true, MaxConsecutiveLoss: 0, AllowedRewinds: 0},
 			{Name: "healthy-b", Gateway: true, RequireAll: true, MaxConsecutiveLoss: 0, AllowedRewinds: 0},
-			{Name: "wedge", Gateway: true, Wedged: true},
+			{Name: "wedge", Wedged: true},
 		},
 		Script: []Step{
 			{At: 0, Desc: "stall gateway->wedge behind a 4KiB buffer",
@@ -424,8 +424,13 @@ func gatewaySlowClient() Scenario {
 // shard promotes, within the bound; the thin clients stay within Li and
 // reconnect to a gateway that finds the promoted Backup in the Directory.
 func shardKillBehindGateway() Scenario {
-	const shards = 3
-	topics := gatewayTopics(9, 256)
+	// The 140 ms gateway outage costs each thin client one gap of about 75
+	// rounds of the 2 ms load (up to 80 measured with two -race runs
+	// sharing two cores). li leaves margin for that, yet a client that
+	// misses the restarted gateway loses the last ~190 of the 250 rounds
+	// and fails the budget.
+	const shards, li = 3, 128
+	topics := gatewayTopics(9, li)
 	// Proposition 1 replicates only while (Ni+Li)·Ti − Di is under the
 	// fail-over budget: a 10 s Di makes these topics replicate, and dropped
 	// prunes leave the victim's Backup a backlog to recovery-dispatch, so
@@ -442,8 +447,8 @@ func shardKillBehindGateway() Scenario {
 		Topics:      topics,
 		Load:        Load{Count: 250, Interval: 2 * time.Millisecond, PayloadSize: 16},
 		Receivers: []Receiver{
-			{Name: "phone-a", Gateway: true, MaxConsecutiveLoss: 256, AllowedRewinds: 2},
-			{Name: "phone-b", Gateway: true, MaxConsecutiveLoss: 256, AllowedRewinds: 2},
+			{Name: "phone-a", Gateway: true, MaxConsecutiveLoss: li, AllowedRewinds: 2},
+			{Name: "phone-b", Gateway: true, MaxConsecutiveLoss: li, AllowedRewinds: 2},
 		},
 		Script: []Step{
 			{At: 0, Desc: fmt.Sprintf("drop 35%% of shard %d primary->backup frames", victim),
