@@ -2,7 +2,8 @@
 // of topics, publishes one message per topic per period (batched like the
 // paper's sensor proxies), retains the Ni latest messages of each topic,
 // and fails over to the Backup — re-sending the retained messages — when
-// its detector declares the Primary dead.
+// the promoted Backup says so or its link to the Primary fails. It runs no
+// failure detector of its own: the Backup's is the pair's only one.
 //
 // Usage:
 //
@@ -17,9 +18,8 @@
 //
 // Against a connection-plane gateway (cmd/frame-gateway), run as a thin
 // client: the gateway is the publisher's whole world — it answers the
-// detector's polls and the clock exchange locally and forwards each
-// publish to the owning broker pair, so failover is the gateway's
-// problem, not the phone's:
+// clock exchange locally and forwards each publish to the owning broker
+// pair, so failover is the gateway's problem, not the phone's:
 //
 //	frame-pub -gateway localhost:7410 -topics topics.txt
 package main
@@ -86,9 +86,9 @@ func run() error {
 	var pub publisher
 	if *gwAddr != "" {
 		// Thin-client mode: the gateway is the publisher's Primary. It
-		// answers polls and clock sync itself and forwards publishes to
-		// whichever broker owns each topic; no Backup address because
-		// broker failover is resolved behind the gateway.
+		// answers clock sync itself and forwards publishes to whichever
+		// broker owns each topic; no Backup address because broker
+		// failover is resolved behind the gateway.
 		clock, stopSync, err := syncedClock(network, *gwAddr)
 		if err != nil {
 			return err

@@ -6,7 +6,9 @@
 // seen from the network). It then reports:
 //
 //   - when the Backup's detector fired and promoted it,
-//   - when the publisher redirected and re-sent its retained messages,
+//   - when the publisher redirected and re-sent its retained messages (it
+//     runs no detector: its link to the crashed Primary closing is what
+//     tells it, and a promoted Backup would tell it too),
 //   - the end-to-end outcome: every sequence number delivered exactly
 //     once to the subscriber, despite the crash.
 //
@@ -93,7 +95,7 @@ func run() error {
 	pub, err := frame.NewPublisher(frame.PublisherOptions{
 		Name: "pub", Topics: []frame.Topic{topic},
 		PrimaryAddr: "primary", BackupAddr: "backup",
-		Network: network, Clock: clock, Detector: detector, Logger: logger,
+		Network: network, Clock: clock, Logger: logger,
 	})
 	if err != nil {
 		return err

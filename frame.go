@@ -126,7 +126,10 @@ type (
 	Delivery = client.Delivery
 	// Network abstracts listen/dial (TCP or in-process).
 	Network = transport.Network
-	// DetectorConfig tunes crash detection (polling period, misses).
+	// DetectorConfig tunes a Backup's crash detection of its Primary
+	// (polling period, misses), set on BrokerOptions.Detector. It is the
+	// pair's only detector: publishers run none, and follow the promoted
+	// Backup's notice or their Primary link's failure instead.
 	DetectorConfig = failover.Config
 	// Clock is the deployment timebase (see NewClock and clocksync).
 	Clock = clocksync.Clock

@@ -114,7 +114,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	pub, err := NewPublisher(PublisherOptions{
 		Name: "pub", Topics: topics,
 		PrimaryAddr: "primary", BackupAddr: "backup",
-		Network: network, Clock: clock, Detector: det, Logger: quiet(),
+		Network: network, Clock: clock, Logger: quiet(),
 	})
 	if err != nil {
 		t.Fatal(err)

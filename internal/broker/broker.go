@@ -13,9 +13,11 @@
 //   - subscriber connections play the Consumer Proxies.
 //
 // A broker starts as Primary (dispatching and replicating) or as Backup
-// (absorbing replicas and polling the Primary); a Backup promotes itself
-// into a new Primary when its failure detector fires, draining the pruned
-// Backup Buffer per Table 3's Recovery procedure.
+// (absorbing replicas and polling the Primary whenever the replication link
+// falls silent); a Backup promotes itself into a new Primary when its
+// failure detector fires, draining the pruned Backup Buffer per Table 3's
+// Recovery procedure, and tells every publisher connected to it to fail
+// over.
 package broker
 
 import (
@@ -70,7 +72,7 @@ type Options struct {
 	// ListenAddr is where publishers, subscribers, and the peer connect.
 	ListenAddr string
 	// PeerAddr is the other broker: for a Primary, the Backup to replicate
-	// to (empty means no backup); for a Backup, the Primary to poll.
+	// to (empty means no backup); for a Backup, the Primary to watch.
 	PeerAddr string
 	// Network supplies listen/dial (TCP or in-process).
 	Network transport.Network
@@ -89,8 +91,8 @@ type Options struct {
 	// GOMAXPROCS under the EDF policy and 1 otherwise; 1 restores the
 	// single global queue.
 	Lanes int
-	// Detector tunes the Backup's failure detector; zero-value means
-	// failover.DefaultConfig.
+	// Detector tunes the Backup's failure detector, the pair's only one;
+	// zero-value means failover.DefaultConfig.
 	Detector failover.Config
 	// Topics are registered before the broker starts serving.
 	Topics []spec.Topic
@@ -213,9 +215,10 @@ type Broker struct {
 	meter   transport.Meter // aggregate traffic over every conn this broker owns
 	started time.Time
 
-	// peerAlive reflects the Backup's view of the Primary: the last failure
-	// detector probe succeeded. Primaries report the replication link instead.
-	peerAlive atomic.Bool
+	// det is the Backup's failure detector once its poll link is up (nil on
+	// a Primary): replicate and prune frames from the Primary are reported
+	// to it as heard, and it is the Backup's view of the Primary's liveness.
+	det atomic.Pointer[failover.Detector]
 
 	// mu guards role only. The engine itself is guarded per lane: a call
 	// naming a topic runs under that topic's lane lock, and whole-engine
@@ -273,12 +276,15 @@ type Broker struct {
 	recoveredMsgs   int
 	recoveredPrunes int
 
-	// ackRings are the sessions that own a PubAck ring, for shutdown's
-	// sweep; ackMeter aggregates those rings apart from the subscribers'
-	// (they are not subscribers: Health().EgressSubs and the eviction
-	// counts stay about fan-out). ackTouched is onDurable's scratch.
+	// ackRings are the sessions that own a reply ring (PubAcks, promotion
+	// notice), for shutdown's sweep; ackMeter aggregates those rings apart
+	// from the subscribers' (they are not subscribers: Health().EgressSubs
+	// and the eviction counts stay about fan-out). publishers are a
+	// Backup's publisher sessions, which promotion notifies. ackTouched is
+	// onDurable's scratch.
 	ackMu      sync.Mutex
 	ackRings   map[*session]struct{}
+	publishers map[*session]struct{}
 	ackMeter   transport.EgressMeter
 	ackTouched []*session
 }
@@ -436,6 +442,7 @@ func New(opts Options) (*Broker, error) {
 		subs:       make(map[spec.TopicID][]*subscriber),
 		subsByConn: make(map[*transport.Conn]*subscriber),
 		ackRings:   make(map[*session]struct{}),
+		publishers: make(map[*session]struct{}),
 	}
 	b.lanes = make([]*dispatchLane, engine.Lanes())
 	intakeDepth := opts.IntakeDepth
@@ -539,14 +546,16 @@ func (b *Broker) AdminAddr() string {
 func (b *Broker) Obs() *obsv.BrokerMetrics { return b.obs }
 
 // Health snapshots the broker's liveness for /healthz: current role, peer
-// liveness (replication link up for a Primary, last probe answered for a
-// Backup), and job queue depth.
+// liveness (replication link up for a Primary; for a Backup, the Primary
+// heard from — a replication frame or an answered probe — within the
+// detector's Period+Timeout), and job queue depth.
 func (b *Broker) Health() obsv.Health {
 	role := b.Role()
 	peerUp := false
 	if b.opts.PeerAddr != "" {
 		if b.opts.Role == RoleBackup && role == RoleBackup {
-			peerUp = b.peerAlive.Load()
+			det := b.det.Load()
+			peerUp = det != nil && det.Alive()
 		} else {
 			peerUp = b.peer() != nil
 		}
@@ -941,7 +950,10 @@ func (b *Broker) handleFrame(s *session, f *wire.Frame) error {
 	conn := s.conn
 	switch f.Type {
 	case wire.TypeHello:
-		return nil // roles are implicit in subsequent traffic
+		if f.Role == wire.RolePublisher && b.opts.Role == RoleBackup {
+			b.addPublisher(s)
+		}
+		return nil // otherwise roles are implicit in subsequent traffic
 	case wire.TypePublish, wire.TypeResend:
 		if err := b.onPublish(s, f.Type, f.Msg); err != nil {
 			// In a cluster, an unknown topic means the publisher routed on a
@@ -959,11 +971,13 @@ func (b *Broker) handleFrame(s *session, f *wire.Frame) error {
 		b.addSubscriber(conn, f.Topics)
 		return nil
 	case wire.TypeReplicate:
+		b.heardPrimary()
 		if err := b.onReplica(f); err != nil {
 			b.log.Warn("replica rejected", "topic", f.Msg.Topic, "err", err)
 		}
 		return nil
 	case wire.TypePrune:
+		b.heardPrimary()
 		b.obs.PrunesReceived.Inc()
 		b.obs.Trace(obsv.TraceEvent{Stage: obsv.StagePrune, Topic: uint64(f.Topic), Seq: f.Seq, At: b.opts.Clock()})
 		lane := b.lane(f.Topic)
@@ -1376,7 +1390,8 @@ func (b *Broker) connectPeer(ctx context.Context, ring *transport.Egress) {
 }
 
 // watchPrimary runs the Backup's failure detector over a dedicated polling
-// connection and promotes on crash (§IV-A).
+// connection and promotes on crash (§IV-A). The detector probes only while
+// the replication link is silent: heardPrimary reports its frames.
 func (b *Broker) watchPrimary(ctx context.Context) {
 	var conn *transport.Conn
 	for ctx.Err() == nil {
@@ -1411,13 +1426,19 @@ func (b *Broker) watchPrimary(ctx context.Context) {
 		b.obs.DetectorProbes.Inc()
 		if err != nil {
 			b.obs.DetectorMisses.Inc()
-			b.peerAlive.Store(false)
-			return
 		}
-		b.peerAlive.Store(true)
 	})
+	b.det.Store(det)
 	if err := det.Run(ctx); err != nil && ctx.Err() == nil {
 		b.log.Warn("detector stopped", "err", err)
+	}
+}
+
+// heardPrimary reports a frame from the Primary to the Backup's detector:
+// proof of life that pushes its next probe one Period out.
+func (b *Broker) heardPrimary() {
+	if det := b.det.Load(); det != nil {
+		det.Heard()
 	}
 }
 
@@ -1446,6 +1467,7 @@ func (b *Broker) promote() {
 		l.parker.Unpark()
 	}
 	close(b.promoted)
+	b.noticePublishers()
 	b.obs.Promotions.Inc()
 	b.obs.RecoveryJobs.Add(stats.RecoveryJobs)
 	b.obs.RecoverySkipped.Add(stats.RecoverySkipped)
@@ -1456,4 +1478,49 @@ func (b *Broker) promote() {
 	}
 	b.log.Info("promoted to primary",
 		"recoveryJobs", stats.RecoveryJobs, "skipped", stats.RecoverySkipped)
+}
+
+// addPublisher registers a publisher session on a Backup for the promotion
+// notice, and tells it at once if the promotion has already happened.
+// Registering and checking under the lock promote's sweep takes after
+// closing promoted means a Hello racing promotion is told exactly once.
+func (b *Broker) addPublisher(s *session) {
+	b.ackMu.Lock()
+	defer b.ackMu.Unlock()
+	b.publishers[s] = struct{}{}
+	select {
+	case <-b.promoted:
+		b.noticeLocked(s)
+	default:
+	}
+}
+
+// noticePublishers tells every registered publisher session that this
+// broker is the Primary now. Each notice is queued on the session's reply
+// ring and written by the shared flushers, so a publisher that has stopped
+// reading delays neither the promotion nor anyone else's notice.
+func (b *Broker) noticePublishers() {
+	b.ackMu.Lock()
+	defer b.ackMu.Unlock()
+	for s := range b.publishers {
+		b.noticeLocked(s)
+	}
+}
+
+// noticeLocked queues the promotion notice on s's reply ring, once per
+// session. Caller holds ackMu.
+func (b *Broker) noticeLocked(s *session) {
+	if s.told {
+		return
+	}
+	eg := b.openAckRingLocked(s)
+	if eg == nil {
+		return // stopping
+	}
+	s.told = true
+	fb := transport.GetFrameBuf()
+	fb.B = wire.AppendPromotedBody(fb.B[:0])
+	if eg.Enqueue(fb, 0, ackLossTolerance) == transport.EnqueueEvicted {
+		b.log.Warn("publisher evicted: its reply ring is full", "addr", s.conn.RemoteAddr())
+	}
 }

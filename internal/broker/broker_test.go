@@ -168,7 +168,6 @@ func TestPublishDispatchEndToEnd(t *testing.T) {
 		BackupAddr:  "backup",
 		Network:     c.net,
 		Clock:       c.clock,
-		Detector:    fastDetector(),
 		Logger:      quietLogger(),
 	})
 	if err != nil {
@@ -218,7 +217,7 @@ func TestSelectiveReplicationOverNetwork(t *testing.T) {
 	pub, err := client.NewPublisher(client.PublisherOptions{
 		Name: "pub", Topics: topics,
 		PrimaryAddr: "primary", BackupAddr: "backup",
-		Network: c.net, Clock: c.clock, Detector: fastDetector(),
+		Network: c.net, Clock: c.clock,
 		Logger: quietLogger(),
 	})
 	if err != nil {
@@ -273,7 +272,7 @@ func TestFailoverPromotionAndZeroLoss(t *testing.T) {
 	pub, err := client.NewPublisher(client.PublisherOptions{
 		Name: "pub", Topics: topics,
 		PrimaryAddr: "primary", BackupAddr: "backup",
-		Network: c.net, Clock: c.clock, Detector: fastDetector(),
+		Network: c.net, Clock: c.clock,
 		Logger: quietLogger(),
 	})
 	if err != nil {
@@ -405,7 +404,7 @@ func TestEndToEndOverTCP(t *testing.T) {
 	pub, err := client.NewPublisher(client.PublisherOptions{
 		Name: "pub", Topics: topics,
 		PrimaryAddr: c.primary.Addr(), BackupAddr: c.backup.Addr(),
-		Network: n, Clock: c.clock, Detector: fastDetector(),
+		Network: n, Clock: c.clock,
 		Logger: quietLogger(),
 	})
 	if err != nil {
@@ -443,7 +442,7 @@ func TestSubscriberDisconnectCleanup(t *testing.T) {
 	pub, err := client.NewPublisher(client.PublisherOptions{
 		Name: "pub", Topics: topics,
 		PrimaryAddr: "primary", BackupAddr: "backup",
-		Network: c.net, Clock: c.clock, Detector: fastDetector(),
+		Network: c.net, Clock: c.clock,
 		Logger: quietLogger(),
 	})
 	if err != nil {
@@ -530,7 +529,7 @@ func TestConcurrentLoadManyClients(t *testing.T) {
 			pub, err := client.NewPublisher(client.PublisherOptions{
 				Name: fmt.Sprintf("pub%d", p), Topics: []spec.Topic{topic},
 				PrimaryAddr: "primary", BackupAddr: "backup",
-				Network: c.net, Clock: c.clock, Detector: fastDetector(),
+				Network: c.net, Clock: c.clock,
 				Logger: quietLogger(),
 			})
 			if err != nil {

@@ -189,7 +189,7 @@ func runChaosCycle(t *testing.T, cycle int, rng *rand.Rand) {
 	pub, err := client.NewPublisher(client.PublisherOptions{
 		Name: "chaos-pub", Topics: topics,
 		PrimaryAddr: primary.Addr(), BackupAddr: backup.Addr(),
-		Network: n, Clock: clock, Detector: fastDetector(),
+		Network: n, Clock: clock,
 		Logger: quietLogger(),
 	})
 	if err != nil {

@@ -12,6 +12,7 @@
 package broker
 
 import (
+	"sync/atomic"
 	"time"
 
 	"repro/internal/diskstore"
@@ -23,10 +24,14 @@ import (
 // session is the broker-side state of one accepted connection.
 type session struct {
 	conn *transport.Conn
-	// acks is the connection's PubAck ring, opened by the session goroutine
-	// on its first durable publish (under Broker.ackMu) and never replaced;
-	// nil before that, and for good if the broker was already stopping.
-	acks *transport.Egress
+	// acks is the connection's reply ring: its PubAcks, and on a promoted
+	// Backup the promotion notice. It is opened under Broker.ackMu on the
+	// first durable publish or notice, and never replaced; nil before that,
+	// and for good if the broker was already stopping.
+	acks atomic.Pointer[transport.Egress]
+	// told marks a publisher session that was sent the promotion notice.
+	// Guarded by Broker.ackMu.
+	told bool
 	// pend gathers this connection's acks while onDurable walks one batch.
 	// Committer goroutine only.
 	pend []*transport.FrameBuf
@@ -48,8 +53,10 @@ const ackRingDepth = diskstore.MaxBatchWaiters
 // in flight through the in-memory plane (Table 3 replication still covers
 // it), the broker just withholds the durability ack and counts it.
 func (b *Broker) stageDurable(s *session, m wire.Message, arrived time.Duration) {
-	if s.acks == nil {
-		b.openAckRing(s)
+	if s.acks.Load() == nil {
+		b.ackMu.Lock()
+		b.openAckRingLocked(s)
+		b.ackMu.Unlock()
 	}
 	w := diskstore.Waiter{Owner: s, Topic: m.Topic, Seq: m.Seq, Arrived: arrived}
 	if err := b.committer.Stage(m, w); err != nil {
@@ -57,33 +64,37 @@ func (b *Broker) stageDurable(s *session, m wire.Message, arrived time.Duration)
 	}
 }
 
-// openAckRing gives the session its PubAck ring. It drains through the same
-// flusher pool as the subscriber rings but counts into its own meter.
-func (b *Broker) openAckRing(s *session) {
-	b.ackMu.Lock()
-	defer b.ackMu.Unlock()
-	if b.stopping.Load() {
-		// Same rule as addSubscriber: shutdown's sweep has, or is about to
-		// have, closed every ring and drained the flusher pool.
-		return
+// openAckRingLocked gives the session its reply ring, unless it has one,
+// and returns it (nil once the broker is stopping). The ring drains through
+// the same flusher pool as the subscriber rings but counts into its own
+// meter. Caller holds ackMu.
+func (b *Broker) openAckRingLocked(s *session) *transport.Egress {
+	if eg := s.acks.Load(); eg != nil || b.stopping.Load() {
+		// Stopping: same rule as addSubscriber — shutdown's sweep has, or is
+		// about to have, closed every ring and drained the flusher pool.
+		return eg
 	}
-	s.acks = transport.NewEgress(s.conn, transport.EgressConfig{
+	eg := transport.NewEgress(s.conn, transport.EgressConfig{
 		Depth: ackRingDepth,
 		Shed:  true,
 		Stall: b.opts.EgressWriteTimeout,
 		Meter: &b.ackMeter,
 		Pool:  b.pool,
 	})
+	s.acks.Store(eg)
 	b.ackRings[s] = struct{}{}
+	return eg
 }
 
-// removeAckRing unregisters the session's ack ring and returns it (nil if
+// removeAckRing unregisters the session — its reply ring and its place
+// among the publishers a promotion notifies — and returns the ring (nil if
 // it never opened one) for the caller to retire.
 func (b *Broker) removeAckRing(s *session) *transport.Egress {
 	b.ackMu.Lock()
 	defer b.ackMu.Unlock()
 	delete(b.ackRings, s)
-	return s.acks
+	delete(b.publishers, s)
+	return s.acks.Load()
 }
 
 // closeAckRings is shutdown's sweep over every live ack ring, mirroring
@@ -92,7 +103,7 @@ func (b *Broker) closeAckRings() {
 	b.ackMu.Lock()
 	rings := make([]*transport.Egress, 0, len(b.ackRings))
 	for s := range b.ackRings {
-		rings = append(rings, s.acks)
+		rings = append(rings, s.acks.Load())
 	}
 	b.ackMu.Unlock()
 	transport.Retire(rings...)
@@ -114,7 +125,7 @@ func (b *Broker) onDurable(batch []diskstore.Waiter, err error) {
 		s := w.Owner.(*session)
 		b.obs.StageDurable.Observe(now - w.Arrived)
 		b.obs.Trace(obsv.TraceEvent{Stage: obsv.StageDurable, Topic: uint64(w.Topic), Seq: w.Seq, At: now})
-		if s.acks == nil {
+		if s.acks.Load() == nil {
 			continue
 		}
 		fb := transport.GetFrameBuf()
@@ -126,7 +137,7 @@ func (b *Broker) onDurable(batch []diskstore.Waiter, err error) {
 	}
 	b.durableAcks.Add(uint64(len(batch)))
 	for _, s := range touched {
-		if s.acks.EnqueueBatch(s.pend, ackLossTolerance) == transport.EnqueueEvicted {
+		if s.acks.Load().EnqueueBatch(s.pend, ackLossTolerance) == transport.EnqueueEvicted {
 			b.log.Warn("publisher evicted: it stopped reading its durable acks",
 				"addr", s.conn.RemoteAddr())
 		}

@@ -84,7 +84,11 @@ func pollRoundTrip(t *testing.T, conn *transport.Conn, nonce uint64) {
 	if err := conn.Send(&wire.Frame{Type: wire.TypePoll, Nonce: nonce}); err != nil {
 		t.Fatal(err)
 	}
-	if f, err := conn.Recv(); err != nil || f.Type != wire.TypePollReply || f.Nonce != nonce {
+	f, err := conn.Recv()
+	if err == nil && f.Type == wire.TypePromoted {
+		f, err = conn.Recv() // a publisher on a promoted Backup is told so first
+	}
+	if err != nil || f.Type != wire.TypePollReply || f.Nonce != nonce {
 		t.Fatalf("poll reply %d: %+v, %v", nonce, f, err)
 	}
 }

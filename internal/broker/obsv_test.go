@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/core"
+	"repro/internal/failover"
 	"repro/internal/obsv"
 	"repro/internal/spec"
 	"repro/internal/transport"
@@ -20,6 +21,13 @@ import (
 // endpoints bind real loopback TCP regardless.
 func startAdminCluster(t *testing.T, topics []spec.Topic) *cluster {
 	t.Helper()
+	return startAdminClusterWith(t, topics, fastDetector())
+}
+
+// startAdminClusterWith is startAdminCluster with the Backup's detector
+// tuned by det.
+func startAdminClusterWith(t *testing.T, topics []spec.Topic, det failover.Config) *cluster {
+	t.Helper()
 	n := transport.NewMem()
 	clock := testClock()
 	cfg := core.FRAMEConfig(lanParams())
@@ -28,7 +36,7 @@ func startAdminCluster(t *testing.T, topics []spec.Topic) *cluster {
 		Engine: cfg, Role: RoleBackup,
 		ListenAddr: "backup", PeerAddr: "primary",
 		Network: n, Clock: clock,
-		Detector: fastDetector(), Topics: topics,
+		Detector: det, Topics: topics,
 		Logger:    quietLogger(),
 		AdminAddr: "127.0.0.1:0",
 	})
@@ -39,7 +47,7 @@ func startAdminCluster(t *testing.T, topics []spec.Topic) *cluster {
 		Engine: cfg, Role: RolePrimary,
 		ListenAddr: "primary", PeerAddr: backup.Addr(),
 		Network: n, Clock: clock,
-		Detector: fastDetector(), Topics: topics,
+		Detector: det, Topics: topics,
 		Logger:    quietLogger(),
 		AdminAddr: "127.0.0.1:0",
 	})
@@ -126,7 +134,7 @@ func TestMetricsEndpointCounters(t *testing.T) {
 	pub, err := client.NewPublisher(client.PublisherOptions{
 		Name: "pub", Topics: topics,
 		PrimaryAddr: "primary", BackupAddr: "backup",
-		Network: c.net, Clock: c.clock, Detector: fastDetector(),
+		Network: c.net, Clock: c.clock,
 		Logger: quietLogger(),
 	})
 	if err != nil {
@@ -220,13 +228,18 @@ func TestMetricsEndpointCounters(t *testing.T) {
 // after a Primary crash: the reported role must flip backup → primary with
 // promoted=true once fail-over completes.
 func TestHealthzRoleFlipsOnPromotion(t *testing.T) {
-	topics := []spec.Topic{lanTopic(1, 5)}
-	c := startAdminCluster(t, topics)
+	topics := []spec.Topic{lanTopic(1, 5)} // Ni=5 replicates (Proposition 1)
+	// A Period longer than the publish phase: until the crash the Backup
+	// sends no probe, so the replication frames alone must show the Primary
+	// alive. Misses=1 keeps the crash detected within a Period.
+	c := startAdminClusterWith(t, topics, failover.Config{
+		Period: 500 * time.Millisecond, Timeout: 100 * time.Millisecond, Misses: 1,
+	})
 
 	pub, err := client.NewPublisher(client.PublisherOptions{
 		Name: "pub", Topics: topics,
 		PrimaryAddr: "primary", BackupAddr: "backup",
-		Network: c.net, Clock: c.clock, Detector: fastDetector(),
+		Network: c.net, Clock: c.clock,
 		Logger: quietLogger(),
 	})
 	if err != nil {
@@ -240,14 +253,17 @@ func TestHealthzRoleFlipsOnPromotion(t *testing.T) {
 		}
 	}
 
-	// The backup's detector needs a beat to observe its first successful
-	// probe before peer_connected reads true.
+	// The backup hears the replicate and prune frames within a beat, and
+	// peer_connected reads true with no probe sent.
 	waitFor(t, time.Second, "backup sees live primary", func() bool {
 		return getHealth(t, c.backup.AdminAddr()).PeerConnected
 	})
 	h := getHealth(t, c.backup.AdminAddr())
 	if h.Role != "backup" || h.Promoted {
 		t.Fatalf("pre-failover backup health = %+v, want role=backup promoted=false", h)
+	}
+	if v := sampleValue(t, scrape(t, c.backup.AdminAddr()), "frame_detector_probes_total", ""); v != 0 {
+		t.Errorf("frame_detector_probes_total = %v while replication flowed, want 0: the peer view must come from the frames", v)
 	}
 	if h := getHealth(t, c.primary.AdminAddr()); h.Role != "primary" {
 		t.Fatalf("primary health = %+v, want role=primary", h)
@@ -305,7 +321,7 @@ func TestLifecycleTracing(t *testing.T) {
 	pub, err := client.NewPublisher(client.PublisherOptions{
 		Name: "pub", Topics: topics,
 		PrimaryAddr: "primary", BackupAddr: "backup",
-		Network: c.net, Clock: c.clock, Detector: fastDetector(),
+		Network: c.net, Clock: c.clock,
 		Logger: quietLogger(),
 	})
 	if err != nil {

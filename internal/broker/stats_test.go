@@ -23,7 +23,7 @@ func TestStatsScrapeDuringLiveRun(t *testing.T) {
 	pub, err := client.NewPublisher(client.PublisherOptions{
 		Name: "pub", Topics: topics,
 		PrimaryAddr: "primary", BackupAddr: "backup",
-		Network: c.net, Clock: c.clock, Detector: fastDetector(),
+		Network: c.net, Clock: c.clock,
 		Logger: quietLogger(),
 	})
 	if err != nil {

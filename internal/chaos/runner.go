@@ -380,13 +380,12 @@ func (e *Env) startPublishers() error {
 			return err
 		}
 		pub, err := cluster.NewPublisher(cluster.PublisherOptions{
-			Name:     NodePub,
-			Topics:   e.sc.Topics,
-			Router:   router,
-			Network:  e.Net.Node(NodePub),
-			Clock:    e.Clock,
-			Detector: e.sc.Detector,
-			Logger:   e.log,
+			Name:    NodePub,
+			Topics:  e.sc.Topics,
+			Router:  router,
+			Network: e.Net.Node(NodePub),
+			Clock:   e.Clock,
+			Logger:  e.log,
 			// Poll as well as redirect-refresh, so routing-plane outage
 			// scenarios actually exercise fetch failures mid-run.
 			RefreshInterval: 50 * time.Millisecond,
@@ -414,7 +413,6 @@ func (e *Env) startPublishers() error {
 			BackupAddr:  e.Pairs[0].Backup.Addr(),
 			Network:     e.Net.Node(NodePub),
 			Clock:       e.Clock,
-			Detector:    e.sc.Detector,
 			Logger:      e.log,
 			DurableAcks: d != nil,
 			AckTimeout:  time.Second,

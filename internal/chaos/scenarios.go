@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/client"
 	"repro/internal/cluster"
 	"repro/internal/faultinject"
 	"repro/internal/gateway"
@@ -16,6 +17,7 @@ func All() []Scenario {
 	return []Scenario{
 		crashPromote(),
 		partitionReplication(),
+		isolatePrimary(),
 		flapRecovery(),
 		deltaBBLatency(),
 		bandwidthSubscriber(),
@@ -79,6 +81,42 @@ func partitionReplication() Scenario {
 		},
 		Receivers:       []Receiver{directSub(2)}, // the promoted Backup's recovery run rewinds its link once
 		ExpectPromotion: true,
+	}
+}
+
+// isolatePrimary cuts the Primary off from everyone — Backup, publisher and
+// subscriber — without resetting a single connection: the partition holds
+// frames, so no link fails and the publisher can learn of the fail-over
+// only from the promoted Backup's notice. The Backup's probes go
+// unanswered, it promotes within the bound and tells the publisher, whose
+// retained resend covers what the isolated Primary swallowed. The drain's
+// heal releases the held frames (the Primary then dispatches the publishes
+// held on their way to it), which the subscriber's dedup absorbs.
+func isolatePrimary() Scenario {
+	return Scenario{
+		Name:        "isolate-primary",
+		Description: "partition the Primary from Backup and clients; the publisher fails over on the promoted Backup's notice alone",
+		Smoke:       true,
+		Topics:      []spec.Topic{chaosTopic(1, 256)},
+		Load:        Load{Count: 250, Interval: 2 * time.Millisecond, PayloadSize: 16},
+		Script: []Step{
+			{At: 120 * time.Millisecond, Desc: "partition primary | backup, pub, sub",
+				Do: RaisePartition("isolate", []string{NodePrimary}, []string{NodeBackup, NodePub, NodeSub})},
+		},
+		// Strict FIFO: Proposition 1 suppresses the topic's replication, so
+		// the Backup link carries no recovery run, only the ascending resend
+		// run and then new publishes; the heal releases the Primary link's
+		// held frames in order.
+		Receivers:       []Receiver{directSub(0)},
+		ExpectPromotion: true,
+		Check: func(e *Env) []string {
+			select {
+			case <-e.pubs[0].(*client.Publisher).FailedOver():
+				return nil
+			default:
+				return []string{"publisher never failed over: the promoted Backup's notice did not reach it"}
+			}
+		},
 	}
 }
 
@@ -148,10 +186,10 @@ func bandwidthSubscriber() Scenario {
 }
 
 // resetStorm repeatedly RSTs the publisher's connections to the Primary.
-// The publisher's own detector declares the Primary dead and fails over to
-// the (unpromoted) Backup, resending its retained ring; the Backup — whose
-// probes of the Primary still succeed — must NOT promote, yet every message
-// must arrive via one broker or the other.
+// The publisher's link to the Primary fails, so it fails over to the
+// (unpromoted) Backup at once, resending its retained ring; the Backup —
+// which still hears the Primary — must NOT promote, yet every message must
+// arrive via one broker or the other.
 func resetStorm() Scenario {
 	steps := []Step{}
 	for i := 0; i < 5; i++ {

@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"repro/internal/clocksync"
-	"repro/internal/failover"
 	"repro/internal/ringbuf"
 	"repro/internal/spec"
 	"repro/internal/transport"
@@ -51,9 +50,6 @@ type PublisherOptions struct {
 	Network transport.Network
 	// Clock is the synchronized timebase used to stamp tc.
 	Clock clocksync.Clock
-	// Detector tunes crash detection of the Primary; zero-value means
-	// failover.DefaultConfig. Only used when BackupAddr is non-empty.
-	Detector failover.Config
 	// OnWrongShard, if non-nil, runs whenever a broker answers a publish
 	// with a WrongShard redirect, passing the rejected topic and the
 	// broker's routing epoch, from a receiving goroutine. Cluster
@@ -89,9 +85,12 @@ const uplinkDepth = 256
 const closeFlushWait = time.Second
 
 // Publisher is a proxy for a set of topics. Publish stamps messages and
-// queues them for the current Primary; when its detector declares the Primary
-// dead it redirects to the Backup, first re-sending each topic's retained
-// messages. Publisher is safe for concurrent use.
+// queues them for the current Primary. It runs no failure detector of its
+// own: it redirects to the Backup, first re-sending each topic's retained
+// messages, when the Backup reports that it has promoted itself (the pair's
+// one detector is the Backup's) or when the link to the Primary fails. One
+// connection per broker carries everything. Publisher is safe for
+// concurrent use.
 type Publisher struct {
 	opts PublisherOptions
 	log  *slog.Logger
@@ -179,9 +178,6 @@ func NewPublisher(opts PublisherOptions) (*Publisher, error) {
 	}
 	// Zero topics is allowed: a cluster publisher opens an empty shell per
 	// shard and AdoptTopic populates it as the routing table assigns work.
-	if opts.Detector == (failover.Config{}) {
-		opts.Detector = failover.DefaultConfig()
-	}
 	if opts.Logger == nil {
 		opts.Logger = slog.Default()
 	}
@@ -219,25 +215,22 @@ func NewPublisher(opts PublisherOptions) (*Publisher, error) {
 	p.cancel = cancel
 	p.primary = newUplink(conn)
 	p.link = p.primary
-	p.startRecvLoop(ctx, conn)
 	if backup != nil {
 		p.backup = newUplink(backup)
-		p.startRecvLoop(ctx, backup)
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			p.watchPrimary(ctx)
-		}()
+		p.startRecvLoop(ctx, backup, true)
 	}
+	p.startRecvLoop(ctx, conn, false)
 	return p, nil
 }
 
-// startRecvLoop drains broker→publisher frames on conn until it closes.
-// Publishers historically never read their links; the cluster redirect
-// protocol makes the reverse direction carry WrongShard frames, so every
-// link gets a reader to surface them (and to keep the broker's send path
-// from backing up against an unread socket).
-func (p *Publisher) startRecvLoop(ctx context.Context, conn *transport.Conn) {
+// startRecvLoop drains broker→publisher frames on conn until it closes:
+// WrongShard redirects, PubAcks, and on the standby (Backup) link the
+// promotion notice. Every link gets a reader, which also keeps the broker's
+// send path from backing up against an unread socket. The Primary link's
+// reader is the publisher's failure detector: its read failing, with the
+// publisher still open, means the Primary is gone (a crashed process's
+// reset), and the publisher fails over.
+func (p *Publisher) startRecvLoop(ctx context.Context, conn *transport.Conn, standby bool) {
 	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()
@@ -247,14 +240,23 @@ func (p *Publisher) startRecvLoop(ctx context.Context, conn *transport.Conn) {
 		defer transport.PutFrame(f)
 		for {
 			if err := conn.RecvInto(f); err != nil {
+				if ctx.Err() == nil && !standby {
+					p.failOver()
+				}
 				p.linkLost(conn)
 				return
 			}
-			if f.Type == wire.TypeWrongShard && p.opts.OnWrongShard != nil {
-				p.opts.OnWrongShard(f.Topic, f.Epoch)
-			}
-			if f.Type == wire.TypePubAck {
+			switch f.Type {
+			case wire.TypeWrongShard:
+				if p.opts.OnWrongShard != nil {
+					p.opts.OnWrongShard(f.Topic, f.Epoch)
+				}
+			case wire.TypePubAck:
 				p.ackDurable(f.Topic, f.Seq)
+			case wire.TypePromoted:
+				if standby {
+					p.failOver()
+				}
 			}
 		}
 	}()
@@ -493,45 +495,23 @@ func (p *Publisher) AdoptTopic(t spec.Topic, lastSeq uint64, retained []wire.Mes
 	return nil
 }
 
-// watchPrimary runs the crash detector over a dedicated polling connection,
-// then performs the §III-B fail-over: redirect traffic to the Backup and
-// re-send all retained messages.
-func (p *Publisher) watchPrimary(ctx context.Context) {
-	pollConn, err := dialHello(p.opts.Network, p.opts.PrimaryAddr, p.opts.Name, wire.RolePublisher)
-	if err != nil {
-		p.log.Warn("poll dial failed; assuming primary dead", "err", err)
-		p.failOver()
-		return
-	}
-	defer pollConn.Close()
-	stop := context.AfterFunc(ctx, func() { pollConn.Close() })
-	defer stop()
-	det, err := failover.New(p.opts.Detector, failover.ConnProbe(pollConn), p.failOver)
-	if err != nil {
-		p.log.Error("detector init failed", "err", err)
-		return
-	}
-	if err := det.Run(ctx); err != nil && ctx.Err() == nil {
-		p.log.Warn("detector stopped", "err", err)
-	}
-}
-
 // failOver redirects to the Backup and re-sends the retained messages of
-// every topic, oldest first. The resends are queued under the same hold of
-// p.mu that switches the link, so on the Backup link they precede every new
-// publish. What was still queued for the Primary is dropped with its ring;
-// each topic's Ni latest of those are among the resends.
+// every topic, oldest first. It runs on a receive loop — the Backup's
+// promotion notice, or the Primary link's failure — and is idempotent. The
+// resends are queued under the same hold of p.mu that switches the link, so
+// on the Backup link they precede every new publish. What was still queued
+// for the Primary is dropped with its ring; each topic's Ni latest of those
+// are among the resends.
 func (p *Publisher) failOver() {
 	if p.backup == nil {
 		return
 	}
-	// Before the lock, not under it: a Publish waiting for room on the dead
-	// link's ring holds p.mu, and closing the ring is what releases it.
-	// Closing the conn unsticks the link's writer, so the wait is short.
-	transport.Retire(p.primary)
+	// Close the dead link's ring before taking the lock: a Publish waiting
+	// for room on it holds p.mu, and the closed ring is what releases it.
+	p.primary.Close()
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.link == p.backup {
+		p.mu.Unlock()
 		return
 	}
 	p.link = p.backup
@@ -549,7 +529,12 @@ func (p *Publisher) failOver() {
 		})
 	}
 	close(p.failedOverCh)
+	p.mu.Unlock()
 	p.log.Info("failed over to backup", "resent", resent)
+	// Only now close the connection, which unsticks the dead link's writer,
+	// and wait for that writer: a connection that lingers on close over
+	// frames it could not deliver must not hold up the switch.
+	transport.Retire(p.primary)
 }
 
 // Close shuts the publisher down. Messages Publish accepted are written

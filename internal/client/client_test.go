@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/failover"
 	"repro/internal/spec"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -33,7 +32,8 @@ func topic(id spec.TopicID, retention int) spec.Topic {
 }
 
 // fakeBroker accepts connections and records every frame, answering polls
-// and optionally dying on command.
+// while answer is set, and dying on command (kill) — or, as a promoted
+// Backup would, telling its publishers so (notify).
 type fakeBroker struct {
 	name string
 	ln   interface{ Close() error }
@@ -111,6 +111,25 @@ func (fb *fakeBroker) kill() {
 	fb.conns = nil
 }
 
+// notify sends f on every connection the broker has accepted.
+func (fb *fakeBroker) notify(t *testing.T, f *wire.Frame) {
+	t.Helper()
+	fb.mu.Lock()
+	defer fb.mu.Unlock()
+	for _, c := range fb.conns {
+		if err := c.Send(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// accepted reports how many connections the broker has accepted.
+func (fb *fakeBroker) accepted() int {
+	fb.mu.Lock()
+	defer fb.mu.Unlock()
+	return len(fb.conns)
+}
+
 func (fb *fakeBroker) framesOf(t wire.Type) []*wire.Frame {
 	fb.mu.Lock()
 	defer fb.mu.Unlock()
@@ -121,10 +140,6 @@ func (fb *fakeBroker) framesOf(t wire.Type) []*wire.Frame {
 		}
 	}
 	return out
-}
-
-func fastDetector() failover.Config {
-	return failover.Config{Period: 2 * time.Millisecond, Timeout: 5 * time.Millisecond, Misses: 2}
 }
 
 func TestPublisherValidation(t *testing.T) {
@@ -212,22 +227,14 @@ func TestPublisherFailoverResendsRetained(t *testing.T) {
 	n := transport.NewMem()
 	primary := newFakeBroker(t, n, "primary")
 	backup := newFakeBroker(t, n, "backup")
-	pub, err := NewPublisher(PublisherOptions{
-		Name: "p", Topics: []spec.Topic{topic(1, 3)},
-		PrimaryAddr: "primary", BackupAddr: "backup",
-		Network: n, Clock: clock(), Detector: fastDetector(), Logger: quiet(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pub.Close()
+	pub := pairPublisher(t, n)
 
 	for i := 0; i < 7; i++ {
 		if _, err := pub.Publish(1, []byte("retained-payload")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	primary.kill()
+	primary.kill() // the crash closes the publisher's link: it fails over at once
 	select {
 	case <-pub.FailedOver():
 	case <-time.After(2 * time.Second):
@@ -259,6 +266,100 @@ func TestPublisherFailoverResendsRetained(t *testing.T) {
 	}
 	if got := backup.framesOf(wire.TypePublish); len(got) != 1 || got[0].Msg.Seq != 8 {
 		t.Errorf("post-failover publish: %d frames", len(got))
+	}
+}
+
+// pairPublisher opens a publisher of topic 1 (Ni = 3) on the fake brokers
+// "primary" and "backup", closed when the test ends.
+func pairPublisher(t *testing.T, n transport.Network) *Publisher {
+	t.Helper()
+	pub, err := NewPublisher(PublisherOptions{
+		Name: "p", Topics: []spec.Topic{topic(1, 3)},
+		PrimaryAddr: "primary", BackupAddr: "backup",
+		Network: n, Clock: clock(), Logger: quiet(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(pub.Close)
+	return pub
+}
+
+// TestPublisherFailsOverOnBackupNotice: a Primary that falls silent but
+// keeps its connection open is never suspected by the publisher, which runs
+// no detector; the promoted Backup's notice alone makes it fail over and
+// re-send its retained messages there.
+func TestPublisherFailsOverOnBackupNotice(t *testing.T) {
+	n := transport.NewMem()
+	primary := newFakeBroker(t, n, "primary")
+	backup := newFakeBroker(t, n, "backup")
+	pub := pairPublisher(t, n)
+	for i := 0; i < 5; i++ {
+		if _, err := pub.Publish(1, []byte("retained-payload")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	primary.answerMu.Lock()
+	primary.answer = false // silent from here on, never disconnected
+	primary.answerMu.Unlock()
+	select {
+	case <-pub.FailedOver():
+		t.Fatal("publisher failed over on a silent Primary it cannot see is dead")
+	case <-time.After(100 * time.Millisecond):
+	}
+	// The Backup's session may still be opening: a dial and its Hello are
+	// all the fake sees of a publisher until it fails over.
+	deadline := time.Now().Add(time.Second)
+	for backup.accepted() < 1 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	backup.notify(t, &wire.Frame{Type: wire.TypePromoted})
+	select {
+	case <-pub.FailedOver():
+	case <-time.After(2 * time.Second):
+		t.Fatal("publisher ignored the promoted Backup's notice")
+	}
+	deadline = time.Now().Add(time.Second)
+	for len(backup.framesOf(wire.TypeResend)) < 3 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := backup.framesOf(wire.TypeResend); len(got) != 3 || got[0].Msg.Seq != 3 {
+		t.Fatalf("backup saw %d resends, want seqs 3..5", len(got))
+	}
+}
+
+// TestPublisherNoticeFromPrimaryLinkIgnored: only the standby link's notice
+// means anything; a Primary that says it was promoted (a promoted Backup
+// serving as this publisher's Primary) is already where traffic goes.
+func TestPublisherNoticeFromPrimaryLinkIgnored(t *testing.T) {
+	n := transport.NewMem()
+	primary := newFakeBroker(t, n, "primary")
+	newFakeBroker(t, n, "backup")
+	pub := pairPublisher(t, n)
+	primary.notify(t, &wire.Frame{Type: wire.TypePromoted})
+	select {
+	case <-pub.FailedOver():
+		t.Fatal("publisher failed over on its Primary's notice")
+	case <-time.After(50 * time.Millisecond):
+	}
+}
+
+// TestPublisherDialsPrimaryOnce: with a Backup configured the publisher
+// still holds exactly one connection to its Primary and never polls it.
+func TestPublisherDialsPrimaryOnce(t *testing.T) {
+	n := transport.NewMem()
+	primary := newFakeBroker(t, n, "primary")
+	newFakeBroker(t, n, "backup")
+	pub := pairPublisher(t, n)
+	if _, err := pub.Publish(1, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(50 * time.Millisecond) // ten default detector periods
+	if got := primary.accepted(); got != 1 {
+		t.Errorf("publisher opened %d connections to the Primary, want 1", got)
+	}
+	if got := len(primary.framesOf(wire.TypePoll)); got != 0 {
+		t.Errorf("publisher polled the Primary %d times, want 0", got)
 	}
 }
 

@@ -105,7 +105,7 @@ func durablePublisher(t *testing.T, n transport.Network, backupAddr string, time
 	pub, err := NewPublisher(PublisherOptions{
 		Name: "p", Topics: []spec.Topic{topic(1, 4)},
 		PrimaryAddr: "primary", BackupAddr: backupAddr,
-		Network: n, Clock: clock(), Detector: fastDetector(), Logger: quiet(),
+		Network: n, Clock: clock(), Logger: quiet(),
 		DurableAcks: true, AckTimeout: timeout,
 	})
 	if err != nil {

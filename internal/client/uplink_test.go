@@ -28,10 +28,10 @@ import (
 
 const watchdog = 5 * time.Second
 
-// wireNet hands out wireConns and remembers them per address, in dial order:
-// the publish link first, then (with a Backup configured) the detector's
-// polling link to the Primary. Nothing answers polls and the scripted conns
-// ignore deadlines, so the detector never fires: tests call failOver.
+// wireNet hands out wireConns and remembers them per address, in dial order
+// (a publisher dials each broker once). The scripted conns say nothing and
+// fail no read until closed, so nothing triggers a fail-over: tests call
+// failOver.
 type wireNet struct {
 	mu    sync.Mutex
 	conns map[string][]*wireConn

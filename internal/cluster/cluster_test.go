@@ -115,8 +115,7 @@ func TestClusterEndToEnd(t *testing.T) {
 	defer sub.Close()
 	waitSubscribed(t, c)
 	pub, err := NewPublisher(PublisherOptions{
-		Name: "pub", Topics: topics, Router: r, Network: n, Clock: clock,
-		Detector: fastDetector(), Logger: quietLog(),
+		Name: "pub", Topics: topics, Router: r, Network: n, Clock: clock, Logger: quietLog(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -196,8 +195,7 @@ func TestStalePublisherRedirectsAndRehomes(t *testing.T) {
 	defer sub.Close()
 	waitSubscribed(t, c)
 	pub, err := NewPublisher(PublisherOptions{
-		Name: "pub", Topics: topics, Router: staleRouter, Network: n, Clock: clock,
-		Detector: fastDetector(), Logger: quietLog(),
+		Name: "pub", Topics: topics, Router: staleRouter, Network: n, Clock: clock, Logger: quietLog(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -273,8 +271,7 @@ func TestClusterPromotionKeepsShard(t *testing.T) {
 	defer sub.Close()
 	waitSubscribed(t, c)
 	pub, err := NewPublisher(PublisherOptions{
-		Name: "pub", Topics: topics, Router: r, Network: n, Clock: clock,
-		Detector: fastDetector(), Logger: quietLog(),
+		Name: "pub", Topics: topics, Router: r, Network: n, Clock: clock, Logger: quietLog(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/clocksync"
-	"repro/internal/failover"
 	"repro/internal/spec"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -31,8 +30,6 @@ type PublisherOptions struct {
 	Network transport.Network
 	// Clock is the synchronized timebase.
 	Clock clocksync.Clock
-	// Detector tunes each per-pair publisher's crash detector.
-	Detector failover.Config
 	// RefreshInterval, when positive, polls the Directory on this period so
 	// the cache converges even without in-band redirects (e.g. a promotion
 	// the client never trips over). Zero disables polling; redirects still
@@ -207,7 +204,6 @@ func (p *Publisher) openPubLocked(key string, topics []spec.Topic) (*client.Publ
 		BackupAddr:   e.Backup,
 		Network:      p.opts.Network,
 		Clock:        p.opts.Clock,
-		Detector:     p.opts.Detector,
 		Logger:       p.opts.Logger,
 		OnWrongShard: p.onWrongShard,
 	})
@@ -245,11 +241,12 @@ func (p *Publisher) rehome(t Table) {
 	p.table = t
 	// First pass: intra-pair promotions re-key the pair's publisher in
 	// place. The underlying client already fails over to the surviving
-	// member on its own detector; a Drop/Adopt resend here would interleave
-	// a duplicate low-sequence stream with its live traffic. Re-keying is
-	// sound only when every topic on the old pair moves to the same new
-	// pair and the pairs share a member — anything else falls through to
-	// the Drop/Adopt path below.
+	// member (on the promoted Backup's notice, or on its dead Primary
+	// link); a Drop/Adopt resend here would interleave a duplicate
+	// low-sequence stream with its live traffic. Re-keying is sound only
+	// when every topic on the old pair moves to the same new pair and the
+	// pairs share a member — anything else falls through to the Drop/Adopt
+	// path below.
 	wants := make(map[spec.TopicID]string, len(p.topics))
 	byCur := make(map[string][]spec.TopicID)
 	for id := range p.topics {

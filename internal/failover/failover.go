@@ -5,11 +5,17 @@
 //
 // The detector is deliberately simple — fail-stop crashes, bounded-latency
 // interconnect between brokers (§III-B assumptions) — so a fixed polling
-// period with a consecutive-miss threshold is sound. Publishers run the
-// same detector against the Primary to decide when to redirect traffic and
-// re-send their retained messages; the publisher fail-over time x is then
-// bounded by Period·Misses + Timeout + redirect cost, which is how
-// deployments derive the x they feed into Lemma 1.
+// period with a consecutive-miss threshold is sound. There is one detector
+// per broker pair, the Backup's, and it probes only a silent Primary:
+// every frame the Backup hears from the Primary anyway (replicate and prune
+// frames on the replication link) is reported with Heard and pushes the
+// next probe one Period past it, so while a frame arrives at least once a
+// Period no probe is sent at all.
+// Publishers run no detector. They fail over when the promoted Backup
+// tells them so, or at once when their link to the Primary fails; the
+// publisher fail-over time x is then bounded by WorstCaseDetection + ΔBB +
+// ΔBP + redirect cost on a silent crash, which is how deployments derive
+// the x they feed into Lemma 1.
 package failover
 
 import (
@@ -17,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/transport"
@@ -25,16 +32,17 @@ import (
 
 // Config tunes the detector.
 type Config struct {
-	// Period is the polling interval.
+	// Period is the polling interval of a silent peer.
 	Period time.Duration
-	// Timeout bounds one probe round trip.
+	// Timeout bounds the wait for an answer to the probe that would declare
+	// the crash.
 	Timeout time.Duration
-	// Misses is how many consecutive probe failures declare a crash.
+	// Misses is how many consecutive unanswered probes declare a crash.
 	Misses int
 }
 
 // DefaultConfig returns a detector tuning whose worst-case detection time
-// (Period·Misses + Timeout ≈ 25 ms) sits well inside the paper's 50 ms
+// (Period·Misses + Timeout = 25 ms) sits well inside the paper's 50 ms
 // fail-over budget.
 func DefaultConfig() Config {
 	return Config{Period: 5 * time.Millisecond, Timeout: 10 * time.Millisecond, Misses: 3}
@@ -54,9 +62,12 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// WorstCaseDetection returns the longest interval between a crash and the
-// detector firing: the crash can land right after a successful probe, then
-// Misses probes must each time out.
+// WorstCaseDetection returns the longest interval between the last frame
+// the detector heard from its peer and the detector firing: the first
+// probe falls due one Period after that frame, the Misses-th one Period
+// after the one before, and the last is given Timeout to be answered.
+// A frame proves the peer alive when it was sent, so measured from the
+// crash itself the bound is one one-way delay (ΔBB between brokers) more.
 func (c Config) WorstCaseDetection() time.Duration {
 	return time.Duration(c.Misses)*c.Period + c.Timeout
 }
@@ -65,16 +76,21 @@ func (c Config) WorstCaseDetection() time.Duration {
 // Implementations must respect the context deadline.
 type Probe func(ctx context.Context) error
 
-// Detector polls a peer and fires a callback on suspected crash. Create
-// with New, start with Run; it stops after firing or when the context ends.
+// Detector probes a silent peer and fires a callback on suspected crash.
+// Create with New, report every frame heard from the peer with Heard, start
+// with Run; it stops after firing or when the context ends.
 type Detector struct {
 	cfg     Config
 	probe   Probe
 	onCrash func()
 	onProbe func(err error)
 
+	// heard is when the peer was last heard from, in nanoseconds after
+	// epoch (a monotonic reading); 0 until the first frame or answer.
+	epoch time.Time
+	heard atomic.Int64
+
 	mu     sync.Mutex
-	misses int
 	probes uint64
 	fired  bool
 }
@@ -90,60 +106,101 @@ func New(cfg Config, probe Probe, onCrash func()) (*Detector, error) {
 	if onCrash == nil {
 		return nil, errors.New("failover: nil onCrash")
 	}
-	return &Detector{cfg: cfg, probe: probe, onCrash: onCrash}, nil
+	return &Detector{cfg: cfg, probe: probe, onCrash: onCrash, epoch: time.Now()}, nil
 }
 
 // SetOnProbe registers an observability callback invoked with each probe
-// result (nil on success) before it is folded into the miss counter. Must
-// be called before Run; the callback runs on Run's goroutine.
+// result: nil when the peer answered or was heard from while the probe was
+// out, else the probe's error. Must be called before Run; the callback runs
+// on Run's goroutine.
 func (d *Detector) SetOnProbe(f func(err error)) { d.onProbe = f }
 
-// Run polls until the context is canceled or a crash is declared. It
+// Heard records that a frame from the peer just arrived: the peer was
+// alive when it sent it. It costs one clock read and one atomic store, so
+// a receive loop may call it for every frame. Safe for concurrent use.
+func (d *Detector) Heard() { d.heard.Store(max(int64(time.Since(d.epoch)), 1)) }
+
+// Alive reports whether the peer was heard from — a frame, or an answered
+// probe — within the last Period+Timeout.
+func (d *Detector) Alive() bool {
+	h := d.heard.Load()
+	return h != 0 && int64(time.Since(d.epoch))-h <= int64(d.cfg.Period+d.cfg.Timeout)
+}
+
+// Run probes until the context is canceled or a crash is declared. It
 // returns context.Canceled on cancellation and nil after firing onCrash.
+//
+// A probe falls due one Period after the peer was last heard from, and
+// while it stays silent the next falls due one Period after the one
+// before. Every probe but the one that would declare the crash is given
+// at most one Period to be answered, and an answer to an earlier probe
+// counts for a later one, so the declaring probe goes out Misses·Period
+// after the last frame and fires Timeout later: WorstCaseDetection.
 func (d *Detector) Run(ctx context.Context) error {
-	ticker := time.NewTicker(d.cfg.Period)
-	defer ticker.Stop()
+	period := int64(d.cfg.Period)
+	last := d.heard.Load() // the frame the current silence is measured from
+	due := last + period
+	misses := 0
+	timer := time.NewTimer(d.cfg.Period)
+	defer timer.Stop()
 	for {
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-ticker.C:
+		case <-timer.C:
 		}
-		probeCtx, cancel := context.WithTimeout(ctx, d.cfg.Timeout)
+		if h := d.heard.Load(); h != last {
+			last, due, misses = h, h+period, 0
+		}
+		if wait := due - int64(time.Since(d.epoch)); wait > 0 {
+			timer.Reset(time.Duration(wait))
+			continue
+		}
+		window := d.cfg.Timeout
+		if misses+1 < d.cfg.Misses {
+			window = min(window, d.cfg.Period)
+		}
+		probeCtx, cancel := context.WithTimeout(ctx, window)
 		err := d.probe(probeCtx)
 		cancel()
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
+		if err == nil {
+			d.Heard()
+		}
+		h := d.heard.Load()
+		if h != last {
+			err = nil // a frame that arrived meanwhile answers for the peer
+		}
 		if d.onProbe != nil {
 			d.onProbe(err)
 		}
-		if d.observe(err) {
+		if d.count(err == nil, misses+1) {
 			d.onCrash()
 			return nil
 		}
+		if err == nil {
+			last, due, misses = h, h+period, 0
+		} else {
+			misses++
+			due += period
+		}
+		timer.Reset(time.Duration(max(due-int64(time.Since(d.epoch)), 0)))
 	}
 }
 
-// observe folds one probe result into the miss counter and reports whether
-// the crash threshold was reached.
-func (d *Detector) observe(err error) bool {
+// count records one completed probe and reports whether it declares the
+// crash: unanswered, and the Misses-th in a row.
+func (d *Detector) count(alive bool, streak int) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.probes++
-	if d.fired {
+	if alive || streak < d.cfg.Misses {
 		return false
 	}
-	if err == nil {
-		d.misses = 0
-		return false
-	}
-	d.misses++
-	if d.misses >= d.cfg.Misses {
-		d.fired = true
-		return true
-	}
-	return false
+	d.fired = true
+	return true
 }
 
 // Probes returns how many probes have completed (for tests and metrics).
@@ -161,32 +218,51 @@ func (d *Detector) Fired() bool {
 }
 
 // ConnProbe returns a Probe that performs a Poll/PollReply round trip on a
-// dedicated framed connection. The connection must not be shared with other
-// readers. A nil error means the peer answered the matching nonce.
+// dedicated framed connection, which no one else may read. A nil error means
+// the peer answered while the probe was out: a reply to this poll, or a
+// late one to an earlier poll that was given up on, which proves the peer
+// alive just as well. The connection is read continuously, by a goroutine
+// that lives until it closes, so a peer writing a late answer is never
+// blocked by a prober that stopped waiting for it.
 func ConnProbe(conn *transport.Conn) Probe {
-	// One request and one reply frame for the life of the probe: a detector
-	// polls hundreds of times a second and must not allocate per round trip.
+	// One request frame for the life of the probe and one reply frame for
+	// its reader: a detector may poll hundreds of times a second and must
+	// not allocate per round trip.
 	poll := wire.Frame{Type: wire.TypePoll}
-	var reply wire.Frame
+	var answered atomic.Uint64 // nonce of the latest reply
+	wake := make(chan struct{}, 1)
+	gone := make(chan struct{})
+	go func() {
+		defer close(gone)
+		var reply wire.Frame
+		for conn.RecvInto(&reply) == nil {
+			if reply.Type != wire.TypePollReply {
+				continue
+			}
+			answered.Store(reply.Nonce)
+			select {
+			case wake <- struct{}{}:
+			default:
+			}
+		}
+	}()
 	return func(ctx context.Context) error {
+		before := answered.Load()
 		poll.Nonce++
-		deadline, ok := ctx.Deadline()
-		if !ok {
-			deadline = time.Now().Add(time.Second)
-		}
-		if err := conn.SetReadDeadline(deadline); err != nil {
-			return fmt.Errorf("failover: set deadline: %w", err)
-		}
 		if err := conn.Send(&poll); err != nil {
 			return fmt.Errorf("failover: poll send: %w", err)
 		}
-		for {
-			if err := conn.RecvInto(&reply); err != nil {
-				return fmt.Errorf("failover: poll recv: %w", err)
-			}
-			if reply.Type == wire.TypePollReply && reply.Nonce == poll.Nonce {
-				return nil
+		for answered.Load() == before {
+			select {
+			case <-wake:
+			case <-gone:
+				if answered.Load() == before {
+					return errors.New("failover: poll link closed")
+				}
+			case <-ctx.Done():
+				return fmt.Errorf("failover: poll: %w", ctx.Err())
 			}
 		}
+		return nil
 	}
 }

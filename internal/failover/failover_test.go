@@ -249,10 +249,11 @@ func TestSetOnProbe(t *testing.T) {
 
 // TestConnProbeDoesNotAllocate: a detector probes hundreds of times a second
 // for the life of the process, so a round trip must reuse its frames. Over
-// transport.Mem the fixed cost of a probe is the context the detector makes
-// for it and the pipe's own deadline timer; the probe may add nothing to
-// that. (AllocsPerRun counts every goroutine, so the responder reuses its
-// frames too.)
+// transport.Mem the floor is the context the detector makes for a probe and
+// a pipe deadline timer; the probe, which waits on the context rather than
+// a read deadline, may add nothing to that. (AllocsPerRun counts every
+// goroutine, so the responder and the probe's reader reuse their frames
+// too.)
 func TestConnProbeDoesNotAllocate(t *testing.T) {
 	mem := transport.NewMem()
 	ln, err := mem.Listen("primary")
@@ -307,4 +308,216 @@ func TestConnProbeDoesNotAllocate(t *testing.T) {
 	}
 	conn.Close()
 	<-served
+}
+
+// scriptedPeer plays the watched broker over transport.Mem. On the link
+// that says Hello as "stream" it sends a Prune frame every tick while
+// streaming, as a Primary's replication link does under load; on the
+// "poll" link it counts Polls and, while answering, answers each delay
+// after it came in. It never closes a link: going quiet is the only fault
+// it scripts.
+type scriptedPeer struct {
+	polls     atomic.Int64
+	answering atomic.Bool
+	streaming atomic.Bool
+	delay     time.Duration
+	tick      time.Duration
+}
+
+// watchScripted dials the peer's two links and starts a reader that
+// reports every stream frame to the detector d returns, stamping lastFrame
+// first. Close the returned links to stop everything.
+func watchScripted(t *testing.T, cfg Config, peer *scriptedPeer, onCrash func()) (d *Detector, lastFrame *atomic.Int64, links []*transport.Conn) {
+	t.Helper()
+	mem := transport.NewMem()
+	ln, err := mem.Listen("primary")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go peer.serve(transport.NewConn(nc))
+		}
+	}()
+	dial := func(name string) *transport.Conn {
+		nc, err := mem.Dial("primary")
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn := transport.NewConn(nc)
+		if err := conn.Send(&wire.Frame{Type: wire.TypeHello, Role: wire.RoleBrokerPeer, Name: name}); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		return conn
+	}
+	poll, stream := dial("poll"), dial("stream")
+	d, err = New(cfg, ConnProbe(poll), onCrash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lastFrame = new(atomic.Int64)
+	go func() {
+		var f wire.Frame
+		for stream.RecvInto(&f) == nil {
+			lastFrame.Store(time.Now().UnixNano())
+			d.Heard()
+		}
+	}()
+	return d, lastFrame, []*transport.Conn{poll, stream}
+}
+
+func (p *scriptedPeer) serve(conn *transport.Conn) {
+	defer conn.Close()
+	hello, err := conn.Recv()
+	if err != nil {
+		return
+	}
+	if hello.Name == "stream" {
+		ticker := time.NewTicker(p.tick)
+		defer ticker.Stop()
+		prune := wire.Frame{Type: wire.TypePrune, Topic: 1}
+		for range ticker.C {
+			if !p.streaming.Load() {
+				continue
+			}
+			prune.Seq++
+			if conn.Send(&prune) != nil {
+				return
+			}
+		}
+	}
+	// Replies leave from their own goroutine, delay after their poll came
+	// in, so a slow answer never stops the peer reading the next poll.
+	type pending struct {
+		nonce uint64
+		at    time.Time
+	}
+	replies := make(chan pending, 64)
+	defer close(replies)
+	go func() {
+		for r := range replies {
+			time.Sleep(time.Until(r.at.Add(p.delay)))
+			if conn.Send(&wire.Frame{Type: wire.TypePollReply, Nonce: r.nonce}) != nil {
+				return
+			}
+		}
+	}()
+	var f wire.Frame
+	for conn.RecvInto(&f) == nil {
+		if f.Type != wire.TypePoll {
+			continue
+		}
+		p.polls.Add(1)
+		if p.answering.Load() {
+			replies <- pending{f.Nonce, time.Now()}
+		}
+	}
+}
+
+// TestDetectorFiresWithinWorstCaseOfLastFrame: the Primary streams frames,
+// then falls silent without closing anything. The detector must fire no
+// sooner than WorstCaseDetection after the last frame it heard (the
+// declaring probe goes out Misses·Period after it and is given Timeout)
+// and not much later either.
+func TestDetectorFiresWithinWorstCaseOfLastFrame(t *testing.T) {
+	cfg := Config{Period: 10 * time.Millisecond, Timeout: 20 * time.Millisecond, Misses: 3}
+	peer := &scriptedPeer{tick: time.Millisecond}
+	peer.streaming.Store(true)
+	fired := make(chan time.Time, 1)
+	d, lastFrame, _ := watchScripted(t, cfg, peer, func() { fired <- time.Now() })
+	go d.Run(context.Background()) //nolint:errcheck // exits after firing
+
+	time.Sleep(20 * cfg.Period)
+	peer.streaming.Store(false) // silent, every link still open
+	var at time.Time
+	select {
+	case at = <-fired:
+	case <-time.After(time.Second):
+		t.Fatal("silent peer never declared dead")
+	}
+	elapsed := at.Sub(time.Unix(0, lastFrame.Load()))
+	bound := cfg.WorstCaseDetection()
+	if elapsed < bound || elapsed > bound+bound/2 {
+		t.Errorf("fired %v after the last frame heard, want within [%v, %v]", elapsed, bound, bound+bound/2)
+	}
+	if got := peer.polls.Load(); got != int64(cfg.Misses) {
+		t.Errorf("peer received %d polls, want exactly the %d that went unanswered", got, cfg.Misses)
+	}
+}
+
+// TestDetectorQuietLivePeerNeedsMissesUnansweredProbes: a Primary whose
+// replication stops but which answers every poll — slower than a Period,
+// within Timeout — is probed again and never suspected; once it stops
+// answering, exactly Misses unanswered probes in a row declare it dead.
+func TestDetectorQuietLivePeerNeedsMissesUnansweredProbes(t *testing.T) {
+	cfg := Config{Period: 5 * time.Millisecond, Timeout: 20 * time.Millisecond, Misses: 3}
+	peer := &scriptedPeer{tick: time.Millisecond, delay: 8 * time.Millisecond}
+	peer.answering.Store(true)
+	fired := make(chan struct{})
+	d, _, _ := watchScripted(t, cfg, peer, func() { close(fired) })
+	var streak, longest atomic.Int64
+	d.SetOnProbe(func(err error) {
+		if err == nil {
+			streak.Store(0)
+			return
+		}
+		longest.Store(max(longest.Load(), streak.Add(1)))
+	})
+	go d.Run(context.Background()) //nolint:errcheck // exits after firing
+
+	time.Sleep(40 * cfg.Period)
+	select {
+	case <-fired:
+		t.Fatal("a quiet peer that answers every probe within Timeout was declared dead")
+	default:
+	}
+	if d.Probes() == 0 || peer.polls.Load() == 0 {
+		t.Fatal("no probes while the peer was quiet")
+	}
+	if !d.Alive() {
+		t.Error("Alive() = false for a peer answering its probes")
+	}
+	if n := longest.Load(); n >= int64(cfg.Misses) {
+		t.Errorf("%d unanswered probes in a row from a live peer", n)
+	}
+	peer.answering.Store(false)
+	select {
+	case <-fired:
+	case <-time.After(time.Second):
+		t.Fatal("peer that stopped answering never declared dead")
+	}
+	if got := streak.Load(); got != int64(cfg.Misses) {
+		t.Errorf("declared dead after %d unanswered probes in a row, want %d", got, cfg.Misses)
+	}
+}
+
+// TestDetectorSendsNoProbesToAPeerHeardEveryPeriod: while the Primary's
+// frames arrive more often than once a Period, the detector sends nothing
+// — over 200 periods the peer sees no poll at all — and still reports the
+// peer alive.
+func TestDetectorSendsNoProbesToAPeerHeardEveryPeriod(t *testing.T) {
+	cfg := Config{Period: 10 * time.Millisecond, Timeout: 20 * time.Millisecond, Misses: 3}
+	peer := &scriptedPeer{tick: time.Millisecond}
+	peer.streaming.Store(true)
+	peer.answering.Store(true)
+	d, _, _ := watchScripted(t, cfg, peer, func() { t.Error("fired on a streaming peer") })
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- d.Run(ctx) }()
+
+	time.Sleep(200 * cfg.Period)
+	if !d.Alive() {
+		t.Error("Alive() = false while frames stream in")
+	}
+	cancel()
+	<-done
+	if got := peer.polls.Load(); got != 0 || d.Probes() != 0 {
+		t.Errorf("peer heard every millisecond received %d polls (detector counted %d probes), want 0", got, d.Probes())
+	}
 }

@@ -5,7 +5,8 @@
 // with a compact, self-describing binary protocol: every unit on the wire is
 // a Frame — publish, dispatch, replicate, prune (the dispatch–replicate
 // coordination signal of Table 3), fail-over re-send, status polling for
-// failure detection, and session setup.
+// failure detection, the promoted Backup's notice to its publishers, and
+// session setup.
 //
 // Frames are encoded little-endian with a one-byte type tag and carried over
 // stream transports with a uint32 length prefix (see FrameReader/Writer in
@@ -69,8 +70,12 @@ const (
 	// storage — sent only by brokers running the opt-in durable mode, after
 	// the group-commit fsync covering the record completes.
 	TypePubAck
+	// TypePromoted tells a publisher that the Backup it holds a standby
+	// link to has promoted itself to Primary: the publisher fails over. It
+	// has no body.
+	TypePromoted
 
-	maxType = TypePubAck
+	maxType = TypePromoted
 )
 
 // String returns a protocol-stable label for the type.
@@ -108,6 +113,8 @@ func (t Type) String() string {
 		return "WRONG_SHARD"
 	case TypePubAck:
 		return "PUB_ACK"
+	case TypePromoted:
+		return "PROMOTED"
 	default:
 		return fmt.Sprintf("Type(%d)", uint8(t))
 	}
@@ -364,6 +371,7 @@ func Decode(buf []byte) (*Frame, error) {
 	case TypeWrongShard:
 		f.Topic = spec.TopicID(d.u32())
 		f.Epoch = d.u64()
+	case TypePromoted:
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrBadType, t)
 	}

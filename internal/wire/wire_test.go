@@ -47,6 +47,7 @@ func TestRoundTripAllTypes(t *testing.T) {
 		}},
 		{Type: TypeWrongShard, Topic: 42, Epoch: 3},
 		{Type: TypePubAck, Topic: 7, Seq: 88},
+		{Type: TypePromoted},
 	}
 	for _, f := range frames {
 		t.Run(f.Type.String(), func(t *testing.T) {
@@ -263,6 +264,8 @@ func randomFrame(rng *rand.Rand) *Frame {
 		return &Frame{Type: TypeWrongShard, Topic: spec.TopicID(rng.Uint32()), Epoch: rng.Uint64()}
 	case TypePubAck:
 		return &Frame{Type: TypePubAck, Topic: spec.TopicID(rng.Uint32()), Seq: rng.Uint64()}
+	case TypePromoted:
+		return &Frame{Type: TypePromoted}
 	default:
 		n := rng.Intn(16)
 		topics := make([]spec.TopicID, 0, n)

@@ -109,6 +109,7 @@ func DecodeInto(buf []byte, f *Frame, mode DecodeMode) error {
 	case TypeWrongShard:
 		f.Topic = spec.TopicID(d.u32())
 		f.Epoch = d.u64()
+	case TypePromoted:
 	default:
 		return fmt.Errorf("%w: %d", ErrBadType, t)
 	}
@@ -185,4 +186,10 @@ func AppendPubAckBody(dst []byte, topic spec.TopicID, seq uint64) []byte {
 	dst = append(dst, byte(TypePubAck))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(topic))
 	return binary.LittleEndian.AppendUint64(dst, seq)
+}
+
+// AppendPromotedBody appends the body of a Promoted frame, the promoted
+// Backup's notice to a publisher that it is the Primary now.
+func AppendPromotedBody(dst []byte) []byte {
+	return append(dst, byte(TypePromoted))
 }

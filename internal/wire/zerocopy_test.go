@@ -75,6 +75,7 @@ func TestDecodeIntoEquivalenceAllTypes(t *testing.T) {
 			{Primary: "shard1-primary:7003"},
 		}},
 		{Type: TypeWrongShard, Topic: 42, Epoch: 3},
+		{Type: TypePromoted},
 	}
 	for _, f := range frames {
 		for _, mode := range []DecodeMode{ModeCopy, ModeAlias} {
@@ -264,6 +265,14 @@ func TestAppendBodyHelpersMatchEncode(t *testing.T) {
 	got = AppendPruneBody(nil, 7, 88)
 	if !bytes.Equal(got, want) {
 		t.Errorf("AppendPruneBody:\n got  %x\n want %x", got, want)
+	}
+
+	want, err = Encode(nil, &Frame{Type: TypePromoted})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got = AppendPromotedBody(nil); !bytes.Equal(got, want) || len(got) != 1 {
+		t.Errorf("AppendPromotedBody:\n got  %x\n want %x (the type byte alone)", got, want)
 	}
 
 	for _, typ := range []Type{TypePublish, TypeResend} {
