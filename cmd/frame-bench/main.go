@@ -1,11 +1,14 @@
 // Command frame-bench regenerates the FRAME paper's evaluation (§VI) from
-// the simulated test-bed: Tables 4 and 5, and Figures 7, 8, and 9.
+// the simulated test-bed: Tables 4 and 5, Figures 7, 8, and 9, and the
+// multi-edge sweep. The two live-runtime experiments, shardscale and
+// gateway, run only when named.
 //
 // Usage:
 //
-//	frame-bench -exp all                # everything (minutes)
+//	frame-bench -exp all                # the six simulated experiments (minutes)
 //	frame-bench -exp table4 -runs 10    # one experiment, paper-scale reps
 //	frame-bench -exp fig9 -crash 20s    # longer crash window
+//	frame-bench -exp shardscale         # live shard-count sweep
 //
 // With -scrape, frame-bench additionally (or, with -exp none, exclusively)
 // scrapes a live broker's /metrics admin endpoint and stores the samples as
@@ -47,12 +50,9 @@ func main() {
 
 func run() error {
 	var (
-		exp     = flag.String("exp", "all", "experiment: table4, table5, fig7, fig8, fig9, multiedge, lanescale, egress, shardscale, gateway, durable, or all")
-		lanes   = flag.String("lanes", "", "lanescale: comma-separated lane counts to sweep (default 1,2,4,8)")
+		exp     = flag.String("exp", "all", "experiment: table4, table5, fig7, fig8, fig9, multiedge, shardscale, gateway, or all (the six simulated paper experiments)")
 		shards  = flag.String("shards", "", "shardscale: comma-separated shard counts to sweep (default 1,2,4)")
 		minSpd  = flag.Float64("min-speedup", 0, "shardscale: fail unless last/first throughput reaches this factor (skipped when CPUs < largest shard count)")
-		subs    = flag.Int("subs", 0, "egress: healthy subscriber count (default 4)")
-		depth   = flag.Int("egress-depth", 0, "egress: per-subscriber outbound ring depth (default 256)")
 		clients = flag.Int("clients", 0, "gateway: sustained simulated client population (default 10000)")
 		churn   = flag.Int("churn", 0, "gateway: target connection churn in connects/s (default 600)")
 		minCh   = flag.Float64("min-churn", 0, "gateway: fail unless achieved churn reaches this many connects/s (default 500; negative disables)")
@@ -63,10 +63,6 @@ func run() error {
 		quiet   = flag.Bool("quiet", false, "suppress per-run progress")
 		csvDir  = flag.String("csv", "", "also write each experiment's data as CSV into this directory")
 		scrape  = flag.String("scrape", "", "scrape a live broker's /metrics (host:port or URL) into the CSV artifacts")
-		durPubs = flag.Int("durable-pubs", 0, "durable: concurrent publisher count (default 32)")
-		durMsgs = flag.Int("durable-msgs", 0, "durable: publishes per publisher (default 100)")
-		durSync = flag.Duration("durable-fsync", 0, "durable: group-commit window for the group mode (default: broker default)")
-		durGate = flag.Bool("durable-gate", true, "durable: fail unless p99 ordering mem < group < always holds")
 	)
 	flag.Parse()
 
@@ -89,8 +85,8 @@ func run() error {
 	type experiment struct {
 		name string
 		run  func() (formatter, error)
-		// explicitOnly experiments are bench-governance rigs, not paper
-		// reproductions, and are skipped by -exp all.
+		// explicitOnly experiments measure the live runtime, not the
+		// paper's simulated test-bed, and are skipped by -exp all.
 		explicitOnly bool
 	}
 	table := []experiment{
@@ -100,16 +96,6 @@ func run() error {
 		{"fig8", func() (formatter, error) { return experiments.RunFig8(cfg) }, false},
 		{"fig9", func() (formatter, error) { return experiments.RunFig9(cfg) }, false},
 		{"multiedge", func() (formatter, error) { return experiments.RunMultiEdge(cfg) }, false},
-		{"lanescale", func() (formatter, error) {
-			sweep, err := parseLanes(*lanes)
-			if err != nil {
-				return nil, err
-			}
-			return experiments.RunLaneScale(cfg, experiments.LaneScaleOptions{Lanes: sweep})
-		}, false},
-		{"egress", func() (formatter, error) {
-			return experiments.RunEgress(cfg, experiments.EgressOptions{Subs: *subs, Depth: *depth})
-		}, false},
 		{"gateway", func() (formatter, error) {
 			return experiments.RunGatewayChurn(cfg, experiments.GatewayChurnOptions{
 				Clients:   *clients,
@@ -117,30 +103,19 @@ func run() error {
 				Window:    *measure,
 				MinChurn:  *minCh,
 			})
-		}, false},
+		}, true},
 		{"shardscale", func() (formatter, error) {
 			sweep, err := parseCounts("shards", *shards)
 			if err != nil {
 				return nil, err
 			}
 			return experiments.RunShardScale(cfg, experiments.ShardScaleOptions{Shards: sweep, MinSpeedup: *minSpd})
-		}, false},
-		{"durable", func() (formatter, error) {
-			return experiments.RunDurable(cfg, experiments.DurableOptions{
-				Publishers:    *durPubs,
-				Messages:      *durMsgs,
-				FsyncInterval: *durSync,
-				Gate:          *durGate,
-			})
 		}, true},
 	}
 
 	matched := *exp == "none" // -exp none: scrape-only invocation
 	for _, e := range table {
-		if *exp == "none" || (*exp != "all" && *exp != e.name) {
-			continue
-		}
-		if *exp == "all" && e.explicitOnly {
+		if *exp != e.name && (*exp != "all" || e.explicitOnly) {
 			continue
 		}
 		matched = true
@@ -157,7 +132,7 @@ func run() error {
 		}
 	}
 	if !matched {
-		return fmt.Errorf("unknown -exp %q (want table4, table5, fig7, fig8, fig9, multiedge, lanescale, egress, shardscale, gateway, durable, all, or none)", *exp)
+		return fmt.Errorf("unknown -exp %q (want table4, table5, fig7, fig8, fig9, multiedge, shardscale, gateway, all, or none)", *exp)
 	}
 	if *scrape != "" {
 		if err := scrapeMetrics(*scrape, *csvDir); err != nil {
@@ -166,9 +141,6 @@ func run() error {
 	}
 	return nil
 }
-
-// parseLanes turns "-lanes 1,4,8" into a sweep; empty keeps the default.
-func parseLanes(s string) ([]int, error) { return parseCounts("lanes", s) }
 
 // parseCounts turns a comma-separated positive-integer list into a sweep;
 // empty keeps the experiment's default.

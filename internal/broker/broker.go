@@ -98,10 +98,6 @@ type Options struct {
 	Topics []spec.Topic
 	// Logger receives operational events; nil means slog.Default.
 	Logger *slog.Logger
-	// Obs receives runtime observability events (counters, stage latency
-	// histograms, lifecycle traces). Nil means a private instrument set;
-	// recording is always on — every instrument is an atomic add.
-	Obs *obsv.BrokerMetrics
 	// AdminAddr, when non-empty, binds an HTTP admin endpoint on that TCP
 	// address serving /metrics (Prometheus text), /healthz (role, peer
 	// liveness, queue depth), and /debug/pprof. The listener binds in New
@@ -426,10 +422,7 @@ func New(opts Options) (*Broker, error) {
 	if err != nil {
 		return nil, err
 	}
-	obs := opts.Obs
-	if obs == nil {
-		obs = obsv.NewBrokerMetrics()
-	}
+	obs := obsv.NewBrokerMetrics()
 	b := &Broker{
 		opts:       opts,
 		log:        opts.Logger.With("broker", opts.ListenAddr, "role", opts.Role.String()),

@@ -128,11 +128,13 @@ func TestSubscriberChurnDuringFanout(t *testing.T) {
 	}
 }
 
-// TestStalledSubscriberEvictedAndReleased wedges one subscriber (it
-// subscribes and then never reads) behind a small egress ring while a
-// healthy subscriber keeps consuming: the stalled one must shed within the
-// topic's Li and then be evicted — without the healthy subscriber losing
-// anything, and without leaking a single buffer reference.
+// TestStalledSubscriberEvictedAndReleased runs a healthy subscriber alone
+// behind a small egress ring, then wedges a second one (it subscribes and
+// then never reads) while the healthy one keeps consuming. Alone, the
+// healthy ring neither sheds nor evicts; once the wedged one joins, it must
+// shed within the topic's Li and then be evicted — without the healthy
+// subscriber losing anything in either regime, and without leaking a single
+// buffer reference.
 func TestStalledSubscriberEvictedAndReleased(t *testing.T) {
 	base := transport.FrameBufRefs()
 	n := transport.NewMem()
@@ -141,6 +143,37 @@ func TestStalledSubscriberEvictedAndReleased(t *testing.T) {
 	b, clock := soloPrimary(t, n, []spec.Topic{tp}, func(o *Options) {
 		o.EgressDepth = 8
 	})
+
+	healthy, err := client.NewSubscriber(client.SubscriberOptions{
+		Name:        "healthy",
+		Topics:      []spec.TopicID{1},
+		BrokerAddrs: []string{"primary"},
+		Network:     n,
+		Clock:       clock,
+		Logger:      quietLogger(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer healthy.Close()
+	waitFor(t, 2*time.Second, "healthy subscription registered", func() bool {
+		_, subs := b.egressQueued()
+		return subs == 1
+	})
+
+	var stop atomic.Bool
+	var published atomic.Uint64
+	pubDone := make(chan struct{})
+	go func() {
+		defer close(pubDone)
+		rawPublish(t, n, "primary", clock, 1, &stop, &published)
+	}()
+	waitFor(t, 5*time.Second, "healthy regime traffic", func() bool {
+		return healthy.Received(1) >= 50
+	})
+	if es := b.EgressStats(); es.Shed != 0 || es.Evictions != 0 {
+		t.Errorf("healthy regime: Shed = %d, Evictions = %d, want 0/0", es.Shed, es.Evictions)
+	}
 
 	// Stalled subscriber: raw conn, subscribes, never reads. Mem conns are
 	// synchronous pipes, so the broker's egress writer wedges on the first
@@ -157,31 +190,6 @@ func TestStalledSubscriberEvictedAndReleased(t *testing.T) {
 	if err := stalled.Send(&wire.Frame{Type: wire.TypeSubscribe, Topics: []spec.TopicID{1}}); err != nil {
 		t.Fatal(err)
 	}
-
-	healthy, err := client.NewSubscriber(client.SubscriberOptions{
-		Name:        "healthy",
-		Topics:      []spec.TopicID{1},
-		BrokerAddrs: []string{"primary"},
-		Network:     n,
-		Clock:       clock,
-		Logger:      quietLogger(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer healthy.Close()
-	waitFor(t, 2*time.Second, "subscriptions registered", func() bool {
-		_, subs := b.egressQueued()
-		return subs == 2
-	})
-
-	var stop atomic.Bool
-	var published atomic.Uint64
-	pubDone := make(chan struct{})
-	go func() {
-		defer close(pubDone)
-		rawPublish(t, n, "primary", clock, 1, &stop, &published)
-	}()
 	waitFor(t, 5*time.Second, "stalled subscriber evicted", func() bool {
 		return b.EgressStats().Evictions >= 1
 	})

@@ -307,37 +307,3 @@ func TestRunGatewayChurnSmallWorkload(t *testing.T) {
 		t.Error("no latency samples collected")
 	}
 }
-
-func TestRunEgressSmallWorkload(t *testing.T) {
-	res, err := RunEgress(Config{}, EgressOptions{
-		Subs:     2,
-		Depth:    32,
-		Topics:   4,
-		PerTopic: 50,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Points) != 2 {
-		t.Fatalf("points = %d, want healthy + stalled", len(res.Points))
-	}
-	base, degraded := res.Points[0], res.Points[1]
-	if base.Stalled || !degraded.Stalled {
-		t.Fatalf("regime order wrong: %+v", res.Points)
-	}
-	// Both regimes must deliver the full workload to the healthy side.
-	for _, p := range res.Points {
-		if p.Messages != 2*4*50 {
-			t.Errorf("stalled=%v delivered %d, want %d", p.Stalled, p.Messages, 2*4*50)
-		}
-	}
-	if base.Shed != 0 || base.Evictions != 0 {
-		t.Errorf("healthy regime shed=%d evictions=%d, want 0/0", base.Shed, base.Evictions)
-	}
-	if degraded.Shed == 0 {
-		t.Error("stalled regime never shed despite a wedged subscriber")
-	}
-	if degraded.Evictions == 0 {
-		t.Error("wedged subscriber exhausted Li without eviction")
-	}
-}

@@ -337,6 +337,33 @@ func RunGatewayChurn(cfg Config, opts GatewayChurnOptions) (*GatewayChurnResult,
 	return res, nil
 }
 
+// publishPaced publishes every message of the owned topics over one raw
+// connection, sleeping between frames the way a Ti-driven publisher would.
+func publishPaced(net transport.Network, addr string, clock func() time.Duration, own []spec.TopicID, perTopic int, interval time.Duration) error {
+	nc, err := net.Dial(addr)
+	if err != nil {
+		return err
+	}
+	conn := transport.NewConn(nc)
+	defer conn.Close()
+	if err := conn.Send(&wire.Frame{Type: wire.TypeHello, Role: wire.RolePublisher, Name: "gateway-pub"}); err != nil {
+		return err
+	}
+	payload := make([]byte, 64)
+	for seq := uint64(1); seq <= uint64(perTopic); seq++ {
+		for _, id := range own {
+			f := &wire.Frame{Type: wire.TypePublish, Msg: wire.Message{
+				Topic: id, Seq: seq, Created: clock(), Payload: payload,
+			}}
+			if err := conn.Send(f); err != nil {
+				return err
+			}
+			time.Sleep(interval)
+		}
+	}
+	return nil
+}
+
 // connectBulkClient opens one simulated thin client: connect, Hello,
 // Subscribe to its one topic, and a goroutine that drains deliveries.
 func connectBulkClient(net transport.Network, addr string, idx int, topic spec.TopicID) (*transport.Conn, error) {

@@ -1,8 +1,8 @@
 // Shard-scaling experiment: aggregate end-to-end delivery throughput of a
 // multi-pair cluster as the shard count grows.
 //
-// Like lane scaling, this is a property of the real runtime, not the
-// discrete-event simulator: it brings up N Primary+Backup pairs plus the
+// Like the gateway churn run, this is a property of the real runtime, not
+// the discrete-event simulator: it brings up N Primary+Backup pairs plus the
 // routing Directory over the in-process network, fans a fixed message
 // batch across the jump-hash topic partition, and stops the clock when the
 // cluster-wide subscriber holds every message. On a single-core host every
@@ -15,10 +15,12 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"log/slog"
 	"runtime"
 	"strings"
 	"time"
 
+	"repro/internal/broker"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/failover"
@@ -136,8 +138,9 @@ func runShardPoint(shards int, opts ShardScaleOptions) (ShardScalePoint, error) 
 		ids[i] = topics[i].ID
 	}
 	engineCfg := core.FRAMEConfig(params)
-	// Burst publishing, as in lanescale: the Message Buffer must hold a
-	// topic's whole burst and the egress ring the whole run's.
+	// Burst publishing, not Ti-paced: the Message Buffer must hold a topic's
+	// whole burst, and the egress ring the whole run's, or the shed policy
+	// reads the backlog as a dead subscriber and evicts it.
 	engineCfg.MessageBufferCap = opts.PerTopic
 
 	start := time.Now()
@@ -232,6 +235,24 @@ func clusterReceived(sub *cluster.Subscriber, ids []spec.TopicID) uint64 {
 		n += sub.Received(id)
 	}
 	return n
+}
+
+// quietLogger drops the brokers' operational chatter during sweeps.
+func quietLogger() *slog.Logger {
+	return slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelError}))
+}
+
+// awaitSubscriptions waits until b has registered n subscriber sessions.
+// SUBSCRIBE has no ack: NewSubscriber returns once the frame is written, and
+// a publish that overtakes the registration is dispatched to nobody.
+func awaitSubscriptions(b *broker.Broker, n int) error {
+	for deadline := time.Now().Add(5 * time.Second); b.Health().EgressSubs < n; {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("only %d of %d subscriptions registered", b.Health().EgressSubs, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return nil
 }
 
 // Format renders the sweep with speedup over one shard.

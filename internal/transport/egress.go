@@ -106,20 +106,17 @@ func (m *EgressMeter) Snapshot() EgressStats {
 	}
 }
 
-// Egress sizing defaults. A 1024-deep ring absorbs ~20ms of a 50k msg/s
-// fan-out before shedding starts; 64 frames per vectored write amortizes
-// the syscall ~64× while staying far inside MaxEgressBatch.
+// Egress sizing. A 1024-deep ring absorbs ~20ms of a 50k msg/s fan-out
+// before shedding starts. Every ring collects at most DefaultEgressBatch
+// frames (fewer when its depth is smaller) per vectored write, which
+// amortizes the syscall ~64×. Each frame contributes two iovecs (length
+// prefix + body) and writev takes at most IOV_MAX (1024 on Linux) of
+// them, so any batch collectLocked produces is one writev, never silently
+// split.
 const (
 	DefaultEgressDepth = 1024
 	DefaultEgressBatch = 64
 )
-
-// MaxEgressBatch is the hard ceiling on frames per collected flush batch.
-// Every frame contributes two iovecs (length prefix + body) and writev
-// takes at most IOV_MAX (1024 on Linux) of them, so batches are clamped to
-// 512 frames: any batch collectLocked produces is one writev, never
-// silently split.
-const MaxEgressBatch = 512
 
 // EgressConfig parameterizes one subscriber ring.
 type EgressConfig struct {
@@ -132,8 +129,6 @@ type EgressConfig struct {
 	// Stall bounds each flush write via Conn.SetWriteStall, a handed-off one
 	// included; zero leaves the connection's existing bound untouched.
 	Stall time.Duration
-	// MaxBatch caps frames per vectored write (DefaultEgressBatch when <= 0).
-	MaxBatch int
 	// Meter receives counters; nil disables counting.
 	Meter *EgressMeter
 	// Pool drains this ring with the pool's shared flushers (see
@@ -225,16 +220,7 @@ func NewEgress(conn *Conn, cfg EgressConfig) *Egress {
 	if depth <= 0 {
 		depth = DefaultEgressDepth
 	}
-	maxBatch := cfg.MaxBatch
-	if maxBatch <= 0 {
-		maxBatch = DefaultEgressBatch
-	}
-	if maxBatch > MaxEgressBatch {
-		maxBatch = MaxEgressBatch
-	}
-	if maxBatch > depth {
-		maxBatch = depth
-	}
+	maxBatch := min(DefaultEgressBatch, depth)
 	if cfg.Stall > 0 {
 		conn.SetWriteStall(cfg.Stall)
 	}

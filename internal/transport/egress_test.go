@@ -451,20 +451,20 @@ func TestRetireReleasesEveryRing(t *testing.T) {
 	}
 }
 
-func TestMaxEgressBatchClamp(t *testing.T) {
-	// Two iovecs per frame: the clamp must guarantee any batch fits in one
-	// writev, whose vector count Linux bounds at IOV_MAX = 1024.
+func TestDefaultEgressBatchFitsOneWritev(t *testing.T) {
+	// Two iovecs per frame: any batch must fit in one writev, whose vector
+	// count Linux bounds at IOV_MAX = 1024.
 	const iovMax = 1024
-	if MaxEgressBatch*2 != iovMax {
-		t.Fatalf("MaxEgressBatch = %d, want IOV_MAX/2 = %d", MaxEgressBatch, iovMax/2)
+	if 2*DefaultEgressBatch > iovMax {
+		t.Fatalf("DefaultEgressBatch = %d needs %d iovecs, over IOV_MAX = %d", DefaultEgressBatch, 2*DefaultEgressBatch, iovMax)
 	}
 	sender, _ := pipePair(t)
-	e := NewEgress(sender, EgressConfig{Depth: 4 * MaxEgressBatch, MaxBatch: 10 * MaxEgressBatch, Shed: true})
+	e := NewEgress(sender, EgressConfig{Depth: 4 * DefaultEgressBatch, Shed: true})
 	defer func() { e.Close(); sender.Close(); e.Wait() }()
-	if got := cap(e.batch); got != MaxEgressBatch {
-		t.Fatalf("batch scratch capacity = %d, want clamped to MaxEgressBatch = %d", got, MaxEgressBatch)
+	if got := cap(e.batch); got != DefaultEgressBatch {
+		t.Fatalf("batch scratch capacity = %d, want DefaultEgressBatch = %d", got, DefaultEgressBatch)
 	}
-	if got := cap(e.vecs); got != 2*MaxEgressBatch {
-		t.Fatalf("vecs scratch capacity = %d, want %d", got, 2*MaxEgressBatch)
+	if got := cap(e.vecs); got != 2*DefaultEgressBatch {
+		t.Fatalf("vecs scratch capacity = %d, want %d", got, 2*DefaultEgressBatch)
 	}
 }
