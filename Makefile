@@ -106,12 +106,15 @@ shardscale:
 	$(GO) run ./cmd/frame-bench -exp shardscale -shards 1,2,4 -min-speedup 2.5
 
 # The connection plane's PR gate beyond its chaos smoke scenarios: the
-# gateway package's model-equivalence and churn-soak tests under -race and
-# a CI-sized connection-churn run with its connects/s gate (the
-# acceptance-scale run is `frame-bench -exp gateway` bare: 10k clients,
-# ≥500 connects/s).
+# gateway package's model-equivalence and churn-soak tests under -race,
+# the client package's subscriber tests (the redial a thin client needs
+# across a gateway restart lives in client.Subscriber) under -race three
+# times over, and a CI-sized connection-churn run with its connects/s gate
+# (the acceptance-scale run is `frame-bench -exp gateway` bare: 10k
+# clients, ≥500 connects/s).
 gateway-smoke:
 	$(GO) test -race -count=1 ./internal/gateway/
+	$(GO) test -race -count=3 -run 'TestSubscriber' ./internal/client/
 	$(MAKE) gateway-churn
 
 gateway-churn:

@@ -1,17 +1,21 @@
-// Command frame-plan runs FRAME's capacity planner over a topic
-// specification: admission verdicts, Proposition 1 replication decisions,
-// and the §III-D-3 retention suggestions that trade a little publisher
-// memory for large replication savings (the FRAME+ manoeuvre), together
-// with the predicted Message Delivery CPU demand before and after.
+// Command frame-plan runs FRAME's admission test (§III-D-1) and capacity
+// planner over a topic specification. Per class of identical topics it
+// prints the dispatch deadline Dd (Lemma 2), the replication deadline Dr
+// (Lemma 1), the Proposition 1 replication verdict, the minimum admissible
+// retention Ni and the admission verdict, and the §III-D-3 retention
+// suggestions that trade a little publisher memory for large replication
+// savings (the FRAME+ manoeuvre), together with the predicted Message
+// Delivery CPU demand before and after.
 //
 // With no -topics file it plans the paper's Table 2 workload at the given
-// scale. With -shards > 1 it plans each broker pair's jump-hash partition
-// independently (the Lemma 1/2 budgets are per-pair); with -target-util it
-// finds the smallest shard count whose hottest pair fits the target.
+// scale, which reproduces the §III-D-2 worked example. With -shards > 1 it
+// plans each broker pair's jump-hash partition independently (the Lemma
+// 1/2 budgets are per-pair); with -target-util it finds the smallest shard
+// count whose hottest pair fits the target.
 //
 // Usage:
 //
-//	frame-plan [-topics file | -scale 7525] [-bs-cloud 20ms] [-x 50ms]
+//	frame-plan [-topics file | -scale 7525] [-bs-edge 1ms] [-bs-cloud 20ms] [-bb 50us] [-x 50ms] [-pb 0]
 //	frame-plan -scale 13525 -shards 4
 //	frame-plan -scale 13525 -target-util 0.5 [-max-shards 64]
 package main
@@ -43,6 +47,7 @@ func run() error {
 		bsCloud    = flag.Duration("bs-cloud", 20*time.Millisecond, "ΔBS lower bound for cloud subscribers")
 		bb         = flag.Duration("bb", 50*time.Microsecond, "ΔBB broker→backup latency")
 		x          = flag.Duration("x", 50*time.Millisecond, "publisher fail-over time x")
+		pb         = flag.Duration("pb", 0, "ΔPB publisher→broker latency")
 		shards     = flag.Int("shards", 1, "plan across N broker pairs (jump-hash topic partition)")
 		targetUtil = flag.Float64("target-util", 0, "find the smallest shard count whose hottest pair's delivery utilization fits this fraction")
 		maxShards  = flag.Int("max-shards", 64, "upper bound for the -target-util search")
@@ -50,6 +55,7 @@ func run() error {
 	flag.Parse()
 
 	params := frame.Params{
+		DeltaPB:      *pb,
 		DeltaBSEdge:  *bsEdge,
 		DeltaBSCloud: *bsCloud,
 		DeltaBB:      *bb,

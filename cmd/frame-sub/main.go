@@ -1,21 +1,21 @@
 // Command frame-sub runs a FRAME subscriber over TCP: it connects to both
-// brokers (dispatches arrive from whichever is Primary), discards
-// duplicates, and reports per-topic delivery counts, loss runs, and
-// end-to-end latency statistics.
+// brokers (dispatches arrive from whichever is Primary), redials a lost
+// link, discards duplicates, and reports per-topic delivery counts, loss
+// runs, end-to-end latency statistics and its reconnect count.
 //
 // Usage:
 //
 //	frame-sub -brokers localhost:7401,localhost:7402 -topics 0,1,2 -duration 60s
 //
 // Against a sharded cluster (cmd/frame-cluster), point it at the routing
-// Directory instead; it subscribes to every pair in the table and
+// Directory instead; it links to every broker in the table and
 // de-duplicates cluster-wide:
 //
 //	frame-sub -directory localhost:7400 -topics 0,1,2
 //
 // Against a connection-plane gateway (cmd/frame-gateway), run as a thin
-// client: one session to the gateway, automatic reconnect on a lost
-// session, no broker addresses needed:
+// client: one link, to the gateway, redialed across a gateway restart, no
+// broker addresses needed:
 //
 //	frame-sub -gateway localhost:7410 -topics 0,1,2
 package main
@@ -36,17 +36,7 @@ import (
 	frame "repro"
 	"repro/internal/clocksync"
 	"repro/internal/cluster"
-	"repro/internal/gateway"
 )
-
-// subscriber is the part of the API the report loop needs; satisfied by
-// both the per-pair frame.Subscriber and the sharded cluster.Subscriber.
-type subscriber interface {
-	Received(topic frame.TopicID) uint64
-	Latencies(topic frame.TopicID) []time.Duration
-	Duplicates() uint64
-	Close()
-}
 
 func main() {
 	if err := run(); err != nil {
@@ -59,7 +49,7 @@ func run() error {
 	var (
 		brokers   = flag.String("brokers", "127.0.0.1:7401,127.0.0.1:7402", "comma-separated broker addresses")
 		directory = flag.String("directory", "", "routing Directory address of a sharded cluster; overrides -brokers")
-		gwAddr    = flag.String("gateway", "", "connection-plane gateway address; thin-client mode, overrides -brokers and -directory")
+		gwAddr    = flag.String("gateway", "", "connection-plane gateway address: the one link, redialed like a broker's; overrides -brokers and -directory")
 		topicArg  = flag.String("topics", "", "comma-separated topic ids (required)")
 		duration  = flag.Duration("duration", 60*time.Second, "how long to listen (0 = until interrupted)")
 		name      = flag.String("name", "frame-sub", "subscriber name")
@@ -81,33 +71,13 @@ func run() error {
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	network := frame.NewTCPNetwork(2 * time.Second)
 
-	var sub subscriber
-	if *gwAddr != "" {
-		// The gateway answers the NTP-style exchange itself, so a thin
-		// client stays one hop from its timebase.
-		clock, stopSync, err := syncedClock(network, *gwAddr)
-		if err != nil {
-			return err
-		}
-		defer stopSync()
-		ts, err := gateway.NewThinSubscriber(gateway.ThinSubscriberOptions{
-			Name:        *name,
-			Topics:      topics,
-			GatewayAddr: *gwAddr,
-			Network:     network,
-			Clock:       clock,
-			Reconnect:   true,
-			Logger:      logger,
-		})
-		if err != nil {
-			return err
-		}
-		sub = ts
-		defer func() {
-			fmt.Printf("gateway reconnects: %d\n", ts.Reconnects())
-		}()
-		logger.Info("subscribed", "topics", len(topics), "gateway", *gwAddr)
-	} else if *directory != "" {
+	// One subscriber in every mode; only its broker links differ. A lost
+	// link is redialed until the run ends.
+	var addrs []string
+	switch {
+	case *gwAddr != "":
+		addrs = []string{*gwAddr}
+	case *directory != "":
 		router, err := cluster.NewRouter(cluster.RouterOptions{
 			DirectoryAddr: *directory,
 			Network:       network,
@@ -116,46 +86,32 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		clock, stopSync, err := syncedClock(network, router.Table().Shards[0].Primary)
-		if err != nil {
-			return err
+		addrs = router.Table().Addrs()
+	default:
+		for _, a := range strings.Split(*brokers, ",") {
+			addrs = append(addrs, strings.TrimSpace(a))
 		}
-		defer stopSync()
-		cs, err := cluster.NewSubscriber(cluster.SubscriberOptions{
-			Name:    *name,
-			Topics:  topics,
-			Router:  router,
-			Network: network,
-			Clock:   clock,
-			Logger:  logger,
-		})
-		if err != nil {
-			return err
-		}
-		sub = cs
-		logger.Info("subscribed", "topics", len(topics),
-			"directory", *directory, "shards", len(router.Table().Shards))
-	} else {
-		addrs := strings.Split(*brokers, ",")
-		clock, stopSync, err := syncedClock(network, strings.TrimSpace(addrs[0]))
-		if err != nil {
-			return err
-		}
-		defer stopSync()
-		fs, err := frame.NewSubscriber(frame.SubscriberOptions{
-			Name:        *name,
-			Topics:      topics,
-			BrokerAddrs: addrs,
-			Network:     network,
-			Clock:       clock,
-			Logger:      logger,
-		})
-		if err != nil {
-			return err
-		}
-		sub = fs
-		logger.Info("subscribed", "topics", len(topics), "brokers", *brokers)
 	}
+	// The clock disciplines to the first address: a broker, or the gateway,
+	// which answers the NTP-style exchange itself so a thin client stays
+	// one hop from its timebase.
+	clock, stopSync, err := syncedClock(network, addrs[0])
+	if err != nil {
+		return err
+	}
+	defer stopSync()
+	sub, err := frame.NewSubscriber(frame.SubscriberOptions{
+		Name:        *name,
+		Topics:      topics,
+		BrokerAddrs: addrs,
+		Network:     network,
+		Clock:       clock,
+		Logger:      logger,
+	})
+	if err != nil {
+		return err
+	}
+	logger.Info("subscribed", "topics", len(topics), "links", strings.Join(addrs, ","))
 	defer sub.Close()
 
 	sig := make(chan os.Signal, 1)
@@ -197,6 +153,7 @@ func run() error {
 		fmt.Println(line)
 	}
 	fmt.Printf("duplicates discarded: %d\n", sub.Duplicates())
+	fmt.Printf("reconnects: %d\n", sub.Reconnects())
 	return nil
 }
 

@@ -140,7 +140,8 @@ func (d Deployment) Planes() []string {
 // single it out) and its own budget.
 type Receiver struct {
 	Name string
-	// Gateway attaches it through the gateway as a reconnecting thin client.
+	// Gateway attaches it through the gateway: the subscriber's one link
+	// is the gateway's address, redialed across a gateway restart.
 	Gateway bool
 	// Wedged instead connects a raw gateway session that subscribes and
 	// never reads; it implies Gateway and has no budget — the scenario's

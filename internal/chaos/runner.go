@@ -63,25 +63,18 @@ const (
 // tolerant enough (20ms probe timeout) not to false-positive on loaded CI.
 var defaultDetector = failover.Config{Period: 5 * time.Millisecond, Timeout: 20 * time.Millisecond, Misses: 3}
 
-// publisher and subscriber are the method sets the pump and the judge use;
-// the pair, cluster and thin-client endpoints all provide them.
+// publisher is the method set the pump and the judge use; the pair and
+// cluster publishers both provide it.
 type publisher interface {
 	Publish(spec.TopicID, []byte) (uint64, error)
 	LastSeq(spec.TopicID) uint64
 	Close()
 }
 
-type subscriber interface {
-	Received(spec.TopicID) uint64
-	MaxConsecutiveLoss(spec.TopicID, uint64) int
-	Duplicates() uint64
-	Close()
-}
-
-// receiver is one built Receiver: its endpoint or wedged session, and its recorder.
+// receiver is one built Receiver: its subscriber or wedged session, and its recorder.
 type receiver struct {
 	Receiver
-	sub   subscriber
+	sub   *client.Subscriber
 	wedge *transport.Conn
 	rec   *Recorder
 }
@@ -426,26 +419,21 @@ func (e *Env) startPublishers() error {
 	return nil
 }
 
-// startReceiver attaches one receiver: a wedged raw session or a thin
-// client on the gateway, a cluster-wide subscriber, or a pair subscriber.
+// startReceiver attaches one receiver: a wedged raw session on the
+// gateway, or a subscriber holding links to the gateway, to every broker
+// in the cluster's routing table, or to the pair.
 func (e *Env) startReceiver(spec Receiver) (*receiver, error) {
 	r := &receiver{Receiver: spec, rec: NewRecorder()}
 	net, ids := e.Net.Node(spec.Name), topicIDs(e.topics)
 	var err error
-	switch {
-	case spec.Wedged:
+	if spec.Wedged {
 		r.wedge, err = wedge(net, spec.Name, e.Gateway.Addr(), ids)
+		return r, err
+	}
+	addrs := []string{e.Pairs[0].Primary.Addr(), e.Pairs[0].Backup.Addr()}
+	switch {
 	case spec.Gateway:
-		r.sub, err = gateway.NewThinSubscriber(gateway.ThinSubscriberOptions{
-			Name:        spec.Name,
-			Topics:      ids,
-			GatewayAddr: e.Gateway.Addr(),
-			Network:     net,
-			Clock:       e.Clock,
-			Reconnect:   true,
-			OnFrame:     r.rec.Note,
-			Logger:      e.log,
-		})
+		addrs = []string{e.Gateway.Addr()}
 	case e.Cluster != nil:
 		var router *cluster.Router
 		router, err = cluster.NewRouter(cluster.RouterOptions{
@@ -453,28 +441,20 @@ func (e *Env) startReceiver(spec Receiver) (*receiver, error) {
 			Network:       net,
 			Logger:        e.log,
 		})
-		if err == nil {
-			r.sub, err = cluster.NewSubscriber(cluster.SubscriberOptions{
-				Name:    spec.Name,
-				Topics:  ids,
-				Router:  router,
-				Network: net,
-				Clock:   e.Clock,
-				OnFrame: r.rec.Note,
-				Logger:  e.log,
-			})
+		if err != nil {
+			return r, err
 		}
-	default:
-		r.sub, err = client.NewSubscriber(client.SubscriberOptions{
-			Name:        spec.Name,
-			Topics:      ids,
-			BrokerAddrs: []string{e.Pairs[0].Primary.Addr(), e.Pairs[0].Backup.Addr()},
-			Network:     net,
-			Clock:       e.Clock,
-			OnFrame:     r.rec.Note,
-			Logger:      e.log,
-		})
+		addrs = router.Table().Addrs()
 	}
+	r.sub, err = client.NewSubscriber(client.SubscriberOptions{
+		Name:        spec.Name,
+		Topics:      ids,
+		BrokerAddrs: addrs,
+		Network:     net,
+		Clock:       e.Clock,
+		OnFrame:     r.rec.Note,
+		Logger:      e.log,
+	})
 	return r, err
 }
 

@@ -2,8 +2,8 @@
 // act as proxies for collections of IIoT devices, retain their Ni latest
 // messages per topic, and re-send them to the Backup on fail-over
 // (§III-B); and Subscribers, which receive dispatches from whichever
-// broker is Primary, discard duplicates, and record end-to-end latency and
-// loss statistics (§VI).
+// broker is Primary (or from a gateway), redial a lost link, discard
+// duplicates, and record end-to-end latency and loss statistics (§VI).
 //
 // The Publish contract. Publish returns once the message is queued on the
 // link's uplink ring, not once it is written: the payload was copied (into
@@ -28,6 +28,7 @@ import (
 	"log/slog"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/clocksync"
@@ -592,9 +593,16 @@ type SubscriberOptions struct {
 	Logger *slog.Logger
 }
 
+// reconnectDelay paces the redials of a lost broker link.
+const reconnectDelay = 10 * time.Millisecond
+
 // Subscriber receives dispatches from all configured brokers, discarding
 // duplicate sequence numbers (§VI-C), and keeps per-topic delivery records
 // in a DeliveryLog — constant memory per topic; see its window semantics.
+// A lost link is redialed at the same address every reconnectDelay, and
+// the Subscribe re-sent, until Close; the DeliveryLog carries across
+// sessions, so a dispatch replayed around a broker or gateway restart is
+// discarded exactly as on one unbroken link.
 type Subscriber struct {
 	opts SubscriberOptions
 	log  *slog.Logger
@@ -602,10 +610,13 @@ type Subscriber struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
-	delivered *DeliveryLog
+	reconnects atomic.Uint64
+	delivered  *DeliveryLog
 }
 
 // NewSubscriber dials every broker, subscribes, and starts receive loops.
+// Every first dial must succeed — a misconfigured address fails fast —
+// while later losses are redialed.
 func NewSubscriber(opts SubscriberOptions) (*Subscriber, error) {
 	if opts.Network == nil || opts.Clock == nil {
 		return nil, errors.New("client: subscriber needs network and clock")
@@ -621,40 +632,60 @@ func NewSubscriber(opts SubscriberOptions) (*Subscriber, error) {
 		log:       opts.Logger.With("subscriber", opts.Name),
 		delivered: NewDeliveryLog(),
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	s.cancel = cancel
 	var conns []*transport.Conn
 	for _, addr := range opts.BrokerAddrs {
-		conn, err := dialHello(opts.Network, addr, opts.Name, wire.RoleSubscriber)
+		conn, err := s.dial(addr)
 		if err != nil {
 			for _, c := range conns {
 				c.Close()
 			}
-			cancel()
 			return nil, fmt.Errorf("client: dial broker %s: %w", addr, err)
-		}
-		if err := conn.Send(&wire.Frame{Type: wire.TypeSubscribe, Topics: opts.Topics}); err != nil {
-			conn.Close()
-			for _, c := range conns {
-				c.Close()
-			}
-			cancel()
-			return nil, fmt.Errorf("client: subscribe at %s: %w", addr, err)
 		}
 		conns = append(conns, conn)
 	}
+	ctx, cancel := context.WithCancel(context.Background())
+	s.cancel = cancel
 	for i, conn := range conns {
-		conn, source := conn, opts.BrokerAddrs[i]
 		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer conn.Close()
-			stop := context.AfterFunc(ctx, func() { conn.Close() })
-			defer stop()
-			s.receiveLoop(conn, source)
-		}()
+		go s.run(ctx, conn, opts.BrokerAddrs[i])
 	}
 	return s, nil
+}
+
+// dial opens one session to addr: connect, Hello, Subscribe.
+func (s *Subscriber) dial(addr string) (*transport.Conn, error) {
+	conn, err := dialHello(s.opts.Network, addr, s.opts.Name, wire.RoleSubscriber)
+	if err != nil {
+		return nil, err
+	}
+	if err := conn.Send(&wire.Frame{Type: wire.TypeSubscribe, Topics: s.opts.Topics}); err != nil {
+		conn.Close()
+		return nil, err
+	}
+	return conn, nil
+}
+
+// run drives one broker link until Close: drain the session, and once it
+// is lost redial source every reconnectDelay until a new session is up.
+func (s *Subscriber) run(ctx context.Context, conn *transport.Conn, source string) {
+	defer s.wg.Done()
+	for {
+		session := conn // the closure must not see conn move on to the next session
+		stop := context.AfterFunc(ctx, func() { session.Close() })
+		s.receiveLoop(session, source)
+		stop()
+		session.Close()
+		for conn = nil; conn == nil; {
+			select {
+			case <-ctx.Done():
+				return
+			case <-time.After(reconnectDelay):
+			}
+			conn, _ = s.dial(source)
+		}
+		s.reconnects.Add(1)
+		s.log.Info("re-subscribed after a lost link", "broker", source)
+	}
 }
 
 // receiveLoop drains one broker link with a pooled, reused frame whose
@@ -703,13 +734,17 @@ func (s *Subscriber) Latencies(topic spec.TopicID) []time.Duration {
 	return s.delivered.Latencies(topic)
 }
 
+// Reconnects returns how many lost links were redialed and re-subscribed.
+func (s *Subscriber) Reconnects() uint64 { return s.reconnects.Load() }
+
 // MaxConsecutiveLoss reconstructs the longest run of missing sequence
 // numbers for the topic, given the highest sequence the publisher created.
 func (s *Subscriber) MaxConsecutiveLoss(topic spec.TopicID, highestCreated uint64) int {
 	return s.delivered.MaxConsecutiveLoss(topic, highestCreated)
 }
 
-// Close tears down all broker connections and waits for receive loops.
+// Close tears down all broker connections, stops any redial, and waits for
+// the receive loops.
 func (s *Subscriber) Close() {
 	s.cancel()
 	s.wg.Wait()

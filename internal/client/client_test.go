@@ -130,6 +130,18 @@ func (fb *fakeBroker) accepted() int {
 	return len(fb.conns)
 }
 
+// dispatch sends one dispatch of (topic, seq) on every accepted connection.
+func (fb *fakeBroker) dispatch(topic spec.TopicID, seq uint64, created time.Duration) {
+	fb.mu.Lock()
+	conns := append([]*transport.Conn(nil), fb.conns...)
+	fb.mu.Unlock()
+	for _, c := range conns {
+		c.Send(&wire.Frame{Type: wire.TypeDispatch, Msg: wire.Message{
+			Topic: topic, Seq: seq, Created: created, Payload: []byte("payload"),
+		}, Dispatched: created})
+	}
+}
+
 func (fb *fakeBroker) framesOf(t wire.Type) []*wire.Frame {
 	fb.mu.Lock()
 	defer fb.mu.Unlock()
@@ -504,6 +516,10 @@ func TestSubscriberValidation(t *testing.T) {
 		{"no topics", SubscriberOptions{Network: n, Clock: clock(), BrokerAddrs: []string{"b1"}}},
 		{"no brokers", SubscriberOptions{Network: n, Clock: clock(), Topics: []spec.TopicID{1}}},
 		{"bad addr", SubscriberOptions{Network: n, Clock: clock(), Topics: []spec.TopicID{1}, BrokerAddrs: []string{"nope"}}},
+		{"empty addr", SubscriberOptions{Network: n, Clock: clock(), Topics: []spec.TopicID{1}, BrokerAddrs: []string{""}}},
+		// A dead second address fails the whole subscriber, however the
+		// first dial went: only a link that once came up is redialed.
+		{"dead second addr", SubscriberOptions{Network: n, Clock: clock(), Topics: []spec.TopicID{1}, BrokerAddrs: []string{"b1", "nope"}}},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -552,19 +568,9 @@ func TestSubscriberSubscribesDedupsAndMeasures(t *testing.T) {
 
 	// Dispatch seq 1 and 2 from b1, and a duplicate of seq 1 from b2 (as
 	// happens during recovery re-dispatch).
-	send := func(fb *fakeBroker, seq uint64) {
-		fb.mu.Lock()
-		conns := append([]*transport.Conn(nil), fb.conns...)
-		fb.mu.Unlock()
-		for _, c := range conns {
-			c.Send(&wire.Frame{Type: wire.TypeDispatch, Msg: wire.Message{
-				Topic: 7, Seq: seq, Created: clk(), Payload: []byte("payload"),
-			}, Dispatched: clk()})
-		}
-	}
-	send(b1, 1)
-	send(b1, 2)
-	send(b2, 1) // duplicate
+	b1.dispatch(7, 1, clk())
+	b1.dispatch(7, 2, clk())
+	b2.dispatch(7, 1, clk()) // duplicate
 
 	deadline = time.Now().Add(time.Second)
 	for sub.Received(7) < 2 && time.Now().Before(deadline) {
@@ -622,5 +628,142 @@ func TestSubscriberIgnoresNonDispatchFrames(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	if sub.Received(1) != 0 {
 		t.Error("non-dispatch frame counted as delivery")
+	}
+}
+
+// waitUntil polls cond for up to watchdog and reports whether it held.
+func waitUntil(cond func() bool) bool {
+	for deadline := time.Now().Add(watchdog); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSubscriberRedialsLostLink resets a live link and brings the listener
+// back at the same address: the subscriber must redial and re-subscribe on
+// its own, its delivery log must carry across the two sessions (a seq the
+// new session re-sends is a duplicate), and Reconnects counts the one
+// redial. Close during the backoff that follows a second loss returns at
+// once.
+func TestSubscriberRedialsLostLink(t *testing.T) {
+	n := transport.NewMem()
+	clk := clock()
+	first := newFakeBroker(t, n, "b1")
+	sub, err := NewSubscriber(SubscriberOptions{
+		Name: "s", Topics: []spec.TopicID{7}, BrokerAddrs: []string{"b1"},
+		Network: n, Clock: clk, Logger: quiet(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := false
+	defer func() {
+		if !closed {
+			sub.Close()
+		}
+	}()
+	if !waitUntil(func() bool { return len(first.framesOf(wire.TypeSubscribe)) == 1 }) {
+		t.Fatal("first session never subscribed")
+	}
+	first.dispatch(7, 1, clk())
+	first.dispatch(7, 2, clk())
+	if !waitUntil(func() bool { return sub.Received(7) == 2 }) {
+		t.Fatalf("received %d before the reset, want 2", sub.Received(7))
+	}
+
+	first.kill() // the link resets and nothing listens at b1 for a while
+	time.Sleep(5 * reconnectDelay)
+	if got := sub.Reconnects(); got != 0 {
+		t.Fatalf("Reconnects = %d while nothing listens, want 0", got)
+	}
+	second := newFakeBroker(t, n, "b1")
+	if !waitUntil(func() bool { return len(second.framesOf(wire.TypeSubscribe)) == 1 }) {
+		t.Fatal("the subscriber never re-subscribed at the restarted listener")
+	}
+	if subs := second.framesOf(wire.TypeSubscribe); len(subs[0].Topics) != 1 || subs[0].Topics[0] != 7 {
+		t.Fatalf("re-subscription %+v, want topic 7", subs[0])
+	}
+	second.dispatch(7, 2, clk()) // re-sent across the restart
+	second.dispatch(7, 3, clk())
+	if !waitUntil(func() bool { return sub.Received(7) == 3 && sub.Duplicates() == 1 }) {
+		t.Fatalf("received %d distinct and %d duplicates across the restart, want 3 and 1",
+			sub.Received(7), sub.Duplicates())
+	}
+	if got := sub.MaxConsecutiveLoss(7, 3); got != 0 {
+		t.Errorf("max consecutive loss %d across the restart, want 0", got)
+	}
+	if got := sub.Reconnects(); got != 1 {
+		t.Errorf("Reconnects = %d, want 1", got)
+	}
+
+	second.kill()
+	time.Sleep(3 * reconnectDelay) // redialing a dead address
+	start := time.Now()
+	sub.Close()
+	closed = true
+	if took := time.Since(start); took > 10*reconnectDelay {
+		t.Errorf("Close during the redial backoff took %v", took)
+	}
+}
+
+// TestSubscriberDedupAcrossRehome replays the stream shape a topic re-home
+// between shards produces, on one subscriber holding links to both pairs:
+// the new owner starts the topic's retained window again from a low
+// sequence number that the old owner's link already delivered. The
+// subscriber's one delivery log must absorb the overlap across the two
+// sources (each source's stream is clean on its own), deliver each
+// distinct message exactly once, and still reconstruct loss runs.
+func TestSubscriberDedupAcrossRehome(t *testing.T) {
+	s := &Subscriber{delivered: NewDeliveryLog()}
+	var delivered []uint64
+	var frames, dupFrames int
+	s.opts.Clock = func() time.Duration { return time.Second }
+	s.opts.OnDeliver = func(d Delivery) {
+		if d.Duplicate {
+			t.Errorf("OnDeliver saw a duplicate (topic %d seq %d)", d.Msg.Topic, d.Msg.Seq)
+		}
+		delivered = append(delivered, d.Msg.Seq)
+	}
+	s.opts.OnFrame = func(d Delivery) {
+		frames++
+		if d.Duplicate {
+			dupFrames++
+		}
+	}
+
+	const topic = spec.TopicID(7)
+	feed := func(source string, seqs ...uint64) {
+		for _, q := range seqs {
+			s.onDispatch(&wire.Frame{Type: wire.TypeDispatch, Msg: wire.Message{
+				Topic: topic, Seq: q, Created: time.Duration(q) * time.Millisecond,
+			}}, source)
+		}
+	}
+	feed("old-pair", 1, 2, 3, 4, 5) // the topic's life on its first owner
+	feed("new-pair", 3, 4, 5, 6)    // re-home: retained window re-sent, then new traffic
+
+	if got := s.Received(topic); got != 6 {
+		t.Errorf("received %d distinct, want 6", got)
+	}
+	if got := s.Duplicates(); got != 3 {
+		t.Errorf("%d duplicates discarded, want 3 (the re-sent retained window)", got)
+	}
+	if frames != 9 || dupFrames != 3 {
+		t.Errorf("OnFrame saw %d frames (%d marked duplicate), want all 9 with 3 marked", frames, dupFrames)
+	}
+	if len(delivered) != 6 {
+		t.Errorf("OnDeliver ran %d times, want 6", len(delivered))
+	}
+	if got := s.Latencies(topic); len(got) != 6 {
+		t.Errorf("%d latency samples, want 6 (one per distinct delivery)", len(got))
+	}
+	// Sequences 7 and 8 never arrived: the longest missing run is 2.
+	if got := s.MaxConsecutiveLoss(topic, 8); got != 2 {
+		t.Errorf("max consecutive loss = %d, want 2", got)
+	}
+	if got := s.MaxConsecutiveLoss(topic, 6); got != 0 {
+		t.Errorf("max consecutive loss over the delivered prefix = %d, want 0", got)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/failover"
 	"repro/internal/spec"
@@ -106,8 +107,8 @@ func TestClusterEndToEnd(t *testing.T) {
 	for i, tp := range topics {
 		ids[i] = tp.ID
 	}
-	sub, err := NewSubscriber(SubscriberOptions{
-		Name: "sub", Topics: ids, Router: r, Network: n, Clock: clock, Logger: quietLog(),
+	sub, err := client.NewSubscriber(client.SubscriberOptions{
+		Name: "sub", Topics: ids, BrokerAddrs: r.Table().Addrs(), Network: n, Clock: clock, Logger: quietLog(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -186,8 +187,8 @@ func TestStalePublisherRedirectsAndRehomes(t *testing.T) {
 	for i, tp := range topics {
 		ids[i] = tp.ID
 	}
-	sub, err := NewSubscriber(SubscriberOptions{
-		Name: "sub", Topics: ids, Router: freshRouter, Network: n, Clock: clock, Logger: quietLog(),
+	sub, err := client.NewSubscriber(client.SubscriberOptions{
+		Name: "sub", Topics: ids, BrokerAddrs: freshRouter.Table().Addrs(), Network: n, Clock: clock, Logger: quietLog(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -262,8 +263,8 @@ func TestClusterPromotionKeepsShard(t *testing.T) {
 	for i, tp := range topics {
 		ids[i] = tp.ID
 	}
-	sub, err := NewSubscriber(SubscriberOptions{
-		Name: "sub", Topics: ids, Router: r, Network: n, Clock: clock, Logger: quietLog(),
+	sub, err := client.NewSubscriber(client.SubscriberOptions{
+		Name: "sub", Topics: ids, BrokerAddrs: r.Table().Addrs(), Network: n, Clock: clock, Logger: quietLog(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -336,9 +337,6 @@ func TestClusterValidation(t *testing.T) {
 	r := &Router{}
 	if _, err := NewPublisher(PublisherOptions{Router: r, Network: n, Clock: testClock(), Logger: quietLog()}); err == nil {
 		t.Error("publisher with no topics accepted")
-	}
-	if _, err := NewSubscriber(SubscriberOptions{Router: r, Network: n, Clock: testClock(), Logger: quietLog()}); err == nil {
-		t.Error("subscriber with no topics accepted")
 	}
 	if _, err := NewPublisher(PublisherOptions{Topics: lanTopics(1, 0), Network: n, Clock: testClock()}); err == nil {
 		t.Error("publisher with nil router accepted")

@@ -34,6 +34,19 @@ type Table struct {
 // ShardFor returns the index of the shard owning the topic.
 func (t Table) ShardFor(id spec.TopicID) int { return ShardOf(id, len(t.Shards)) }
 
+// Addrs flattens the table into every broker address a subscriber holds a
+// link to: each shard's Primary and its Backup, which a promotion empties.
+func (t Table) Addrs() []string {
+	var addrs []string
+	for _, e := range t.Shards {
+		addrs = append(addrs, e.Primary)
+		if e.Backup != "" {
+			addrs = append(addrs, e.Backup)
+		}
+	}
+	return addrs
+}
+
 // clone returns a deep copy (the entries are value types).
 func (t Table) clone() Table {
 	return Table{Epoch: t.Epoch, Shards: append([]wire.ShardEntry(nil), t.Shards...)}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"log/slog"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -79,6 +80,10 @@ func TestDirectoryPromoteSwapsPairAndBumpsEpoch(t *testing.T) {
 	// The shard's ownership is unchanged: same index, same topic partition.
 	if tab.Shards[0].Primary != "p0" || tab.Shards[2].Primary != "p2" {
 		t.Error("promotion leaked into other shards")
+	}
+	// A subscriber's link set skips the Backup the promotion emptied.
+	if got, want := strings.Join(tab.Addrs(), ","), "p0,b0,b1,p2,b2"; got != want {
+		t.Errorf("Addrs = %s, want %s", got, want)
 	}
 	// A pair without a backup cannot promote again.
 	if err := dir.Promote(1); err == nil {

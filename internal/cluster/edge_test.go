@@ -186,62 +186,6 @@ func TestDirectoryServeToleratesStrays(t *testing.T) {
 	}
 }
 
-// TestSubscriberDedupAcrossRehome replays the exact stream shape a topic
-// re-home produces: the new owner pair starts the topic's retained window
-// again from a low sequence number while the subscriber has already seen
-// those messages from the old pair. Cluster-wide dedup must absorb the
-// overlap (per-pair dedup cannot — each pair's stream is internally
-// clean), deliver each distinct message exactly once, and still
-// reconstruct loss runs correctly afterwards.
-func TestSubscriberDedupAcrossRehome(t *testing.T) {
-	s := &Subscriber{delivered: client.NewDeliveryLog()}
-	var delivered []uint64
-	var frames int
-	s.opts.OnDeliver = func(d client.Delivery) {
-		if d.Duplicate {
-			t.Errorf("OnDeliver saw a duplicate (topic %d seq %d)", d.Msg.Topic, d.Msg.Seq)
-		}
-		delivered = append(delivered, d.Msg.Seq)
-	}
-	s.opts.OnFrame = func(client.Delivery) { frames++ }
-
-	const topic = spec.TopicID(7)
-	feed := func(source string, seqs ...uint64) {
-		for _, q := range seqs {
-			s.onFrame(client.Delivery{
-				Msg:     wire.Message{Topic: topic, Seq: q},
-				Latency: time.Duration(q) * time.Millisecond,
-				Source:  source,
-			})
-		}
-	}
-	feed("old-pair", 1, 2, 3, 4, 5) // the topic's life on its first owner
-	feed("new-pair", 3, 4, 5, 6)    // re-home: retained window re-sent, then new traffic
-
-	if got := s.Received(topic); got != 6 {
-		t.Errorf("received %d distinct, want 6", got)
-	}
-	if got := s.Duplicates(); got != 3 {
-		t.Errorf("%d duplicates discarded, want 3 (the re-sent retained window)", got)
-	}
-	if frames != 9 {
-		t.Errorf("OnFrame saw %d frames, want all 9 including duplicates", frames)
-	}
-	if len(delivered) != 6 {
-		t.Errorf("OnDeliver ran %d times, want 6", len(delivered))
-	}
-	if got := s.Latencies(topic); len(got) != 6 {
-		t.Errorf("%d latency samples, want 6 (one per distinct delivery)", len(got))
-	}
-	// Sequences 7 and 8 never arrived: the longest missing run is 2.
-	if got := s.MaxConsecutiveLoss(topic, 8); got != 2 {
-		t.Errorf("max consecutive loss = %d, want 2", got)
-	}
-	if got := s.MaxConsecutiveLoss(topic, 6); got != 0 {
-		t.Errorf("max consecutive loss over the delivered prefix = %d, want 0", got)
-	}
-}
-
 // TestPublisherRehomeGuards drives rehome's refusal branches directly: a
 // stale epoch and a newer-but-empty table must both leave the installed
 // table untouched.
@@ -283,7 +227,7 @@ func TestPublisherUnknownTopic(t *testing.T) {
 }
 
 // TestEndpointValidation covers the cheap constructor failures of the
-// cluster-wide endpoints, including the empty-table refusal against a
+// cluster-wide publisher, including the empty-table refusal against a
 // hand-built empty router cache.
 func TestEndpointValidation(t *testing.T) {
 	n := transport.NewMem()
@@ -304,16 +248,5 @@ func TestEndpointValidation(t *testing.T) {
 	if _, err := NewPublisher(PublisherOptions{Router: emptyRouter, Network: n, Clock: testClock(),
 		Topics: []spec.Topic{{ID: 2}}, Logger: quietLog()}); err == nil {
 		t.Error("NewPublisher accepted an invalid topic spec")
-	}
-
-	if _, err := NewSubscriber(SubscriberOptions{}); err == nil {
-		t.Error("NewSubscriber accepted missing router/network/clock")
-	}
-	if _, err := NewSubscriber(SubscriberOptions{Router: emptyRouter, Network: n, Clock: testClock()}); err == nil {
-		t.Error("NewSubscriber accepted zero topics")
-	}
-	if _, err := NewSubscriber(SubscriberOptions{Router: emptyRouter, Network: n, Clock: testClock(),
-		Topics: []spec.TopicID{1}, Logger: quietLog()}); err == nil {
-		t.Error("NewSubscriber accepted an empty routing table")
 	}
 }

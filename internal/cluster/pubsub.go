@@ -1,6 +1,7 @@
-// Cluster-aware endpoints: a Publisher that routes each topic to its
-// owning shard and re-homes topics when the routing table moves them, and
-// a Subscriber that aggregates deliveries across every shard.
+// The cluster-aware publisher: it routes each topic to its owning shard and
+// re-homes topics when the routing table moves them. The subscribing side
+// needs no cluster type: one client.Subscriber over Table.Addrs holds a
+// link to every broker, and its one delivery log dedups across pairs.
 package cluster
 
 import (
@@ -377,120 +378,4 @@ func (p *Publisher) Close() {
 		pub.Close()
 	}
 	p.wg.Wait()
-}
-
-// SubscriberOptions configures a cluster-wide subscriber.
-type SubscriberOptions struct {
-	// Name identifies the subscriber.
-	Name string
-	// Topics to subscribe to, cluster-wide.
-	Topics []spec.TopicID
-	// Router supplies the routing table used to find every pair.
-	Router *Router
-	// Network supplies dialing.
-	Network transport.Network
-	// Clock is the synchronized timebase used to stamp ts.
-	Clock clocksync.Clock
-	// OnDeliver runs once per distinct delivery cluster-wide.
-	OnDeliver func(client.Delivery)
-	// OnFrame runs for every dispatch frame from every pair, duplicates
-	// included — the raw per-link stream chaos invariants judge.
-	OnFrame func(client.Delivery)
-	// Logger receives operational events; nil means slog.Default.
-	Logger *slog.Logger
-}
-
-// Subscriber subscribes to every pair in the table (both members, like the
-// paper's subscribers hold connections to Primary and Backup) and
-// de-duplicates cluster-wide: a topic re-homed between shards mid-run may
-// legally arrive from two pairs, which per-pair dedup cannot see.
-type Subscriber struct {
-	opts SubscriberOptions
-	subs []*client.Subscriber
-
-	delivered *client.DeliveryLog
-}
-
-// NewSubscriber dials every pair in the router's current table.
-func NewSubscriber(opts SubscriberOptions) (*Subscriber, error) {
-	if opts.Router == nil || opts.Network == nil || opts.Clock == nil {
-		return nil, errors.New("cluster: subscriber needs router, network, and clock")
-	}
-	if len(opts.Topics) == 0 {
-		return nil, errors.New("cluster: subscriber needs topics")
-	}
-	if opts.Logger == nil {
-		opts.Logger = slog.Default()
-	}
-	table := opts.Router.Table()
-	if len(table.Shards) == 0 {
-		return nil, errors.New("cluster: empty routing table")
-	}
-	s := &Subscriber{
-		opts:      opts,
-		delivered: client.NewDeliveryLog(),
-	}
-	for i, e := range table.Shards {
-		addrs := []string{e.Primary}
-		if e.Backup != "" {
-			addrs = append(addrs, e.Backup)
-		}
-		// Every pair gets the full subscription list: subscriptions to
-		// topics a shard never owns are dormant and free, and they make the
-		// subscriber immune to topics re-homing after setup.
-		sub, err := client.NewSubscriber(client.SubscriberOptions{
-			Name:        opts.Name,
-			Topics:      opts.Topics,
-			BrokerAddrs: addrs,
-			Network:     opts.Network,
-			Clock:       opts.Clock,
-			OnFrame:     s.onFrame,
-			Logger:      opts.Logger,
-		})
-		if err != nil {
-			s.Close()
-			return nil, fmt.Errorf("cluster: subscribe shard %d: %w", i, err)
-		}
-		s.subs = append(s.subs, sub)
-	}
-	return s, nil
-}
-
-// onFrame aggregates the per-pair streams into cluster-level accounting.
-func (s *Subscriber) onFrame(d client.Delivery) {
-	if cb := s.opts.OnFrame; cb != nil {
-		cb(d)
-	}
-	dup := s.delivered.Record(d.Msg.Topic, d.Msg.Seq, d.Latency)
-	if deliver := s.opts.OnDeliver; !dup && deliver != nil {
-		d.Duplicate = false
-		deliver(d)
-	}
-}
-
-// Received returns how many distinct messages arrived for the topic,
-// cluster-wide.
-func (s *Subscriber) Received(topic spec.TopicID) uint64 { return s.delivered.Received(topic) }
-
-// Duplicates returns how many duplicate deliveries were discarded
-// cluster-wide (per-pair duplicates included).
-func (s *Subscriber) Duplicates() uint64 { return s.delivered.Duplicates() }
-
-// Latencies returns a copy of the topic's most recent end-to-end latency
-// samples (at most client.LatencyKeep, oldest first).
-func (s *Subscriber) Latencies(topic spec.TopicID) []time.Duration {
-	return s.delivered.Latencies(topic)
-}
-
-// MaxConsecutiveLoss reconstructs the longest run of missing sequence
-// numbers for the topic, given the highest sequence the publisher created.
-func (s *Subscriber) MaxConsecutiveLoss(topic spec.TopicID, highestCreated uint64) int {
-	return s.delivered.MaxConsecutiveLoss(topic, highestCreated)
-}
-
-// Close tears down every pair subscription.
-func (s *Subscriber) Close() {
-	for _, sub := range s.subs {
-		sub.Close()
-	}
 }

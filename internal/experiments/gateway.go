@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"repro/internal/broker"
+	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/gateway"
 	"repro/internal/spec"
@@ -174,12 +175,12 @@ func RunGatewayChurn(cfg Config, opts GatewayChurnOptions) (*GatewayChurnResult,
 
 	// Probes: full-subscription clients whose latency samples become the
 	// delivery percentiles.
-	probes := make([]*gateway.ThinSubscriber, opts.Probes)
+	probes := make([]*client.Subscriber, opts.Probes)
 	for i := range probes {
-		probes[i], err = gateway.NewThinSubscriber(gateway.ThinSubscriberOptions{
+		probes[i], err = client.NewSubscriber(client.SubscriberOptions{
 			Name:        fmt.Sprintf("probe-%d", i),
 			Topics:      ids,
-			GatewayAddr: gw.Addr(),
+			BrokerAddrs: []string{gw.Addr()},
 			Network:     net,
 			Clock:       clock,
 			Logger:      quietLogger(),
@@ -296,7 +297,7 @@ func RunGatewayChurn(cfg Config, opts GatewayChurnOptions) (*GatewayChurnResult,
 	for deadline := time.Now().Add(10 * time.Second); ; {
 		done := true
 		for _, p := range probes {
-			if receivedThin(p, ids) < total {
+			if received(p, ids) < total {
 				done = false
 			}
 		}
@@ -304,7 +305,7 @@ func RunGatewayChurn(cfg Config, opts GatewayChurnOptions) (*GatewayChurnResult,
 			break
 		}
 		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("probe delivery incomplete: got %d of %d under churn", receivedThin(probes[0], ids), total)
+			return nil, fmt.Errorf("probe delivery incomplete: got %d of %d under churn", received(probes[0], ids), total)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -325,7 +326,7 @@ func RunGatewayChurn(cfg Config, opts GatewayChurnOptions) (*GatewayChurnResult,
 		Connects:  connects,
 		ChurnRate: float64(connects) / opts.Window.Seconds(),
 		Published: total,
-		Delivered: receivedThin(probes[0], ids),
+		Delivered: received(probes[0], ids),
 		P50:       percentileDur(lat, 50),
 		P99:       percentileDur(lat, 99),
 		Shed:      es.Shed,
@@ -387,15 +388,6 @@ func connectBulkClient(net transport.Network, addr string, idx int, topic spec.T
 		}
 	}()
 	return conn, nil
-}
-
-// receivedThin sums a thin subscriber's distinct deliveries across topics.
-func receivedThin(p *gateway.ThinSubscriber, ids []spec.TopicID) uint64 {
-	var n uint64
-	for _, id := range ids {
-		n += p.Received(id)
-	}
-	return n
 }
 
 // percentileDur returns the p-th percentile of sorted samples.

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"repro/internal/broker"
+	"repro/internal/client"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/failover"
@@ -167,8 +168,8 @@ func runShardPoint(shards int, opts ShardScaleOptions) (ShardScalePoint, error) 
 	if err != nil {
 		return ShardScalePoint{}, err
 	}
-	sub, err := cluster.NewSubscriber(cluster.SubscriberOptions{
-		Name: "shardscale-sub", Topics: ids, Router: router, Network: net,
+	sub, err := client.NewSubscriber(client.SubscriberOptions{
+		Name: "shardscale-sub", Topics: ids, BrokerAddrs: router.Table().Addrs(), Network: net,
 		Clock: clock, Logger: quietLogger(),
 	})
 	if err != nil {
@@ -214,9 +215,9 @@ func runShardPoint(shards int, opts ShardScaleOptions) (ShardScalePoint, error) 
 		}
 	}
 	deadline := time.Now().Add(30 * time.Second)
-	for clusterReceived(sub, ids) < uint64(total) {
+	for received(sub, ids) < uint64(total) {
 		if time.Now().After(deadline) {
-			return ShardScalePoint{}, fmt.Errorf("delivered %d of %d before timeout", clusterReceived(sub, ids), total)
+			return ShardScalePoint{}, fmt.Errorf("delivered %d of %d before timeout", received(sub, ids), total)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -229,7 +230,8 @@ func runShardPoint(shards int, opts ShardScaleOptions) (ShardScalePoint, error) 
 	}, nil
 }
 
-func clusterReceived(sub *cluster.Subscriber, ids []spec.TopicID) uint64 {
+// received sums a subscriber's distinct deliveries across topics.
+func received(sub *client.Subscriber, ids []spec.TopicID) uint64 {
 	var n uint64
 	for _, id := range ids {
 		n += sub.Received(id)

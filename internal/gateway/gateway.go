@@ -8,18 +8,20 @@
 // count — file descriptors, egress writer goroutines, per-session state —
 // was the scaling ceiling. The gateway splits that off: clients speak the
 // ordinary length-prefixed wire protocol to the gateway, the gateway holds
-// exactly one upstream subscriber session per shard pair (Directory-routed
-// in cluster mode), and fan-out to clients reuses the PR 5 egress rings,
-// one bounded ring per end client with the same Li-aware shed/evict
-// policy. A wedged phone fills its own 64-frame ring and is shed or
-// evicted by its topic's loss tolerance; the broker socket never sees
-// backpressure from it.
+// one upstream client.Subscriber with one session per broker (the
+// Directory's table in cluster mode), and fan-out to clients reuses the
+// egress rings, one bounded ring per end client with the same Li-aware
+// shed/evict policy. A wedged phone fills its own 64-frame ring and is
+// shed or evicted by its topic's loss tolerance; the broker socket never
+// sees backpressure from it.
 //
 // Publishes from thin clients forward upstream unchanged — the gateway
 // preserves the client-assigned Seq and Created stamps, so end-to-end
 // semantics (dedup, FIFO-per-topic, loss accounting) are exactly those of
 // a direct broker session. WrongShard redirects on the forward path kick
-// a routing-table refresh just like cluster.Publisher.
+// a routing-table refresh just like cluster.Publisher. A thin client is a
+// client.Subscriber whose one address is the gateway's: it redials a lost
+// session, so a gateway restart costs it a gap, not its subscription.
 package gateway
 
 import (
@@ -109,10 +111,9 @@ type Gateway struct {
 	// shed/evict budget; unknown topics are best-effort.
 	li map[spec.TopicID]int
 
-	// Upstream: exactly one of upPair/upCluster is set.
-	router    *cluster.Router
-	upPair    *client.Subscriber
-	upCluster *cluster.Subscriber
+	// router is nil in pair mode; up is the one upstream subscriber.
+	router *cluster.Router
+	up     *client.Subscriber
 
 	mu          sync.Mutex
 	sessByConn  map[*transport.Conn]*session
@@ -195,8 +196,10 @@ func New(opts Options) (*Gateway, error) {
 	}
 	g.ln = ln
 
-	// One upstream subscriber session per shard pair carries every topic;
-	// its cross-pair dedup means fanout sees each message exactly once.
+	// One upstream subscriber with a link to every broker carries every
+	// topic; its one delivery log dedups across the links, so fanout sees
+	// each message exactly once.
+	addrs := opts.BrokerAddrs
 	if opts.DirectoryAddr != "" {
 		g.router, err = cluster.NewRouter(cluster.RouterOptions{
 			DirectoryAddr: opts.DirectoryAddr,
@@ -204,21 +207,14 @@ func New(opts Options) (*Gateway, error) {
 			Logger:        opts.Logger,
 		})
 		if err == nil {
-			g.upCluster, err = cluster.NewSubscriber(cluster.SubscriberOptions{
-				Name:      opts.Name + "-up",
-				Topics:    ids,
-				Router:    g.router,
-				Network:   opts.Network,
-				Clock:     opts.Clock,
-				OnDeliver: g.fanout,
-				Logger:    opts.Logger,
-			})
+			addrs = g.router.Table().Addrs()
 		}
-	} else {
-		g.upPair, err = client.NewSubscriber(client.SubscriberOptions{
+	}
+	if err == nil {
+		g.up, err = client.NewSubscriber(client.SubscriberOptions{
 			Name:        opts.Name + "-up",
 			Topics:      ids,
-			BrokerAddrs: opts.BrokerAddrs,
+			BrokerAddrs: addrs,
 			Network:     opts.Network,
 			Clock:       opts.Clock,
 			OnDeliver:   g.fanout,
@@ -234,7 +230,7 @@ func New(opts Options) (*Gateway, error) {
 	if opts.AdminAddr != "" {
 		g.admin, err = obsv.NewAdmin(opts.AdminAddr, obsv.NewBrokerMetrics(), g.Health, g.scrapeGauges)
 		if err != nil {
-			g.closeUpstream()
+			g.up.Close()
 			ln.Close()
 			g.cancel()
 			return nil, err
@@ -287,21 +283,12 @@ func (g *Gateway) Stop() {
 	// Every attached ring was closed and waited above (subscribe refuses
 	// attachments once closed is set), so the pool drains clean.
 	g.pool.Close()
-	g.closeUpstream()
+	g.up.Close()
 	g.closePubLinks()
 	if g.admin != nil {
 		g.admin.Close()
 	}
 	g.wg.Wait()
-}
-
-func (g *Gateway) closeUpstream() {
-	if g.upCluster != nil {
-		g.upCluster.Close()
-	}
-	if g.upPair != nil {
-		g.upPair.Close()
-	}
 }
 
 // closeSessions mirrors broker.closeSubscribers: snapshot, retire every

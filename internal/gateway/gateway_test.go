@@ -203,8 +203,8 @@ func TestGatewayEquivalentToDirectSubscription(t *testing.T) {
 	t.Cleanup(direct.Close)
 
 	thinFIFO := newRewindTracker()
-	thin, err := gateway.NewThinSubscriber(gateway.ThinSubscriberOptions{
-		Name: "thin", Topics: ids, GatewayAddr: "gw",
+	thin, err := client.NewSubscriber(client.SubscriberOptions{
+		Name: "thin", Topics: ids, BrokerAddrs: []string{"gw"},
 		Network: net, Clock: clock, OnFrame: thinFIFO.note, Logger: quietLogger(),
 	})
 	if err != nil {
@@ -231,8 +231,8 @@ func TestGatewayEquivalentToDirectSubscription(t *testing.T) {
 	go func() {
 		defer close(churnDone)
 		for i := 0; i < churners; i++ {
-			c, err := gateway.NewThinSubscriber(gateway.ThinSubscriberOptions{
-				Name: fmt.Sprintf("churn-%d", i), Topics: ids, GatewayAddr: "gw",
+			c, err := client.NewSubscriber(client.SubscriberOptions{
+				Name: fmt.Sprintf("churn-%d", i), Topics: ids, BrokerAddrs: []string{"gw"},
 				Network: net, Clock: clock, Logger: quietLogger(),
 			})
 			if err != nil {
@@ -318,8 +318,8 @@ func TestGatewayChurnSoak(t *testing.T) {
 	gw.Start()
 	t.Cleanup(gw.Stop)
 
-	stable, err := gateway.NewThinSubscriber(gateway.ThinSubscriberOptions{
-		Name: "stable", Topics: ids, GatewayAddr: "gw",
+	stable, err := client.NewSubscriber(client.SubscriberOptions{
+		Name: "stable", Topics: ids, BrokerAddrs: []string{"gw"},
 		Network: net, Clock: clock, Logger: quietLogger(),
 	})
 	if err != nil {
@@ -364,8 +364,8 @@ func TestGatewayChurnSoak(t *testing.T) {
 			wave.Add(1)
 			go func(i int, hold time.Duration, sub []spec.TopicID) {
 				defer wave.Done()
-				c, err := gateway.NewThinSubscriber(gateway.ThinSubscriberOptions{
-					Name: fmt.Sprintf("wave-%d", i), Topics: sub, GatewayAddr: "gw",
+				c, err := client.NewSubscriber(client.SubscriberOptions{
+					Name: fmt.Sprintf("wave-%d", i), Topics: sub, BrokerAddrs: []string{"gw"},
 					Network: net, Clock: clock, Logger: quietLogger(),
 				})
 				if err != nil {
@@ -430,8 +430,8 @@ func TestGatewaySlowClientIsolation(t *testing.T) {
 	gw.Start()
 	t.Cleanup(gw.Stop)
 
-	healthy, err := gateway.NewThinSubscriber(gateway.ThinSubscriberOptions{
-		Name: "healthy", Topics: ids, GatewayAddr: "gw",
+	healthy, err := client.NewSubscriber(client.SubscriberOptions{
+		Name: "healthy", Topics: ids, BrokerAddrs: []string{"gw"},
 		Network: net, Clock: clock, Logger: quietLogger(),
 	})
 	if err != nil {
@@ -509,9 +509,9 @@ func TestGatewayRestartThinClientReconnects(t *testing.T) {
 	}
 	gw1 := newGW()
 
-	thin, err := gateway.NewThinSubscriber(gateway.ThinSubscriberOptions{
-		Name: "thin", Topics: ids, GatewayAddr: "gw",
-		Network: net, Clock: clock, Reconnect: true, Logger: quietLogger(),
+	thin, err := client.NewSubscriber(client.SubscriberOptions{
+		Name: "thin", Topics: ids, BrokerAddrs: []string{"gw"},
+		Network: net, Clock: clock, Logger: quietLogger(),
 	})
 	if err != nil {
 		t.Fatalf("thin subscriber: %v", err)
@@ -611,8 +611,8 @@ func TestGatewayDirectoryMode(t *testing.T) {
 	gw.Start()
 	t.Cleanup(gw.Stop)
 
-	thin, err := gateway.NewThinSubscriber(gateway.ThinSubscriberOptions{
-		Name: "thin", Topics: ids, GatewayAddr: "gw",
+	thin, err := client.NewSubscriber(client.SubscriberOptions{
+		Name: "thin", Topics: ids, BrokerAddrs: []string{"gw"},
 		Network: net, Clock: clock, Logger: quietLogger(),
 	})
 	if err != nil {
@@ -734,8 +734,8 @@ func TestGatewayMetricsAndHealth(t *testing.T) {
 	gw.Start()
 	t.Cleanup(gw.Stop)
 
-	thin, err := gateway.NewThinSubscriber(gateway.ThinSubscriberOptions{
-		Name: "thin", Topics: ids, GatewayAddr: "gw",
+	thin, err := client.NewSubscriber(client.SubscriberOptions{
+		Name: "thin", Topics: ids, BrokerAddrs: []string{"gw"},
 		Network: net, Clock: clock, Logger: quietLogger(),
 	})
 	if err != nil {
@@ -833,24 +833,41 @@ func TestGatewayOptionValidation(t *testing.T) {
 	}
 }
 
-// TestThinSubscriberValidation covers the thin client's rejection paths.
+// TestThinSubscriberValidation covers the rejection paths of a thin
+// client: a client.Subscriber whose only address is a gateway's. The
+// gateway at "gw" is live, so each case fails on its own options, not on
+// a missing listener; "dead gateway" names an address nobody serves.
 func TestThinSubscriberValidation(t *testing.T) {
-	_, ids := testTopics(1, 0)
+	topics, ids := testTopics(1, 0)
+	start := time.Now()
+	clock := func() time.Duration { return time.Since(start) }
 	net := transport.NewMem()
-	clock := func() time.Duration { return 0 }
+	b := newSoloBroker(t, net, clock, topics)
+	gw, err := gateway.New(gateway.Options{
+		ListenAddr: "gw", Topics: topics, BrokerAddrs: []string{b.Addr()},
+		Network: net, Clock: clock, Logger: quietLogger(),
+	})
+	if err != nil {
+		t.Fatalf("gateway: %v", err)
+	}
+	gw.Start()
+	t.Cleanup(gw.Stop)
+
 	cases := []struct {
 		name string
-		opts gateway.ThinSubscriberOptions
+		opts client.SubscriberOptions
 	}{
-		{"nil network", gateway.ThinSubscriberOptions{Topics: ids, GatewayAddr: "gw", Clock: clock}},
-		{"nil clock", gateway.ThinSubscriberOptions{Topics: ids, GatewayAddr: "gw", Network: net}},
-		{"no topics", gateway.ThinSubscriberOptions{GatewayAddr: "gw", Network: net, Clock: clock}},
-		{"no gateway", gateway.ThinSubscriberOptions{Topics: ids, Network: net, Clock: clock}},
-		{"dead gateway", gateway.ThinSubscriberOptions{Topics: ids, GatewayAddr: "nowhere", Network: net, Clock: clock}},
+		{"nil network", client.SubscriberOptions{Topics: ids, BrokerAddrs: []string{"gw"}, Clock: clock}},
+		{"nil clock", client.SubscriberOptions{Topics: ids, BrokerAddrs: []string{"gw"}, Network: net}},
+		{"no topics", client.SubscriberOptions{BrokerAddrs: []string{"gw"}, Network: net, Clock: clock}},
+		{"no gateway", client.SubscriberOptions{Topics: ids, Network: net, Clock: clock}},
+		{"dead gateway", client.SubscriberOptions{Topics: ids, BrokerAddrs: []string{"nowhere"}, Network: net, Clock: clock}},
 	}
 	for _, tc := range cases {
-		if _, err := gateway.NewThinSubscriber(tc.opts); err == nil {
-			t.Errorf("%s: NewThinSubscriber accepted invalid options", tc.name)
+		tc.opts.Logger = quietLogger()
+		if s, err := client.NewSubscriber(tc.opts); err == nil {
+			s.Close()
+			t.Errorf("%s: thin subscriber accepted invalid options", tc.name)
 		}
 	}
 }
@@ -930,8 +947,8 @@ func TestGatewayFanoutCopiesBeforeTheNextDelivery(t *testing.T) {
 		payload string
 	}
 	got := make(chan seen, 4)
-	thin, err := gateway.NewThinSubscriber(gateway.ThinSubscriberOptions{
-		Name: "thin", Topics: ids, GatewayAddr: "gw", Network: net, Clock: clock, Logger: quietLogger(),
+	thin, err := client.NewSubscriber(client.SubscriberOptions{
+		Name: "thin", Topics: ids, BrokerAddrs: []string{"gw"}, Network: net, Clock: clock, Logger: quietLogger(),
 		OnDeliver: func(d client.Delivery) { got <- seen{d.Msg.Seq, string(d.Msg.Payload)} },
 	})
 	if err != nil {

@@ -134,21 +134,23 @@ func demand(topics []spec.Topic, p timing.Params, cost simcluster.CostModel) flo
 
 // Format renders the plan as an operator-facing report. Topics are grouped
 // by identical (Ti, Di, Li, Ni, destination) signature to keep large
-// workloads readable.
+// workloads readable; each class shows its dispatch deadline Dd (Lemma 2),
+// replication deadline Dr (Lemma 1) and minimum admissible Ni.
 func (pl *Plan) Format() string {
 	type sig struct {
-		ti, di       time.Duration
-		li, ni       int
-		dest         spec.Destination
-		replicate    bool
-		extra        int
-		inadmissible bool
-		minRetention int
+		ti, di, dd, dr time.Duration
+		li, ni         int
+		dest           spec.Destination
+		replicate      bool
+		extra          int
+		inadmissible   bool
+		minRetention   int
 	}
 	counts := make(map[sig]int)
 	for _, tp := range pl.Topics {
 		s := sig{
 			ti: tp.Topic.Period, di: tp.Topic.Deadline,
+			dd: tp.Bounds.Dispatch, dr: tp.Bounds.Replication,
 			li: tp.Topic.LossTolerance, ni: tp.Topic.Retention,
 			dest: tp.Topic.Destination, replicate: tp.Bounds.Replicate,
 			extra: tp.ExtraRetention, inadmissible: tp.Admissible != nil,
@@ -173,14 +175,21 @@ func (pl *Plan) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "capacity plan — %d topics, %d replicating, %d inadmissible\n",
 		len(pl.Topics), pl.Replicating, pl.Inadmissible)
-	fmt.Fprintf(&b, "predicted delivery utilization: %.1f%% now → %.1f%% after retention boosts\n\n",
+	fmt.Fprintf(&b, "predicted delivery utilization: %.1f%% now → %.1f%% after retention boosts\n",
 		100*pl.DemandBefore, 100*pl.DemandAfter)
-	fmt.Fprintf(&b, "%6s %8s %8s %5s %4s %6s %10s %12s %s\n",
-		"topics", "Ti", "Di", "Li", "Ni", "dest", "replicate", "admission", "suggestion")
+	p := pl.Params
+	fmt.Fprintf(&b, "params: ΔPB=%v ΔBS(edge)=%v ΔBS(cloud)=%v ΔBB=%v x=%v\n\n",
+		p.DeltaPB, p.DeltaBSEdge, p.DeltaBSCloud, p.DeltaBB, p.Failover)
+	fmt.Fprintf(&b, "%6s %8s %8s %5s %4s %6s %9s %9s %10s %5s %12s %s\n",
+		"topics", "Ti", "Di", "Li", "Ni", "dest", "Dd", "Dr", "replicate", "minNi", "admission", "suggestion")
 	for _, s := range sigs {
 		li := fmt.Sprintf("%d", s.li)
 		if s.li >= spec.LossUnbounded {
 			li = "inf"
+		}
+		dr := "inf"
+		if s.dr != timing.NoDeadline {
+			dr = msStr(s.dr)
 		}
 		replicate := "no"
 		if s.replicate {
@@ -194,9 +203,9 @@ func (pl *Plan) Format() string {
 		} else if s.extra > 0 {
 			suggestion = fmt.Sprintf("raise Ni by %d to stop replicating", s.extra)
 		}
-		fmt.Fprintf(&b, "%6d %8s %8s %5s %4d %6s %10s %12s %s\n",
+		fmt.Fprintf(&b, "%6d %8s %8s %5s %4d %6s %9s %9s %10s %5d %12s %s\n",
 			counts[s], msStr(s.ti), msStr(s.di), li, s.ni, s.dest,
-			replicate, admission, suggestion)
+			msStr(s.dd), dr, replicate, s.minRetention, admission, suggestion)
 	}
 	return b.String()
 }

@@ -149,3 +149,44 @@ func TestFormatGroupsLargeWorkloads(t *testing.T) {
 		t.Errorf("missing §III-D-3 suggestion:\n%s", text)
 	}
 }
+
+// TestFormatShowsDeadlinesAndMinRetention pins the admission columns of the
+// class table on the §III-D-2 worked example: per Table 2 category, the
+// dispatch deadline Dd, the replication deadline Dr and the minimum
+// admissible Ni under the paper's parameters.
+func TestFormatShowsDeadlinesAndMinRetention(t *testing.T) {
+	pl, err := Build(paperTopics(t), timing.PaperParams(), simcluster.DefaultCostModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][3]string{ // Dd, Dr, minNi, in the table's (Ti, Li, Ni) order
+		{"49ms", "49.95ms", "2"},
+		{"49ms", "99.95ms", "0"},
+		{"99ms", "49.95ms", "1"},
+		{"99ms", "249.95ms", "0"},
+		{"99ms", "inf", "0"},
+		{"480ms", "449.95ms", "1"},
+	}
+	lines := strings.Split(strings.TrimSpace(pl.Format()), "\n")
+	header := strings.Fields(lines[4])
+	col := func(name string) int {
+		for i, h := range header {
+			if h == name {
+				return i
+			}
+		}
+		t.Fatalf("column %s missing from header %q", name, lines[4])
+		return -1
+	}
+	dd, dr, minNi := col("Dd"), col("Dr"), col("minNi")
+	rows := lines[5:]
+	if len(rows) != len(want) {
+		t.Fatalf("%d class rows, want %d:\n%s", len(rows), len(want), pl.Format())
+	}
+	for i, row := range rows {
+		f := strings.Fields(row)
+		if got := [3]string{f[dd], f[dr], f[minNi]}; got != want[i] {
+			t.Errorf("row %d: Dd, Dr, minNi = %v, want %v", i, got, want[i])
+		}
+	}
+}
