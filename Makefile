@@ -53,17 +53,19 @@ bench:
 # BenchmarkReplicateEnqueue, BenchmarkPublishBurst{16B,16KiB} and
 # BenchmarkBrokerRelay{16B,16KiB} from the root package, then the
 # contended-intake pair BenchmarkMPSCPushContended (internal/queue) and
-# BenchmarkPublishContendedMPSC (internal/broker), all into one file with
-# allocation reporting, and summarize with benchstat when it is installed
-# (raw output otherwise). Acceptance bars: ≥2x ns/op at 8 lanes vs 1 on a
-# multi-core runner, and 0 allocs/op on the dispatch, fan-out, egress,
-# durable publish→ack, batched receive, replication-enqueue,
-# publisher-uplink, broker-relay and contended-intake paths — CI's
-# bench-alloc job fails on any alloc (or above 16 B/op) in this file.
+# BenchmarkPublishContendedMPSC (internal/broker), and the subscriber's
+# delivery path BenchmarkSubscriberDeliver (internal/client), all into one
+# file with allocation reporting, and summarize with benchstat when it is
+# installed (raw output otherwise). Acceptance bars: ≥2x ns/op at 8 lanes
+# vs 1 on a multi-core runner, and 0 allocs/op on the dispatch, fan-out,
+# egress, durable publish→ack, batched receive, replication-enqueue,
+# publisher-uplink, broker-relay, contended-intake and subscriber-delivery
+# paths — CI's bench-alloc job fails on any alloc (or above 16 B/op) in
+# this file.
 BENCH_COUNT ?= 6
 bench-compare:
 	$(GO) test -run '^$$' -bench 'BenchmarkDispatchLanes|BenchmarkFanout|BenchmarkEgress|BenchmarkDurablePublishAck|BenchmarkRecvBatched|BenchmarkReplicateEnqueue|BenchmarkPublishBurst|BenchmarkBrokerRelay' -benchmem -count $(BENCH_COUNT) . | tee dispatch_lanes.bench
-	$(GO) test -run '^$$' -bench 'BenchmarkMPSCPushContended|BenchmarkPublishContendedMPSC' -benchmem -count $(BENCH_COUNT) ./internal/queue/ ./internal/broker/ | tee -a dispatch_lanes.bench
+	$(GO) test -run '^$$' -bench 'BenchmarkMPSCPushContended|BenchmarkPublishContendedMPSC|BenchmarkSubscriberDeliver' -benchmem -count $(BENCH_COUNT) ./internal/queue/ ./internal/broker/ ./internal/client/ | tee -a dispatch_lanes.bench
 	@if command -v benchstat >/dev/null 2>&1; then \
 		benchstat dispatch_lanes.bench; \
 	else \

@@ -36,6 +36,7 @@ import (
 	frame "repro"
 	"repro/internal/clocksync"
 	"repro/internal/cluster"
+	"repro/internal/metrics"
 )
 
 func main() {
@@ -100,6 +101,7 @@ func run() error {
 		return err
 	}
 	defer stopSync()
+	var recent metrics.RecentLatencies
 	sub, err := frame.NewSubscriber(frame.SubscriberOptions{
 		Name:        *name,
 		Topics:      topics,
@@ -107,6 +109,7 @@ func run() error {
 		Network:     network,
 		Clock:       clock,
 		Logger:      logger,
+		OnDeliver:   func(d frame.Delivery) { recent.Record(d.Msg.Topic, d.Latency) },
 	})
 	if err != nil {
 		return err
@@ -126,7 +129,7 @@ func run() error {
 	}
 
 	for _, id := range topics {
-		lats := sub.Latencies(id)
+		lats := recent.Latencies(id)
 		if len(lats) == 0 {
 			fmt.Printf("topic %d: no messages\n", id)
 			continue
@@ -140,8 +143,8 @@ func run() error {
 				met++
 			}
 		}
-		// Latency figures cover the most recent samples the subscriber
-		// keeps (client.LatencyKeep per topic); received is the full count.
+		// Latency figures cover the newest samples OnDeliver kept
+		// (metrics.RecentKeep per topic); received is the full count.
 		line := fmt.Sprintf("topic %d: received=%d mean=%v p99=%v max=%v",
 			id, sub.Received(id),
 			(sum / time.Duration(len(lats))).Round(time.Microsecond),

@@ -147,6 +147,8 @@ func TestPublishDispatchEndToEnd(t *testing.T) {
 	topics := []spec.Topic{lanTopic(1, 3)}
 	c := startCluster(t, transport.NewMem(), "primary", "backup", topics)
 
+	var latMu sync.Mutex
+	var lats []time.Duration
 	sub, err := client.NewSubscriber(client.SubscriberOptions{
 		Name:        "sub1",
 		Topics:      []spec.TopicID{1},
@@ -154,6 +156,11 @@ func TestPublishDispatchEndToEnd(t *testing.T) {
 		Network:     c.net,
 		Clock:       c.clock,
 		Logger:      quietLogger(),
+		OnDeliver: func(d client.Delivery) {
+			latMu.Lock()
+			lats = append(lats, d.Latency)
+			latMu.Unlock()
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +194,9 @@ func TestPublishDispatchEndToEnd(t *testing.T) {
 	if loss := sub.MaxConsecutiveLoss(1, count); loss != 0 {
 		t.Errorf("lost messages: max consecutive = %d", loss)
 	}
-	for _, l := range sub.Latencies(1) {
+	latMu.Lock()
+	defer latMu.Unlock()
+	for _, l := range lats {
 		if l < 0 || l > time.Second {
 			t.Errorf("implausible latency %v", l)
 		}

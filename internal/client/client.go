@@ -582,7 +582,9 @@ type SubscriberOptions struct {
 	// Clock is the synchronized timebase used to stamp ts.
 	Clock clocksync.Clock
 	// OnDeliver, if non-nil, runs for every distinct delivery (not for
-	// duplicates) from the receiving goroutine.
+	// duplicates) from the receiving goroutine. The subscriber keeps no
+	// latency samples: a caller that reports latency records
+	// Delivery.Latency here.
 	OnDeliver func(Delivery)
 	// OnFrame, if non-nil, runs for every dispatch frame received —
 	// including duplicates (Duplicate set) — from the receiving goroutine.
@@ -593,14 +595,22 @@ type SubscriberOptions struct {
 	Logger *slog.Logger
 }
 
-// reconnectDelay paces the redials of a lost broker link.
-const reconnectDelay = 10 * time.Millisecond
+// Redial schedule of a lost broker link: every reconnectDelay for the
+// first fastRedialFor of the outage, which covers a restart or a
+// fail-over, then every slowReconnectDelay until Close, so a broker that
+// is gone for good costs a few dials a second, not a hundred.
+const (
+	reconnectDelay     = 10 * time.Millisecond
+	fastRedialFor      = time.Second
+	slowReconnectDelay = 250 * time.Millisecond
+)
 
 // Subscriber receives dispatches from all configured brokers, discarding
 // duplicate sequence numbers (§VI-C), and keeps per-topic delivery records
 // in a DeliveryLog — constant memory per topic; see its window semantics.
-// A lost link is redialed at the same address every reconnectDelay, and
-// the Subscribe re-sent, until Close; the DeliveryLog carries across
+// A lost link is redialed at the same address, every reconnectDelay and
+// after the first second of the outage every slowReconnectDelay, and the
+// Subscribe re-sent, until Close; the DeliveryLog carries across
 // sessions, so a dispatch replayed around a broker or gateway restart is
 // discarded exactly as on one unbroken link.
 type Subscriber struct {
@@ -666,7 +676,7 @@ func (s *Subscriber) dial(addr string) (*transport.Conn, error) {
 }
 
 // run drives one broker link until Close: drain the session, and once it
-// is lost redial source every reconnectDelay until a new session is up.
+// is lost redial source on the redial schedule until a new session is up.
 func (s *Subscriber) run(ctx context.Context, conn *transport.Conn, source string) {
 	defer s.wg.Done()
 	for {
@@ -675,11 +685,17 @@ func (s *Subscriber) run(ctx context.Context, conn *transport.Conn, source strin
 		s.receiveLoop(session, source)
 		stop()
 		session.Close()
+		lost, delay := time.Now(), reconnectDelay
 		for conn = nil; conn == nil; {
+			if down := time.Since(lost); delay == reconnectDelay && down >= fastRedialFor {
+				delay = slowReconnectDelay
+				s.log.Warn("broker link still down; redialing less often",
+					"broker", source, "down", down.Round(time.Millisecond), "every", delay)
+			}
 			select {
 			case <-ctx.Done():
 				return
-			case <-time.After(reconnectDelay):
+			case <-time.After(delay):
 			}
 			conn, _ = s.dial(source)
 		}
@@ -690,7 +706,7 @@ func (s *Subscriber) run(ctx context.Context, conn *transport.Conn, source strin
 
 // receiveLoop drains one broker link with a pooled, reused frame whose
 // payload is decoded in place, in the link's receive window: each dispatch
-// is fully handled (latency recorded, OnDeliver invoked) before the next
+// is fully handled (logged for dedup, OnDeliver invoked) before the next
 // receive may overwrite it — the Delivery contract.
 func (s *Subscriber) receiveLoop(conn *transport.Conn, source string) {
 	conn.SetZeroCopy(true)
@@ -710,7 +726,7 @@ func (s *Subscriber) receiveLoop(conn *transport.Conn, source string) {
 func (s *Subscriber) onDispatch(f *wire.Frame, source string) {
 	now := s.opts.Clock()
 	latency := now - f.Msg.Created
-	dup := s.delivered.Record(f.Msg.Topic, f.Msg.Seq, latency)
+	dup := s.delivered.Record(f.Msg.Topic, f.Msg.Seq)
 	if cb := s.opts.OnFrame; cb != nil {
 		cb(Delivery{Msg: f.Msg, Latency: latency, Duplicate: dup, Source: source})
 	}
@@ -727,12 +743,6 @@ func (s *Subscriber) Received(topic spec.TopicID) uint64 { return s.delivered.Re
 
 // Duplicates returns how many duplicate deliveries were discarded.
 func (s *Subscriber) Duplicates() uint64 { return s.delivered.Duplicates() }
-
-// Latencies returns a copy of the topic's most recent end-to-end latency
-// samples (at most LatencyKeep, oldest first).
-func (s *Subscriber) Latencies(topic spec.TopicID) []time.Duration {
-	return s.delivered.Latencies(topic)
-}
 
 // Reconnects returns how many lost links were redialed and re-subscribed.
 func (s *Subscriber) Reconnects() uint64 { return s.reconnects.Load() }

@@ -1,8 +1,12 @@
 package client
 
 import (
+	"bytes"
 	"log/slog"
+	"net"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -585,7 +589,13 @@ func TestSubscriberSubscribesDedupsAndMeasures(t *testing.T) {
 	if got := sub.Duplicates(); got != 1 {
 		t.Errorf("Duplicates = %d, want 1", got)
 	}
-	lats := sub.Latencies(7)
+	// Latency rides on the deliveries OnDeliver saw: one sample each.
+	mu.Lock()
+	var lats []time.Duration
+	for _, d := range deliveries {
+		lats = append(lats, d.Latency)
+	}
+	mu.Unlock()
 	if len(lats) != 2 {
 		t.Fatalf("latency samples = %d", len(lats))
 	}
@@ -708,6 +718,64 @@ func TestSubscriberRedialsLostLink(t *testing.T) {
 	}
 }
 
+// countingNetwork counts the dials to one address.
+type countingNetwork struct {
+	transport.Network
+	addr  string
+	dials atomic.Int64
+}
+
+func (n *countingNetwork) Dial(addr string) (net.Conn, error) {
+	if addr == n.addr {
+		n.dials.Add(1)
+	}
+	return n.Network.Dial(addr)
+}
+
+// TestSubscriberRedialSlowsOnDeadLink: a link whose broker is gone for
+// good is redialed at the fast cadence for the first second only, then a
+// few times a second, with one warning when it slows; Close in the slow
+// phase still returns at once.
+func TestSubscriberRedialSlowsOnDeadLink(t *testing.T) {
+	n := &countingNetwork{Network: transport.NewMem(), addr: "b1"}
+	b1 := newFakeBroker(t, n, "b1")
+	var logs bytes.Buffer // read only after Close has waited for the links
+	sub, err := NewSubscriber(SubscriberOptions{
+		Name: "s", Topics: []spec.TopicID{7}, BrokerAddrs: []string{"b1"},
+		Network: n, Clock: clock(),
+		Logger: slog.New(slog.NewTextHandler(&logs, &slog.HandlerOptions{Level: slog.LevelWarn})),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !waitUntil(func() bool { return len(b1.framesOf(wire.TypeSubscribe)) == 1 }) {
+		sub.Close()
+		t.Fatal("never subscribed")
+	}
+	b1.kill()
+	n.dials.Store(0)
+	time.Sleep(fastRedialFor / 2)
+	fast := n.dials.Load()
+	time.Sleep(fastRedialFor)
+	dials := n.dials.Load()
+	start := time.Now()
+	sub.Close()
+	took := time.Since(start)
+
+	if fast < 10 {
+		t.Errorf("%d redials in the first half second of the outage, want the %v cadence", fast, reconnectDelay)
+	}
+	if dials > 110 {
+		t.Errorf("%d redials of a dead address in %v, want at most 110", dials, 3*fastRedialFor/2)
+	}
+	if warns := strings.Count(logs.String(), "redialing less often"); warns != 1 {
+		t.Errorf("%d warnings that the redial slowed, want 1:\n%s", warns, logs.String())
+	}
+	if took > 100*time.Millisecond {
+		t.Errorf("Close in the slow redial phase took %v", took)
+	}
+}
+
 // TestSubscriberDedupAcrossRehome replays the stream shape a topic re-home
 // between shards produces, on one subscriber holding links to both pairs:
 // the new owner starts the topic's retained window again from a low
@@ -718,6 +786,7 @@ func TestSubscriberRedialsLostLink(t *testing.T) {
 func TestSubscriberDedupAcrossRehome(t *testing.T) {
 	s := &Subscriber{delivered: NewDeliveryLog()}
 	var delivered []uint64
+	var lats []time.Duration
 	var frames, dupFrames int
 	s.opts.Clock = func() time.Duration { return time.Second }
 	s.opts.OnDeliver = func(d Delivery) {
@@ -725,6 +794,7 @@ func TestSubscriberDedupAcrossRehome(t *testing.T) {
 			t.Errorf("OnDeliver saw a duplicate (topic %d seq %d)", d.Msg.Topic, d.Msg.Seq)
 		}
 		delivered = append(delivered, d.Msg.Seq)
+		lats = append(lats, d.Latency)
 	}
 	s.opts.OnFrame = func(d Delivery) {
 		frames++
@@ -756,8 +826,8 @@ func TestSubscriberDedupAcrossRehome(t *testing.T) {
 	if len(delivered) != 6 {
 		t.Errorf("OnDeliver ran %d times, want 6", len(delivered))
 	}
-	if got := s.Latencies(topic); len(got) != 6 {
-		t.Errorf("%d latency samples, want 6 (one per distinct delivery)", len(got))
+	if len(lats) != 6 {
+		t.Errorf("%d latency samples, want 6 (one per distinct delivery)", len(lats))
 	}
 	// Sequences 7 and 8 never arrived: the longest missing run is 2.
 	if got := s.MaxConsecutiveLoss(topic, 8); got != 2 {

@@ -3,30 +3,25 @@ package client
 import (
 	"math"
 	"sync"
-	"time"
 
 	"repro/internal/spec"
 )
 
-// Delivery-log sizing. Memory per topic is fixed: DedupWindow/8 bytes of
-// bitmap plus at most LatencyKeep samples, however long the subscriber
-// lives.
-const (
-	// DedupWindow is how many sequence numbers below a topic's highest
-	// seen one are remembered individually. A re-delivery inside the
-	// window is recognised exactly; fail-over resends (at most Ni
-	// retained messages) and recovery dispatches (at most a Backup Buffer)
-	// reach back tens of sequence numbers, never this far.
-	DedupWindow = 1024
-	// LatencyKeep is how many of a topic's most recent latency samples
-	// Latencies returns.
-	LatencyKeep = 256
-)
+// DedupWindow is how many sequence numbers below a topic's highest seen
+// one are remembered individually. A re-delivery inside the window is
+// recognised exactly; fail-over resends (at most Ni retained messages) and
+// recovery dispatches (at most a Backup Buffer) reach back tens of
+// sequence numbers, never this far. Memory per topic is fixed by it:
+// DedupWindow/8 bytes of bitmap plus four counters, 160 B, however long
+// the subscriber lives.
+const DedupWindow = 1024
 
 // DeliveryLog is the per-topic record every subscriber runtime keeps of
-// what it has delivered: duplicate detection, delivery counts, recent
-// latencies and the longest run of lost sequence numbers, in constant
-// memory per topic. It is safe for concurrent use.
+// what it has delivered: duplicate detection, delivery counts and the
+// longest run of lost sequence numbers, in constant memory per topic.
+// Latency is not kept here: it rides on every Delivery handed to
+// OnDeliver and OnFrame, for callers that want it. It is safe for
+// concurrent use.
 //
 // Per topic it holds a high-water mark and a sliding bitmap over the
 // DedupWindow sequence numbers ending there. An arrival above the mark
@@ -35,9 +30,13 @@ const (
 // as a duplicate without being looked up. Sequence numbers are judged
 // lost or delivered for good when they slide out of the window, which is
 // when they enter the consecutive-loss tally.
+//
+// The records sit in one contiguous slice, reached through a slot index,
+// so a subscriber to thousands of topics holds no heap object per topic.
 type DeliveryLog struct {
 	mu     sync.Mutex
-	topics map[spec.TopicID]*topicLog
+	slot   map[spec.TopicID]int32
+	topics []topicLog
 	dups   uint64
 }
 
@@ -49,29 +48,33 @@ type topicLog struct {
 	// the run of losses ending at the window's lower edge, and the longest
 	// run anywhere below it.
 	run, maxRun uint64
-	lat         []time.Duration // ring of recent samples; slot received%LatencyKeep is next
 }
 
 // NewDeliveryLog returns an empty log.
 func NewDeliveryLog() *DeliveryLog {
-	return &DeliveryLog{topics: make(map[spec.TopicID]*topicLog)}
+	return &DeliveryLog{slot: make(map[spec.TopicID]int32)}
+}
+
+// lookup returns the topic's record, or nil if nothing arrived for it.
+// Callers hold l.mu; the pointer is valid until the next record is added.
+func (l *DeliveryLog) lookup(topic spec.TopicID) *topicLog {
+	if i, ok := l.slot[topic]; ok {
+		return &l.topics[i]
+	}
+	return nil
 }
 
 // Record notes one arrival of (topic, seq) and reports whether it is a
-// duplicate. A first delivery is counted and its latency kept.
-func (l *DeliveryLog) Record(topic spec.TopicID, seq uint64, latency time.Duration) (dup bool) {
+// duplicate. A first delivery is counted.
+func (l *DeliveryLog) Record(topic spec.TopicID, seq uint64) (dup bool) {
 	l.mu.Lock()
-	t := l.topics[topic]
+	t := l.lookup(topic)
 	if t == nil {
-		t = new(topicLog)
-		l.topics[topic] = t
+		l.slot[topic] = int32(len(l.topics))
+		l.topics = append(l.topics, topicLog{})
+		t = &l.topics[len(l.topics)-1]
 	}
 	if t.admit(seq) {
-		if len(t.lat) < LatencyKeep {
-			t.lat = append(t.lat, latency)
-		} else {
-			t.lat[t.received%LatencyKeep] = latency
-		}
 		t.received++
 	} else {
 		l.dups++
@@ -150,7 +153,7 @@ func (t *topicLog) lose(n uint64) {
 func (l *DeliveryLog) Received(topic spec.TopicID) uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if t := l.topics[topic]; t != nil {
+	if t := l.lookup(topic); t != nil {
 		return t.received
 	}
 	return 0
@@ -163,23 +166,6 @@ func (l *DeliveryLog) Duplicates() uint64 {
 	return l.dups
 }
 
-// Latencies returns a copy of the topic's most recent latency samples, at
-// most LatencyKeep of them, oldest first.
-func (l *DeliveryLog) Latencies(topic spec.TopicID) []time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	t := l.topics[topic]
-	if t == nil {
-		return nil
-	}
-	out := make([]time.Duration, 0, len(t.lat))
-	if len(t.lat) == LatencyKeep {
-		out = append(out, t.lat[t.received%LatencyKeep:]...)
-		return append(out, t.lat[:t.received%LatencyKeep]...)
-	}
-	return append(out, t.lat...)
-}
-
 // MaxConsecutiveLoss returns the longest run of sequence numbers in
 // 1..highestCreated that never arrived. Runs among the numbers that have
 // left the window were tallied as they left; the window itself is scanned
@@ -188,7 +174,7 @@ func (l *DeliveryLog) Latencies(topic spec.TopicID) []time.Duration {
 func (l *DeliveryLog) MaxConsecutiveLoss(topic spec.TopicID, highestCreated uint64) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	t := l.topics[topic]
+	t := l.lookup(topic)
 	if t == nil {
 		return int(min(highestCreated, math.MaxInt))
 	}

@@ -257,8 +257,8 @@ func TestDurablePublishAllocatesAtMostOnce(t *testing.T) {
 	}
 }
 
-// TestSubscriberDeliveryPathDoesNotAllocate: once a topic's log exists and
-// its latency ring is full, a delivery costs no allocation.
+// TestSubscriberDeliveryPathDoesNotAllocate: once a topic's log exists, a
+// delivery costs no allocation.
 func TestSubscriberDeliveryPathDoesNotAllocate(t *testing.T) {
 	delivered := 0
 	s := &Subscriber{delivered: NewDeliveryLog()}
@@ -269,7 +269,7 @@ func TestSubscriberDeliveryPathDoesNotAllocate(t *testing.T) {
 		f.Msg.Seq++
 		s.onDispatch(f, "broker")
 	}
-	for i := 0; i < LatencyKeep+1; i++ {
+	for i := 0; i < 8; i++ {
 		deliver()
 	}
 	if avg := testing.AllocsPerRun(1000, deliver); avg != 0 {
@@ -331,7 +331,7 @@ func TestDeliveryLogMatchesMapModel(t *testing.T) {
 		const topic = spec.TopicID(5)
 		next := uint64(1)
 		feed := func(seq uint64) {
-			if got, want := log.Record(topic, seq, time.Duration(seq)), model.record(seq); got != want {
+			if got, want := log.Record(topic, seq), model.record(seq); got != want {
 				t.Fatalf("seed %d: seq %d (high %d): log says dup=%v, model says %v", seed, seq, model.high, got, want)
 			}
 		}
@@ -376,35 +376,30 @@ func TestDeliveryLogMatchesMapModel(t *testing.T) {
 	}
 }
 
-// TestDeliveryLogEdges pins the window's edges and the latency ring.
+// TestDeliveryLogEdges pins the window's edges. (The newest-256 latency
+// record moved to the caller: metrics.TestRecentLatenciesKeepsNewest.)
 func TestDeliveryLogEdges(t *testing.T) {
 	log := NewDeliveryLog()
 	if got := log.MaxConsecutiveLoss(1, 9); got != 9 {
 		t.Errorf("unknown topic: MaxConsecutiveLoss = %d, want all 9 lost", got)
 	}
-	if log.Latencies(1) != nil || log.Received(1) != 0 {
+	if log.Received(1) != 0 {
 		t.Error("unknown topic has deliveries")
 	}
-	total := uint64(DedupWindow + LatencyKeep + 10)
+	total := uint64(DedupWindow + 266)
 	for seq := uint64(1); seq <= total; seq++ {
-		if log.Record(1, seq, time.Duration(seq)) {
+		if log.Record(1, seq) {
 			t.Fatalf("seq %d reported duplicate on first delivery", seq)
 		}
 	}
-	lats := log.Latencies(1)
-	if len(lats) != LatencyKeep {
-		t.Fatalf("%d latency samples kept, want the %d most recent", len(lats), LatencyKeep)
-	}
-	for i, l := range lats {
-		if want := time.Duration(total - LatencyKeep + 1 + uint64(i)); l != want {
-			t.Fatalf("sample %d = %v, want %v (oldest first)", i, l, want)
-		}
+	if got := log.Received(1); got != total {
+		t.Fatalf("Received = %d, want %d", got, total)
 	}
 	lowest := total - DedupWindow + 1
-	if !log.Record(1, lowest, 0) {
+	if !log.Record(1, lowest) {
 		t.Error("the window's lowest sequence number was not recognised as a duplicate")
 	}
-	if !log.Record(1, lowest-1, 0) {
+	if !log.Record(1, lowest-1) {
 		t.Error("an arrival just below the window was delivered again")
 	}
 	if got := log.Duplicates(); got != 2 {

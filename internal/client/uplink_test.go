@@ -491,7 +491,7 @@ func TestFailoverWithFramesQueued(t *testing.T) {
 
 			dl := NewDeliveryLog()
 			for _, f := range append(primary.frames(t), onBackup...) {
-				dl.Record(f.Msg.Topic, f.Msg.Seq, 0)
+				dl.Record(f.Msg.Topic, f.Msg.Seq)
 			}
 			if got := dl.MaxConsecutiveLoss(1, 10); got != tc.wantLoss || got > tp.LossTolerance {
 				t.Errorf("longest loss run = %d, want %d (Li = %d)", got, tc.wantLoss, tp.LossTolerance)

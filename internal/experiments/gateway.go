@@ -17,7 +17,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -26,6 +25,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/gateway"
+	"repro/internal/metrics"
 	"repro/internal/spec"
 	"repro/internal/timing"
 	"repro/internal/transport"
@@ -173,8 +173,9 @@ func RunGatewayChurn(cfg Config, opts GatewayChurnOptions) (*GatewayChurnResult,
 	gw.Start()
 	defer gw.Stop()
 
-	// Probes: full-subscription clients whose latency samples become the
-	// delivery percentiles.
+	// Probes: full-subscription clients whose delivery latencies become
+	// the delivery percentiles.
+	var lat metrics.LatencyRecorder
 	probes := make([]*client.Subscriber, opts.Probes)
 	for i := range probes {
 		probes[i], err = client.NewSubscriber(client.SubscriberOptions{
@@ -184,6 +185,7 @@ func RunGatewayChurn(cfg Config, opts GatewayChurnOptions) (*GatewayChurnResult,
 			Network:     net,
 			Clock:       clock,
 			Logger:      quietLogger(),
+			OnDeliver:   func(d client.Delivery) { lat.Record(d.Latency) },
 		})
 		if err != nil {
 			return nil, err
@@ -310,13 +312,6 @@ func RunGatewayChurn(cfg Config, opts GatewayChurnOptions) (*GatewayChurnResult,
 		time.Sleep(time.Millisecond)
 	}
 
-	var lat []time.Duration
-	for _, p := range probes {
-		for _, id := range ids {
-			lat = append(lat, p.Latencies(id)...)
-		}
-	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
 	es := gw.EgressStats()
 	res := &GatewayChurnResult{
 		Clients:   opts.Clients,
@@ -327,8 +322,8 @@ func RunGatewayChurn(cfg Config, opts GatewayChurnOptions) (*GatewayChurnResult,
 		ChurnRate: float64(connects) / opts.Window.Seconds(),
 		Published: total,
 		Delivered: received(probes[0], ids),
-		P50:       percentileDur(lat, 50),
-		P99:       percentileDur(lat, 99),
+		P50:       lat.Percentile(0.50),
+		P99:       lat.Percentile(0.99),
 		Shed:      es.Shed,
 		Evictions: gw.Evictions(),
 	}
@@ -388,18 +383,6 @@ func connectBulkClient(net transport.Network, addr string, idx int, topic spec.T
 		}
 	}()
 	return conn, nil
-}
-
-// percentileDur returns the p-th percentile of sorted samples.
-func percentileDur(sorted []time.Duration, p int) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := len(sorted) * p / 100
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }
 
 // Format renders the run like the other experiments' tables.

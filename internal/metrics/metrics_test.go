@@ -158,3 +158,30 @@ func TestLatencyRecorderConcurrent(t *testing.T) {
 		t.Errorf("max percentile = %v", p100)
 	}
 }
+
+// TestRecentLatenciesKeepsNewest pins the caller-side latency record: an
+// unknown topic has none, and past RecentKeep samples the newest are kept,
+// oldest first.
+func TestRecentLatenciesKeepsNewest(t *testing.T) {
+	var r RecentLatencies
+	if r.Latencies(1) != nil {
+		t.Error("unknown topic has samples")
+	}
+	const total = RecentKeep + 1034
+	for i := 1; i <= total; i++ {
+		r.Record(1, time.Duration(i))
+	}
+	r.Record(2, time.Second)
+	lats := r.Latencies(1)
+	if len(lats) != RecentKeep {
+		t.Fatalf("%d latency samples kept, want the %d most recent", len(lats), RecentKeep)
+	}
+	for i, l := range lats {
+		if want := time.Duration(total - RecentKeep + 1 + i); l != want {
+			t.Fatalf("sample %d = %v, want %v (oldest first)", i, l, want)
+		}
+	}
+	if got := r.Latencies(2); len(got) != 1 || got[0] != time.Second {
+		t.Errorf("topic 2 samples = %v, want its one", got)
+	}
+}

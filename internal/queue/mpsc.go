@@ -18,17 +18,15 @@
 //     val, so val is never read torn.
 //   - Park/unpark uses the classic Dekker pattern under Go's sequentially
 //     consistent sync/atomic: the producer stores the item (seq stamp) and
-//     THEN loads sleepers; the consumer increments sleepers and THEN
-//     re-checks ready() under the mutex before sleeping. Whatever order the
-//     two sides interleave in, at least one observes the other: either the
-//     producer sees sleepers > 0 and broadcasts (the cond mutex is held by
-//     the consumer until it is inside Wait, so the broadcast cannot land in
-//     the check-to-sleep window), or the consumer's ready() sees the item
-//     and it never sleeps.
+//     THEN loads parked; the consumer stores parked and THEN re-checks
+//     ready() before waiting. Whatever order the two sides interleave in,
+//     at least one observes the other: either the producer sees parked and
+//     posts a token into the one-slot wake channel (a token posted before
+//     the consumer reaches its receive waits there for it), or the
+//     consumer's ready() sees the item and it never sleeps.
 package queue
 
 import (
-	"sync"
 	"sync/atomic"
 )
 
@@ -155,46 +153,45 @@ func (q *MPSC[T]) Len() int {
 }
 
 // Parker puts one consumer goroutine to sleep until a producer signals new
-// work, without the producers paying a mutex acquisition when nobody is
-// asleep — the common case on a busy ring.
+// work, without the producers paying more than one atomic load when the
+// consumer is awake — the common case on a busy ring.
 //
-// Protocol: the consumer calls Park(ready) when it finds no work; ready is
-// re-evaluated under the mutex after advertising the sleeper, closing the
-// check-to-sleep race. Producers call Unpark after making work visible; it
-// is a single atomic load when no consumer is parked.
+// Protocol: the consumer calls Park(ready) when it finds no work; Park
+// advertises the sleeper, re-checks ready, and only then waits for a
+// token, closing the check-to-sleep race. Producers call Unpark after
+// making work visible; it posts a token only while the consumer is
+// advertised. Every Parker has exactly one consumer.
 type Parker struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	sleepers atomic.Int32
+	parked atomic.Bool
+	wake   chan struct{} // one slot: a pending token is never lost, never doubled
 }
 
 // NewParker returns a ready-to-use Parker.
 func NewParker() *Parker {
-	p := &Parker{}
-	p.cond = sync.NewCond(&p.mu)
-	return p
+	return &Parker{wake: make(chan struct{}, 1)}
 }
 
 // Park blocks until a producer Unparks, unless ready() already reports
-// work. ready is called with the Parker's mutex held. A parked consumer
-// can wake spuriously (Broadcast covers every sleeper); callers loop.
+// work. The atomics are sequentially consistent, so a producer that made
+// work visible either sees parked set (and posts a token) or its work is
+// seen by the re-check. A token left over from an Unpark that raced an
+// earlier re-check wakes the next Park spuriously; callers loop.
 func (p *Parker) Park(ready func() bool) {
-	p.mu.Lock()
-	p.sleepers.Add(1)
+	p.parked.Store(true)
 	if !ready() {
-		p.cond.Wait()
+		<-p.wake
 	}
-	p.sleepers.Add(-1)
-	p.mu.Unlock()
+	p.parked.Store(false)
 }
 
-// Unpark wakes every parked consumer. When none is parked — the hot-path
-// common case — it is one atomic load.
+// Unpark wakes the parked consumer. When it is awake — the hot-path common
+// case — this is one atomic load.
 func (p *Parker) Unpark() {
-	if p.sleepers.Load() == 0 {
+	if !p.parked.Load() {
 		return
 	}
-	p.mu.Lock()
-	p.cond.Broadcast()
-	p.mu.Unlock()
+	select {
+	case p.wake <- struct{}{}:
+	default: // a token is already pending
+	}
 }

@@ -136,26 +136,38 @@ func TestMPSCFullRejectsWithoutFill(t *testing.T) {
 
 // TestParkerNeverMissesWakeup hammers the exact race Park/Unpark must
 // close: a producer publishes one item and unparks while the consumer is
-// between "saw empty" and "asleep". Every round is a fresh handoff; a
-// single missed wakeup deadlocks the round and the watchdog fails the
-// test. Run with -race; the seed varies the producer's timing.
+// between "saw empty" and "asleep". Every round is a fresh handoff — the
+// producer waits until its item is consumed before pushing the next — so a
+// single missed wakeup deadlocks the round. A watchdog wakes a consumer
+// that slept a second with work queued, and that rescue fails the test at
+// once. Run with -race; the seed varies the producer's timing.
 func TestParkerNeverMissesWakeup(t *testing.T) {
 	seed := mpscSeed(t)
 	const rounds = 20000
 	q := NewMPSC[int](8)
 	p := NewParker()
+	var consumed atomic.Int64
 
+	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < rounds; i++ {
-			for !q.PushInPlace(func(v *int) { *v = i }) {
-			}
+			q.PushInPlace(func(v *int) { *v = i }) // the ring is empty: the last item was consumed
 			p.Unpark()
-			// Stall so the consumer drains and parks: usually a cheap
-			// yield, occasionally a real sleep (sleep granularity is
-			// ~1ms on loaded kernels, so keep those rare).
+			for consumed.Load() <= int64(i) {
+				select {
+				case <-stop:
+					return
+				default:
+					runtime.Gosched()
+				}
+			}
+			// Vary when the next push lands in the consumer's walk to
+			// Park: usually at once or after a yield, occasionally after
+			// a real sleep (sleep granularity is ~1ms on loaded kernels,
+			// so keep those rare).
 			if rng.Intn(512) == 0 {
 				time.Sleep(50 * time.Microsecond)
 			} else if rng.Intn(4) == 0 {
@@ -163,37 +175,39 @@ func TestParkerNeverMissesWakeup(t *testing.T) {
 			}
 		}
 	}()
+	defer func() {
+		close(stop)
+		<-done
+	}()
 
-	consumed := 0
-	deadline := time.Now().Add(30 * time.Second)
-	for consumed < rounds {
+	for next := 0; next < rounds; {
 		if q.PopInto(func(v *int) {
-			if *v != consumed {
-				t.Errorf("out of order: got %d, want %d", *v, consumed)
+			if *v != next {
+				t.Errorf("out of order: got %d, want %d", *v, next)
 			}
-			consumed++
+			next++
+			consumed.Store(int64(next))
 		}) {
 			continue
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("wakeup missed: consumer stuck at %d of %d", consumed, rounds)
-		}
 		parked := make(chan struct{})
+		var missed atomic.Bool
 		go func() {
-			// Watchdog: a missed wakeup would leave Park asleep forever
-			// even though the ring is non-empty. Unpark spuriously after
-			// a long beat so the test fails via the deadline above
-			// rather than hanging the suite.
+			// Watchdog: the producer never stalls for a second, so a Park
+			// still asleep then with an item queued missed its wakeup.
 			select {
 			case <-parked:
-			case <-time.After(5 * time.Second):
+			case <-time.After(time.Second):
+				missed.Store(!q.Empty())
 				p.Unpark()
 			}
 		}()
 		p.Park(func() bool { return !q.Empty() })
 		close(parked)
+		if missed.Load() {
+			t.Fatalf("wakeup missed: the consumer slept with item %d of %d queued until the watchdog woke it", next, rounds)
+		}
 	}
-	<-done
 }
 
 // FuzzMPSCInterleaving replays fuzz-chosen producer/consumer schedules over

@@ -10,6 +10,10 @@
 // reference to "the message at position p" and later detect that it has been
 // evicted — this is how dispatch/replication jobs refer to the message
 // store without copying payloads.
+//
+// A ring allocates its slot array on the first push, so a buffer that is
+// never written — a Primary's Backup Buffer, or the Message Buffer of a
+// Backup that is never promoted — costs only its header.
 package ringbuf
 
 import "fmt"
@@ -17,21 +21,35 @@ import "fmt"
 // Ring is a generic most-recent-K buffer. The zero value is unusable; use
 // New. Ring is not safe for concurrent use; callers synchronize.
 type Ring[T any] struct {
-	buf   []T
-	first uint64 // stable index of the oldest retained entry
-	n     int    // number of retained entries
+	buf      []T // nil until the first push
+	capacity int
+	first    uint64 // stable index of the oldest retained entry
+	n        int    // number of retained entries
 }
 
-// New returns a ring that retains the capacity most recent entries.
+// New returns a ring that retains the capacity most recent entries. It
+// records the capacity only; the slots are allocated on the first push.
 func New[T any](capacity int) *Ring[T] {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("ringbuf: capacity %d must be positive", capacity))
 	}
-	return &Ring[T]{buf: make([]T, capacity)}
+	return &Ring[T]{capacity: capacity}
 }
 
 // Capacity returns the fixed capacity of the ring.
-func (r *Ring[T]) Capacity() int { return len(r.buf) }
+func (r *Ring[T]) Capacity() int { return r.capacity }
+
+// Allocated reports whether the ring holds its slot array, that is whether
+// anything was ever pushed.
+func (r *Ring[T]) Allocated() bool { return r.buf != nil }
+
+// slots returns the slot array, allocating it on first use.
+func (r *Ring[T]) slots() []T {
+	if r.buf == nil {
+		r.buf = make([]T, r.capacity)
+	}
+	return r.buf
+}
 
 // Len returns the number of entries currently retained.
 func (r *Ring[T]) Len() int { return r.n }
@@ -39,16 +57,17 @@ func (r *Ring[T]) Len() int { return r.n }
 // Push appends v, evicting the oldest entry if the ring is full. It returns
 // the stable index assigned to v and whether an eviction occurred.
 func (r *Ring[T]) Push(v T) (idx uint64, evicted bool) {
-	if r.n == len(r.buf) {
+	buf := r.slots()
+	if r.n == r.capacity {
 		// Full: the slot of the oldest entry is exactly the slot the new
 		// index maps to, since idx ≡ first (mod capacity) when n == capacity.
 		idx = r.first + uint64(r.n)
-		r.buf[r.pos(idx)] = v
+		buf[r.pos(idx)] = v
 		r.first++
 		return idx, true
 	}
 	idx = r.first + uint64(r.n)
-	r.buf[r.pos(idx)] = v
+	buf[r.pos(idx)] = v
 	r.n++
 	return idx, false
 }
@@ -59,14 +78,15 @@ func (r *Ring[T]) Push(v T) (idx uint64, evicted bool) {
 // owns — this is how the engine's Message and Backup Buffers release an
 // evicted entry's payload buffer. fill must not call back into the ring.
 func (r *Ring[T]) PushInPlace(fill func(*T)) (idx uint64, evicted bool) {
+	buf := r.slots()
 	idx = r.first + uint64(r.n)
-	if r.n == len(r.buf) {
+	if r.n == r.capacity {
 		r.first++
 		evicted = true
 	} else {
 		r.n++
 	}
-	fill(&r.buf[r.pos(idx)])
+	fill(&buf[r.pos(idx)])
 	return idx, evicted
 }
 
@@ -156,4 +176,4 @@ func (r *Ring[T]) Do(fn func(idx uint64, v T)) {
 	}
 }
 
-func (r *Ring[T]) pos(idx uint64) int { return int(idx % uint64(len(r.buf))) }
+func (r *Ring[T]) pos(idx uint64) int { return int(idx % uint64(r.capacity)) }

@@ -261,3 +261,44 @@ func TestPushInPlaceExposesEvictedValue(t *testing.T) {
 		t.Error("evicted index still readable")
 	}
 }
+
+// ringSink makes New's result escape, so its header is always one heap
+// allocation.
+var ringSink *Ring[[72]byte]
+
+// TestSlotsAllocatedOnFirstPush pins the footprint of an unused ring: New
+// allocates the header only, every read of a never-pushed ring works without
+// the slot array, and the array appears on the first Push or PushInPlace.
+func TestSlotsAllocatedOnFirstPush(t *testing.T) {
+	if avg := testing.AllocsPerRun(100, func() { ringSink = New[[72]byte](16) }); avg > 1 {
+		t.Errorf("New allocates %.0f times, want only the header", avg)
+	}
+	for name, push := range map[string]func(*Ring[int]){
+		"Push":        func(r *Ring[int]) { r.Push(7) },
+		"PushInPlace": func(r *Ring[int]) { r.PushInPlace(func(v *int) { *v = 7 }) },
+	} {
+		r := New[int](4)
+		if r.Allocated() || r.buf != nil {
+			t.Fatalf("%s: a new ring holds its slot array", name)
+		}
+		if r.Capacity() != 4 || r.Len() != 0 || r.Contains(0) || r.Update(0, func(*int) {}) ||
+			len(r.Snapshot()) != 0 || r.NextIndex() != 0 {
+			t.Fatalf("%s: a never-pushed ring is not empty", name)
+		}
+		if _, ok := r.Get(0); ok {
+			t.Fatalf("%s: Get on a never-pushed ring found an entry", name)
+		}
+		r.Do(func(uint64, int) { t.Fatalf("%s: Do visited a never-pushed ring", name) })
+		r.Clear()
+		if _, ok := r.PopOldest(); ok || r.Allocated() {
+			t.Fatalf("%s: reads allocated the slot array", name)
+		}
+		push(r)
+		if !r.Allocated() || len(r.buf) != 4 {
+			t.Fatalf("%s: slot array after the first push = %d slots, want 4", name, len(r.buf))
+		}
+		if v, ok := r.Get(0); !ok || v != 7 {
+			t.Fatalf("%s: Get(0) = %d, %v after the first push", name, v, ok)
+		}
+	}
+}
