@@ -229,12 +229,12 @@ type Broker struct {
 	lanes []*dispatchLane
 
 	// pool is the shared egress flusher set every broker-side ring drains
-	// through: subscribers, the replication link and the PubAck rings.
+	// through: subscribers, the replication link and the PubAck rings. It
+	// retires whichever of them are still open when the broker stops.
 	pool *transport.FlusherPool
 
-	subsMu     sync.Mutex
-	subs       map[spec.TopicID][]*subscriber
-	subsByConn map[*transport.Conn]*subscriber
+	// subs indexes the subscriber sessions' rings by topic.
+	subs *transport.Subscribers
 
 	// egress aggregates the counters of every subscriber's outbound ring.
 	egress transport.EgressMeter
@@ -272,24 +272,15 @@ type Broker struct {
 	recoveredMsgs   int
 	recoveredPrunes int
 
-	// ackRings are the sessions that own a reply ring (PubAcks, promotion
-	// notice), for shutdown's sweep; ackMeter aggregates those rings apart
-	// from the subscribers' (they are not subscribers: Health().EgressSubs
-	// and the eviction counts stay about fan-out). publishers are a
-	// Backup's publisher sessions, which promotion notifies. ackTouched is
-	// onDurable's scratch.
+	// ackMu serializes opening a session's reply ring (PubAcks, promotion
+	// notice); ackMeter aggregates those rings apart from the subscribers'
+	// (they are not subscribers: Health().EgressSubs and the eviction
+	// counts stay about fan-out). publishers are a Backup's publisher
+	// sessions, which promotion notifies. ackTouched is onDurable's scratch.
 	ackMu      sync.Mutex
-	ackRings   map[*session]struct{}
 	publishers map[*session]struct{}
 	ackMeter   transport.EgressMeter
 	ackTouched []*session
-}
-
-// subscriber is one fan-out target: the session connection and its outbound
-// ring.
-type subscriber struct {
-	conn *transport.Conn
-	eg   *transport.Egress
 }
 
 // peerWriteStall resolves Options.PeerWriteTimeout.
@@ -432,9 +423,6 @@ func New(opts Options) (*Broker, error) {
 		engine:     engine,
 		role:       opts.Role,
 		promoted:   make(chan struct{}),
-		subs:       make(map[spec.TopicID][]*subscriber),
-		subsByConn: make(map[*transport.Conn]*subscriber),
-		ackRings:   make(map[*session]struct{}),
 		publishers: make(map[*session]struct{}),
 	}
 	b.lanes = make([]*dispatchLane, engine.Lanes())
@@ -498,6 +486,13 @@ func New(opts Options) (*Broker, error) {
 		}
 	}
 	b.pool = transport.NewFlusherPool(transport.FlusherPoolConfig{Flushers: opts.Flushers})
+	b.subs = transport.NewSubscribers(transport.EgressConfig{
+		Depth: opts.EgressDepth,
+		Shed:  !opts.EgressNoShed,
+		Stall: opts.EgressWriteTimeout,
+		Meter: &b.egress,
+		Pool:  b.pool,
+	})
 	return b, nil
 }
 
@@ -554,7 +549,6 @@ func (b *Broker) Health() obsv.Health {
 		}
 	}
 	es := b.egress.Snapshot()
-	queued, nsubs := b.egressQueued()
 	return obsv.Health{
 		Role:            role.String(),
 		Addr:            b.Addr(),
@@ -564,24 +558,12 @@ func (b *Broker) Health() obsv.Health {
 		QueueDepth:      b.engine.QueueMeter().Depth(),
 		LateDispatches:  b.lateDispatches.Load(),
 		UptimeSeconds:   time.Since(b.started).Seconds(),
-		EgressQueued:    queued,
-		EgressSubs:      nsubs,
+		EgressQueued:    b.subs.Queued(),
+		EgressSubs:      b.subs.Len(),
 		EgressShed:      es.Shed,
 		EgressEvictions: es.Evictions,
 		EgressWriteErrs: es.WriteErrs,
 	}
-}
-
-// egressQueued sums the frames currently queued across every subscriber
-// ring, and counts live subscriber sessions.
-func (b *Broker) egressQueued() (queued, subs int) {
-	b.subsMu.Lock()
-	defer b.subsMu.Unlock()
-	for _, s := range b.subsByConn {
-		subs++
-		queued += s.eg.Depth()
-	}
-	return queued, subs
 }
 
 // EgressStats snapshots the aggregate egress counters across all subscriber
@@ -629,7 +611,6 @@ func (b *Broker) scrapeGauges() []obsv.Sample {
 			Help: "Configured dispatch lane count."},
 	}
 	es := b.egress.Snapshot()
-	queued, nsubs := b.egressQueued()
 	samples = append(samples,
 		obsv.Sample{Name: "frame_egress_enqueued_total", Counter: true,
 			Value: float64(es.Enqueued), Help: "Frames accepted into subscriber egress rings."},
@@ -645,9 +626,9 @@ func (b *Broker) scrapeGauges() []obsv.Sample {
 			Value: float64(es.Stalls), Help: "Egress writes failed by the write-stall deadline."},
 		obsv.Sample{Name: "frame_egress_write_errors_total", Counter: true,
 			Value: float64(es.WriteErrs), Help: "Failed egress flush writes (stalls included)."},
-		obsv.Sample{Name: "frame_egress_queued", Value: float64(queued),
+		obsv.Sample{Name: "frame_egress_queued", Value: float64(b.subs.Queued()),
 			Help: "Frames currently queued across subscriber egress rings."},
-		obsv.Sample{Name: "frame_egress_subscribers", Value: float64(nsubs),
+		obsv.Sample{Name: "frame_egress_subscribers", Value: float64(b.subs.Len()),
 			Help: "Live subscriber sessions."},
 	)
 	prs, depth := b.peerMeter.Snapshot(), 0
@@ -837,12 +818,8 @@ func (b *Broker) shutdown(drain bool) {
 			b.log.Warn("admin close failed", "err", err)
 		}
 	}
-	transport.Retire(b.peer())
-	b.closeSubscribers()
-	b.closeAckRings()
-	// Every registered egress was closed and waited above (dialPeer,
-	// addSubscriber and openAckRing refuse registrations once stopping is
-	// set), so the pool drains clean.
+	// The pool retires every ring still open — subscribers', PubAcks' and
+	// the replication link's — and any ring opened after it starts closed.
 	b.pool.Close()
 	b.wg.Wait()
 	b.releaseBuffers()
@@ -872,18 +849,6 @@ func (b *Broker) releaseBuffers() {
 	b.lockAllLanes()
 	b.engine.ReleaseBuffers()
 	b.unlockAllLanes()
-}
-
-func (b *Broker) closeSubscribers() {
-	b.subsMu.Lock()
-	rings := make([]*transport.Egress, 0, len(b.subsByConn))
-	for _, s := range b.subsByConn {
-		rings = append(rings, s.eg)
-	}
-	b.subsMu.Unlock()
-	// The session goroutines' own removeSubscriber/Retire defers run after
-	// this, against already-stopped egresses — Wait is multi-waiter safe.
-	transport.Retire(rings...)
 }
 
 // acceptLoop admits sessions until the listener closes.
@@ -920,7 +885,7 @@ func (b *Broker) serveConn(ctx context.Context, conn *transport.Conn) {
 		// closes the conn (failing any in-flight write) and waits for the
 		// writers — the broker's WaitGroup thus transitively waits for every
 		// writer. The conn is closed here too for sessions that own no ring.
-		transport.Retire(b.removeSubscriber(conn), b.removeAckRing(s))
+		transport.Retire(b.subs.Remove(conn), b.removeAckRing(s))
 		conn.Close()
 	}()
 	// Ensure blocked reads unstick on shutdown.
@@ -961,7 +926,7 @@ func (b *Broker) handleFrame(s *session, f *wire.Frame) error {
 		}
 		return nil
 	case wire.TypeSubscribe:
-		b.addSubscriber(conn, f.Topics)
+		b.subs.Subscribe(conn, f.Topics)
 		return nil
 	case wire.TypeReplicate:
 		b.heardPrimary()
@@ -1093,63 +1058,6 @@ func (b *Broker) storeReplica(m wire.Message, arrivedPrimary time.Duration) erro
 	return err
 }
 
-func (b *Broker) addSubscriber(conn *transport.Conn, topics []spec.TopicID) {
-	b.subsMu.Lock()
-	defer b.subsMu.Unlock()
-	if b.stopping.Load() {
-		// Checked under subsMu: either Stop's sweep has not snapshotted yet
-		// (then this registration would be missed by it) or it has (then a
-		// new egress would land on an already-drained flusher pool). Refuse
-		// both; the session is torn down with the listener anyway.
-		return
-	}
-	s := b.subsByConn[conn]
-	if s == nil {
-		s = &subscriber{conn: conn, eg: transport.NewEgress(conn, transport.EgressConfig{
-			Depth: b.opts.EgressDepth,
-			Shed:  !b.opts.EgressNoShed,
-			Stall: b.opts.EgressWriteTimeout,
-			Meter: &b.egress,
-			Pool:  b.pool,
-		})}
-		b.subsByConn[conn] = s
-	}
-	for _, id := range topics {
-		b.subs[id] = append(b.subs[id], s)
-	}
-}
-
-// removeSubscriber drops a dead session from every topic's fan-out list so
-// Dispatchers stop attempting sends to it. It returns the session's egress
-// (nil for non-subscriber sessions) for the caller to retire; repeated calls
-// for the same conn return nil.
-func (b *Broker) removeSubscriber(conn *transport.Conn) *transport.Egress {
-	b.subsMu.Lock()
-	defer b.subsMu.Unlock()
-	s := b.subsByConn[conn]
-	if s == nil {
-		return nil
-	}
-	delete(b.subsByConn, conn)
-	for id, subs := range b.subs {
-		kept := subs[:0]
-		for _, e := range subs {
-			if e != s {
-				kept = append(kept, e)
-			}
-		}
-		for i := len(kept); i < len(subs); i++ {
-			subs[i] = nil
-		}
-		if len(kept) == 0 {
-			delete(b.subs, id)
-			continue
-		}
-		b.subs[id] = kept
-	}
-	return s.eg
-}
-
 // dispatchLoop is a lane's one Message Delivery thread: it pops resolved
 // work under the lane lock and enqueues it on egress rings outside it. As the
 // only goroutine that pops the lane it makes pop → encode → enqueue a single
@@ -1164,7 +1072,7 @@ func (b *Broker) dispatchLoop(laneIdx int) {
 	ready := func() bool {
 		return b.stopping.Load() || qm.LaneDepth(laneIdx) > 0 || !lane.intake.Empty()
 	}
-	var subs []*subscriber // fan-out snapshot, reused across jobs
+	var rings []*transport.Egress // fan-out snapshot, reused across jobs
 	for {
 		lane.mu.Lock()
 		var w core.Work
@@ -1212,7 +1120,7 @@ func (b *Broker) dispatchLoop(laneIdx int) {
 				// ever re-dispatched (Table 3, Recovery step 1).
 				b.obs.Trace(obsv.TraceEvent{Stage: obsv.StageRecoveryDispatch, Topic: uint64(w.Msg.Topic), Seq: w.Msg.Seq, At: popped})
 			}
-			subs = b.dispatch(lane, &w, subs)
+			rings = b.dispatch(lane, &w, rings)
 			done := b.opts.Clock()
 			b.obs.Dispatches.Inc()
 			b.obs.StageDispatch.Observe(done - popped)
@@ -1251,23 +1159,21 @@ func frameOf(w *core.Work, t wire.Type, trailer time.Duration) *wire.FrameBuf {
 // frame per message, refcounted (one reference per subscriber ring, released
 // after each flush) and normally the buffer the message arrived in, so the
 // whole fan-out costs no copy and zero steady-state allocations, and the EDF
-// lane never touches a socket. subs is scratch, returned for reuse.
-func (b *Broker) dispatch(lane *dispatchLane, w *core.Work, subs []*subscriber) []*subscriber {
-	b.subsMu.Lock()
-	subs = append(subs[:0], b.subs[w.Msg.Topic]...)
-	b.subsMu.Unlock()
+// lane never touches a socket. rings is scratch, returned for reuse.
+func (b *Broker) dispatch(lane *dispatchLane, w *core.Work, rings []*transport.Egress) []*transport.Egress {
+	rings = b.subs.Rings(w.Msg.Topic, rings)
 	b.obs.Trace(obsv.TraceEvent{Stage: obsv.StageDispatch, Topic: uint64(w.Msg.Topic), Seq: w.Msg.Seq, At: b.opts.Clock()})
-	if len(subs) > 0 { // no subscribers: nothing to encode, only coordination
+	if len(rings) > 0 { // no subscribers: nothing to encode, only coordination
 		fb := frameOf(w, wire.TypeDispatch, b.opts.Clock())
-		fb.RetainN(len(subs) - 1) // with the dispatcher's own: one reference per ring
-		for _, s := range subs {
-			switch s.eg.Enqueue(fb, w.Msg.Topic, w.LossTolerance) {
+		fb.RetainN(len(rings) - 1) // with the dispatcher's own: one reference per ring
+		for _, eg := range rings {
+			switch eg.Enqueue(fb, w.Msg.Topic, w.LossTolerance) {
 			case transport.EnqueueOK, transport.EnqueueShed:
 				b.obs.DispatchSends.Inc()
 			case transport.EnqueueEvicted:
 				b.obs.DispatchSendErrors.Inc()
 				b.log.Warn("subscriber evicted: egress ring full past loss tolerance",
-					"topic", w.Msg.Topic, "addr", s.conn.RemoteAddr())
+					"topic", w.Msg.Topic, "addr", eg.Conn().RemoteAddr())
 			default: // EnqueueClosed
 				b.obs.DispatchSendErrors.Inc()
 			}
@@ -1294,7 +1200,7 @@ func (b *Broker) dispatch(lane *dispatchLane, w *core.Work, subs []*subscriber) 
 			}
 		}
 	}
-	return subs
+	return rings
 }
 
 // replicate hands a copy of the message to the Backup's ring (Table 3
@@ -1340,12 +1246,6 @@ func (b *Broker) dialPeer() (*transport.Egress, error) {
 	}
 	b.peerMu.Lock()
 	defer b.peerMu.Unlock()
-	if b.stopping.Load() {
-		// Same rule as addSubscriber: shutdown's sweep has, or is about to
-		// have, closed every ring and drained the flusher pool.
-		conn.Close()
-		return nil, net.ErrClosed
-	}
 	// No shedding: a full ring makes the lane wait — backpressure bounded by
 	// the write-stall bound, whose expiry counts a stall and drops the link.
 	b.peerRing = transport.NewEgress(conn, transport.EgressConfig{
@@ -1507,9 +1407,6 @@ func (b *Broker) noticeLocked(s *session) {
 		return
 	}
 	eg := b.openAckRingLocked(s)
-	if eg == nil {
-		return // stopping
-	}
 	s.told = true
 	fb := transport.GetFrameBuf()
 	fb.B = wire.AppendPromotedBody(fb.B[:0])

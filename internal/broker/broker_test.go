@@ -465,9 +465,7 @@ func TestSubscriberDisconnectCleanup(t *testing.T) {
 	waitFor(t, 2*time.Second, "first delivery", func() bool { return sub.Received(1) == 1 })
 	sub.Close()
 	waitFor(t, 2*time.Second, "fan-out cleanup", func() bool {
-		c.primary.subsMu.Lock()
-		defer c.primary.subsMu.Unlock()
-		return len(c.primary.subs[1]) == 0
+		return len(c.primary.subs.Rings(1, nil)) == 0
 	})
 	// Publishing into a topic with no subscribers must not wedge workers.
 	for i := 0; i < 5; i++ {

@@ -26,8 +26,7 @@ type session struct {
 	conn *transport.Conn
 	// acks is the connection's reply ring: its PubAcks, and on a promoted
 	// Backup the promotion notice. It is opened under Broker.ackMu on the
-	// first durable publish or notice, and never replaced; nil before that,
-	// and for good if the broker was already stopping.
+	// first durable publish or notice, and never replaced; nil before that.
 	acks atomic.Pointer[transport.Egress]
 	// told marks a publisher session that was sent the promotion notice.
 	// Guarded by Broker.ackMu.
@@ -65,13 +64,10 @@ func (b *Broker) stageDurable(s *session, m wire.Message, arrived time.Duration)
 }
 
 // openAckRingLocked gives the session its reply ring, unless it has one,
-// and returns it (nil once the broker is stopping). The ring drains through
-// the same flusher pool as the subscriber rings but counts into its own
-// meter. Caller holds ackMu.
+// and returns it. The ring drains through the same flusher pool as the
+// subscriber rings but counts into its own meter. Caller holds ackMu.
 func (b *Broker) openAckRingLocked(s *session) *transport.Egress {
-	if eg := s.acks.Load(); eg != nil || b.stopping.Load() {
-		// Stopping: same rule as addSubscriber — shutdown's sweep has, or is
-		// about to have, closed every ring and drained the flusher pool.
+	if eg := s.acks.Load(); eg != nil {
 		return eg
 	}
 	eg := transport.NewEgress(s.conn, transport.EgressConfig{
@@ -82,31 +78,17 @@ func (b *Broker) openAckRingLocked(s *session) *transport.Egress {
 		Pool:  b.pool,
 	})
 	s.acks.Store(eg)
-	b.ackRings[s] = struct{}{}
 	return eg
 }
 
-// removeAckRing unregisters the session — its reply ring and its place
-// among the publishers a promotion notifies — and returns the ring (nil if
-// it never opened one) for the caller to retire.
+// removeAckRing drops the session from the publishers a promotion
+// notifies and returns its reply ring (nil if it never opened one) for the
+// caller to retire.
 func (b *Broker) removeAckRing(s *session) *transport.Egress {
 	b.ackMu.Lock()
 	defer b.ackMu.Unlock()
-	delete(b.ackRings, s)
 	delete(b.publishers, s)
 	return s.acks.Load()
-}
-
-// closeAckRings is shutdown's sweep over every live ack ring, mirroring
-// closeSubscribers.
-func (b *Broker) closeAckRings() {
-	b.ackMu.Lock()
-	rings := make([]*transport.Egress, 0, len(b.ackRings))
-	for s := range b.ackRings {
-		rings = append(rings, s.acks.Load())
-	}
-	b.ackMu.Unlock()
-	transport.Retire(rings...)
 }
 
 // onDurable is the committer's completion callback: it runs on the

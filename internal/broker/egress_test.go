@@ -76,7 +76,7 @@ func rawPublish(t *testing.T, n transport.Network, addr string, clock func() tim
 }
 
 // TestSubscriberChurnDuringFanout connects and disconnects subscribers while
-// dispatch fan-out is running flat out: removeSubscriber races in-flight
+// dispatch fan-out is running flat out: subs.Remove races in-flight
 // enqueues, egress writers race their conn's Close, and after everything
 // stops no FrameBuf reference may be left behind. Run under -race this is
 // the ownership proof for the enqueue path.
@@ -157,8 +157,7 @@ func TestStalledSubscriberEvictedAndReleased(t *testing.T) {
 	}
 	defer healthy.Close()
 	waitFor(t, 2*time.Second, "healthy subscription registered", func() bool {
-		_, subs := b.egressQueued()
-		return subs == 1
+		return b.subs.Len() == 1
 	})
 
 	var stop atomic.Bool
@@ -216,5 +215,51 @@ func TestStalledSubscriberEvictedAndReleased(t *testing.T) {
 	b.Stop()
 	if refs := transport.FrameBufRefs(); refs != base {
 		t.Fatalf("leaked %d FrameBuf references after eviction", refs-base)
+	}
+}
+
+// TestRepeatedSubscribeDispatchesOnce: a session that names topic 1 in two
+// Subscribe frames holds it once, so each publish reaches it as exactly
+// one Dispatch frame.
+func TestRepeatedSubscribeDispatchesOnce(t *testing.T) {
+	n := transport.NewMem()
+	b, _ := soloPrimary(t, n, []spec.Topic{lanTopic(1, 3)}, nil)
+	defer b.Stop()
+	nc, err := n.Dial("primary")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := transport.NewConn(nc)
+	defer sub.Close()
+	for range 2 {
+		if err := sub.Send(&wire.Frame{Type: wire.TypeSubscribe, Topics: []spec.TopicID{1}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pollRoundTrip(t, sub, 1) // the session has handled both Subscribes
+
+	pub := rawPublisher(t, n, "primary")
+	defer pub.Close()
+	publishPolled(t, pub, 1, 1)
+	publishPolled(t, pub, 1, 2) // the sentinel: every copy of seq 1 is ahead of it
+	copies := 0
+	for {
+		f, err := sub.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Type != wire.TypeDispatch {
+			t.Fatalf("subscriber got a %v frame, want Dispatch", f.Type)
+		}
+		if f.Msg.Seq == 2 {
+			break
+		}
+		copies++
+	}
+	if copies != 1 {
+		t.Fatalf("one publish reached a twice-subscribed session as %d Dispatch frames, want 1", copies)
+	}
+	if got := b.subs.Len(); got != 1 {
+		t.Fatalf("subs.Len() = %d, want 1", got)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -324,10 +325,37 @@ type scriptedPeer struct {
 	tick      time.Duration
 }
 
+// frameStamps records when the watching reader received each stream frame.
+type frameStamps struct {
+	mu sync.Mutex
+	at []time.Time
+}
+
+func (s *frameStamps) add(t time.Time) {
+	s.mu.Lock()
+	s.at = append(s.at, t)
+	s.mu.Unlock()
+}
+
+// before returns the newest stamp at or before t, zero if there is none.
+func (s *frameStamps) before(t time.Time) time.Time {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := len(s.at) - 1; i >= 0; i-- {
+		if !s.at[i].After(t) {
+			return s.at[i]
+		}
+	}
+	return time.Time{}
+}
+
+// last returns the newest stamp.
+func (s *frameStamps) last() time.Time { return s.before(time.Now()) }
+
 // watchScripted dials the peer's two links and starts a reader that
-// reports every stream frame to the detector d returns, stamping lastFrame
-// first. Close the returned links to stop everything.
-func watchScripted(t *testing.T, cfg Config, peer *scriptedPeer, onCrash func()) (d *Detector, lastFrame *atomic.Int64, links []*transport.Conn) {
+// reports every stream frame to the detector d returns, stamping it in
+// frames first. Close the returned links to stop everything.
+func watchScripted(t *testing.T, cfg Config, peer *scriptedPeer, onCrash func()) (d *Detector, frames *frameStamps, links []*transport.Conn) {
 	t.Helper()
 	mem := transport.NewMem()
 	ln, err := mem.Listen("primary")
@@ -361,15 +389,15 @@ func watchScripted(t *testing.T, cfg Config, peer *scriptedPeer, onCrash func())
 	if err != nil {
 		t.Fatal(err)
 	}
-	lastFrame = new(atomic.Int64)
+	frames = new(frameStamps)
 	go func() {
 		var f wire.Frame
 		for stream.RecvInto(&f) == nil {
-			lastFrame.Store(time.Now().UnixNano())
+			frames.add(time.Now())
 			d.Heard()
 		}
 	}()
-	return d, lastFrame, []*transport.Conn{poll, stream}
+	return d, frames, []*transport.Conn{poll, stream}
 }
 
 func (p *scriptedPeer) serve(conn *transport.Conn) {
@@ -430,7 +458,7 @@ func TestDetectorFiresWithinWorstCaseOfLastFrame(t *testing.T) {
 	peer := &scriptedPeer{tick: time.Millisecond}
 	peer.streaming.Store(true)
 	fired := make(chan time.Time, 1)
-	d, lastFrame, _ := watchScripted(t, cfg, peer, func() { fired <- time.Now() })
+	d, frames, _ := watchScripted(t, cfg, peer, func() { fired <- time.Now() })
 	go d.Run(context.Background()) //nolint:errcheck // exits after firing
 
 	time.Sleep(20 * cfg.Period)
@@ -441,7 +469,7 @@ func TestDetectorFiresWithinWorstCaseOfLastFrame(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("silent peer never declared dead")
 	}
-	elapsed := at.Sub(time.Unix(0, lastFrame.Load()))
+	elapsed := at.Sub(frames.last())
 	bound := cfg.WorstCaseDetection()
 	if elapsed < bound || elapsed > bound+bound/2 {
 		t.Errorf("fired %v after the last frame heard, want within [%v, %v]", elapsed, bound, bound+bound/2)
@@ -498,15 +526,33 @@ func TestDetectorQuietLivePeerNeedsMissesUnansweredProbes(t *testing.T) {
 }
 
 // TestDetectorSendsNoProbesToAPeerHeardEveryPeriod: while the Primary's
-// frames arrive more often than once a Period, the detector sends nothing
-// — over 200 periods the peer sees no poll at all — and still reports the
-// peer alive.
+// frames stream in every millisecond, the detector probes only a peer
+// that has gone silent for a Period — whenever a probe goes out, at least
+// a Period has passed since the last frame the reader stamped — and it
+// still reports the peer alive. A loaded box that stalls the stream for a
+// Period may draw a probe; a detector that probes a peer it heard a
+// millisecond ago may not.
 func TestDetectorSendsNoProbesToAPeerHeardEveryPeriod(t *testing.T) {
 	cfg := Config{Period: 10 * time.Millisecond, Timeout: 20 * time.Millisecond, Misses: 3}
 	peer := &scriptedPeer{tick: time.Millisecond}
 	peer.streaming.Store(true)
 	peer.answering.Store(true)
-	d, _, _ := watchScripted(t, cfg, peer, func() { t.Error("fired on a streaming peer") })
+	d, frames, _ := watchScripted(t, cfg, peer, func() { t.Error("fired on a streaming peer") })
+	// Each probe is checked as it goes out. A frame stamped in the last
+	// half Period may have reached the reader after the detector decided
+	// to probe, so the silence is measured from the newest frame older
+	// than that, which the detector had heard.
+	var mu sync.Mutex
+	var silences []time.Duration
+	probe := d.probe
+	d.probe = func(ctx context.Context) error {
+		now := time.Now()
+		silence := now.Sub(frames.before(now.Add(-cfg.Period / 2)))
+		mu.Lock()
+		silences = append(silences, silence)
+		mu.Unlock()
+		return probe(ctx)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- d.Run(ctx) }()
@@ -517,7 +563,18 @@ func TestDetectorSendsNoProbesToAPeerHeardEveryPeriod(t *testing.T) {
 	}
 	cancel()
 	<-done
-	if got := peer.polls.Load(); got != 0 || d.Probes() != 0 {
-		t.Errorf("peer heard every millisecond received %d polls (detector counted %d probes), want 0", got, d.Probes())
+	mu.Lock()
+	defer mu.Unlock()
+	early := 0
+	for _, silence := range silences {
+		if silence < cfg.Period {
+			if early == 0 {
+				t.Errorf("a probe went out %v after the last frame heard, want at least the %v Period", silence, cfg.Period)
+			}
+			early++
+		}
+	}
+	if early > 1 {
+		t.Errorf("%d of %d probes went out less than a Period after the last frame heard", early, len(silences))
 	}
 }

@@ -73,9 +73,6 @@ type Options struct {
 	// ClientDepth is the per-client egress ring capacity
 	// (DefaultClientDepth when <= 0).
 	ClientDepth int
-	// ClientNoShed switches the per-client rings to blocking backpressure
-	// (tests only — it reintroduces the wedged-client stall).
-	ClientNoShed bool
 	// ClientWriteTimeout bounds each flush write to a client socket.
 	ClientWriteTimeout time.Duration
 	// Flushers sizes the shared flusher pool draining the per-client rings:
@@ -85,16 +82,6 @@ type Options struct {
 	AdminAddr string
 	// Logger receives operational events; nil means slog.Default.
 	Logger *slog.Logger
-}
-
-// session is one thin client connection. The egress ring attaches lazily
-// on the first Subscribe frame: publisher-only and probe sessions never
-// pay for a ring.
-type session struct {
-	conn       *transport.Conn
-	eg         *transport.Egress
-	name       string
-	subscribed map[spec.TopicID]bool
 }
 
 // Gateway terminates thin client sessions and bridges them to brokers.
@@ -115,9 +102,15 @@ type Gateway struct {
 	router *cluster.Router
 	up     *client.Subscriber
 
-	mu          sync.Mutex
-	sessByConn  map[*transport.Conn]*session
-	sessByTopic map[spec.TopicID][]*session
+	// subs indexes the client rings by topic. A ring attaches on a
+	// client's first Subscribe frame: publisher-only and probe sessions
+	// never pay for one. clients counts live sessions, subscribed or not.
+	subs    *transport.Subscribers
+	clients atomic.Int64
+
+	// fanMu serializes fanout over its scratch copy of a topic's rings.
+	fanMu    sync.Mutex
+	fanRings []*transport.Egress
 
 	// pubMu guards the lazily-dialed upstream publish links, keyed by
 	// broker address.
@@ -126,7 +119,8 @@ type Gateway struct {
 
 	meter  transport.Meter
 	egress transport.EgressMeter
-	// pool is the shared flusher set the client rings drain through.
+	// pool is the shared flusher set the client rings drain through; it
+	// retires whichever are still open when the gateway stops.
 	pool *transport.FlusherPool
 
 	delivered   atomic.Uint64 // distinct upstream deliveries fanned out
@@ -172,15 +166,13 @@ func New(opts Options) (*Gateway, error) {
 	}
 
 	g := &Gateway{
-		opts:        opts,
-		log:         opts.Logger.With("component", "gateway", "name", opts.Name),
-		clock:       opts.Clock,
-		started:     time.Now(),
-		li:          make(map[spec.TopicID]int, len(opts.Topics)),
-		sessByConn:  make(map[*transport.Conn]*session),
-		sessByTopic: make(map[spec.TopicID][]*session),
-		pubLinks:    make(map[string]*transport.Conn),
-		kick:        make(chan struct{}, 1),
+		opts:     opts,
+		log:      opts.Logger.With("component", "gateway", "name", opts.Name),
+		clock:    opts.Clock,
+		started:  time.Now(),
+		li:       make(map[spec.TopicID]int, len(opts.Topics)),
+		pubLinks: make(map[string]*transport.Conn),
+		kick:     make(chan struct{}, 1),
 	}
 	g.ctx, g.cancel = context.WithCancel(context.Background())
 	ids := make([]spec.TopicID, 0, len(opts.Topics))
@@ -195,6 +187,16 @@ func New(opts Options) (*Gateway, error) {
 		return nil, fmt.Errorf("gateway: listen: %w", err)
 	}
 	g.ln = ln
+
+	// fanout runs from the upstream subscriber's first delivery on.
+	g.pool = transport.NewFlusherPool(transport.FlusherPoolConfig{Flushers: opts.Flushers})
+	g.subs = transport.NewSubscribers(transport.EgressConfig{
+		Depth: opts.ClientDepth,
+		Shed:  true,
+		Stall: opts.ClientWriteTimeout,
+		Meter: &g.egress,
+		Pool:  g.pool,
+	})
 
 	// One upstream subscriber with a link to every broker carries every
 	// topic; its one delivery log dedups across the links, so fanout sees
@@ -222,6 +224,7 @@ func New(opts Options) (*Gateway, error) {
 		})
 	}
 	if err != nil {
+		g.pool.Close()
 		ln.Close()
 		g.cancel()
 		return nil, fmt.Errorf("gateway: upstream subscribe: %w", err)
@@ -231,12 +234,12 @@ func New(opts Options) (*Gateway, error) {
 		g.admin, err = obsv.NewAdmin(opts.AdminAddr, obsv.NewBrokerMetrics(), g.Health, g.scrapeGauges)
 		if err != nil {
 			g.up.Close()
+			g.pool.Close()
 			ln.Close()
 			g.cancel()
 			return nil, err
 		}
 	}
-	g.pool = transport.NewFlusherPool(transport.FlusherPoolConfig{Flushers: opts.Flushers})
 	return g, nil
 }
 
@@ -277,11 +280,10 @@ func (g *Gateway) Stop() {
 	if !g.closed.CompareAndSwap(false, true) {
 		return
 	}
-	g.cancel()
+	g.cancel() // serveClient's AfterFunc closes every client conn
 	g.ln.Close()
-	g.closeSessions()
-	// Every attached ring was closed and waited above (subscribe refuses
-	// attachments once closed is set), so the pool drains clean.
+	// The pool retires every client ring still open, and a ring attached
+	// after it starts closed.
 	g.pool.Close()
 	g.up.Close()
 	g.closePubLinks()
@@ -289,23 +291,6 @@ func (g *Gateway) Stop() {
 		g.admin.Close()
 	}
 	g.wg.Wait()
-}
-
-// closeSessions mirrors broker.closeSubscribers: snapshot, retire every
-// ring, then close the conns of sessions that never subscribed.
-func (g *Gateway) closeSessions() {
-	g.mu.Lock()
-	conns := make([]*transport.Conn, 0, len(g.sessByConn))
-	rings := make([]*transport.Egress, 0, len(g.sessByConn))
-	for _, s := range g.sessByConn {
-		conns = append(conns, s.conn)
-		rings = append(rings, s.eg)
-	}
-	g.mu.Unlock()
-	transport.Retire(rings...)
-	for _, c := range conns {
-		c.Close()
-	}
 }
 
 func (g *Gateway) closePubLinks() {
@@ -344,13 +329,11 @@ func (g *Gateway) acceptLoop() {
 // exactly like broker.serveConn: unregister before retiring the ring so no
 // new frames enqueue, and close the conn whether or not it had one.
 func (g *Gateway) serveClient(conn *transport.Conn) {
-	s := &session{conn: conn, subscribed: make(map[spec.TopicID]bool)}
-	g.mu.Lock()
-	g.sessByConn[conn] = s
-	g.mu.Unlock()
+	g.clients.Add(1)
 	defer func() {
-		transport.Retire(g.removeSession(conn))
+		transport.Retire(g.subs.Remove(conn))
 		conn.Close()
+		g.clients.Add(-1)
 	}()
 	stop := context.AfterFunc(g.ctx, func() { conn.Close() })
 	defer stop()
@@ -360,7 +343,7 @@ func (g *Gateway) serveClient(conn *transport.Conn) {
 		if err := conn.RecvInto(f); err != nil {
 			return
 		}
-		if err := g.handleClientFrame(s, f); err != nil {
+		if err := g.handleClientFrame(conn, f); err != nil {
 			g.log.Warn("client session error", "err", err, "type", f.Type.String())
 			return
 		}
@@ -396,93 +379,25 @@ func DecodeClientFrame(buf []byte, f *wire.Frame) error {
 	return checkClientType(f.Type)
 }
 
-func (g *Gateway) handleClientFrame(s *session, f *wire.Frame) error {
+func (g *Gateway) handleClientFrame(conn *transport.Conn, f *wire.Frame) error {
 	if err := checkClientType(f.Type); err != nil {
 		return err
 	}
 	switch f.Type {
-	case wire.TypeHello:
-		g.mu.Lock()
-		s.name = f.Name
-		g.mu.Unlock()
-		return nil
 	case wire.TypeSubscribe:
-		g.subscribe(s, f.Topics)
+		g.subs.Subscribe(conn, f.Topics)
 		return nil
 	case wire.TypePublish, wire.TypeResend:
 		return g.forwardPublish(f)
 	case wire.TypePoll:
-		return s.conn.Send(&wire.Frame{Type: wire.TypePollReply, Nonce: f.Nonce})
+		return conn.Send(&wire.Frame{Type: wire.TypePollReply, Nonce: f.Nonce})
 	case wire.TypeTimeReq:
 		// Serving clock sync locally keeps thin clients one hop from a
 		// timebase even when brokers are unreachable.
-		return clocksync.Respond(s.conn, g.clock, f)
-	default: // TypePollReply, TypeTimeResp: stray replies are harmless
+		return clocksync.Respond(conn, g.clock, f)
+	default: // Hello (roles are implicit), PollReply, TimeResp: harmless
 		return nil
 	}
-}
-
-// subscribe registers the session for topics and attaches its egress ring
-// on first use.
-func (g *Gateway) subscribe(s *session, topics []spec.TopicID) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.sessByConn[s.conn] != s {
-		return // lost a race with disconnect; the ring would leak
-	}
-	if g.closed.Load() {
-		// Checked under g.mu (which Stop's session sweep also takes): a ring
-		// attached now would land on a flusher pool that is already drained.
-		return
-	}
-	if s.eg == nil {
-		s.eg = transport.NewEgress(s.conn, transport.EgressConfig{
-			Depth: g.opts.ClientDepth,
-			Shed:  !g.opts.ClientNoShed,
-			Stall: g.opts.ClientWriteTimeout,
-			Meter: &g.egress,
-			Pool:  g.pool,
-		})
-	}
-	for _, id := range topics {
-		if s.subscribed[id] {
-			continue
-		}
-		s.subscribed[id] = true
-		g.sessByTopic[id] = append(g.sessByTopic[id], s)
-	}
-}
-
-// removeSession drops a dead session from its topics' fan-out lists and
-// returns its egress (nil if none) for the caller to retire.
-// Unlike the broker it walks only the session's own topics — at gateway
-// churn rates a full topic-table sweep per disconnect would dominate.
-func (g *Gateway) removeSession(conn *transport.Conn) *transport.Egress {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	s := g.sessByConn[conn]
-	if s == nil {
-		return nil
-	}
-	delete(g.sessByConn, conn)
-	for id := range s.subscribed {
-		subs := g.sessByTopic[id]
-		kept := subs[:0]
-		for _, e := range subs {
-			if e != s {
-				kept = append(kept, e)
-			}
-		}
-		for i := len(kept); i < len(subs); i++ {
-			subs[i] = nil
-		}
-		if len(kept) == 0 {
-			delete(g.sessByTopic, id)
-			continue
-		}
-		g.sessByTopic[id] = kept
-	}
-	return s.eg
 }
 
 // fanout runs for every distinct upstream delivery: encode the dispatch
@@ -494,10 +409,11 @@ func (g *Gateway) removeSession(conn *transport.Conn) *transport.Egress {
 // and Created pass through untouched, preserving end-to-end accounting.
 func (g *Gateway) fanout(d client.Delivery) {
 	g.delivered.Add(1)
-	g.mu.Lock()
-	subs := g.sessByTopic[d.Msg.Topic]
-	if len(subs) == 0 {
-		g.mu.Unlock()
+	g.fanMu.Lock()
+	defer g.fanMu.Unlock()
+	rings := g.subs.Rings(d.Msg.Topic, g.fanRings)
+	g.fanRings = rings
+	if len(rings) == 0 {
 		return
 	}
 	li, ok := g.li[d.Msg.Topic]
@@ -506,15 +422,14 @@ func (g *Gateway) fanout(d client.Delivery) {
 	}
 	fb := wire.GetFrameBuf(wire.MsgHeaderLen + len(d.Msg.Payload) + wire.MsgTrailerLen)
 	fb.B = wire.AppendDispatchBody(fb.B, &d.Msg, g.clock())
-	fb.RetainN(len(subs)) // the rings own one reference per client
-	for _, s := range subs {
-		if s.eg.Enqueue(fb, d.Msg.Topic, li) == transport.EnqueueEvicted {
+	fb.RetainN(len(rings)) // the rings own one reference per client
+	for _, eg := range rings {
+		if eg.Enqueue(fb, d.Msg.Topic, li) == transport.EnqueueEvicted {
 			g.evictions.Add(1)
 			g.log.Warn("client evicted: consecutive sheds exceeded topic loss tolerance",
-				"client", s.name, "topic", d.Msg.Topic, "li", li)
+				"addr", eg.Conn().RemoteAddr(), "topic", d.Msg.Topic, "li", li)
 		}
 	}
-	g.mu.Unlock()
 	fb.Release() // drop the fanout's own reference
 }
 
@@ -644,37 +559,10 @@ func (g *Gateway) refreshLoop() {
 }
 
 // Clients returns the number of live client sessions (subscribed or not).
-func (g *Gateway) Clients() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.sessByConn)
-}
+func (g *Gateway) Clients() int { return int(g.clients.Load()) }
 
 // Subscribers returns the number of client sessions with an egress ring.
-func (g *Gateway) Subscribers() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	n := 0
-	for _, s := range g.sessByConn {
-		if s.eg != nil {
-			n++
-		}
-	}
-	return n
-}
-
-// queued sums current ring occupancy across subscribed clients.
-func (g *Gateway) queued() (frames, subs int) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for _, s := range g.sessByConn {
-		if s.eg != nil {
-			frames += s.eg.Depth()
-			subs++
-		}
-	}
-	return frames, subs
-}
+func (g *Gateway) Subscribers() int { return g.subs.Len() }
 
 // EgressStats snapshots the aggregate per-client ring counters.
 func (g *Gateway) EgressStats() transport.EgressStats { return g.egress.Snapshot() }
@@ -710,15 +598,14 @@ func (g *Gateway) upstreamDesc() string {
 // the egress counters aggregate the per-client rings.
 func (g *Gateway) Health() obsv.Health {
 	es := g.egress.Snapshot()
-	queued, subs := g.queued()
 	return obsv.Health{
 		Role:            "gateway",
 		Addr:            g.Addr(),
 		PeerAddr:        g.upstreamDesc(),
 		PeerConnected:   true,
 		UptimeSeconds:   time.Since(g.started).Seconds(),
-		EgressQueued:    queued,
-		EgressSubs:      subs,
+		EgressQueued:    g.subs.Queued(),
+		EgressSubs:      g.subs.Len(),
 		EgressShed:      es.Shed,
 		EgressEvictions: es.Evictions,
 		EgressWriteErrs: es.WriteErrs,
@@ -727,7 +614,6 @@ func (g *Gateway) Health() obsv.Health {
 
 func (g *Gateway) scrapeGauges() []obsv.Sample {
 	es := g.egress.Snapshot()
-	queued, subs := g.queued()
 	samples := []obsv.Sample{
 		{Name: "frame_role", Label: `role="gateway"`, Value: 1,
 			Help: "Current fault-tolerance role (1 for the active label)."},
@@ -735,7 +621,7 @@ func (g *Gateway) scrapeGauges() []obsv.Sample {
 			Help: "Wall time since the gateway was created."},
 		{Name: "frame_gateway_clients", Value: float64(g.Clients()),
 			Help: "Live thin client sessions."},
-		{Name: "frame_gateway_subscribers", Value: float64(subs),
+		{Name: "frame_gateway_subscribers", Value: float64(g.subs.Len()),
 			Help: "Client sessions with an attached egress ring."},
 		{Name: "frame_gateway_delivered_total", Counter: true, Value: float64(g.delivered.Load()),
 			Help: "Distinct upstream deliveries fanned out to client rings."},
@@ -759,7 +645,7 @@ func (g *Gateway) scrapeGauges() []obsv.Sample {
 			Help: "Client egress writes failed by the write-stall deadline."},
 		{Name: "frame_gateway_egress_write_errors_total", Counter: true, Value: float64(es.WriteErrs),
 			Help: "Failed client egress flush writes (stalls included)."},
-		{Name: "frame_gateway_egress_queued", Value: float64(queued),
+		{Name: "frame_gateway_egress_queued", Value: float64(g.subs.Queued()),
 			Help: "Frames currently queued across per-client egress rings."},
 		{Name: "frame_transport_frames_sent_total", Counter: true, Value: float64(g.meter.FramesSent.Load()),
 			Help: "Wire frames sent on gateway-owned connections."},

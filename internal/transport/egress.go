@@ -210,8 +210,10 @@ type Egress struct {
 }
 
 // NewEgress wraps conn with an outbound ring drained by cfg.Pool's shared
-// flushers, or by a private one-flusher pool when none is given. The
-// egress owns all writes on conn from here on; callers
+// flushers, or by a private one-flusher pool when none is given. A shared
+// pool owns the ring until it is finalized, and on a pool that has begun
+// closing the ring starts closed: Enqueue answers EnqueueClosed and Wait
+// returns at once. The egress owns all writes on conn from here on; callers
 // route every frame through Enqueue (control replies on a subscriber conn
 // keep using Send, which serializes with the flusher on the conn's write
 // lock).
@@ -241,6 +243,11 @@ func NewEgress(conn *Conn, cfg EgressConfig) *Egress {
 		pool, e.private = newFlusherPool(1, 1), true
 	}
 	e.fl = pool.assign()
+	if !e.private && !pool.register(e) {
+		// The pool is closing: the ring refuses every frame from the start.
+		e.closed = true
+		e.finalize()
+	}
 	return e
 }
 
@@ -463,8 +470,12 @@ func (e *Egress) Wait() { <-e.done }
 // Retire stops rings for good, in the order every owner needs: close every
 // ring first, so no flusher picks up another frame and queued frames are
 // released; then close every ring's connection, which fails a write in
-// flight or handed off; then wait for every ring. Nil rings are skipped, so owners may
-// pass a session's rings whether or not they were ever opened.
+// flight or handed off; then wait for every ring. Nil rings are skipped, so
+// owners may pass a session's rings whether or not they were ever opened.
+// FlusherPool.Close retires what is still open at shutdown, so all four ring
+// owners — the broker's subscriber, PubAck and replication rings and the
+// gateway's client rings — call Retire only for a ring's own end: its
+// session's exit, its link's loss.
 func Retire(rings ...*Egress) {
 	for _, e := range rings {
 		if e != nil {
@@ -484,8 +495,9 @@ func Retire(rings ...*Egress) {
 }
 
 // finalize performs the one-time terminal transition of an egress: an
-// evicted connection is closed, a private pool is stopped and waiters are
-// released. It runs only when no flusher holds the egress.
+// evicted connection is closed, a private pool is stopped, a shared one
+// forgets the ring, and waiters are released. It runs only when no flusher
+// holds the egress.
 func (e *Egress) finalize() {
 	e.doneOnce.Do(func() {
 		if e.Evicted() {
@@ -493,6 +505,8 @@ func (e *Egress) finalize() {
 		}
 		if e.private {
 			e.fl.pool.stop()
+		} else {
+			e.fl.pool.unregister(e)
 		}
 		close(e.done)
 	})

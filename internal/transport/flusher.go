@@ -66,13 +66,21 @@ type FlusherPoolConfig struct {
 	Flushers int
 }
 
-// FlusherPool drains the rings of every Egress created with Pool set to it.
+// FlusherPool drains the rings of every Egress created with Pool set to it,
+// and owns them: Close retires every ring still open, and a ring made once
+// Close has begun starts closed.
 type FlusherPool struct {
 	flushers []*flusher
 	next     atomic.Uint64
 	closed   atomic.Bool
 	wg       sync.WaitGroup // the flushers and every handed-off write
 	handoffs atomic.Uint64
+
+	// rings are the registered rings not yet finalized; sealed, set when
+	// Close takes its snapshot of them, refuses every later registration.
+	mu     sync.Mutex
+	rings  map[*Egress]struct{}
+	sealed bool
 }
 
 // NewFlusherPool starts cfg.Flushers writer goroutines.
@@ -81,7 +89,9 @@ func NewFlusherPool(cfg FlusherPoolConfig) *FlusherPool {
 	if n <= 0 {
 		n = DefaultFlushers
 	}
-	return newFlusherPool(n, notifyDepth)
+	p := newFlusherPool(n, notifyDepth)
+	p.rings = make(map[*Egress]struct{})
+	return p
 }
 
 func newFlusherPool(n, depth int) *FlusherPool {
@@ -108,19 +118,23 @@ func (p *FlusherPool) Size() int { return len(p.flushers) }
 // Handoffs reports how many writes were handed to their own goroutine.
 func (p *FlusherPool) Handoffs() uint64 { return p.handoffs.Load() }
 
-// Close stops every flusher and waits for them and for every handed-off
-// write. Callers must Close and Wait every pooled Egress first — the broker
-// and gateway shut subscribers down before their pool — so the only notify
-// entries left are strays from enqueues racing the shutdown; those are
-// swept inline.
+// Close retires every ring still registered — Retire's close, close
+// conns, wait order, so a write in flight or handed off fails instead of
+// waiting out its stall bound — and refuses every later one; then it stops
+// every flusher and waits for them. A retired ring is finalized, and a
+// finalized ring is never queued again, so no notify entry outlives the
+// flushers.
 func (p *FlusherPool) Close() {
+	p.mu.Lock()
+	p.sealed = true
+	rings := make([]*Egress, 0, len(p.rings))
+	for e := range p.rings {
+		rings = append(rings, e)
+	}
+	p.mu.Unlock()
+	Retire(rings...)
 	p.stop()
 	p.wg.Wait()
-	for _, fl := range p.flushers {
-		for e := fl.pop(); e != nil; e = fl.pop() {
-			fl.process(e, 0)
-		}
-	}
 }
 
 // stop tells every flusher to exit once its notify ring is empty, without
@@ -130,6 +144,25 @@ func (p *FlusherPool) stop() {
 	for _, fl := range p.flushers {
 		fl.parker.Unpark()
 	}
+}
+
+// register records a new ring for Close to retire, and reports false once
+// Close has begun: the ring must then start closed.
+func (p *FlusherPool) register(e *Egress) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.sealed {
+		return false
+	}
+	p.rings[e] = struct{}{}
+	return true
+}
+
+// unregister forgets a finalized ring.
+func (p *FlusherPool) unregister(e *Egress) {
+	p.mu.Lock()
+	delete(p.rings, e)
+	p.mu.Unlock()
 }
 
 // assign picks the next flusher round-robin. Sticky for the egress's life,
@@ -152,7 +185,7 @@ func (fl *flusher) run() {
 	ready := func() bool { return !fl.notify.Empty() || fl.pool.closed.Load() }
 	for {
 		if e := fl.pop(); e != nil {
-			fl.process(e, HandoffAfter)
+			fl.process(e)
 		} else if fl.pool.closed.Load() {
 			return
 		} else {
@@ -162,7 +195,7 @@ func (fl *flusher) run() {
 }
 
 // pop takes one queued egress, or nil when the ring is empty. Only the
-// flusher's goroutine pops, and Close only once that goroutine has exited.
+// flusher's goroutine pops.
 func (fl *flusher) pop() *Egress {
 	var e *Egress
 	fl.notify.PopInto(func(p **Egress) { e, *p = *p, nil })
@@ -170,14 +203,11 @@ func (fl *flusher) pop() *Egress {
 }
 
 // submit hands an egress that just flipped idle→queued, or whose handed-off
-// write finished, to the flusher. Callers hold no locks. A full notify ring
-// means more egresses than its depth went ready at once: spin for room.
+// write finished, to the flusher. Callers hold no locks. The pool is still
+// running: it stops only once each of its rings is finalized. A full
+// notify ring means more egresses than its depth went ready at once: spin
+// for room.
 func (fl *flusher) submit(e *Egress) {
-	if fl.pool.closed.Load() {
-		// Shutdown stray: no flusher will visit, so drain it here.
-		go fl.process(e, 0)
-		return
-	}
 	for !fl.notify.PushInPlace(func(p **Egress) { *p = e }) {
 		runtime.Gosched()
 	}
@@ -188,21 +218,18 @@ func (fl *flusher) submit(e *Egress) {
 // write outside it, repeat. Exactly one goroutine runs process per egress
 // at a time (the egQueued handoff guarantees it).
 //
-// The flusher's own goroutine passes HandoffAfter as patience: it hands
-// writes stalled that long off (see handOff), and it lingers: a drained
-// egress stays egQueued and goes back on the notify ring, so a connection
-// hot this sweep gets one more look after the other ready rings. Meanwhile
-// producers skip the submit and unpark — the flusher is coming back, and
-// does not park while its ring is non-empty. The second empty visit in a
-// row idles it. Shutdown strays (zero patience) write under the stall
-// bound alone.
-func (fl *flusher) process(e *Egress, patience time.Duration) {
+// It hands writes stalled for HandoffAfter off (see handOff), and it
+// lingers: a drained egress stays egQueued and goes back on the notify
+// ring, so a connection hot this sweep gets one more look after the other
+// ready rings. Meanwhile producers skip the submit and unpark — the
+// flusher is coming back, and does not park while its ring is non-empty.
+// The second empty visit in a row idles it.
+func (fl *flusher) process(e *Egress) {
 	for {
 		e.mu.Lock()
 		n := e.collectLocked()
 		if n == 0 {
-			if patience > 0 && !e.lingered && !e.closed && !fl.pool.closed.Load() &&
-				fl.notify.PushInPlace(func(p **Egress) { *p = e }) {
+			if !e.lingered && !e.closed && fl.notify.PushInPlace(func(p **Egress) { *p = e }) {
 				e.lingered = true
 				e.mu.Unlock()
 				return
@@ -219,7 +246,7 @@ func (fl *flusher) process(e *Egress, patience time.Duration) {
 		e.lingered = false
 		e.mu.Unlock()
 		total := e.frameBatch()
-		pending, err := e.conn.writeBuffersWithin(&e.tail, n, total, patience)
+		pending, err := e.conn.writeBuffersWithin(&e.tail, n, total, HandoffAfter)
 		if pending {
 			fl.handOff(e, n, total)
 			return

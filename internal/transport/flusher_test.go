@@ -432,3 +432,62 @@ func TestFlusherHandsOffStalledTCPWrite(t *testing.T) {
 		t.Fatalf("leaked %d FrameBuf references", refs-base)
 	}
 }
+
+// TestFlusherPoolCloseRetiresItsRings: the pool owns the rings it drains.
+// A ring with frames queued behind a peer that never reads — its write
+// handed off, with no stall bound to end it — is not retired by anyone
+// before the pool closes. Close must retire it itself and return, with
+// every frame reference released and the ring's Wait returning; a ring
+// made on the closed pool starts closed.
+func TestFlusherPoolCloseRetiresItsRings(t *testing.T) {
+	base := FrameBufRefs()
+	pool := NewFlusherPool(FlusherPoolConfig{Flushers: 1})
+	a, b := net.Pipe() // nobody reads b
+	defer b.Close()
+	stalled := NewEgress(NewConn(a), EgressConfig{Depth: 4, Pool: pool})
+	for seq := uint64(1); seq <= 3; seq++ {
+		stalled.Enqueue(pruneBuf(1, seq), 1, spec.LossUnbounded)
+	}
+	waitWriteLocked(t, stalled.conn)
+	for deadline := time.Now().Add(5 * time.Second); pool.Handoffs() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the stalled write was never handed off")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		pool.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close still waits on a handed-off write to a ring it never retired")
+	}
+	waited := make(chan struct{})
+	go func() {
+		stalled.Wait()
+		close(waited)
+	}()
+	select {
+	case <-waited:
+	case <-time.After(time.Second):
+		t.Fatal("the ring's Wait did not return after its pool closed")
+	}
+	if refs := FrameBufRefs(); refs != base {
+		t.Fatalf("leaked %d FrameBuf references", refs-base)
+	}
+
+	c, d := net.Pipe()
+	defer d.Close()
+	late := NewEgress(NewConn(c), EgressConfig{Depth: 4, Pool: pool})
+	if r := late.Enqueue(pruneBuf(2, 1), 2, spec.LossUnbounded); r != EnqueueClosed {
+		t.Fatalf("Enqueue on a ring made on a closed pool = %v, want EnqueueClosed", r)
+	}
+	late.Wait()
+	if refs := FrameBufRefs(); refs != base {
+		t.Fatalf("leaked %d FrameBuf references after the late ring's refusal", refs-base)
+	}
+}
