@@ -14,10 +14,15 @@ build:
 
 # Go line counts outside bench/ (the repository benchmark), split into
 # non-test and test files: the "net LoC" measure a subtraction is judged by.
+# Then the non-test lines of each internal/* and cmd/* package, largest first.
 LOC_FILES = find . -name '*.go' -not -path './bench/*' -not -path './.git/*'
 loc:
 	@printf 'non-test Go lines (excluding bench/): %s\n' "$$($(LOC_FILES) -not -name '*_test.go' -exec cat {} + | wc -l)"
 	@printf 'test Go lines (excluding bench/): %s\n' "$$($(LOC_FILES) -name '*_test.go' -exec cat {} + | wc -l)"
+	@printf 'non-test Go lines per package:\n'
+	@for d in internal/*/ cmd/*/; do \
+		printf '%7d  %s\n' "$$(find $$d -name '*.go' -not -name '*_test.go' -exec cat {} + | wc -l)" "$${d%/}"; \
+	done | sort -rn
 
 test:
 	$(GO) test ./...

@@ -91,14 +91,16 @@ func run() error {
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	c, err := cluster.New(cluster.Config{
-		Shards:      *shards,
-		Topics:      topics,
-		Engine:      engine,
-		Network:     frame.NewTCPNetwork(2 * time.Second),
-		Clock:       frame.NewClock(),
-		Detector:    failover.Config{Period: *period, Timeout: *timeout, Misses: *misses},
-		EgressDepth: *egressDepth,
-		Logger:      logger,
+		Shards: *shards,
+		Topics: topics,
+		Broker: frame.BrokerOptions{
+			Engine:      engine,
+			Network:     frame.NewTCPNetwork(2 * time.Second),
+			Clock:       frame.NewClock(),
+			Detector:    failover.Config{Period: *period, Timeout: *timeout, Misses: *misses},
+			EgressDepth: *egressDepth,
+			Logger:      logger,
+		},
 	})
 	if err != nil {
 		return err

@@ -103,10 +103,6 @@ type Options struct {
 	// liveness, queue depth), and /debug/pprof. The listener binds in New
 	// (so AdminAddr() is dialable immediately) and serves from Start.
 	AdminAddr string
-	// ExtraGauges, when non-nil, contributes additional scrape-time samples
-	// to /metrics — e.g. a fault injector's counters during chaos runs. It
-	// is called on every scrape and must be safe for concurrent use.
-	ExtraGauges func() []obsv.Sample
 	// EgressDepth sizes each subscriber's outbound ring (frames). Dispatch
 	// enqueues into the ring and the shared flusher pool drains it with
 	// vectored writes, so a slow socket never blocks a dispatch lane.
@@ -703,9 +699,6 @@ func (b *Broker) scrapeGauges() []obsv.Sample {
 			obsv.Sample{Name: "frame_durable_ack_write_errors_total", Counter: true,
 				Value: float64(as.WriteErrs), Help: "Failed PubAck writes (stalls included)."},
 		)
-	}
-	if b.opts.ExtraGauges != nil {
-		samples = append(samples, b.opts.ExtraGauges()...)
 	}
 	return samples
 }

@@ -5,14 +5,17 @@
 //
 // One harness runs every scenario. A Scenario is data: a Deployment (the
 // planes present), topics and a load, a Script of Steps acting on the live
-// Env, and one Receiver per subscriber with its own budget. Run brings the
-// deployment up, pumps the load, plays the script, heals the world,
-// drains, and judges in order: each receiver's Li and per-link FIFO budget
-// (§III); promotion of the named shard within the detector bound and of
-// no other (§IV-A); Table 3 on every Backup (recovery never dispatches a
-// pruned entry, nor any entry twice); gateway isolation when no promotion
-// is expected; the durable log's ground truth after a dual crash; and the
-// scenario's own Check.
+// Env, and one Receiver per subscriber with its own budget. Every broker a
+// scenario runs comes from package cluster: the broker plane is a
+// cluster.New cluster built from one broker template, the pair being its
+// one-shard case, and a dual crash's second life is the cluster's
+// RestartPrimary. Run brings the deployment up, pumps the load, plays the
+// script, heals the world, drains, and judges in order: each receiver's
+// Li and per-link FIFO budget (§III); promotion of the named shard within
+// the detector bound and of no other (§IV-A); Table 3 on every Backup
+// (recovery never dispatches a pruned entry, nor any entry twice); gateway
+// isolation when no promotion is expected; the durable log's ground truth
+// after a dual crash; and the scenario's own Check.
 //
 // All fault randomness derives from one seed; a failed scenario prints it,
 // and FRAME_CHAOS_SEED replays the same fault lottery. Run scenarios via
@@ -24,7 +27,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -36,11 +38,16 @@ import (
 	"repro/internal/spec"
 )
 
-// Node names faults are scripted against; a sharded deployment names its
-// brokers cluster.PrimaryNode(i) / cluster.BackupNode(i) instead.
+// Node names faults are scripted against. Brokers carry the cluster's
+// node names, cluster.PrimaryNode(i) / cluster.BackupNode(i); the pair
+// deployment's are shard 0's.
+var (
+	NodePrimary = cluster.PrimaryNode(0)
+	NodeBackup  = cluster.BackupNode(0)
+)
+
+// Node names of the endpoints.
 const (
-	NodePrimary = "primary"
-	NodeBackup  = "backup"
 	NodePub     = "pub"
 	NodeSub     = "sub"
 	NodeGateway = "gateway"
@@ -77,9 +84,13 @@ type Step struct {
 // Deployment lists the planes a scenario runs against; it is the only
 // thing that differs between a pair, shard, gateway and dual-crash run.
 type Deployment struct {
-	// Shards ≤ 1 is one Primary+Backup pair on NodePrimary/NodeBackup with
-	// direct-address endpoints; Shards ≥ 2 is a cluster.New cluster whose
-	// endpoints route through its Directory.
+	// Shards is the number of Primary+Backup pairs of the cluster.New
+	// cluster every deployment runs on. Shards ≤ 1 is one pair, on
+	// NodePrimary/NodeBackup, whose endpoints address it directly: the
+	// publishers are client.Publishers and a gateway runs in BrokerAddrs
+	// mode. Shards ≥ 2 routes the publisher and the gateway through the
+	// cluster's Directory. Direct subscribers always dial every broker in
+	// the routing table.
 	Shards int
 	// Mem runs over the in-process Mem transport instead of TCP loopback:
 	// backpressure surfaces deterministically, and a restart rebinds the
@@ -92,8 +103,9 @@ type Deployment struct {
 	// Gateway puts a gateway (NodeGateway) in front of the brokers, in
 	// pair or Directory mode following the broker plane.
 	Gateway *GatewayPlane
-	// Durable runs the pair's Primary on a group-commit log with ACK =
-	// durable publishers; a KillPair step hands the run to a second life.
+	// Durable runs the pair's Primary on a group-commit log, from the
+	// cluster's broker template, with ACK = durable publishers; a KillPair
+	// step hands the run to a second life. It needs Shards ≤ 1.
 	Durable *DurablePlane
 }
 
@@ -197,15 +209,12 @@ func (e *Env) markFault() {
 // process state is stopped — the network face of the paper's SIGKILL runs.
 func CrashPrimary(shard int) func(*Env) error {
 	return func(e *Env) error {
-		if shard < 0 || shard >= len(e.Pairs) {
+		if shard < 0 || shard >= len(e.Cluster.Pairs) {
 			return fmt.Errorf("no shard %d", shard)
 		}
 		e.markFault()
-		node, p := NodePrimary, e.Pairs[shard].Primary
-		if e.Cluster != nil {
-			node = cluster.PrimaryNode(shard)
-		}
-		n := e.Net.ResetNode(node)
+		p := e.Cluster.Pairs[shard].Primary
+		n := e.Net.ResetNode(cluster.PrimaryNode(shard))
 		p.Stop()
 		e.crashed[p] = true
 		e.Tr.Logf(e.Clock(), "crash: reset %d shard-%d primary connections, primary stopped", n, shard)
@@ -217,7 +226,7 @@ func CrashPrimary(shard int) func(*Env) error {
 // frames deliver after Heal, new dials are refused meanwhile.
 func RaisePartition(name string, a, b []string) func(*Env) error {
 	return func(e *Env) error {
-		if containsBroker(a) && containsBroker(b) {
+		if e.containsBroker(a) && e.containsBroker(b) {
 			e.markFault()
 		}
 		e.Net.Partition(name, a, b)
@@ -226,10 +235,12 @@ func RaisePartition(name string, a, b []string) func(*Env) error {
 	}
 }
 
-func containsBroker(nodes []string) bool {
+func (e *Env) containsBroker(nodes []string) bool {
 	for _, n := range nodes {
-		if strings.HasSuffix(n, NodePrimary) || strings.HasSuffix(n, NodeBackup) { // shard brokers too
-			return true
+		for _, p := range e.Cluster.Pairs {
+			if n == cluster.PrimaryNode(p.Index) || n == cluster.BackupNode(p.Index) {
+				return true
+			}
 		}
 	}
 	return false

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"repro/internal/broker"
 	"repro/internal/client"
 	"repro/internal/diskstore"
 	"repro/internal/spec"
@@ -28,7 +27,7 @@ const maxDiagnosed = 64
 // deliver every publish acked as durable.
 func KillPair() func(*Env) error {
 	return func(e *Env) error {
-		p := e.Pairs[0]
+		p := e.Cluster.Pairs[0]
 		e.Net.ResetNode(NodeBackup)
 		e.Net.ResetNode(NodePrimary)
 		p.Backup.Kill()
@@ -65,8 +64,9 @@ type secondLife struct {
 // subscriber is attached, releases recovery and drains.
 func (e *Env) runSecondLife() error {
 	d := e.sc.Durable
+	logDir := filepath.Join(e.logDir, NodePrimary) // the cluster's per-Primary log
 	if d.Orphans > 0 {
-		if err := graftOrphans(e.logDir, e.orphanTopic(), d.Orphans, e.Clock()); err != nil {
+		if err := graftOrphans(logDir, e.orphanTopic(), d.Orphans, e.Clock()); err != nil {
 			return fmt.Errorf("grafting orphan segment: %w", err)
 		}
 		e.Tr.Logf(e.Clock(), "grafted %d orphan records on topic %d (records synced, prune markers lost)", d.Orphans, e.orphanTopic())
@@ -74,7 +74,7 @@ func (e *Env) runSecondLife() error {
 	// Read what actually survived on disk — the ground truth the second
 	// life is judged against. OpenSegmented also truncates any torn tail,
 	// exactly as the restarted broker's open will.
-	seg, replay, err := diskstore.OpenSegmented(e.logDir, diskstore.SegmentOptions{SegmentBytes: d.SegmentBytes})
+	seg, replay, err := diskstore.OpenSegmented(logDir, diskstore.SegmentOptions{SegmentBytes: d.SegmentBytes})
 	if err != nil {
 		return fmt.Errorf("reading crashed log: %w", err)
 	}
@@ -101,15 +101,11 @@ func (e *Env) runSecondLife() error {
 	}
 	e.Tr.Logf(e.Clock(), "crashed log: %d messages, %d prunes, %d segments", len(replay.Messages), len(replay.Prunes), s.segments)
 
-	po := e.brokerOptions(broker.RolePrimary, NodePrimary, "")
-	po.HoldRecovery = true
-	primary, err := broker.New(po)
+	primary, err := e.Cluster.RestartPrimary(0)
 	if err != nil {
 		return fmt.Errorf("restart primary: %w", err)
 	}
-	defer primary.Stop()
 	s.traces = e.traceBroker("second-life primary", primary.Obs())
-	primary.Start()
 	ids := topicIDs(e.topics)
 	s.sub, err = client.NewSubscriber(client.SubscriberOptions{
 		Name:        "sub2",

@@ -138,7 +138,7 @@ func (e *Env) judge() []string {
 				sc.PromoteShard, at-e.faultAt, bound, e.sc.Detector.WorstCaseDetection(), PromotionSlack)
 		}
 	}
-	for _, p := range e.Pairs {
+	for _, p := range e.Cluster.Pairs {
 		if at, ok := e.promoted[p.Index]; ok && (!sc.ExpectPromotion || p.Index != sc.PromoteShard) {
 			fail("shard %d backup promoted at %v in a scenario that must not promote it", p.Index, at)
 		}
@@ -157,7 +157,7 @@ func (e *Env) judge() []string {
 		if publishErrs > 0 {
 			fail("publisher saw %d errors on the direct broker path — the gateway fault leaked into the durability plane", publishErrs)
 		}
-		for _, p := range e.Pairs {
+		for _, p := range e.Cluster.Pairs {
 			for _, b := range []*broker.Broker{p.Primary, p.Backup} {
 				if es := b.EgressStats(); es.Shed > 0 || es.Evictions > 0 {
 					fail("shard %d %s broker shed %d / evicted %d on its own egress — client backpressure leaked past the gateway",

@@ -92,9 +92,8 @@ func (r *receiver) close() {
 // Check and teardown all run on Run's goroutine.
 type Env struct {
 	Net *faultinject.Network
-	// Pairs holds one broker pair per shard; the pair deployment is shard 0.
-	Pairs []*cluster.Pair
-	// Cluster is the sharded deployment's cluster, nil for a single pair.
+	// Cluster is the broker plane: one pair per shard, the pair deployment
+	// being shard 0 of a one-shard cluster.
 	Cluster *cluster.Cluster
 	// Gateway is the current gateway; RestartGateway replaces it.
 	Gateway *gateway.Gateway
@@ -103,7 +102,6 @@ type Env struct {
 
 	sc        Scenario
 	log       *slog.Logger
-	engine    core.Config
 	topics    []spec.Topic // every served topic, the orphan topic included
 	logDir    string
 	gwOpts    gateway.Options
@@ -136,7 +134,7 @@ func Run(sc Scenario, opts RunOptions) (*Result, error) {
 		return nil, fmt.Errorf("chaos: %s: gateway and durable deployments need Mem so a restart can rebind the crashed address", sc.Name)
 	}
 	if sc.Durable != nil && sc.Shards >= 2 {
-		return nil, fmt.Errorf("chaos: %s: the durable plane runs on a single pair", sc.Name)
+		return nil, fmt.Errorf("chaos: %s: the durable plane runs on a single pair: cluster.PublisherOptions carries no durable acks", sc.Name)
 	}
 	for _, r := range sc.Receivers {
 		if r.viaGateway() && sc.Gateway == nil {
@@ -149,15 +147,11 @@ func Run(sc Scenario, opts RunOptions) (*Result, error) {
 	}
 	start := time.Now()
 	e := &Env{
-		Net:   faultinject.New(inner, opts.Seed),
-		Clock: func() time.Duration { return time.Since(start) },
-		Tr:    &Transcript{Scenario: sc.Name, Seed: opts.Seed},
-		sc:    sc,
-		log:   slog.New(slog.NewTextHandler(io.Discard, nil)), // crash and partition warnings are expected
-		engine: core.FRAMEConfig(timing.Params{ // the broker tests' loopback regime
-			DeltaBSEdge: time.Millisecond, DeltaBSCloud: time.Millisecond, DeltaBB: time.Millisecond,
-			Failover: 100 * time.Millisecond,
-		}),
+		Net:      faultinject.New(inner, opts.Seed),
+		Clock:    func() time.Duration { return time.Since(start) },
+		Tr:       &Transcript{Scenario: sc.Name, Seed: opts.Seed},
+		sc:       sc,
+		log:      slog.New(slog.NewTextHandler(io.Discard, nil)), // crash and partition warnings are expected
 		topics:   sc.Topics,
 		crashed:  make(map[*broker.Broker]bool),
 		pumpStop: make(chan struct{}),
@@ -168,10 +162,6 @@ func Run(sc Scenario, opts RunOptions) (*Result, error) {
 	if e.sc.Detector == (failover.Config{}) {
 		e.sc.Detector = defaultDetector
 	}
-	// The pump publishes in bursts relative to Ti, so size the Message
-	// Buffer for the whole run rather than relying on Ti-spaced arrivals.
-	e.engine.MessageBufferCap = 4096
-	e.engine.BackupBufferCap = 4096
 	e.Tr.Logf(e.Clock(), "run start: seed=%d scenario=%q planes=%v", opts.Seed, sc.Name, sc.Planes())
 
 	watchDone := make(chan struct{})
@@ -218,7 +208,7 @@ func (e *Env) bringUp(watchDone chan struct{}) error {
 	}
 	// Promotion watchers stamp the instants the bound is judged against;
 	// Promoted() is a broadcast, so they coexist with the Directory's.
-	for _, p := range e.Pairs {
+	for _, p := range e.Cluster.Pairs {
 		go func(p *cluster.Pair) {
 			select {
 			case <-p.Backup.Promoted():
@@ -242,10 +232,10 @@ func (e *Env) bringUp(watchDone chan struct{}) error {
 			ClientWriteTimeout: g.ClientWriteTimeout,
 			Logger:             e.log,
 		}
-		if e.Cluster != nil {
+		if e.sc.Shards >= 2 {
 			e.gwOpts.DirectoryAddr = e.Cluster.Dir.Addr()
 		} else {
-			e.gwOpts.BrokerAddrs = []string{e.Pairs[0].Primary.Addr(), e.Pairs[0].Backup.Addr()}
+			e.gwOpts.BrokerAddrs = e.Cluster.Dir.Table().Addrs()
 		}
 		if err := RestartGateway()(e); err != nil {
 			return err
@@ -274,7 +264,7 @@ func (e *Env) bringUp(watchDone chan struct{}) error {
 	// gateway registered theirs before the pump starts.
 	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
 		ready := e.Gateway == nil || e.Gateway.Subscribers() >= thin
-		for _, p := range e.Pairs {
+		for _, p := range e.Cluster.Pairs {
 			ready = ready && p.Primary.Health().EgressSubs >= direct
 		}
 		if ready {
@@ -284,86 +274,45 @@ func (e *Env) bringUp(watchDone chan struct{}) error {
 	return nil
 }
 
-// startBrokers brings up the broker plane: one pair on the scenario's node
-// names, or a cluster behind its Directory. Every Backup gets a Table 3
-// tracer.
+// startBrokers brings up the broker plane, a cluster.New cluster of
+// max(Shards, 1) pairs built from one broker template, and gives every
+// Backup a Table 3 tracer. On a durable deployment the Primary logs under
+// logDir and, in each life, holds its log's recovery until the harness
+// has reattached a subscriber; the first life's log starts empty.
 func (e *Env) startBrokers() error {
-	if e.sc.Shards >= 2 {
-		c, err := cluster.New(cluster.Config{
-			Shards:      e.sc.Shards,
-			Topics:      e.topics,
-			Engine:      e.engine,
-			NodeNetwork: e.Net.Node,
-			Mem:         e.sc.Mem,
-			Clock:       e.Clock,
-			Detector:    e.sc.Detector,
-			EgressDepth: e.sc.EgressDepth,
-			Logger:      e.log,
-		})
-		if err != nil {
-			return fmt.Errorf("cluster: %w", err)
-		}
-		e.Cluster, e.Pairs = c, c.Pairs
-		for _, p := range c.Pairs {
-			e.traceBroker(cluster.BackupNode(p.Index), p.Backup.Obs())
-		}
-		return nil
+	cfg := cluster.Config{Shards: max(e.sc.Shards, 1), Topics: e.topics, NodeNetwork: e.Net.Node, Mem: e.sc.Mem}
+	tmpl := &cfg.Broker
+	tmpl.Engine = core.FRAMEConfig(timing.Params{ // the broker tests' loopback regime
+		DeltaBSEdge: time.Millisecond, DeltaBSCloud: time.Millisecond, DeltaBB: time.Millisecond,
+		Failover: 100 * time.Millisecond,
+	})
+	// The pump publishes in bursts relative to Ti, so size the buffers for
+	// the whole run rather than relying on Ti-spaced arrivals.
+	tmpl.Engine.MessageBufferCap, tmpl.Engine.BackupBufferCap = 4096, 4096
+	tmpl.Clock, tmpl.Detector, tmpl.Logger, tmpl.EgressDepth = e.Clock, e.sc.Detector, e.log, e.sc.EgressDepth
+	if d := e.sc.Durable; d != nil {
+		tmpl.Durable, tmpl.LogDir, tmpl.HoldRecovery = true, e.logDir, true
+		tmpl.FsyncInterval, tmpl.LogSegmentBytes = d.FsyncInterval, d.SegmentBytes
 	}
-	backup, err := broker.New(e.brokerOptions(broker.RoleBackup, NodeBackup, "pending")) // peer fixed up once the Primary binds
+	c, err := cluster.New(cfg)
 	if err != nil {
-		return fmt.Errorf("backup: %w", err)
+		return fmt.Errorf("cluster: %w", err)
 	}
-	e.traceBroker(NodeBackup, backup.Obs())
-	po := e.brokerOptions(broker.RolePrimary, NodePrimary, backup.Addr())
-	po.ExtraGauges = e.Net.Gauges
-	primary, err := broker.New(po)
-	if err != nil {
-		backup.Stop()
-		return fmt.Errorf("primary: %w", err)
+	e.Cluster = c
+	for _, p := range c.Pairs {
+		e.traceBroker(cluster.BackupNode(p.Index), p.Backup.Obs())
 	}
 	if e.sc.Durable != nil {
-		e.lifeOne = e.traceBroker(NodePrimary, primary.Obs())
+		e.lifeOne = e.traceBroker(NodePrimary, c.Pairs[0].Primary.Obs())
 	}
-	backup.SetPeerAddr(primary.Addr())
-	backup.Start()
-	primary.Start()
-	e.Pairs = []*cluster.Pair{{Primary: primary, Backup: backup, Topics: e.topics}}
 	return nil
-}
-
-// brokerOptions configures one broker of the pair deployment; a durable
-// deployment's Primary runs on the group-commit log.
-func (e *Env) brokerOptions(role broker.Role, node, peer string) broker.Options {
-	listen := "127.0.0.1:0"
-	if e.sc.Mem { // Mem addresses are plain names
-		listen = node
-	}
-	o := broker.Options{
-		Engine:      e.engine,
-		Role:        role,
-		ListenAddr:  listen,
-		PeerAddr:    peer,
-		Network:     e.Net.Node(node),
-		Clock:       e.Clock,
-		Detector:    e.sc.Detector,
-		Topics:      e.topics,
-		Logger:      e.log,
-		EgressDepth: e.sc.EgressDepth,
-	}
-	if d := e.sc.Durable; d != nil && role == broker.RolePrimary {
-		o.Durable = true
-		o.LogDir = e.logDir
-		o.FsyncInterval = d.FsyncInterval
-		o.LogSegmentBytes = d.SegmentBytes
-	}
-	return o
 }
 
 // startPublishers opens the publishing side: one Directory-routed
 // publisher on a cluster, else Conns direct publishers sharing the topics
 // round-robin, with ACK = durable on a durable deployment.
 func (e *Env) startPublishers() error {
-	if e.Cluster != nil {
+	if e.sc.Shards >= 2 {
 		router, err := cluster.NewRouter(cluster.RouterOptions{
 			DirectoryAddr: e.Cluster.Dir.Addr(),
 			Network:       e.Net.Node(NodePub),
@@ -398,12 +347,13 @@ func (e *Env) startPublishers() error {
 	for i, tp := range e.sc.Topics { // topic i rides connection i mod conns
 		owned[i%len(owned)] = append(owned[i%len(owned)], tp)
 	}
+	pair := e.Cluster.Pairs[0]
 	for _, topics := range owned {
 		pub, err := client.NewPublisher(client.PublisherOptions{
 			Name:        NodePub,
 			Topics:      topics,
-			PrimaryAddr: e.Pairs[0].Primary.Addr(),
-			BackupAddr:  e.Pairs[0].Backup.Addr(),
+			PrimaryAddr: pair.Primary.Addr(),
+			BackupAddr:  pair.Backup.Addr(),
 			Network:     e.Net.Node(NodePub),
 			Clock:       e.Clock,
 			Logger:      e.log,
@@ -420,8 +370,8 @@ func (e *Env) startPublishers() error {
 }
 
 // startReceiver attaches one receiver: a wedged raw session on the
-// gateway, or a subscriber holding links to the gateway, to every broker
-// in the cluster's routing table, or to the pair.
+// gateway, or a subscriber holding links to the gateway or to every broker
+// in the cluster's routing table (for one shard, the pair).
 func (e *Env) startReceiver(spec Receiver) (*receiver, error) {
 	r := &receiver{Receiver: spec, rec: NewRecorder()}
 	net, ids := e.Net.Node(spec.Name), topicIDs(e.topics)
@@ -430,21 +380,9 @@ func (e *Env) startReceiver(spec Receiver) (*receiver, error) {
 		r.wedge, err = wedge(net, spec.Name, e.Gateway.Addr(), ids)
 		return r, err
 	}
-	addrs := []string{e.Pairs[0].Primary.Addr(), e.Pairs[0].Backup.Addr()}
-	switch {
-	case spec.Gateway:
+	addrs := e.Cluster.Dir.Table().Addrs()
+	if spec.Gateway {
 		addrs = []string{e.Gateway.Addr()}
-	case e.Cluster != nil:
-		var router *cluster.Router
-		router, err = cluster.NewRouter(cluster.RouterOptions{
-			DirectoryAddr: e.Cluster.Dir.Addr(),
-			Network:       net,
-			Logger:        e.log,
-		})
-		if err != nil {
-			return r, err
-		}
-		addrs = router.Table().Addrs()
 	}
 	r.sub, err = client.NewSubscriber(client.SubscriberOptions{
 		Name:        spec.Name,
@@ -623,14 +561,6 @@ func (e *Env) teardown() {
 	}
 	if e.Cluster != nil {
 		e.Cluster.StopExcept(e.crashed)
-	} else {
-		for _, p := range e.Pairs {
-			for _, b := range []*broker.Broker{p.Primary, p.Backup} {
-				if !e.crashed[b] {
-					b.Stop()
-				}
-			}
-		}
 	}
 	if e.logDir != "" {
 		os.RemoveAll(e.logDir)

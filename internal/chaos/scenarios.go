@@ -241,7 +241,7 @@ func slowSubscriberEgress() Scenario {
 				Do: SetLink(NodePrimary, "trickle-sub", faultinject.Faults{BandwidthBps: 32 << 10})},
 		},
 		Check: func(e *Env) []string {
-			es := e.Pairs[0].Primary.EgressStats()
+			es := e.Cluster.Pairs[0].Primary.EgressStats()
 			var v []string
 			if es.Shed == 0 {
 				v = append(v, "egress never shed despite a stalled subscriber behind a full ring")
@@ -307,13 +307,13 @@ func shardKillPair() Scenario {
 			if tab.Epoch != 2 {
 				v = append(v, fmt.Sprintf("directory epoch %d after one promotion, want 2", tab.Epoch))
 			}
-			pair := e.Pairs[victim]
+			pair := e.Cluster.Pairs[victim]
 			entry := tab.Shards[victim]
 			if entry.Primary != pair.Backup.Addr() || entry.Backup != "" {
 				v = append(v, fmt.Sprintf("shard %d entry %+v does not show the promoted backup owning the shard", victim, entry))
 			}
 			// Survivors' entries are untouched.
-			for _, p := range e.Pairs {
+			for _, p := range e.Cluster.Pairs {
 				if p.Index == victim {
 					continue
 				}

@@ -6,12 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"path/filepath"
 	"sync"
 
 	"repro/internal/broker"
-	"repro/internal/clocksync"
-	"repro/internal/core"
-	"repro/internal/failover"
 	"repro/internal/spec"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -36,24 +34,20 @@ type Config struct {
 	// partition, so a misrouted publish is an unknown topic at the broker
 	// and triggers the WrongShard redirect.
 	Topics []spec.Topic
-	// Engine is the per-broker core configuration.
-	Engine core.Config
-	// Network supplies listen/dial for every node when NodeNetwork is nil.
-	Network transport.Network
+	// Broker is the template every broker is built from (see
+	// brokerOptions): the cluster fills in Role, ListenAddr, PeerAddr,
+	// Topics and ShardEpoch, and Network when NodeNetwork is set. Its
+	// durable settings apply to each shard's Primary only, whose log lives
+	// in LogDir/PrimaryNode(i); Backups keep their copies in memory. Its
+	// Logger (nil means slog.Default) also receives the cluster's events.
+	Broker broker.Options
 	// NodeNetwork, when non-nil, supplies a per-node network view (e.g.
-	// faultinject.Network.Node) keyed by PrimaryNode/BackupNode/NodeRouting.
+	// faultinject.Network.Node) keyed by PrimaryNode/BackupNode/NodeRouting,
+	// in place of Broker.Network.
 	NodeNetwork func(node string) transport.Network
 	// Mem selects symbolic node-name listen addresses (in-process Mem
 	// transport); otherwise brokers bind TCP loopback ephemeral ports.
 	Mem bool
-	// Clock is the shared timebase.
-	Clock clocksync.Clock
-	// Detector tunes each pair's failure detector.
-	Detector failover.Config
-	// EgressDepth is passed through to every broker.
-	EgressDepth int
-	// Logger receives operational events; nil means slog.Default.
-	Logger *slog.Logger
 }
 
 // Pair is one running shard.
@@ -70,6 +64,8 @@ type Cluster struct {
 	Dir   *Directory
 	Pairs []*Pair
 
+	cfg       Config
+	parts     [][]spec.Topic // each shard's topic partition
 	watchDone chan struct{}
 	wg        sync.WaitGroup
 	stopOnce  sync.Once
@@ -83,86 +79,44 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Shards < 1 {
 		return nil, errors.New("cluster: need at least one shard")
 	}
-	if cfg.Clock == nil {
+	if cfg.Broker.Clock == nil {
 		return nil, errors.New("cluster: need a clock")
 	}
-	if cfg.Network == nil && cfg.NodeNetwork == nil {
+	if cfg.Broker.Network == nil && cfg.NodeNetwork == nil {
 		return nil, errors.New("cluster: need a network")
 	}
-	if cfg.Logger == nil {
-		cfg.Logger = slog.Default()
+	if cfg.Broker.Durable && cfg.Broker.LogDir == "" {
+		return nil, errors.New("cluster: durable brokers need a log dir")
 	}
-	netFor := cfg.NodeNetwork
-	if netFor == nil {
-		netFor = func(string) transport.Network { return cfg.Network }
+	if cfg.Broker.Logger == nil {
+		cfg.Broker.Logger = slog.Default()
 	}
-	listenFor := func(node string) string {
-		if cfg.Mem {
-			return node
-		}
-		return "127.0.0.1:0"
-	}
-
-	c := &Cluster{watchDone: make(chan struct{})}
-	parts := Partition(cfg.Topics, cfg.Shards)
+	c := &Cluster{cfg: cfg, parts: Partition(cfg.Topics, cfg.Shards), watchDone: make(chan struct{})}
 	entries := make([]wire.ShardEntry, cfg.Shards)
-	// The brokers' ShardEpoch hooks read through this pointer; it is set
-	// before any broker starts serving.
-	var dir *Directory
-	epoch := func() uint64 {
-		if dir == nil {
-			return 0
-		}
-		return dir.Epoch()
-	}
 	fail := func(err error) (*Cluster, error) {
 		c.Stop()
 		return nil, err
 	}
 	for i := 0; i < cfg.Shards; i++ {
-		bk, err := broker.New(broker.Options{
-			Engine:      cfg.Engine,
-			Role:        broker.RoleBackup,
-			ListenAddr:  listenFor(BackupNode(i)),
-			PeerAddr:    "pending", // fixed up once the Primary binds
-			Network:     netFor(BackupNode(i)),
-			Clock:       cfg.Clock,
-			Detector:    cfg.Detector,
-			Topics:      parts[i],
-			Logger:      cfg.Logger,
-			EgressDepth: cfg.EgressDepth,
-			ShardEpoch:  epoch,
-		})
+		// The Backup's peer is fixed up once the Primary binds.
+		bk, err := broker.New(c.brokerOptions(i, broker.RoleBackup, "pending"))
 		if err != nil {
 			return fail(fmt.Errorf("cluster: shard %d backup: %w", i, err))
 		}
-		pr, err := broker.New(broker.Options{
-			Engine:      cfg.Engine,
-			Role:        broker.RolePrimary,
-			ListenAddr:  listenFor(PrimaryNode(i)),
-			PeerAddr:    bk.Addr(),
-			Network:     netFor(PrimaryNode(i)),
-			Clock:       cfg.Clock,
-			Detector:    cfg.Detector,
-			Topics:      parts[i],
-			Logger:      cfg.Logger,
-			EgressDepth: cfg.EgressDepth,
-			ShardEpoch:  epoch,
-		})
+		pr, err := broker.New(c.brokerOptions(i, broker.RolePrimary, bk.Addr()))
 		if err != nil {
 			bk.Stop()
 			return fail(fmt.Errorf("cluster: shard %d primary: %w", i, err))
 		}
 		bk.SetPeerAddr(pr.Addr())
-		c.Pairs = append(c.Pairs, &Pair{Index: i, Primary: pr, Backup: bk, Topics: parts[i]})
+		c.Pairs = append(c.Pairs, &Pair{Index: i, Primary: pr, Backup: bk, Topics: c.parts[i]})
 		entries[i] = wire.ShardEntry{Primary: pr.Addr(), Backup: bk.Addr()}
 	}
-	var err error
-	dir, err = NewDirectory(DirectoryOptions{
-		ListenAddr: listenFor(NodeRouting),
-		Network:    netFor(NodeRouting),
+	dir, err := NewDirectory(DirectoryOptions{
+		ListenAddr: c.listenAddr(NodeRouting),
+		Network:    c.network(NodeRouting),
 		Shards:     entries,
-		Logger:     cfg.Logger,
+		Logger:     cfg.Broker.Logger,
 	})
 	if err != nil {
 		return fail(fmt.Errorf("cluster: directory: %w", err))
@@ -178,13 +132,75 @@ func New(cfg Config) (*Cluster, error) {
 			select {
 			case <-p.Backup.Promoted():
 				if err := dir.Promote(p.Index); err != nil {
-					cfg.Logger.Warn("promotion not recorded", "shard", p.Index, "err", err)
+					cfg.Broker.Logger.Warn("promotion not recorded", "shard", p.Index, "err", err)
 				}
 			case <-c.watchDone:
 			}
 		}()
 	}
 	return c, nil
+}
+
+// brokerOptions derives one broker's options from the template: shard i's
+// topic partition, its node's listen address and network, the Directory's
+// epoch for WrongShard redirects, and, on the Primary only, the durable
+// log under LogDir/PrimaryNode(i).
+func (c *Cluster) brokerOptions(i int, role broker.Role, peer string) broker.Options {
+	node := BackupNode(i)
+	if role == broker.RolePrimary {
+		node = PrimaryNode(i)
+	}
+	o := c.cfg.Broker
+	o.Role, o.PeerAddr, o.Topics, o.ShardEpoch = role, peer, c.parts[i], c.epoch
+	o.ListenAddr, o.Network = c.listenAddr(node), c.network(node)
+	if role == broker.RolePrimary && o.Durable {
+		o.LogDir = filepath.Join(o.LogDir, node)
+	} else {
+		o.Durable, o.LogDir = false, ""
+	}
+	return o
+}
+
+// epoch is the routing-table epoch the brokers publish in WrongShard
+// redirects. Dir is set before any broker starts serving.
+func (c *Cluster) epoch() uint64 {
+	if c.Dir == nil {
+		return 0
+	}
+	return c.Dir.Epoch()
+}
+
+func (c *Cluster) listenAddr(node string) string {
+	if c.cfg.Mem {
+		return node
+	}
+	return "127.0.0.1:0"
+}
+
+func (c *Cluster) network(node string) transport.Network {
+	if c.cfg.NodeNetwork != nil {
+		return c.cfg.NodeNetwork(node)
+	}
+	return c.cfg.Broker.Network
+}
+
+// RestartPrimary replaces shard i's Primary, which the caller has already
+// stopped, with a broker built from the same options: same node, same
+// durable log. It is the second life after a dual crash, so it stands
+// alone, with no Backup to replicate to; the routing table is left as it
+// was. The new broker is started (a template with HoldRecovery leaves its
+// log's backlog to RecoverFromLog), and Stop stops it.
+func (c *Cluster) RestartPrimary(i int) (*broker.Broker, error) {
+	if i < 0 || i >= len(c.Pairs) {
+		return nil, fmt.Errorf("cluster: no shard %d", i)
+	}
+	b, err := broker.New(c.brokerOptions(i, broker.RolePrimary, ""))
+	if err != nil {
+		return nil, fmt.Errorf("cluster: shard %d primary restart: %w", i, err)
+	}
+	b.Start()
+	c.Pairs[i].Primary = b
+	return b, nil
 }
 
 // Stop tears the cluster down. Brokers already stopped by a chaos script

@@ -1,15 +1,21 @@
 package cluster
 
 import (
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/broker"
 	"repro/internal/client"
 	"repro/internal/core"
+	"repro/internal/diskstore"
 	"repro/internal/failover"
 	"repro/internal/spec"
 	"repro/internal/timing"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 func testClock() func() time.Duration {
@@ -51,18 +57,20 @@ func testEngine() core.Config {
 	return cfg
 }
 
-func startTestCluster(t *testing.T, n transport.Network, shards int, topics []spec.Topic) *Cluster {
-	t.Helper()
-	c, err := New(Config{
-		Shards:   shards,
-		Topics:   topics,
+// testTemplate is the broker template of the test clusters.
+func testTemplate(n transport.Network) broker.Options {
+	return broker.Options{
 		Engine:   testEngine(),
 		Network:  n,
-		Mem:      true,
 		Clock:    testClock(),
 		Detector: fastDetector(),
 		Logger:   quietLog(),
-	})
+	}
+}
+
+func startTestCluster(t *testing.T, n transport.Network, shards int, topics []spec.Topic) *Cluster {
+	t.Helper()
+	c, err := New(Config{Shards: shards, Topics: topics, Broker: testTemplate(n), Mem: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,14 +332,22 @@ func TestClusterPromotionKeepsShard(t *testing.T) {
 
 // TestClusterValidation covers constructor guards.
 func TestClusterValidation(t *testing.T) {
-	if _, err := New(Config{Shards: 0, Clock: testClock(), Network: transport.NewMem()}); err == nil {
+	if _, err := New(Config{Shards: 0, Broker: broker.Options{Clock: testClock(), Network: transport.NewMem()}}); err == nil {
 		t.Error("zero shards accepted")
 	}
-	if _, err := New(Config{Shards: 1, Network: transport.NewMem()}); err == nil {
+	if _, err := New(Config{Shards: 1, Broker: broker.Options{Network: transport.NewMem()}}); err == nil {
 		t.Error("nil clock accepted")
 	}
-	if _, err := New(Config{Shards: 1, Clock: testClock()}); err == nil {
+	if _, err := New(Config{Shards: 1, Broker: broker.Options{Clock: testClock()}}); err == nil {
 		t.Error("nil network accepted")
+	}
+	if _, err := New(Config{Shards: 1, Broker: broker.Options{Clock: testClock(), Network: transport.NewMem(), Durable: true}}); err == nil {
+		t.Error("durable template without a log dir accepted")
+	}
+	// The smallest cluster is one pair, and its routing table is exactly it.
+	one := startTestCluster(t, transport.NewMem(), 1, lanTopics(1, 4))
+	if got, p := one.Dir.Table().Addrs(), one.Pairs[0]; !slices.Equal(got, []string{p.Primary.Addr(), p.Backup.Addr()}) {
+		t.Errorf("one-shard table addrs = %v, want [%s %s]", got, p.Primary.Addr(), p.Backup.Addr())
 	}
 	n := transport.NewMem()
 	r := &Router{}
@@ -340,5 +356,112 @@ func TestClusterValidation(t *testing.T) {
 	}
 	if _, err := NewPublisher(PublisherOptions{Topics: lanTopics(1, 0), Network: n, Clock: testClock()}); err == nil {
 		t.Error("publisher with nil router accepted")
+	}
+}
+
+// TestDurableTemplateLogsPerPrimary: a Durable template over two shards
+// gives each Primary its own log under LogDir/PrimaryNode(i) and no Backup
+// a log, and after a dual crash a Primary restarted through RestartPrimary
+// recovers exactly its own shard's unpruned records.
+func TestDurableTemplateLogsPerPrimary(t *testing.T) {
+	n := transport.NewMem()
+	dir := t.TempDir()
+	tmpl := testTemplate(n)
+	tmpl.Durable, tmpl.LogDir, tmpl.HoldRecovery = true, dir, true
+	c, err := New(Config{Shards: 2, Topics: lanTopics(8, 8), Broker: tmpl, Mem: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	killed := make(map[*broker.Broker]bool)
+	t.Cleanup(func() { c.StopExcept(killed) })
+
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logs []string
+	for _, e := range entries {
+		logs = append(logs, e.Name())
+	}
+	if want := []string{PrimaryNode(0), PrimaryNode(1)}; !slices.Equal(logs, want) {
+		t.Fatalf("log dirs = %v, want %v: one per Primary, none for a Backup", logs, want)
+	}
+
+	// Crash every broker, then leave each Primary's log two unpruned
+	// records per topic of its own shard, and shard 0's first topic a
+	// third record whose prune marker also reached the log.
+	for _, p := range c.Pairs {
+		for _, b := range []*broker.Broker{p.Backup, p.Primary} {
+			b.Kill()
+			killed[b] = true
+		}
+	}
+	const perTopic = 2
+	for _, p := range c.Pairs {
+		seg, _, err := diskstore.OpenSegmented(filepath.Join(dir, PrimaryNode(p.Index)), diskstore.SegmentOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tp := range p.Topics {
+			for seq := uint64(1); seq <= perTopic; seq++ {
+				if err := seg.Append(wire.Message{Topic: tp.ID, Seq: seq, Payload: []byte("logged")}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if p.Index == 0 {
+			pruned := p.Topics[0].ID
+			if err := seg.Append(wire.Message{Topic: pruned, Seq: perTopic + 1, Payload: []byte("pruned")}); err != nil {
+				t.Fatal(err)
+			}
+			if err := seg.AppendPrune(pruned, perTopic+1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := seg.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	b, err := c.RestartPrimary(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Pairs[0].Primary != b {
+		t.Error("RestartPrimary did not replace the pair's Primary")
+	}
+	ids := make([]spec.TopicID, 8)
+	for i := range ids {
+		ids[i] = spec.TopicID(i + 1)
+	}
+	sub, err := client.NewSubscriber(client.SubscriberOptions{
+		Name: "sub", Topics: ids, BrokerAddrs: []string{b.Addr()}, Network: n, Clock: testClock(), Logger: quietLog(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	waitFor(t, 2*time.Second, "subscriber registration", func() bool { return b.Health().EgressSubs >= 1 })
+	b.RecoverFromLog()
+
+	own := c.Pairs[0].Topics
+	waitFor(t, 5*time.Second, "recovery of shard 0's records", func() bool {
+		for _, tp := range own {
+			if sub.Received(tp.ID) < perTopic {
+				return false
+			}
+		}
+		return true
+	})
+	if got, want := b.Stats().RecoveryJobs, uint64(perTopic*len(own)); got != want {
+		t.Errorf("recovery jobs = %d, want %d: shard 0's unpruned records and nothing else", got, want)
+	}
+	for _, tp := range c.Pairs[1].Topics {
+		if got := sub.Received(tp.ID); got != 0 {
+			t.Errorf("shard 1 topic %d: %d messages recovered from shard 0's restart", tp.ID, got)
+		}
+	}
+	if got := sub.Received(own[0].ID); got != perTopic {
+		t.Errorf("topic %d: %d messages recovered, want %d (seq %d was pruned)", own[0].ID, got, perTopic, perTopic+1)
 	}
 }

@@ -148,15 +148,17 @@ func runShardPoint(shards int, opts ShardScaleOptions) (ShardScalePoint, error) 
 	clock := func() time.Duration { return time.Since(start) }
 	net := transport.NewMem()
 	c, err := cluster.New(cluster.Config{
-		Shards:      shards,
-		Topics:      topics,
-		Engine:      engineCfg,
-		Network:     net,
-		Mem:         true,
-		Clock:       clock,
-		Detector:    failover.Config{Period: 10 * time.Millisecond, Timeout: 30 * time.Millisecond, Misses: 3},
-		EgressDepth: opts.Topics * opts.PerTopic,
-		Logger:      quietLogger(),
+		Shards: shards,
+		Topics: topics,
+		Broker: broker.Options{
+			Engine:      engineCfg,
+			Network:     net,
+			Clock:       clock,
+			Detector:    failover.Config{Period: 10 * time.Millisecond, Timeout: 30 * time.Millisecond, Misses: 3},
+			EgressDepth: opts.Topics * opts.PerTopic,
+			Logger:      quietLogger(),
+		},
+		Mem: true,
 	})
 	if err != nil {
 		return ShardScalePoint{}, err

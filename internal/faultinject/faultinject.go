@@ -33,7 +33,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/obsv"
 	"repro/internal/transport"
 )
 
@@ -248,33 +247,6 @@ func (n *Network) untrack(c *faultConn) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	delete(n.conns, c)
-}
-
-// Gauges renders the injector's counters as obsv samples, for wiring into a
-// broker admin endpoint's /metrics via broker.Options.ExtraGauges.
-func (n *Network) Gauges() []obsv.Sample {
-	n.mu.Lock()
-	active := len(n.conns)
-	partsUp := len(n.parts)
-	n.mu.Unlock()
-	return []obsv.Sample{
-		{Name: "frame_faultinject_frames_forwarded_total", Counter: true,
-			Value: float64(n.stats.FramesForwarded.Load()), Help: "Frames the fault injector delivered."},
-		{Name: "frame_faultinject_bytes_forwarded_total", Counter: true,
-			Value: float64(n.stats.BytesForwarded.Load()), Help: "Bytes the fault injector delivered."},
-		{Name: "frame_faultinject_frames_dropped_total", Counter: true,
-			Value: float64(n.stats.FramesDropped.Load()), Help: "Frames removed by the injected drop lottery."},
-		{Name: "frame_faultinject_frames_held_total", Counter: true,
-			Value: float64(n.stats.FramesHeld.Load()), Help: "Frames held at least once by a partition or stall."},
-		{Name: "frame_faultinject_resets_total", Counter: true,
-			Value: float64(n.stats.Resets.Load()), Help: "Connections abruptly reset by the injector."},
-		{Name: "frame_faultinject_dials_refused_total", Counter: true,
-			Value: float64(n.stats.DialsRefused.Load()), Help: "Dials refused across a raised partition."},
-		{Name: "frame_faultinject_active_conns",
-			Value: float64(active), Help: "Live fault-injected connections."},
-		{Name: "frame_faultinject_partitions_active",
-			Value: float64(partsUp), Help: "Raised named partitions."},
-	}
 }
 
 // connSeed derives the deterministic rng seed for the n-th connection on a

@@ -581,16 +581,18 @@ func TestGatewayDirectoryMode(t *testing.T) {
 	engineCfg := core.FRAMEConfig(testParams())
 	engineCfg.MessageBufferCap = 4096
 	cl, err := cluster.New(cluster.Config{
-		Shards:  2,
-		Topics:  topics,
-		Engine:  engineCfg,
-		Network: net,
-		Mem:     true,
-		Clock:   clock,
-		Detector: failover.Config{
-			Period: 5 * time.Millisecond, Timeout: 20 * time.Millisecond, Misses: 3,
+		Shards: 2,
+		Topics: topics,
+		Broker: broker.Options{
+			Engine:  engineCfg,
+			Network: net,
+			Clock:   clock,
+			Detector: failover.Config{
+				Period: 5 * time.Millisecond, Timeout: 20 * time.Millisecond, Misses: 3,
+			},
+			Logger: quietLogger(),
 		},
-		Logger: quietLogger(),
+		Mem: true,
 	})
 	if err != nil {
 		t.Fatalf("cluster: %v", err)

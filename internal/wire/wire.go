@@ -231,21 +231,26 @@ var (
 )
 
 // Encode appends the frame's encoding to dst and returns the extended slice.
+// The data-path frames are the Append*Body helpers' bytes.
 func Encode(dst []byte, f *Frame) ([]byte, error) {
+	switch f.Type {
+	case TypePublish, TypeResend:
+		return AppendMessageBody(dst, f.Type, &f.Msg), nil
+	case TypeDispatch:
+		return AppendDispatchBody(dst, &f.Msg, f.Dispatched), nil
+	case TypeReplicate:
+		return AppendReplicateBody(dst, &f.Msg, f.ArrivedPrimary), nil
+	case TypePrune:
+		return AppendPruneBody(dst, f.Topic, f.Seq), nil
+	case TypePubAck:
+		return AppendPubAckBody(dst, f.Topic, f.Seq), nil
+	}
 	if f.Type < TypePublish || f.Type > maxType {
 		return dst, fmt.Errorf("%w: %d", ErrBadType, uint8(f.Type))
 	}
 	dst = append(dst, byte(f.Type))
 	switch f.Type {
-	case TypePublish, TypeResend:
-		dst = encodeMessage(dst, &f.Msg)
-	case TypeDispatch:
-		dst = encodeMessage(dst, &f.Msg)
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(f.Dispatched))
-	case TypeReplicate:
-		dst = encodeMessage(dst, &f.Msg)
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(f.ArrivedPrimary))
-	case TypePrune, TypeCancel, TypePubAck:
+	case TypeCancel:
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(f.Topic))
 		dst = binary.LittleEndian.AppendUint64(dst, f.Seq)
 	case TypePoll, TypePollReply:
@@ -307,79 +312,13 @@ func encodeMessage(dst []byte, m *Message) []byte {
 }
 
 // Decode parses one frame from buf, which must contain exactly one frame
-// (the transport strips length prefixes). The returned frame's Payload and
-// Topics alias freshly allocated memory, never buf.
+// (the transport strips length prefixes), into a fresh Frame. It is
+// DecodeInto in ModeCopy, so Payload and Topics never alias buf, and an
+// empty payload, topic list or shard table decodes as nil.
 func Decode(buf []byte) (*Frame, error) {
-	d := decoder{buf: buf}
-	t := d.u8()
-	if d.err != nil {
-		return nil, d.err
-	}
-	f := &Frame{Type: Type(t)}
-	switch f.Type {
-	case TypePublish, TypeResend:
-		d.message(&f.Msg)
-	case TypeDispatch:
-		d.message(&f.Msg)
-		f.Dispatched = time.Duration(d.u64())
-	case TypeReplicate:
-		d.message(&f.Msg)
-		f.ArrivedPrimary = time.Duration(d.u64())
-	case TypePrune, TypeCancel, TypePubAck:
-		f.Topic = spec.TopicID(d.u32())
-		f.Seq = d.u64()
-	case TypePoll, TypePollReply:
-		f.Nonce = d.u64()
-	case TypeHello:
-		f.Role = Role(d.u8())
-		n := int(d.u16())
-		f.Name = string(d.bytes(n))
-	case TypeSubscribe:
-		n := d.u32()
-		if n > MaxTopics {
-			return nil, fmt.Errorf("%w: %d topics", ErrTooLarge, n)
-		}
-		if d.err == nil {
-			f.Topics = make([]spec.TopicID, 0, n)
-			for i := uint32(0); i < n; i++ {
-				f.Topics = append(f.Topics, spec.TopicID(d.u32()))
-			}
-		}
-	case TypeTimeReq:
-		f.Nonce = d.u64()
-		f.T1 = time.Duration(d.u64())
-	case TypeTimeResp:
-		f.Nonce = d.u64()
-		f.T1 = time.Duration(d.u64())
-		f.T2 = time.Duration(d.u64())
-		f.T3 = time.Duration(d.u64())
-	case TypeRouteReq:
-		f.Nonce = d.u64()
-	case TypeRouteResp:
-		f.Nonce = d.u64()
-		f.Epoch = d.u64()
-		n := d.u32()
-		if n > MaxShards {
-			return nil, fmt.Errorf("%w: %d shards", ErrTooLarge, n)
-		}
-		if d.err == nil {
-			f.Shards = make([]ShardEntry, 0, n)
-			for i := uint32(0); i < n && d.err == nil; i++ {
-				f.Shards = append(f.Shards, d.shardEntry())
-			}
-		}
-	case TypeWrongShard:
-		f.Topic = spec.TopicID(d.u32())
-		f.Epoch = d.u64()
-	case TypePromoted:
-	default:
-		return nil, fmt.Errorf("%w: %d", ErrBadType, t)
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if len(d.buf) != d.off {
-		return nil, fmt.Errorf("wire: %d trailing bytes after %v frame", len(d.buf)-d.off, f.Type)
+	f := new(Frame)
+	if err := DecodeInto(buf, f, ModeCopy); err != nil {
+		return nil, err
 	}
 	return f, nil
 }
@@ -468,16 +407,4 @@ func (d *decoder) shardEntry() ShardEntry {
 	}
 	e.Backup = string(d.bytes(n))
 	return e
-}
-
-func (d *decoder) message(m *Message) {
-	m.Topic = spec.TopicID(d.u32())
-	m.Seq = d.u64()
-	m.Created = time.Duration(d.u64())
-	n := d.u32()
-	if n > MaxPayload {
-		d.err = fmt.Errorf("%w: payload %d bytes", ErrTooLarge, n)
-		return
-	}
-	m.Payload = d.bytes(int(n))
 }

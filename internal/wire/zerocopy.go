@@ -1,12 +1,11 @@
 // Zero-allocation codec entry points.
 //
-// Decode allocates a fresh Frame, payload, and topic list per call — fine
-// for control traffic, but the broker's hot path decodes one frame per
-// published message and the resulting garbage inflates tail latency exactly
-// where the paper's deadline analysis (Lemmas 1–2) is tightest. DecodeInto
-// is the steady-state-allocation-free alternative: the caller owns the Frame
-// and its variable-length fields are either reused (ModeCopy) or aliased
-// into the read buffer (ModeAlias). The Append*Body helpers are the encode
+// DecodeInto is the one frame decoder. Decode wraps it with a fresh Frame
+// per call, fine for control traffic, but the broker's hot path decodes one
+// frame per published message and that garbage would inflate tail latency
+// exactly where the paper's deadline analysis (Lemmas 1–2) is tightest. So
+// hot paths own a reused Frame whose variable-length fields are either
+// recycled (ModeCopy) or aliased into the read buffer (ModeAlias). The Append*Body helpers are the encode
 // side of the same idea: they build a frame body once, so a sender can fan
 // the identical bytes out to every subscriber instead of re-encoding per
 // connection (see FrameBuf, and FrameBuf.Reframe for the broker's way of not
@@ -41,8 +40,7 @@ const (
 // DecodeInto parses one frame from buf into f, which the caller owns and may
 // reuse across calls. Every field of f is overwritten; Payload and Topics
 // storage is recycled per mode (Topics always copies — it is a typed slice,
-// not raw bytes). On error f's contents are unspecified. The accepted input
-// set and resulting field values are byte-for-byte identical to Decode's.
+// not raw bytes). On error f's contents are unspecified.
 func DecodeInto(buf []byte, f *Frame, mode DecodeMode) error {
 	payload := f.Msg.Payload[:0]
 	topics := f.Topics[:0]
@@ -122,7 +120,8 @@ func DecodeInto(buf []byte, f *Frame, mode DecodeMode) error {
 	return nil
 }
 
-// messageInto is decoder.message with caller-supplied payload storage.
+// messageInto decodes a message body into m, its payload copied into the
+// caller-supplied storage (ModeCopy) or aliased into the input (ModeAlias).
 func (d *decoder) messageInto(m *Message, payload []byte, mode DecodeMode) {
 	m.Topic = spec.TopicID(d.u32())
 	m.Seq = d.u64()
