@@ -83,77 +83,47 @@ func run() error {
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	network := frame.NewTCPNetwork(2 * time.Second)
 
-	var pub publisher
-	if *gwAddr != "" {
+	// One publisher template serves all three modes; only where it points
+	// (and which broker disciplines its clock) differs.
+	opts := frame.PublisherOptions{
+		Name: *name, Topics: topics, PrimaryAddr: *primary, BackupAddr: *backup,
+		Network: network, Logger: logger,
+	}
+	var router *cluster.Router
+	switch {
+	case *gwAddr != "":
 		// Thin-client mode: the gateway is the publisher's Primary. It
 		// answers clock sync itself and forwards publishes to whichever
 		// broker owns each topic; no Backup address because broker
 		// failover is resolved behind the gateway.
-		clock, stopSync, err := syncedClock(network, *gwAddr)
-		if err != nil {
-			return err
-		}
-		defer stopSync()
-		fp, err := frame.NewPublisher(frame.PublisherOptions{
-			Name:        *name,
-			Topics:      topics,
-			PrimaryAddr: *gwAddr,
-			Network:     network,
-			Clock:       clock,
-			Logger:      logger,
-		})
-		if err != nil {
-			return err
-		}
-		pub = fp
-	} else if *directory != "" {
-		router, err := cluster.NewRouter(cluster.RouterOptions{
+		opts.PrimaryAddr, opts.BackupAddr = *gwAddr, ""
+	case *directory != "":
+		if router, err = cluster.NewRouter(cluster.RouterOptions{
 			DirectoryAddr: *directory,
 			Network:       network,
 			Logger:        logger,
-		})
-		if err != nil {
+		}); err != nil {
 			return err
 		}
-		// Discipline the clock against the first shard's Primary; the whole
-		// cluster shares one timebase.
-		clock, stopSync, err := syncedClock(network, router.Table().Shards[0].Primary)
-		if err != nil {
-			return err
-		}
-		defer stopSync()
-		cp, err := cluster.NewPublisher(cluster.PublisherOptions{
-			Name:            *name,
-			Topics:          topics,
-			Router:          router,
-			Network:         network,
-			Clock:           clock,
-			RefreshInterval: time.Second,
-			Logger:          logger,
-		})
-		if err != nil {
-			return err
-		}
-		pub = cp
+		// The cluster fills in each pair's addresses; until then PrimaryAddr
+		// names the first shard's Primary, which disciplines the clock for
+		// the whole cluster's one timebase.
+		opts.PrimaryAddr = router.Table().Shards[0].Primary
+	}
+	clock, stopSync, err := syncedClock(network, opts.PrimaryAddr)
+	if err != nil {
+		return err
+	}
+	defer stopSync()
+	opts.Clock = clock
+	var pub publisher
+	if router != nil {
+		pub, err = cluster.NewPublisher(cluster.PublisherOptions{Publisher: opts, Router: router, RefreshInterval: time.Second})
 	} else {
-		clock, stopSync, err := syncedClock(network, *primary)
-		if err != nil {
-			return err
-		}
-		defer stopSync()
-		fp, err := frame.NewPublisher(frame.PublisherOptions{
-			Name:        *name,
-			Topics:      topics,
-			PrimaryAddr: *primary,
-			BackupAddr:  *backup,
-			Network:     network,
-			Clock:       clock,
-			Logger:      logger,
-		})
-		if err != nil {
-			return err
-		}
-		pub = fp
+		pub, err = frame.NewPublisher(opts)
+	}
+	if err != nil {
+		return err
 	}
 	defer pub.Close()
 

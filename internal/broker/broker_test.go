@@ -115,22 +115,6 @@ func startCluster(t *testing.T, n transport.Network, primaryAddr, backupAddr str
 	return &cluster{primary: primary, backup: backup, net: n, clock: clock}
 }
 
-// awaitSubscribed blocks until each broker has registered n subscriber
-// sessions. SUBSCRIBE has no ack: NewSubscriber returns once the frame is
-// written, and a publish that overtakes the registration is dispatched to
-// nobody.
-func awaitSubscribed(t *testing.T, n int, brokers ...*Broker) {
-	t.Helper()
-	waitFor(t, 2*time.Second, "subscriptions registered", func() bool {
-		for _, b := range brokers {
-			if b.Health().EgressSubs < n {
-				return false
-			}
-		}
-		return true
-	})
-}
-
 func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(d)
@@ -166,7 +150,6 @@ func TestPublishDispatchEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sub.Close()
-	awaitSubscribed(t, 1, c.primary, c.backup)
 
 	pub, err := client.NewPublisher(client.PublisherOptions{
 		Name:        "pub1",
@@ -276,7 +259,6 @@ func TestFailoverPromotionAndZeroLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sub.Close()
-	awaitSubscribed(t, 1, c.primary, c.backup)
 
 	pub, err := client.NewPublisher(client.PublisherOptions{
 		Name: "pub", Topics: topics,
@@ -408,7 +390,6 @@ func TestEndToEndOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sub.Close()
-	awaitSubscribed(t, 1, c.primary, c.backup)
 
 	pub, err := client.NewPublisher(client.PublisherOptions{
 		Name: "pub", Topics: topics,
@@ -447,7 +428,6 @@ func TestSubscriberDisconnectCleanup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	awaitSubscribed(t, 1, c.primary)
 	pub, err := client.NewPublisher(client.PublisherOptions{
 		Name: "pub", Topics: topics,
 		PrimaryAddr: "primary", BackupAddr: "backup",
@@ -525,7 +505,6 @@ func TestConcurrentLoadManyClients(t *testing.T) {
 		defer s.Close()
 		subs[i] = s
 	}
-	awaitSubscribed(t, nSubs, c.primary, c.backup)
 	var wg sync.WaitGroup
 	for p := 0; p < nPubs; p++ {
 		p := p

@@ -184,7 +184,6 @@ func runChaosCycle(t *testing.T, cycle int, rng *rand.Rand) {
 		t.Fatal(err)
 	}
 	defer sub.Close()
-	awaitSubscribed(t, 1, primary, backup)
 
 	pub, err := client.NewPublisher(client.PublisherOptions{
 		Name: "chaos-pub", Topics: topics,

@@ -110,9 +110,6 @@ func TestDurableWedgedPublisherEvictedAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sub.Close()
-	waitFor(t, 2*time.Second, "subscriber registration", func() bool {
-		return b.Health().EgressSubs == 1
-	})
 
 	wedged := rawPublisher(t, n, b.Addr())
 	defer wedged.Close()
@@ -238,9 +235,6 @@ func TestDurableCommitFailureLoggedOnceAndCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sub.Close()
-	waitFor(t, 2*time.Second, "subscriber registration", func() bool {
-		return b.Health().EgressSubs == 1
-	})
 	pub, err := client.NewPublisher(client.PublisherOptions{
 		Name: "p", Topics: topics, PrimaryAddr: b.Addr(),
 		Network: n, Clock: testClock(), Logger: quietLogger(),

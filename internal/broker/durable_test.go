@@ -60,7 +60,6 @@ func TestDurablePublishAckRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sub.Close()
-	awaitSubscribed(t, 1, b)
 
 	pub, err := client.NewPublisher(client.PublisherOptions{
 		Name: "p", Topics: topics, PrimaryAddr: b.Addr(),
@@ -139,11 +138,8 @@ func TestDurableRestartReplaysUnprunedOnly(t *testing.T) {
 	}
 	defer sub.Close()
 
-	// The subscribe frame is fire-and-forget; recovery dispatched before
-	// the broker registers the session would prune with nobody listening.
-	waitFor(t, 2*time.Second, "subscriber registration", func() bool {
-		return b.Health().EgressSubs >= 1
-	})
+	// NewSubscriber returned once the broker had registered the session, so
+	// no recovery dispatch prunes with nobody listening.
 	b.RecoverFromLog()
 	waitFor(t, 2*time.Second, "recovery dispatches", func() bool {
 		return sub.Received(1) == 5
@@ -177,7 +173,6 @@ func TestDurableStopMarksDispatchedAndRestartIsQuiet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	awaitSubscribed(t, 1, b)
 	pub, err := client.NewPublisher(client.PublisherOptions{
 		Name: "p", Topics: topics, PrimaryAddr: b.Addr(),
 		Network: n, Clock: testClock(), Logger: quietLogger(),

@@ -181,7 +181,6 @@ func TestPerTopicFIFOWithHeldDispatcher(t *testing.T) {
 	releaseHold := func() { once.Do(func() { close(release) }) }
 	defer releaseHold() // before Stop, which waits for the held dispatcher
 	got := deliveries(t, netw, clock, []string{"primary"}, topic)
-	awaitSubscribed(t, 1, b)
 	pub := rawPublisher(t, netw, "primary")
 	defer pub.Close()
 
@@ -285,7 +284,6 @@ func TestPeerRingStalledBackupDropsLink(t *testing.T) {
 	link := <-fb.wedged
 	defer link.Close()
 	got := deliveries(t, n, clock, []string{"primary"}, 1, 2)
-	awaitSubscribed(t, 1, b)
 	pub := rawPublisher(t, n, "primary")
 	defer pub.Close()
 
@@ -332,7 +330,6 @@ func TestPeerRingKeepsPruneBehindReplicate(t *testing.T) {
 	fb := startFakeBackup(t, n, "backup", true)
 	b, clock := primaryWithPeer(t, n, topics, quietLogger(), 0)
 	got := deliveries(t, n, clock, []string{"primary"}, 1, 2, 3, 4, 5, 6)
-	awaitSubscribed(t, 1, b)
 	pub := rawPublisher(t, n, "primary")
 	defer pub.Close()
 	const perTopic = 50
@@ -391,7 +388,6 @@ func TestPeerRingRetiredBeforeFlusherPool(t *testing.T) {
 			topics := []spec.Topic{lanTopic(1, 3), lanTopic(2, 3)}
 			c := startCluster(t, transport.NewMem(), "primary", "backup", topics)
 			deliveries(t, c.net, c.clock, []string{"primary"}, 1, 2)
-			awaitSubscribed(t, 1, c.primary)
 			pub := rawPublisher(t, c.net, "primary")
 			defer pub.Close()
 			for seq := uint64(1); seq <= 100; seq++ {
@@ -471,7 +467,6 @@ func TestPeerRingRetiredBeforeFlusherPool(t *testing.T) {
 			<-release
 		}, lanTopic(1, 3))
 		got := checkedDeliveries(t, n, clock, "backup", 1)
-		awaitSubscribed(t, 1, b)
 		sendReplica(t, peer, 1, 1, 64)
 		pollRoundTrip(t, peer, 1)
 		b.promote()

@@ -129,7 +129,6 @@ func TestMetricsEndpointCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sub.Close()
-	awaitSubscribed(t, 1, c.primary, c.backup)
 
 	pub, err := client.NewPublisher(client.PublisherOptions{
 		Name: "pub", Topics: topics,
@@ -316,7 +315,6 @@ func TestLifecycleTracing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sub.Close()
-	awaitSubscribed(t, 1, c.primary, c.backup)
 
 	pub, err := client.NewPublisher(client.PublisherOptions{
 		Name: "pub", Topics: topics,

@@ -60,6 +60,7 @@ func rawSubscriber(t *testing.T, n transport.Network, addr string, topics ...spe
 	if err := conn.Send(&wire.Frame{Type: wire.TypeSubscribe, Topics: topics}); err != nil {
 		t.Fatal(err)
 	}
+	pollRoundTrip(t, conn, 1) // confirms the Subscribe, as client.Subscriber does
 	return conn
 }
 
@@ -111,9 +112,7 @@ func TestQueuedFramesOutliveTheirRingEntries(t *testing.T) {
 	})
 	defer b.Stop()
 	held := rawSubscriber(t, n, "primary", 1)
-	awaitSubscribed(t, 1, b)
 	got := checkedDeliveries(t, n, clock, "primary", 1)
-	awaitSubscribed(t, 2, b)
 	pub := rawPublisher(t, n, "primary")
 	defer pub.Close()
 
@@ -247,7 +246,6 @@ func TestSecondJobEncodesWhileFirstFrameIsQueued(t *testing.T) {
 			b.Start()
 			defer b.Stop()
 			sub := rawSubscriber(t, n, "primary", 1)
-			awaitSubscribed(t, 1, b)
 			pub := rawPublisher(t, n, "primary")
 			defer pub.Close()
 
@@ -390,7 +388,6 @@ func TestRecoveryDispatchSendsReplicasInPlace(t *testing.T) {
 	}
 	pollRoundTrip(t, peer, 1) // the session has stored and pruned everything
 	got := checkedDeliveries(t, n, clock, "backup", 1)
-	awaitSubscribed(t, 1, b)
 
 	b.promote()
 	for seq := uint64(1); seq <= count; seq++ {
@@ -436,7 +433,6 @@ func TestPublishToDispatchDoesNotAllocate(t *testing.T) {
 		b, clock := soloPrimary(t, n, []spec.Topic{topic}, nil)
 		sub := rawSubscriber(t, n, "primary", 1)
 		sub.SetZeroCopy(true)
-		awaitSubscribed(t, 1, b)
 		pub := rawPublisher(t, n, "primary")
 		out := &wire.Frame{Type: wire.TypePublish, Msg: wire.Message{Topic: 1, Payload: stamped(1, 0, size)}}
 		in := transport.GetFrame()
@@ -480,7 +476,6 @@ func TestSmallMessagesNeverSitInJumboStorage(t *testing.T) {
 	})
 	defer b.Stop()
 	got := checkedDeliveries(t, n, clock, "primary", 1)
-	awaitSubscribed(t, 1, b)
 	pub := rawPublisher(t, n, "primary")
 	defer pub.Close()
 	seq := uint64(0)

@@ -85,12 +85,11 @@ type Step struct {
 // thing that differs between a pair, shard, gateway and dual-crash run.
 type Deployment struct {
 	// Shards is the number of Primary+Backup pairs of the cluster.New
-	// cluster every deployment runs on. Shards ≤ 1 is one pair, on
-	// NodePrimary/NodeBackup, whose endpoints address it directly: the
-	// publishers are client.Publishers and a gateway runs in BrokerAddrs
-	// mode. Shards ≥ 2 routes the publisher and the gateway through the
-	// cluster's Directory. Direct subscribers always dial every broker in
-	// the routing table.
+	// cluster every deployment runs on; Shards ≤ 1 is one pair, on
+	// NodePrimary/NodeBackup. Every endpoint goes through the cluster's
+	// Directory: the publishers are cluster.Publishers on one Router, the
+	// gateway runs in DirectoryAddr mode, and direct subscribers dial every
+	// broker in the routing table.
 	Shards int
 	// Mem runs over the in-process Mem transport instead of TCP loopback:
 	// backpressure surfaces deterministically, and a restart rebinds the
@@ -100,12 +99,12 @@ type Deployment struct {
 	EgressDepth int
 	// Detector overrides the fast default failure detector tuning.
 	Detector failover.Config
-	// Gateway puts a gateway (NodeGateway) in front of the brokers, in
-	// pair or Directory mode following the broker plane.
+	// Gateway puts a gateway (NodeGateway) in front of the brokers.
 	Gateway *GatewayPlane
 	// Durable runs the pair's Primary on a group-commit log, from the
 	// cluster's broker template, with ACK = durable publishers; a KillPair
-	// step hands the run to a second life. It needs Shards ≤ 1.
+	// step hands the run to a second life. It needs Shards ≤ 1: KillPair
+	// and the second life handle shard 0's pair only.
 	Durable *DurablePlane
 }
 
@@ -122,8 +121,8 @@ type DurablePlane struct {
 	// the kill window spans several rolls (0 = broker default).
 	FsyncInterval time.Duration
 	SegmentBytes  int64
-	// Conns publisher connections share the topics round-robin; on each,
-	// InFlight goroutines publish, each waiting for its own PubAck (0 = 1).
+	// Conns publishers share the topics round-robin; on each, InFlight
+	// goroutines publish, each waiting for its own PubAck (0 = 1).
 	Conns, InFlight int
 	// Orphans grafts this many records onto the crashed log, on a topic
 	// the pump never publishes: records whose prune markers never reached

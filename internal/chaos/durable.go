@@ -120,9 +120,6 @@ func (e *Env) runSecondLife() error {
 		return fmt.Errorf("second-life subscriber: %w", err)
 	}
 	defer s.sub.Close()
-	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline) && primary.Health().EgressSubs < 1; {
-		time.Sleep(time.Millisecond)
-	}
 	primary.RecoverFromLog()
 	e.Tr.Logf(e.Clock(), "second life up at %s; recovery scheduled from log", primary.Addr())
 

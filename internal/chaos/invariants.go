@@ -68,6 +68,19 @@ func (r *Recorder) has(topic spec.TopicID, seq uint64) bool {
 	return r.seen[topic][seq]
 }
 
+// framesFrom counts the frames that arrived over links from source.
+func (r *Recorder) framesFrom(source string) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := 0
+	for id, lr := range r.links {
+		if id.source == source {
+			n += lr.frames
+		}
+	}
+	return n
+}
+
 // fifoViolations returns one message per link whose rewind count exceeds
 // the scenario's budget.
 func (r *Recorder) fifoViolations(allowed int) []string {

@@ -63,14 +63,6 @@ const (
 // tolerant enough (20ms probe timeout) not to false-positive on loaded CI.
 var defaultDetector = failover.Config{Period: 5 * time.Millisecond, Timeout: 20 * time.Millisecond, Misses: 3}
 
-// publisher is the method set the pump and the judge use; the pair and
-// cluster publishers both provide it.
-type publisher interface {
-	Publish(spec.TopicID, []byte) (uint64, error)
-	LastSeq(spec.TopicID) uint64
-	Close()
-}
-
 // receiver is one built Receiver: its subscriber or wedged session, and its recorder.
 type receiver struct {
 	Receiver
@@ -105,7 +97,7 @@ type Env struct {
 	topics    []spec.Topic // every served topic, the orphan topic included
 	logDir    string
 	gwOpts    gateway.Options
-	pubs      []publisher
+	pubs      []*cluster.Publisher
 	pubTopics [][]spec.Topic // the topics each publisher pumps
 	recv      []*receiver
 	traces    []*traceRecorder
@@ -134,7 +126,7 @@ func Run(sc Scenario, opts RunOptions) (*Result, error) {
 		return nil, fmt.Errorf("chaos: %s: gateway and durable deployments need Mem so a restart can rebind the crashed address", sc.Name)
 	}
 	if sc.Durable != nil && sc.Shards >= 2 {
-		return nil, fmt.Errorf("chaos: %s: the durable plane runs on a single pair: cluster.PublisherOptions carries no durable acks", sc.Name)
+		return nil, fmt.Errorf("chaos: %s: the durable plane runs on a single pair: KillPair and the second life handle shard 0's pair only", sc.Name)
 	}
 	for _, r := range sc.Receivers {
 		if r.viaGateway() && sc.Gateway == nil {
@@ -189,7 +181,9 @@ func Run(sc Scenario, opts RunOptions) (*Result, error) {
 }
 
 // bringUp builds every plane of the deployment, then the publishers and
-// receivers, and waits until every subscription has landed.
+// receivers. Every subscription is in place when it returns: a subscriber,
+// the gateway's upstream one included, and a wedged session each confirm
+// theirs before they are counted up.
 func (e *Env) bringUp(watchDone chan struct{}) error {
 	if d := e.sc.Durable; d != nil {
 		dir, err := os.MkdirTemp("", "frame-chaos-durable-*")
@@ -225,17 +219,13 @@ func (e *Env) bringUp(watchDone chan struct{}) error {
 		e.gwOpts = gateway.Options{
 			ListenAddr:         NodeGateway,
 			Topics:             e.topics,
+			DirectoryAddr:      e.Cluster.Dir.Addr(),
 			Network:            e.Net.Node(NodeGateway),
 			Clock:              e.Clock,
 			Name:               NodeGateway,
 			ClientDepth:        g.ClientDepth,
 			ClientWriteTimeout: g.ClientWriteTimeout,
 			Logger:             e.log,
-		}
-		if e.sc.Shards >= 2 {
-			e.gwOpts.DirectoryAddr = e.Cluster.Dir.Addr()
-		} else {
-			e.gwOpts.BrokerAddrs = e.Cluster.Dir.Table().Addrs()
 		}
 		if err := RestartGateway()(e); err != nil {
 			return err
@@ -244,32 +234,12 @@ func (e *Env) bringUp(watchDone chan struct{}) error {
 	if err := e.startPublishers(); err != nil {
 		return fmt.Errorf("publisher: %w", err)
 	}
-	direct, thin := 0, 0
 	for _, spec := range e.sc.Receivers {
 		r, err := e.startReceiver(spec)
 		if err != nil {
 			return fmt.Errorf("receiver %s: %w", spec.Name, err)
 		}
 		e.recv = append(e.recv, r)
-		if spec.viaGateway() {
-			thin++
-		} else {
-			direct++
-		}
-	}
-	if e.Gateway != nil {
-		direct++ // its upstream session
-	}
-	// Subscriptions land asynchronously: wait until every Primary and the
-	// gateway registered theirs before the pump starts.
-	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-		ready := e.Gateway == nil || e.Gateway.Subscribers() >= thin
-		for _, p := range e.Cluster.Pairs {
-			ready = ready && p.Primary.Health().EgressSubs >= direct
-		}
-		if ready {
-			break
-		}
 	}
 	return nil
 }
@@ -308,57 +278,41 @@ func (e *Env) startBrokers() error {
 	return nil
 }
 
-// startPublishers opens the publishing side: one Directory-routed
-// publisher on a cluster, else Conns direct publishers sharing the topics
+// startPublishers opens the publishing side: Conns cluster publishers
+// (one without a durable plane) on one Router, sharing the topics
 // round-robin, with ACK = durable on a durable deployment.
 func (e *Env) startPublishers() error {
-	if e.sc.Shards >= 2 {
-		router, err := cluster.NewRouter(cluster.RouterOptions{
-			DirectoryAddr: e.Cluster.Dir.Addr(),
-			Network:       e.Net.Node(NodePub),
-			Logger:        e.log,
-		})
-		if err != nil {
-			return err
-		}
-		pub, err := cluster.NewPublisher(cluster.PublisherOptions{
-			Name:    NodePub,
-			Topics:  e.sc.Topics,
-			Router:  router,
-			Network: e.Net.Node(NodePub),
-			Clock:   e.Clock,
-			Logger:  e.log,
-			// Poll as well as redirect-refresh, so routing-plane outage
-			// scenarios actually exercise fetch failures mid-run.
-			RefreshInterval: 50 * time.Millisecond,
-		})
-		if err != nil {
-			return err
-		}
-		e.pubs = append(e.pubs, pub)
-		e.pubTopics = append(e.pubTopics, e.sc.Topics)
-		return nil
+	router, err := cluster.NewRouter(cluster.RouterOptions{
+		DirectoryAddr: e.Cluster.Dir.Addr(),
+		Network:       e.Net.Node(NodePub),
+		Logger:        e.log,
+	})
+	if err != nil {
+		return err
 	}
 	d := e.sc.Durable
 	owned := make([][]spec.Topic, 1)
 	if d != nil {
 		owned = make([][]spec.Topic, max(d.Conns, 1))
 	}
-	for i, tp := range e.sc.Topics { // topic i rides connection i mod conns
+	for i, tp := range e.sc.Topics { // topic i rides publisher i mod conns
 		owned[i%len(owned)] = append(owned[i%len(owned)], tp)
 	}
-	pair := e.Cluster.Pairs[0]
 	for _, topics := range owned {
-		pub, err := client.NewPublisher(client.PublisherOptions{
-			Name:        NodePub,
-			Topics:      topics,
-			PrimaryAddr: pair.Primary.Addr(),
-			BackupAddr:  pair.Backup.Addr(),
-			Network:     e.Net.Node(NodePub),
-			Clock:       e.Clock,
-			Logger:      e.log,
-			DurableAcks: d != nil,
-			AckTimeout:  time.Second,
+		pub, err := cluster.NewPublisher(cluster.PublisherOptions{
+			Publisher: client.PublisherOptions{
+				Name:        NodePub,
+				Topics:      topics,
+				Network:     e.Net.Node(NodePub),
+				Clock:       e.Clock,
+				Logger:      e.log,
+				DurableAcks: d != nil,
+				AckTimeout:  time.Second,
+			},
+			Router: router,
+			// Poll as well as redirect-refresh, so routing-plane outage
+			// scenarios actually exercise fetch failures mid-run.
+			RefreshInterval: 50 * time.Millisecond,
 		})
 		if err != nil {
 			return err
@@ -396,24 +350,37 @@ func (e *Env) startReceiver(spec Receiver) (*receiver, error) {
 	return r, err
 }
 
-// wedge opens a raw session that subscribes and then never reads — its
-// sender-side ring must absorb, shed, and finally evict it.
+// wedge opens a raw session that subscribes, confirms its Subscribe as a
+// client.Subscriber does (a Poll, then its PollReply) and then never reads
+// again — its sender-side ring must absorb, shed, and finally evict it.
 func wedge(net transport.Network, name, addr string, topics []spec.TopicID) (*transport.Conn, error) {
 	nc, err := net.Dial(addr)
 	if err != nil {
 		return nil, err
 	}
 	conn := transport.NewConn(nc)
+	const nonce = 1
 	for _, f := range []*wire.Frame{
 		{Type: wire.TypeHello, Role: wire.RoleSubscriber, Name: name},
 		{Type: wire.TypeSubscribe, Topics: topics},
+		{Type: wire.TypePoll, Nonce: nonce},
 	} {
 		if err := conn.Send(f); err != nil {
 			conn.Close()
 			return nil, err
 		}
 	}
-	return conn, nil
+	conn.SetReadDeadline(time.Now().Add(3 * time.Second))
+	for {
+		f, err := conn.Recv()
+		if err != nil {
+			conn.Close()
+			return nil, fmt.Errorf("subscription unconfirmed: %w", err)
+		}
+		if f.Type == wire.TypePollReply && f.Nonce == nonce {
+			return conn, nil
+		}
+	}
 }
 
 // play runs the publish pump and the timeline, heals the world, and
@@ -492,7 +459,7 @@ func (e *Env) startPump() {
 	for i, pub := range e.pubs {
 		for g := 0; g < inFlight; g++ {
 			wg.Add(1)
-			go func(pub publisher, topics []spec.Topic) {
+			go func(pub *cluster.Publisher, topics []spec.Topic) {
 				defer wg.Done()
 				payload := make([]byte, ld.PayloadSize)
 				ticker := time.NewTicker(ld.Interval)

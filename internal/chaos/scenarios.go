@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/client"
 	"repro/internal/cluster"
 	"repro/internal/faultinject"
 	"repro/internal/spec"
@@ -109,12 +108,12 @@ func isolatePrimary() Scenario {
 		Receivers:       []Receiver{directSub(0)},
 		ExpectPromotion: true,
 		Check: func(e *Env) []string {
-			select {
-			case <-e.pubs[0].(*client.Publisher).FailedOver():
+			// The Backup holds no copy to recover (Proposition 1), so any
+			// frame it dispatched came from the publisher failing over to it.
+			if e.recv[0].rec.framesFrom(e.Cluster.Pairs[0].Backup.Addr()) > 0 {
 				return nil
-			default:
-				return []string{"publisher never failed over: the promoted Backup's notice did not reach it"}
 			}
+			return []string{"publisher never failed over: the promoted Backup's notice did not reach it"}
 		},
 	}
 }
@@ -350,7 +349,7 @@ func shardRoutingPartition() Scenario {
 		Receivers: []Receiver{directSub(0)},
 		Check: func(e *Env) []string {
 			var v []string
-			pub := e.pubs[0].(*cluster.Publisher)
+			pub := e.pubs[0]
 			// No redirects and no re-homes: the outage never touched routing
 			// correctness, only availability of the refresh path.
 			if n := pub.Rehomed(); n != 0 {

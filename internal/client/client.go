@@ -605,6 +605,15 @@ const (
 	slowReconnectDelay = 250 * time.Millisecond
 )
 
+// confirmWait bounds how long NewSubscriber waits for each link to confirm
+// its Subscribe: generous next to a round trip to a loaded broker, short
+// enough that an address which accepts and never answers fails fast.
+const confirmWait = 3 * time.Second
+
+// confirmNonces numbers the Polls that confirm a Subscribe, so a link only
+// takes the reply to its own.
+var confirmNonces atomic.Uint64
+
 // Subscriber receives dispatches from all configured brokers, discarding
 // duplicate sequence numbers (§VI-C), and keeps per-topic delivery records
 // in a DeliveryLog — constant memory per topic; see its window semantics.
@@ -613,6 +622,12 @@ const (
 // Subscribe re-sent, until Close; the DeliveryLog carries across
 // sessions, so a dispatch replayed around a broker or gateway restart is
 // discarded exactly as on one unbroken link.
+//
+// A Subscribe is confirmed: every session follows it with a Poll, and the
+// broker (or gateway) registers the one and answers the other in order on
+// its session goroutine, so the matching PollReply proves the subscription
+// is in place. NewSubscriber returns only once every link has confirmed;
+// a redial does not wait for its reply.
 type Subscriber struct {
 	opts SubscriberOptions
 	log  *slog.Logger
@@ -624,9 +639,11 @@ type Subscriber struct {
 	delivered  *DeliveryLog
 }
 
-// NewSubscriber dials every broker, subscribes, and starts receive loops.
-// Every first dial must succeed — a misconfigured address fails fast —
-// while later losses are redialed.
+// NewSubscriber dials every broker, subscribes, starts receive loops, and
+// returns once every link has confirmed its Subscribe: a message published
+// after it returns reaches this subscriber. Every first dial must succeed —
+// a misconfigured address fails fast — and so must every confirmation
+// within confirmWait; later losses are redialed.
 func NewSubscriber(opts SubscriberOptions) (*Subscriber, error) {
 	if opts.Network == nil || opts.Clock == nil {
 		return nil, errors.New("client: subscriber needs network and clock")
@@ -642,47 +659,70 @@ func NewSubscriber(opts SubscriberOptions) (*Subscriber, error) {
 		log:       opts.Logger.With("subscriber", opts.Name),
 		delivered: NewDeliveryLog(),
 	}
-	var conns []*transport.Conn
-	for _, addr := range opts.BrokerAddrs {
-		conn, err := s.dial(addr)
-		if err != nil {
-			for _, c := range conns {
+	conns := make([]*transport.Conn, len(opts.BrokerAddrs))
+	nonces := make([]uint64, len(opts.BrokerAddrs))
+	for i, addr := range opts.BrokerAddrs {
+		var err error
+		if conns[i], nonces[i], err = s.dial(addr); err != nil {
+			for _, c := range conns[:i] {
 				c.Close()
 			}
 			return nil, fmt.Errorf("client: dial broker %s: %w", addr, err)
 		}
-		conns = append(conns, conn)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s.cancel = cancel
+	confirmed := make([]chan struct{}, len(conns))
 	for i, conn := range conns {
+		confirmed[i] = make(chan struct{})
 		s.wg.Add(1)
-		go s.run(ctx, conn, opts.BrokerAddrs[i])
+		go s.run(ctx, conn, opts.BrokerAddrs[i], nonces[i], confirmed[i])
+	}
+	timeout := time.NewTimer(confirmWait)
+	defer timeout.Stop()
+	for i, c := range confirmed {
+		select {
+		case <-c:
+		case <-timeout.C:
+			s.Close()
+			return nil, fmt.Errorf("client: broker %s did not confirm the subscription within %v", opts.BrokerAddrs[i], confirmWait)
+		}
 	}
 	return s, nil
 }
 
-// dial opens one session to addr: connect, Hello, Subscribe.
-func (s *Subscriber) dial(addr string) (*transport.Conn, error) {
+// dial opens one session to addr: connect, Hello, Subscribe, and the Poll
+// whose reply, carrying the returned nonce, confirms the Subscribe.
+func (s *Subscriber) dial(addr string) (*transport.Conn, uint64, error) {
 	conn, err := dialHello(s.opts.Network, addr, s.opts.Name, wire.RoleSubscriber)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	if err := conn.Send(&wire.Frame{Type: wire.TypeSubscribe, Topics: s.opts.Topics}); err != nil {
-		conn.Close()
-		return nil, err
+	nonce := confirmNonces.Add(1)
+	for _, f := range []*wire.Frame{
+		{Type: wire.TypeSubscribe, Topics: s.opts.Topics},
+		{Type: wire.TypePoll, Nonce: nonce},
+	} {
+		if err := conn.Send(f); err != nil {
+			conn.Close()
+			return nil, 0, err
+		}
 	}
-	return conn, nil
+	return conn, nonce, nil
 }
 
 // run drives one broker link until Close: drain the session, and once it
 // is lost redial source on the redial schedule until a new session is up.
-func (s *Subscriber) run(ctx context.Context, conn *transport.Conn, source string) {
+// confirmed is closed on the first PollReply that carries its session's
+// nonce; a session lost before it arrives hands the wait to the next one.
+func (s *Subscriber) run(ctx context.Context, conn *transport.Conn, source string, nonce uint64, confirmed chan struct{}) {
 	defer s.wg.Done()
 	for {
 		session := conn // the closure must not see conn move on to the next session
 		stop := context.AfterFunc(ctx, func() { session.Close() })
-		s.receiveLoop(session, source)
+		if s.receiveLoop(session, source, nonce, confirmed) {
+			confirmed = nil
+		}
 		stop()
 		session.Close()
 		lost, delay := time.Now(), reconnectDelay
@@ -697,7 +737,7 @@ func (s *Subscriber) run(ctx context.Context, conn *transport.Conn, source strin
 				return
 			case <-time.After(delay):
 			}
-			conn, _ = s.dial(source)
+			conn, nonce, _ = s.dial(source)
 		}
 		s.reconnects.Add(1)
 		s.log.Info("re-subscribed after a lost link", "broker", source)
@@ -707,19 +747,23 @@ func (s *Subscriber) run(ctx context.Context, conn *transport.Conn, source strin
 // receiveLoop drains one broker link with a pooled, reused frame whose
 // payload is decoded in place, in the link's receive window: each dispatch
 // is fully handled (logged for dedup, OnDeliver invoked) before the next
-// receive may overwrite it — the Delivery contract.
-func (s *Subscriber) receiveLoop(conn *transport.Conn, source string) {
+// receive may overwrite it — the Delivery contract. It closes confirmed,
+// unless nil, on the PollReply carrying nonce, and reports whether it did.
+func (s *Subscriber) receiveLoop(conn *transport.Conn, source string, nonce uint64, confirmed chan struct{}) (didConfirm bool) {
 	conn.SetZeroCopy(true)
 	f := transport.GetFrame()
 	defer transport.PutFrame(f)
 	for {
 		if err := conn.RecvInto(f); err != nil {
-			return
+			return didConfirm
 		}
-		if f.Type != wire.TypeDispatch {
-			continue
+		switch {
+		case f.Type == wire.TypeDispatch:
+			s.onDispatch(f, source)
+		case f.Type == wire.TypePollReply && f.Nonce == nonce && confirmed != nil:
+			close(confirmed)
+			confirmed, didConfirm = nil, true
 		}
-		s.onDispatch(f, source)
 	}
 }
 

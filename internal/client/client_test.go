@@ -535,6 +535,49 @@ func TestSubscriberValidation(t *testing.T) {
 	}
 }
 
+// TestSubscriberConfirmTimeout: NewSubscriber fails, within confirmWait and
+// naming the address, when a link never confirms its Subscribe — here one
+// answered with a PollReply for a nonce it did not send, next to one never
+// answered at all — and leaves nothing running.
+func TestSubscriberConfirmTimeout(t *testing.T) {
+	n := transport.NewMem()
+	stale, mute := newFakeBroker(t, n, "stale"), newFakeBroker(t, n, "mute")
+	for _, fb := range []*fakeBroker{stale, mute} {
+		fb.answerMu.Lock()
+		fb.answer = false
+		fb.answerMu.Unlock()
+	}
+	check := leakCheck(t)
+	start := time.Now()
+	failed := make(chan error, 1)
+	go func() {
+		sub, err := NewSubscriber(SubscriberOptions{
+			Name: "s", Topics: []spec.TopicID{1}, BrokerAddrs: []string{"stale", "mute"},
+			Network: n, Clock: clock(), Logger: quiet(),
+		})
+		if err == nil {
+			sub.Close()
+		}
+		failed <- err
+	}()
+	if !waitUntil(func() bool { return len(stale.framesOf(wire.TypePoll)) == 1 }) {
+		t.Fatal("no Poll followed the Subscribe")
+	}
+	stale.notify(t, &wire.Frame{Type: wire.TypePollReply, Nonce: stale.framesOf(wire.TypePoll)[0].Nonce + 1})
+	err := <-failed
+	took := time.Since(start)
+	if err == nil {
+		t.Fatal("NewSubscriber returned with no link's Subscribe confirmed")
+	}
+	if !strings.Contains(err.Error(), "stale") {
+		t.Errorf("error %q does not name the first unconfirmed address, stale", err)
+	}
+	if took < confirmWait || took > confirmWait+time.Second {
+		t.Errorf("NewSubscriber failed after %v, want just past %v", took, confirmWait)
+	}
+	check()
+}
+
 func TestSubscriberSubscribesDedupsAndMeasures(t *testing.T) {
 	n := transport.NewMem()
 	b1 := newFakeBroker(t, n, "b1")

@@ -31,10 +31,16 @@ func subscribedLink(t *testing.T, onDeliver func(Delivery)) *transport.Conn {
 			return
 		}
 		conn := transport.NewConn(nc)
-		for _, want := range []wire.Type{wire.TypeHello, wire.TypeSubscribe} {
-			if f, err := conn.Recv(); err != nil || f.Type != want {
+		var f *wire.Frame
+		for _, want := range []wire.Type{wire.TypeHello, wire.TypeSubscribe, wire.TypePoll} {
+			if f, err = conn.Recv(); err != nil || f.Type != want {
 				t.Errorf("subscriber opened with %+v, %v; want %v", f, err, want)
+				close(link)
+				return
 			}
+		}
+		if err := conn.Send(&wire.Frame{Type: wire.TypePollReply, Nonce: f.Nonce}); err != nil {
+			t.Error(err)
 		}
 		link <- conn
 	}()

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"net/http"
 	"os"
 	"path/filepath"
 	"slices"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/diskstore"
 	"repro/internal/failover"
+	"repro/internal/obsv"
 	"repro/internal/spec"
 	"repro/internal/timing"
 	"repro/internal/transport"
@@ -68,6 +70,11 @@ func testTemplate(n transport.Network) broker.Options {
 	}
 }
 
+// pubTemplate is the test clusters' publisher template.
+func pubTemplate(n transport.Network, clock func() time.Duration, topics []spec.Topic) client.PublisherOptions {
+	return client.PublisherOptions{Name: "pub", Topics: topics, Network: n, Clock: clock, Logger: quietLog()}
+}
+
 func startTestCluster(t *testing.T, n transport.Network, shards int, topics []spec.Topic) *Cluster {
 	t.Helper()
 	c, err := New(Config{Shards: shards, Topics: topics, Broker: testTemplate(n), Mem: true})
@@ -88,17 +95,6 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatalf("timeout waiting for %s", what)
-}
-
-// waitSubscribed blocks until every pair primary registered the subscriber.
-func waitSubscribed(t *testing.T, c *Cluster) {
-	t.Helper()
-	for _, p := range c.Pairs {
-		p := p
-		waitFor(t, 2*time.Second, "subscriber registration", func() bool {
-			return p.Primary.Health().EgressSubs >= 1
-		})
-	}
 }
 
 // TestClusterEndToEnd: topics spread over 3 shards, every message reaches
@@ -122,10 +118,7 @@ func TestClusterEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sub.Close()
-	waitSubscribed(t, c)
-	pub, err := NewPublisher(PublisherOptions{
-		Name: "pub", Topics: topics, Router: r, Network: n, Clock: clock, Logger: quietLog(),
-	})
+	pub, err := NewPublisher(PublisherOptions{Publisher: pubTemplate(n, clock, topics), Router: r})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,10 +195,7 @@ func TestStalePublisherRedirectsAndRehomes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sub.Close()
-	waitSubscribed(t, c)
-	pub, err := NewPublisher(PublisherOptions{
-		Name: "pub", Topics: topics, Router: staleRouter, Network: n, Clock: clock, Logger: quietLog(),
-	})
+	pub, err := NewPublisher(PublisherOptions{Publisher: pubTemplate(n, clock, topics), Router: staleRouter})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,10 +268,7 @@ func TestClusterPromotionKeepsShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sub.Close()
-	waitSubscribed(t, c)
-	pub, err := NewPublisher(PublisherOptions{
-		Name: "pub", Topics: topics, Router: r, Network: n, Clock: clock, Logger: quietLog(),
-	})
+	pub, err := NewPublisher(PublisherOptions{Publisher: pubTemplate(n, clock, topics), Router: r})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,10 +338,10 @@ func TestClusterValidation(t *testing.T) {
 	}
 	n := transport.NewMem()
 	r := &Router{}
-	if _, err := NewPublisher(PublisherOptions{Router: r, Network: n, Clock: testClock(), Logger: quietLog()}); err == nil {
+	if _, err := NewPublisher(PublisherOptions{Publisher: pubTemplate(n, testClock(), nil), Router: r}); err == nil {
 		t.Error("publisher with no topics accepted")
 	}
-	if _, err := NewPublisher(PublisherOptions{Topics: lanTopics(1, 0), Network: n, Clock: testClock()}); err == nil {
+	if _, err := NewPublisher(PublisherOptions{Publisher: pubTemplate(n, testClock(), lanTopics(1, 0))}); err == nil {
 		t.Error("publisher with nil router accepted")
 	}
 }
@@ -441,7 +428,6 @@ func TestDurableTemplateLogsPerPrimary(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sub.Close()
-	waitFor(t, 2*time.Second, "subscriber registration", func() bool { return b.Health().EgressSubs >= 1 })
 	b.RecoverFromLog()
 
 	own := c.Pairs[0].Topics
@@ -464,4 +450,89 @@ func TestDurableTemplateLogsPerPrimary(t *testing.T) {
 	if got := sub.Received(own[0].ID); got != perTopic {
 		t.Errorf("topic %d: %d messages recovered, want %d (seq %d was pruned)", own[0].ID, got, perTopic, perTopic+1)
 	}
+}
+
+// TestDurablePublisherAcrossShards: a publisher template with DurableAcks
+// makes every shard's per-pair publisher wait for its PubAck, so when the
+// last Publish returns each Primary has made durable at least every
+// publish to its partition.
+func TestDurablePublisherAcrossShards(t *testing.T) {
+	n := transport.NewMem()
+	topics := lanTopics(8, 4)
+	tmpl := testTemplate(n)
+	tmpl.Durable, tmpl.LogDir, tmpl.FsyncInterval = true, t.TempDir(), 100*time.Millisecond
+	tmpl.AdminAddr = "127.0.0.1:0"
+	c, err := New(Config{Shards: 2, Topics: topics, Broker: tmpl, Mem: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Stop)
+	pt := pubTemplate(n, testClock(), topics)
+	pt.DurableAcks = true
+	pub, err := NewPublisher(PublisherOptions{Publisher: pt, Router: newTestRouter(t, n, c.Dir.Addr())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pub.Close()
+	publish := func(perTopic int) {
+		t.Helper()
+		errs := make(chan error, len(topics))
+		for _, tp := range topics { // one goroutine per topic, so publishes share fsyncs
+			go func(id spec.TopicID) {
+				for i := 0; i < perTopic; i++ {
+					if _, err := pub.Publish(id, []byte("durable")); err != nil {
+						errs <- err
+						return
+					}
+				}
+				errs <- nil
+			}(tp.ID)
+		}
+		for range topics {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, p := range c.Pairs {
+		if len(p.Topics) == 0 {
+			t.Fatalf("shard %d owns no topic: the test exercises one shard only", p.Index)
+		}
+	}
+	// A fresh log syncs its first batch at once and holds every later one
+	// for the rest of the 100 ms window. Let the first sync happen, so a
+	// publish that returned unacknowledged is still unsynced when counted.
+	publish(1)
+	for _, p := range c.Pairs {
+		waitFor(t, 2*time.Second, "the first sync", func() bool {
+			return durableAcks(t, p.Primary.AdminAddr()) >= float64(len(p.Topics))
+		})
+	}
+	const perTopic = 3
+	publish(perTopic)
+	for _, p := range c.Pairs {
+		acks := durableAcks(t, p.Primary.AdminAddr())
+		if want := float64((1 + perTopic) * len(p.Topics)); acks < want {
+			t.Errorf("shard %d Primary: %v durable acks when the last Publish returned, want at least %v", p.Index, acks, want)
+		}
+	}
+}
+
+// durableAcks reads frame_durable_acks_total off a broker's /metrics.
+func durableAcks(t *testing.T, adminAddr string) float64 {
+	t.Helper()
+	resp, err := (&http.Client{Timeout: 5 * time.Second}).Get("http://" + adminAddr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	samples, err := obsv.ParseText(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ok := obsv.Find(samples, "frame_durable_acks_total", "")
+	if !ok {
+		t.Fatal("frame_durable_acks_total not exposed")
+	}
+	return s.Value
 }

@@ -230,7 +230,7 @@ type RouterOptions struct {
 }
 
 // Router caches the routing table on behalf of one client process. It
-// fetches once at construction and again on Refresh/NoteEpoch; between
+// fetches once at construction and again on each Refresh; between
 // fetches every lookup is local. Router is safe for concurrent use.
 type Router struct {
 	opts RouterOptions
@@ -281,22 +281,6 @@ func (r *Router) Epoch() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.table.Epoch
-}
-
-// NoteEpoch reacts to an epoch observed in band (a WrongShard redirect): if
-// it is newer than the cache, refresh. Convergence argument: a redirect
-// carries the broker's epoch e; the Directory's epoch is monotone, so the
-// refresh fetches a table of epoch ≥ e > cached, and the cache strictly
-// advances until no broker observes a newer epoch than the client holds.
-func (r *Router) NoteEpoch(e uint64) error {
-	r.mu.Lock()
-	cur := r.table.Epoch
-	r.mu.Unlock()
-	if e <= cur {
-		return nil
-	}
-	_, err := r.Refresh()
-	return err
 }
 
 // Refresh fetches the table and installs it if newer than the cache,

@@ -94,35 +94,9 @@ func TestDirectoryPromoteSwapsPairAndBumpsEpoch(t *testing.T) {
 	}
 }
 
-func TestRouterNoteEpochRefreshesOnNewerOnly(t *testing.T) {
-	n := transport.NewMem()
-	dir := startDirectory(t, n, threePairs())
-	r := newTestRouter(t, n, dir.Addr())
-	if err := dir.Promote(0); err != nil {
-		t.Fatal(err)
-	}
-	// Stale or equal epochs must not trigger a fetch-visible change.
-	if err := r.NoteEpoch(1); err != nil {
-		t.Fatal(err)
-	}
-	if r.Epoch() != 1 {
-		t.Errorf("epoch after stale note = %d, want 1", r.Epoch())
-	}
-	// A newer epoch (as a WrongShard redirect would carry) converges.
-	if err := r.NoteEpoch(2); err != nil {
-		t.Fatal(err)
-	}
-	if r.Epoch() != 2 {
-		t.Errorf("epoch after note = %d, want 2", r.Epoch())
-	}
-	if e := r.Table().Shards[0]; e.Primary != "b0" {
-		t.Errorf("refreshed entry = %+v", e)
-	}
-}
-
-// TestRouterConvergenceProperty: from any reachable epoch N, a redirect
-// carrying epoch N+1 (or any newer epoch) converges the cache to the
-// directory's table — across random sequences of promotions and resizes.
+// TestRouterConvergenceProperty: from any reachable epoch N, the Refresh a
+// redirect triggers converges the cache to the directory's table — across
+// random sequences of promotions and resizes.
 func TestRouterConvergenceProperty(t *testing.T) {
 	n := transport.NewMem()
 	dir := startDirectory(t, n, threePairs())
@@ -146,9 +120,9 @@ func TestRouterConvergenceProperty(t *testing.T) {
 			}
 		}
 		want := dir.Table()
-		// The cache may be arbitrarily stale (epoch N ≤ want.Epoch); one
-		// in-band redirect with the broker's epoch must converge it.
-		if err := r.NoteEpoch(want.Epoch); err != nil {
+		// The cache may be arbitrarily stale (epoch N ≤ want.Epoch); the one
+		// Refresh an in-band redirect triggers must converge it.
+		if _, err := r.Refresh(); err != nil {
 			return false
 		}
 		got := r.Table()

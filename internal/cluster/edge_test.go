@@ -96,13 +96,14 @@ func TestRouterRefusesEmptyTable(t *testing.T) {
 		t.Fatalf("after empty refresh: epoch %d, %d shards; want the cached epoch-1 table intact", got.Epoch, len(got.Shards))
 	}
 
-	// The in-band path (a WrongShard redirect advertising epoch 99) must
+	// The in-band path — a WrongShard redirect advertising epoch 99, on
+	// which a publisher's refresher calls Refresh whatever the epoch — must
 	// hit the same guard.
-	if err := r.NoteEpoch(99); err != nil {
-		t.Fatalf("note epoch: %v", err)
+	if _, err := r.Refresh(); err != nil {
+		t.Fatalf("refresh after a redirect: %v", err)
 	}
 	if got := r.Table(); got.Epoch != 1 || len(got.Shards) != 2 {
-		t.Fatalf("after NoteEpoch(99): epoch %d, %d shards; want the cached table intact", got.Epoch, len(got.Shards))
+		t.Fatalf("after the redirect's refresh: epoch %d, %d shards; want the cached table intact", got.Epoch, len(got.Shards))
 	}
 	if e := r.Epoch(); e != 1 {
 		t.Fatalf("epoch = %d, want 1", e)
@@ -238,15 +239,13 @@ func TestEndpointValidation(t *testing.T) {
 	if _, err := NewPublisher(PublisherOptions{}); err == nil {
 		t.Error("NewPublisher accepted missing router/network/clock")
 	}
-	if _, err := NewPublisher(PublisherOptions{Router: emptyRouter, Network: n, Clock: testClock()}); err == nil {
+	if _, err := NewPublisher(PublisherOptions{Publisher: pubTemplate(n, testClock(), nil), Router: emptyRouter}); err == nil {
 		t.Error("NewPublisher accepted zero topics")
 	}
-	if _, err := NewPublisher(PublisherOptions{Router: emptyRouter, Network: n, Clock: testClock(),
-		Topics: []spec.Topic{topic}, Logger: quietLog()}); err == nil {
+	if _, err := NewPublisher(PublisherOptions{Publisher: pubTemplate(n, testClock(), []spec.Topic{topic}), Router: emptyRouter}); err == nil {
 		t.Error("NewPublisher accepted an empty routing table")
 	}
-	if _, err := NewPublisher(PublisherOptions{Router: emptyRouter, Network: n, Clock: testClock(),
-		Topics: []spec.Topic{{ID: 2}}, Logger: quietLog()}); err == nil {
+	if _, err := NewPublisher(PublisherOptions{Publisher: pubTemplate(n, testClock(), []spec.Topic{{ID: 2}}), Router: emptyRouter}); err == nil {
 		t.Error("NewPublisher accepted an invalid topic spec")
 	}
 }

@@ -13,31 +13,26 @@ import (
 	"time"
 
 	"repro/internal/client"
-	"repro/internal/clocksync"
 	"repro/internal/spec"
-	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
 // PublisherOptions configures a sharded publisher.
 type PublisherOptions struct {
-	// Name identifies the publisher in Hello frames and logs.
-	Name string
-	// Topics are the topics this proxy owns, cluster-wide.
-	Topics []spec.Topic
+	// Publisher is the template every per-pair client.Publisher is built
+	// from (see openPubLocked). Its Topics are the proxy's topics,
+	// cluster-wide; the cluster fills in each pair's share of them,
+	// PrimaryAddr, BackupAddr and OnWrongShard. Name, Network, Clock,
+	// DurableAcks, AckTimeout and Logger (nil means slog.Default) pass
+	// through, so ACK = durable holds on every shard.
+	Publisher client.PublisherOptions
 	// Router supplies and refreshes the routing table.
 	Router *Router
-	// Network supplies dialing.
-	Network transport.Network
-	// Clock is the synchronized timebase.
-	Clock clocksync.Clock
 	// RefreshInterval, when positive, polls the Directory on this period so
 	// the cache converges even without in-band redirects (e.g. a promotion
 	// the client never trips over). Zero disables polling; redirects still
 	// refresh.
 	RefreshInterval time.Duration
-	// Logger receives operational events; nil means slog.Default.
-	Logger *slog.Logger
 }
 
 // pairKey identifies a broker pair by the addresses a client dials — the
@@ -72,26 +67,27 @@ type Publisher struct {
 // NewPublisher builds the per-pair publishers for the router's current
 // table and starts the optional refresh poller.
 func NewPublisher(opts PublisherOptions) (*Publisher, error) {
-	if opts.Router == nil || opts.Network == nil || opts.Clock == nil {
+	tmpl := &opts.Publisher
+	if opts.Router == nil || tmpl.Network == nil || tmpl.Clock == nil {
 		return nil, errors.New("cluster: publisher needs router, network, and clock")
 	}
-	if len(opts.Topics) == 0 {
+	if len(tmpl.Topics) == 0 {
 		return nil, errors.New("cluster: publisher needs at least one topic")
 	}
-	if opts.Logger == nil {
-		opts.Logger = slog.Default()
+	if tmpl.Logger == nil {
+		tmpl.Logger = slog.Default()
 	}
 	p := &Publisher{
 		opts:     opts,
-		log:      opts.Logger.With("cluster-publisher", opts.Name),
+		log:      tmpl.Logger.With("cluster-publisher", tmpl.Name),
 		router:   opts.Router,
 		stop:     make(chan struct{}),
 		kick:     make(chan struct{}, 1),
-		topics:   make(map[spec.TopicID]spec.Topic, len(opts.Topics)),
+		topics:   make(map[spec.TopicID]spec.Topic, len(tmpl.Topics)),
 		pubs:     make(map[string]*client.Publisher),
-		topicPub: make(map[spec.TopicID]string, len(opts.Topics)),
+		topicPub: make(map[spec.TopicID]string, len(tmpl.Topics)),
 	}
-	for _, t := range opts.Topics {
+	for _, t := range tmpl.Topics {
 		if err := t.Validate(); err != nil {
 			return nil, err
 		}
@@ -105,12 +101,10 @@ func NewPublisher(opts PublisherOptions) (*Publisher, error) {
 	p.table = table
 	// Group topics by owning pair and open one publisher per pair.
 	byKey := make(map[string][]spec.Topic)
-	for _, t := range opts.Topics {
-		e := table.Shards[table.ShardFor(t.ID)]
-		byKey[pairKey(e)] = append(byKey[pairKey(e)], t)
-	}
-	for _, t := range opts.Topics {
-		p.topicPub[t.ID] = pairKey(table.Shards[table.ShardFor(t.ID)])
+	for _, t := range tmpl.Topics {
+		key := pairKey(table.Shards[table.ShardFor(t.ID)])
+		byKey[key] = append(byKey[key], t)
+		p.topicPub[t.ID] = key
 	}
 	for key, group := range byKey {
 		pub, err := p.openPubLocked(key, group)
@@ -195,19 +189,13 @@ func pairsOverlap(a, b string) bool {
 	return false
 }
 
-// openPubLocked dials one pair. Callers hold p.mu.
+// openPubLocked dials one pair, with a client.Publisher built from the
+// template. Callers hold p.mu.
 func (p *Publisher) openPubLocked(key string, topics []spec.Topic) (*client.Publisher, error) {
 	e := splitPairKey(key)
-	pub, err := client.NewPublisher(client.PublisherOptions{
-		Name:         p.opts.Name,
-		Topics:       topics,
-		PrimaryAddr:  e.Primary,
-		BackupAddr:   e.Backup,
-		Network:      p.opts.Network,
-		Clock:        p.opts.Clock,
-		Logger:       p.opts.Logger,
-		OnWrongShard: p.onWrongShard,
-	})
+	o := p.opts.Publisher
+	o.Topics, o.PrimaryAddr, o.BackupAddr, o.OnWrongShard = topics, e.Primary, e.Backup, p.onWrongShard
+	pub, err := client.NewPublisher(o)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: dial pair %s: %w", e.Primary, err)
 	}
@@ -359,7 +347,8 @@ func (p *Publisher) Rehomed() uint64 {
 	return p.rehomed
 }
 
-// Close shuts every per-pair publisher down.
+// Close shuts every per-pair publisher down. As on a client.Publisher,
+// LastSeq still answers afterwards and Publish fails.
 func (p *Publisher) Close() {
 	p.mu.Lock()
 	if p.closed {
@@ -371,7 +360,6 @@ func (p *Publisher) Close() {
 	for _, pub := range p.pubs {
 		pubs = append(pubs, pub)
 	}
-	p.pubs = make(map[string]*client.Publisher)
 	p.mu.Unlock()
 	close(p.stop)
 	for _, pub := range pubs {

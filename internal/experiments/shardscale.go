@@ -178,14 +178,11 @@ func runShardPoint(shards int, opts ShardScaleOptions) (ShardScalePoint, error) 
 		return ShardScalePoint{}, err
 	}
 	defer sub.Close()
-	for _, p := range c.Pairs {
-		if err := awaitSubscriptions(p.Primary, 1); err != nil {
-			return ShardScalePoint{}, err
-		}
-	}
 	pub, err := cluster.NewPublisher(cluster.PublisherOptions{
-		Name: "shardscale-pub", Topics: topics, Router: router, Network: net,
-		Clock: clock, Logger: quietLogger(),
+		Publisher: client.PublisherOptions{
+			Name: "shardscale-pub", Topics: topics, Network: net, Clock: clock, Logger: quietLogger(),
+		},
+		Router: router,
 	})
 	if err != nil {
 		return ShardScalePoint{}, err
@@ -244,19 +241,6 @@ func received(sub *client.Subscriber, ids []spec.TopicID) uint64 {
 // quietLogger drops the brokers' operational chatter during sweeps.
 func quietLogger() *slog.Logger {
 	return slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelError}))
-}
-
-// awaitSubscriptions waits until b has registered n subscriber sessions.
-// SUBSCRIBE has no ack: NewSubscriber returns once the frame is written, and
-// a publish that overtakes the registration is dispatched to nobody.
-func awaitSubscriptions(b *broker.Broker, n int) error {
-	for deadline := time.Now().Add(5 * time.Second); b.Health().EgressSubs < n; {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("only %d of %d subscriptions registered", b.Health().EgressSubs, n)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	return nil
 }
 
 // Format renders the sweep with speedup over one shard.

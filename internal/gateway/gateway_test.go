@@ -212,11 +212,6 @@ func TestGatewayEquivalentToDirectSubscription(t *testing.T) {
 	}
 	t.Cleanup(thin.Close)
 
-	// Direct sub + gateway upstream registered at the broker; thin client
-	// registered at the gateway.
-	waitFor(t, "broker subscriptions", 2*time.Second, func() bool { return b.Health().EgressSubs >= 2 })
-	waitFor(t, "thin subscription", 2*time.Second, func() bool { return gw.Subscribers() >= 1 })
-
 	// Seeded churn: clients connect, read briefly, disconnect — while the
 	// publisher runs. Their connects/disconnects must not disturb the two
 	// observers.
@@ -326,7 +321,6 @@ func TestGatewayChurnSoak(t *testing.T) {
 		t.Fatalf("stable subscriber: %v", err)
 	}
 	t.Cleanup(stable.Close)
-	waitFor(t, "stable subscription", 2*time.Second, func() bool { return gw.Subscribers() >= 1 })
 
 	stop := make(chan struct{})
 	var pubDone sync.WaitGroup
@@ -444,10 +438,15 @@ func TestGatewaySlowClientIsolation(t *testing.T) {
 	// policy takes over.
 	wedged := rawConn(t, net, "gw", "wedged", wire.RoleSubscriber)
 	defer wedged.Close()
-	if err := wedged.Send(&wire.Frame{Type: wire.TypeSubscribe, Topics: ids}); err != nil {
-		t.Fatalf("wedged subscribe: %v", err)
+	for _, f := range []*wire.Frame{{Type: wire.TypeSubscribe, Topics: ids}, {Type: wire.TypePoll, Nonce: 1}} {
+		if err := wedged.Send(f); err != nil {
+			t.Fatalf("wedged subscribe: %v", err)
+		}
 	}
-	waitFor(t, "both subscriptions", 2*time.Second, func() bool { return gw.Subscribers() >= 2 })
+	// The PollReply confirms the Subscribe; the client reads nothing after it.
+	if f, err := wedged.Recv(); err != nil || f.Type != wire.TypePollReply || f.Nonce != 1 {
+		t.Fatalf("wedged subscribe unconfirmed: %+v, %v", f, err)
+	}
 
 	pub := rawConn(t, net, "gw", "pub", wire.RolePublisher)
 	defer pub.Close()
@@ -517,7 +516,6 @@ func TestGatewayRestartThinClientReconnects(t *testing.T) {
 		t.Fatalf("thin subscriber: %v", err)
 	}
 	t.Cleanup(thin.Close)
-	waitFor(t, "subscription", 2*time.Second, func() bool { return gw1.Subscribers() >= 1 })
 
 	pub := rawConn(t, net, "gw", "pub", wire.RolePublisher)
 	publishThrough(t, pub, clock, ids, 1, perTopic, 100*time.Microsecond)
@@ -621,7 +619,6 @@ func TestGatewayDirectoryMode(t *testing.T) {
 		t.Fatalf("thin subscriber: %v", err)
 	}
 	t.Cleanup(thin.Close)
-	waitFor(t, "subscription", 2*time.Second, func() bool { return gw.Subscribers() >= 1 })
 
 	pub := rawConn(t, net, "gw", "pub", wire.RolePublisher)
 	defer pub.Close()
@@ -744,7 +741,6 @@ func TestGatewayMetricsAndHealth(t *testing.T) {
 		t.Fatalf("thin subscriber: %v", err)
 	}
 	t.Cleanup(thin.Close)
-	waitFor(t, "subscription", 2*time.Second, func() bool { return gw.Subscribers() >= 1 })
 
 	pub := rawConn(t, net, "gw", "pub", wire.RolePublisher)
 	defer pub.Close()
@@ -957,8 +953,6 @@ func TestGatewayFanoutCopiesBeforeTheNextDelivery(t *testing.T) {
 		t.Fatalf("thin subscriber: %v", err)
 	}
 	t.Cleanup(thin.Close)
-	waitFor(t, "gateway upstream subscription", 2*time.Second, func() bool { return b.Health().EgressSubs >= 1 })
-	waitFor(t, "thin subscription", 2*time.Second, func() bool { return gw.Subscribers() >= 1 })
 
 	pub := rawConn(t, net, "gw", "pub", wire.RolePublisher)
 	defer pub.Close()
